@@ -8,8 +8,6 @@ two-qubit state tomography.
 """
 
 from .interferometer import (
-    BOHR_MAGNETON,
-    HBAR,
     EnsembleEstimate,
     FieldSetup,
     ShotAngles,
@@ -17,7 +15,6 @@ from .interferometer import (
     ensemble_average_analytic,
     ensemble_average_monte_carlo,
     lambda_from_sigma,
-    rotation_angle,
     single_shot_state,
     spin_rotation,
 )

@@ -24,14 +24,13 @@ would be scheduled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, reduce
 
 import numpy as np
 
-from .pauli import ID2, SIGMA_X, SIGMA_Z
+from . import superop
+from .pauli import ID2, SIGMA_X, SIGMA_Z, spin_path
 from .states import matrix_to_json, validate_density_matrix
-
-BOHR_MAGNETON = 9.2740100783e-24  # J / T
-HBAR = 1.054571817e-34  # J * s
 
 VARIANTS = ("both_paths_independent", "single_field_one_path", "single_field_both_paths")
 
@@ -98,20 +97,6 @@ class EnsembleEstimate:
         }
 
 
-def larmor_frequency(field_magnitude: float) -> float:
-    """Spin precession angular frequency 2 * mu_B * B / hbar."""
-    if field_magnitude < 0.0:
-        raise ValueError(f"field magnitude must be nonnegative, got {field_magnitude!r}")
-    return 2.0 * BOHR_MAGNETON * field_magnitude / HBAR
-
-
-def rotation_angle(field_magnitude: float, dwell_time: float) -> float:
-    """Accumulated precession angle 2 * mu_B * B * t / hbar."""
-    if dwell_time < 0.0:
-        raise ValueError(f"dwell time must be nonnegative, got {dwell_time!r}")
-    return larmor_frequency(field_magnitude) * dwell_time
-
-
 def spin_rotation(axis: str, angle: float) -> np.ndarray:
     """Single-qubit rotation cos(angle/2) 1 + i sin(angle/2) sigma_axis."""
     if axis not in _AXES:
@@ -167,82 +152,57 @@ def single_shot_state(rho0: np.ndarray, shot: ShotAngles, mode: str) -> np.ndarr
 #     Phi(rho) = sum_{m,m'} exp(-(m - m')^2 sigma^2 / 8) G_m rho G_m'^dagger
 #
 # and independent angles average as the composition of their channels.
+# A rotation about spin axis s on the paths selected by projector P has
+# G_{+1} = (1 + s)/2 (x) P, G_{-1} = (1 - s)/2 (x) P and G_0 = 1 (x) (1 - P).
 
-_P_PATH_I = np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex)
-_P_PATH_II = np.diag([0.0, 1.0, 0.0, 1.0]).astype(complex)
-
-
-def _basis_projector(index: int) -> np.ndarray:
-    p = np.zeros((4, 4), dtype=complex)
-    p[index, index] = 1.0
-    return p
+_PATHS = {"I": np.diag([1.0, 0.0]), "II": np.diag([0.0, 1.0]), "both": ID2}
+_ORDERS = np.array([1, -1, 0])
 
 
-def _spin_swap(path: str) -> np.ndarray:
-    # sigma_x on the spin, restricted to one path's two basis states.
-    a, b = (0, 2) if path == "I" else (1, 3)
-    x = np.zeros((4, 4), dtype=complex)
-    x[a, b] = 1.0
-    x[b, a] = 1.0
-    return x
+@cache
+def _harmonics(axis: str, path: str):
+    """Stacked harmonics G_m, m in _ORDERS, of a spin rotation on ``path``.
+
+    Cached, so the returned array is read-only.
+    """
+    here, spin = _PATHS[path], _AXES[axis]
+    operators = np.array([
+        spin_path((ID2 + spin) / 2.0, here),
+        spin_path((ID2 - spin) / 2.0, here),
+        spin_path(ID2, ID2 - here),
+    ])
+    operators.flags.writeable = False
+    return operators
 
 
-def _z_harmonics(path: str):
-    up, down = (0, 2) if path == "I" else (1, 3)
-    idle = _P_PATH_II if path == "I" else _P_PATH_I
-    return ((1, _basis_projector(up)), (-1, _basis_projector(down)), (0, idle))
-
-
-def _x_harmonics(path: str):
-    here = _P_PATH_I if path == "I" else _P_PATH_II
-    idle = _P_PATH_II if path == "I" else _P_PATH_I
-    swap = _spin_swap(path)
-    return ((1, 0.5 * (here + swap)), (-1, 0.5 * (here - swap)), (0, idle))
-
-
-def _global_z_harmonics():
-    return (
-        (1, np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)),
-        (-1, np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex)),
-    )
-
-
-def _angle_channel(rho: np.ndarray, harmonics, sigma: float) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for m1, g1 in harmonics:
-        for m2, g2 in harmonics:
-            damp = np.exp(-((m1 - m2) ** 2) * sigma * sigma / 8.0)
-            out += damp * (g1 @ rho @ g2.conj().T)
-    return out
+def _angle_map(harmonics: np.ndarray, sigma: float) -> np.ndarray:
+    """16x16 superoperator of the Gaussian average over one angle."""
+    gap = np.subtract.outer(_ORDERS, _ORDERS)
+    return superop.chi_map(harmonics, np.exp(-(gap ** 2) * sigma * sigma / 8.0))
 
 
 def _channel_sequence(setup: FieldSetup):
     """Per-angle channels in application order (innermost rotation first)."""
     if setup.mode == "A":
         if setup.variant == "both_paths_independent":
-            return (_z_harmonics("II"), _z_harmonics("I"))
+            return (_harmonics("z", "II"), _harmonics("z", "I"))
         if setup.variant == "single_field_one_path":
-            return (_z_harmonics("II"),)
-        return (_global_z_harmonics(),)
+            return (_harmonics("z", "II"),)
+        return (_harmonics("z", "both"),)
     if setup.variant != "both_paths_independent":
         raise ValueError(
             f"variant {setup.variant!r} is not supported for mode B; "
             "only 'both_paths_independent' is"
         )
-    return (
-        _x_harmonics("II"),
-        _z_harmonics("II"),
-        _x_harmonics("I"),
-        _z_harmonics("I"),
-    )
+    return (_harmonics("x", "II"), _harmonics("z", "II"), _harmonics("x", "I"), _harmonics("z", "I"))
 
 
 def ensemble_average_analytic(rho0: np.ndarray, setup: FieldSetup) -> np.ndarray:
     """Exact Gaussian ensemble average of the shot states."""
     rho = validate_density_matrix(rho0)
-    for harmonics in _channel_sequence(setup):
-        rho = _angle_channel(rho, harmonics, setup.sigma)
-    return validate_density_matrix(rho)
+    maps = [_angle_map(harmonics, setup.sigma) for harmonics in _channel_sequence(setup)]
+    average = reduce(np.matmul, reversed(maps))
+    return validate_density_matrix(superop.apply(average, rho))
 
 
 # --- Monte Carlo -------------------------------------------------------------

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import superop
 from .pauli import ID2, ID4, SIGMA_X, SIGMA_Z, spin_path
-from .states import matrix_from_json, matrix_to_json, validate_density_matrix
+from .states import validate_density_matrix
 
 MAX_WEIGHT = 4.0 / 3.0
 _COMPLETENESS_TOL = 1e-12
@@ -45,9 +46,7 @@ class KrausSet:
 
 
 def _completeness_defect(operators) -> float:
-    total = np.zeros((4, 4), dtype=complex)
-    for op in operators:
-        total += op.conj().T @ op
+    total = np.einsum("kba,kbc->ac", np.conj(operators), operators)
     return float(np.abs(total - ID4).max())
 
 
@@ -97,24 +96,20 @@ def kraus_set_for_mode(mode: str, weight: float) -> KrausSet:
     raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
 
 
-def _apply(rho: np.ndarray, operators) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for op in operators:
-        out += op @ rho @ op.conj().T
-    return out
-
-
 def apply_channel(rho: np.ndarray, kraus_set: KrausSet) -> np.ndarray:
     """One application sum_k M_k rho M_k^dagger of the map."""
     rho = validate_density_matrix(rho)
     defect = completeness_defect(kraus_set)
     if defect > _COMPLETENESS_TOL:
         raise ValueError(f"kraus completeness violated: max|sum M^t M - 1| = {defect:.3e}")
-    return validate_density_matrix(_apply(rho, kraus_set.operators))
+    return validate_density_matrix(superop.apply(superop.kraus_map(kraus_set.operators), rho))
 
 
 def trotter_evolve(rho0: np.ndarray, mode: str, lam: float, t: float, n: int) -> np.ndarray:
-    """n-fold composition of the per-step map with weight lam*t/n."""
+    """n-fold composition of the per-step map with weight lam*t/n.
+
+    The composition is the n-th matrix power of the step's 16x16 map.
+    """
     rho = validate_density_matrix(rho0)
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"step count must be a positive integer, got {n!r}")
@@ -122,10 +117,8 @@ def trotter_evolve(rho0: np.ndarray, mode: str, lam: float, t: float, n: int) ->
         raise ValueError(f"coupling strength must be nonnegative, got {lam!r}")
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t!r}")
-    step = kraus_set_for_mode(mode, lam * t / n)
-    for _ in range(n):
-        rho = _apply(rho, step.operators)
-    return validate_density_matrix(rho)
+    step_map = superop.kraus_map(kraus_set_for_mode(mode, lam * t / n).operators)
+    return validate_density_matrix(superop.apply(np.linalg.matrix_power(step_map, int(n)), rho))
 
 
 def lindblad_generators_from_kraus(kraus_set: KrausSet, dt: float) -> tuple[list[np.ndarray], float]:
@@ -162,17 +155,3 @@ def lindblad_generators_from_kraus(kraus_set: KrausSet, dt: float) -> tuple[list
     residual = float(np.abs(leader - (ID4 - 0.5 * dt * correction)).max())
     return generators, residual
 
-
-def kraus_to_json(kraus_set: KrausSet) -> dict:
-    """Serialize as ``{"weight": w, "operators": [matrix json, ...]}``."""
-    return {
-        "weight": kraus_set.weight,
-        "operators": [matrix_to_json(op) for op in kraus_set.operators],
-    }
-
-
-def kraus_from_json(obj: dict) -> KrausSet:
-    if not isinstance(obj, dict) or "weight" not in obj or "operators" not in obj:
-        raise ValueError("kraus json must be an object with 'weight' and 'operators'")
-    operators = tuple(matrix_from_json(op) for op in obj["operators"])
-    return KrausSet(operators=operators, weight=float(obj["weight"]))

@@ -137,18 +137,12 @@ def maximally_mixed() -> np.ndarray:
     return np.eye(4, dtype=complex) / 4.0
 
 
-def validate_density_matrix(m, repair: bool = False) -> np.ndarray:
+def validate_density_matrix(m) -> np.ndarray:
     """Check the density-matrix invariants, returning the validated array.
 
     Checks, in order: shape (4, 4), finiteness, Hermiticity within
     ``HERMITICITY_TOL``, unit trace within ``TRACE_TOL``, and positive
     semidefiniteness with eigenvalue floor ``EIGENVALUE_FLOOR``.
-
-    Args:
-        m: candidate matrix.
-        repair: when True, eigenvalues in [EIGENVALUE_FLOOR, 0) are
-            clamped to 0 and the state is rebuilt (trace renormalized).
-            Eigenvalues below the floor are an error either way.
 
     Raises:
         StateValidationError: naming the violated invariant and its size.
@@ -172,11 +166,6 @@ def validate_density_matrix(m, repair: bool = False) -> np.ndarray:
         raise StateValidationError(
             f"positivity violation: min eigenvalue = {min_eig:.3e} < {EIGENVALUE_FLOOR:.1e}"
         )
-    if repair and min_eig < 0.0:
-        vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
-        vals = np.clip(vals, 0.0, None)
-        vals = vals / vals.sum()
-        m = (vecs * vals) @ vecs.conj().T
     return m
 
 

@@ -1,0 +1,66 @@
+"""Linear maps on 4x4 matrices as 16x16 superoperators.
+
+Matrices are vectorized row-major, vec(X) = X.reshape(16), so that
+
+    vec(A X B) = kron(A, B^T) vec(X)
+
+and the sandwich X -> L X R^dagger is the matrix kron(L, conj(R)).
+Composing maps is matrix multiplication, and n repetitions of a map are
+its n-th matrix power.  The numerical routes (RK4 integration, Kraus
+composition, Gaussian angle averaging) all build their maps here; the
+closed forms in :mod:`spinpath.lindblad` do not, so they stay an
+independent check.
+
+See Havel, J. Math. Phys. 44, 534 (2003) and Wood, Biamonte & Cory,
+Quantum Inf. Comput. 15, 759 (2015) for this representation.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .pauli import ID4
+
+ID16 = np.eye(16, dtype=complex)
+
+
+def sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Superoperator of X -> left X right^dagger."""
+    return np.kron(left, np.conj(right))
+
+
+def chi_map(operators, chi: np.ndarray) -> np.ndarray:
+    """Superoperator of X -> sum_jk chi[j, k] G_j X G_k^dagger."""
+    g = np.asarray(operators, dtype=complex)
+    return np.einsum("jk,jac,kbd->abcd", chi, g, g.conj()).reshape(16, 16)
+
+
+def kraus_map(operators) -> np.ndarray:
+    """Superoperator of X -> sum_k M_k X M_k^dagger, i.e. sum_k M_k (x) M_k^*."""
+    g = np.asarray(operators, dtype=complex)
+    return np.einsum("kac,kbd->abcd", g, g.conj()).reshape(16, 16)
+
+
+def liouvillian(hamiltonian: np.ndarray, projectors, lam: float) -> np.ndarray:
+    """Generator -i(H (x) 1 - 1 (x) H^T) - lam (1 - sum_k P_k (x) P_k^*).
+
+    ``hamiltonian`` must be Hermitian, so that rho H = rho H^dagger.
+    """
+    commutator = sandwich(hamiltonian, ID4) - sandwich(ID4, hamiltonian)
+    return -1j * commutator - lam * (ID16 - kraus_map(projectors))
+
+
+def rk4_step(generator: np.ndarray, step: float) -> np.ndarray:
+    """One classical RK4 step of d vec/dt = generator vec.
+
+    For a linear equation the four stages collapse to the Taylor
+    polynomial sum_{k<=4} (step * generator)^k / k!, evaluated here in
+    Horner form.
+    """
+    x = step * generator
+    return ID16 + x @ (ID16 + x @ (ID16 + x @ (ID16 + x / 4.0) / 3.0) / 2.0)
+
+
+def apply(superop: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Image of a 4x4 matrix under a 16x16 superoperator."""
+    return (superop @ np.asarray(rho, dtype=complex).reshape(16)).reshape(4, 4)

@@ -95,10 +95,9 @@ class CountRecord:
 
 @dataclass(frozen=True, eq=False)
 class Reconstruction:
-    """Physical estimate, raw linear-inversion matrix, and their distance."""
+    """Physical estimate and its Frobenius distance to the raw linear inversion."""
 
     estimate: np.ndarray
-    raw_linear: np.ndarray
     frobenius_residual: float
 
     def to_json(self) -> dict:
@@ -187,7 +186,7 @@ def reconstruct_linear(records) -> Reconstruction:
 
     estimate = project_psd(raw)
     residual = float(np.linalg.norm(raw - estimate))
-    return Reconstruction(estimate=estimate, raw_linear=raw, frobenius_residual=residual)
+    return Reconstruction(estimate=estimate, frobenius_residual=residual)
 
 
 def project_psd(m: np.ndarray) -> np.ndarray:

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from spinpath.interferometer import (
-    BOHR_MAGNETON,
-    HBAR,
     FieldSetup,
     ShotAngles,
     conditioned_unitary,
@@ -11,7 +9,6 @@ from spinpath.interferometer import (
     ensemble_average_analytic,
     ensemble_average_monte_carlo,
     lambda_from_sigma,
-    rotation_angle,
     single_shot_state,
     spin_rotation,
 )
@@ -35,29 +32,6 @@ def mode_b_shot_matrix(alpha, beta, gamma, delta):
         ]
     ) / np.sqrt(2.0)
     return np.outer(amplitudes, amplitudes.conj())
-
-
-def test_rotation_angle_zero_field():
-    assert rotation_angle(0.0, 1.0) == 0.0
-
-
-def test_rotation_angle_linear_in_field():
-    a1 = rotation_angle(1e-3, 2e-4)
-    a2 = rotation_angle(2e-3, 2e-4)
-    assert abs(a2 - 2.0 * a1) < 1e-15
-
-
-def test_rotation_angle_pi():
-    t = 0.01
-    b = np.pi * HBAR / (2.0 * BOHR_MAGNETON * t)
-    assert abs(rotation_angle(b, t) - np.pi) < 1e-12
-
-
-def test_rotation_angle_rejects_negative_inputs():
-    with pytest.raises(ValueError):
-        rotation_angle(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        rotation_angle(1.0, -1.0)
 
 
 def test_spin_rotation_z_is_phase_diagonal():
@@ -201,15 +175,16 @@ def test_analytic_average_rejects_mode_b_variants():
 def test_mode_b_average_order_independent_for_singlet():
     # Swapping the per-path x/z application order must not change the
     # averaged singlet state.
-    from spinpath.interferometer import _angle_channel, _x_harmonics, _z_harmonics
+    from spinpath.interferometer import _angle_map, _harmonics
+    from spinpath.superop import apply
 
     sigma = 0.9
-    rho_xz = experiment_initial()
-    for h in (_x_harmonics("II"), _z_harmonics("II"), _x_harmonics("I"), _z_harmonics("I")):
-        rho_xz = _angle_channel(rho_xz, h, sigma)
-    rho_zx = experiment_initial()
-    for h in (_z_harmonics("II"), _x_harmonics("II"), _z_harmonics("I"), _x_harmonics("I")):
-        rho_zx = _angle_channel(rho_zx, h, sigma)
+    x_ii, z_ii, x_i, z_i = (
+        _angle_map(_harmonics(axis, path), sigma)
+        for axis, path in (("x", "II"), ("z", "II"), ("x", "I"), ("z", "I"))
+    )
+    rho_xz = apply(z_i @ x_i @ z_ii @ x_ii, experiment_initial())
+    rho_zx = apply(x_i @ z_i @ x_ii @ z_ii, experiment_initial())
     assert np.abs(rho_xz - rho_zx).max() < 1e-12
 
 

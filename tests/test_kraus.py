@@ -5,10 +5,8 @@ from spinpath.kraus import (
     KrausSet,
     apply_channel,
     completeness_defect,
-    kraus_from_json,
     kraus_set_a,
     kraus_set_b,
-    kraus_to_json,
     lindblad_generators_from_kraus,
     trotter_evolve,
 )
@@ -187,9 +185,36 @@ def test_kraus_set_rejects_incomplete_operators():
         KrausSet(operators=(0.5 * np.eye(4, dtype=complex),), weight=0.1)
 
 
-def test_kraus_json_round_trip():
-    original = kraus_set_b(0.7)
-    again = kraus_from_json(kraus_to_json(original))
-    assert again.weight == original.weight
-    for a, b in zip(again.operators, original.operators):
-        assert np.abs(a - b).max() < 1e-15
+
+def random_rank_state(rng, rank):
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = g @ g.conj().T
+    rho = rho / np.trace(rho).real
+    return (rho + rho.conj().T) / 2.0
+
+
+def test_trotter_matches_sequential_channel_applications():
+    rng = np.random.default_rng(41)
+    for i in range(24):
+        rho = random_rank_state(rng, 1 + i % 4)
+        mode = "AB"[i % 2]
+        lam, t = float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, 0.4))
+        n = int(rng.integers(1, 65))
+        stepped = rho
+        step = kraus_set_a(lam * t / n) if mode == "A" else kraus_set_b(lam * t / n)
+        for _ in range(n):
+            stepped = apply_channel(stepped, step)
+        assert np.abs(trotter_evolve(rho, mode, lam, t, n) - stepped).max() < 1e-12
+
+
+def test_trotter_final_state_valid_at_4096_steps():
+    # The composed map must keep the trace of rank 1-4 states within the
+    # 1e-12 validation tolerance even at thousands of steps.
+    rng = np.random.default_rng(1)
+    for i in range(300):
+        rho = random_rank_state(rng, 1 + i % 4)
+        mode = "AB"[i % 2]
+        lam = float(rng.uniform(0.2, 3.0))
+        t = float(rng.uniform(0.05, 0.4))
+        out = trotter_evolve(rho, mode, lam, t, 4096)
+        assert abs(np.trace(out).real - 1.0) < 1e-12

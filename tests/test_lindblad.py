@@ -190,6 +190,14 @@ def test_integrator_rejects_bad_dt():
         integrate_master(experiment_initial(), projectors_mode_a(), spec, 1.0, dt=-1e-3)
 
 
+@pytest.mark.parametrize("mode", ["A", "B"])
+def test_integrator_rejects_unstable_step(mode):
+    # lam * dt = 3 lies outside the RK4 stability interval [-2.785, 0].
+    spec = DecoherenceSpec(mode=mode, lam=3000.0)
+    with pytest.raises(ValueError, match=r"dt=0\.001 .*lam=3000\.0"):
+        integrate_master(experiment_initial(), projectors_for_mode(mode), spec, 1.0, dt=1e-3)
+
+
 def test_integrator_lands_exactly_on_t():
     # t is not a multiple of dt: the shortened final step must still match.
     spec = DecoherenceSpec(mode="B", lam=1.0)

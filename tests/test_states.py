@@ -150,22 +150,6 @@ def test_validate_rejects_nan():
         validate_density_matrix(m)
 
 
-def test_validate_repair_clamps_only_when_requested():
-    # A tiny negative eigenvalue within the floor passes either way, but
-    # only the repair path rebuilds a strictly PSD matrix.
-    dirty = np.diag([0.5, 0.5, 1e-10, -1e-10]).astype(complex)
-    kept = validate_density_matrix(dirty)
-    assert float(np.linalg.eigvalsh(kept).min()) < 0.0
-    repaired = validate_density_matrix(dirty, repair=True)
-    assert float(np.linalg.eigvalsh(repaired).min()) >= -1e-15
-    assert abs(np.trace(repaired).real - 1.0) < 1e-12
-
-
-def test_validate_repair_does_not_mask_real_violations():
-    with pytest.raises(StateValidationError):
-        validate_density_matrix(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex), repair=True)
-
-
 def test_matrix_json_round_trip():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
