@@ -44,7 +44,6 @@ from .measures import (
     concurrence_bell_diagonal,
     measure_report,
     mixedness,
-    spin_flip_transform,
 )
 from .states import (
     BellWeights,

@@ -28,6 +28,10 @@ _NAMED_INITIALS = {
     "maximally-mixed": states.maximally_mixed,
 }
 
+# One evolve and one measure_report call per block of grid points bounds the working set.
+_SWEEP_BLOCK = 256
+_MAX_SWEEP_POINTS = 1_000_000
+
 _VARIANT_FLAGS = {
     "both-paths-independent": "both_paths_independent",
     "single-field-one-path": "single_field_one_path",
@@ -104,13 +108,18 @@ def cmd_evolve(args) -> str:
 def cmd_sweep(args) -> str:
     if args.steps < 2:
         raise ValueError(f"sweep needs at least 2 grid points, got {args.steps}")
+    if args.steps > _MAX_SWEEP_POINTS:
+        raise ValueError(f"--steps {args.steps} exceeds the limit of {_MAX_SWEEP_POINTS} grid points")
     rho0 = _initial_state(args.initial)
     spec = _decoherence_spec(args)
+    times = np.linspace(0.0, args.time, args.steps)
     lines = ["lambda_t,mixedness,concurrence"]
-    for t in np.linspace(0.0, args.time, args.steps):
-        report = measure_report(lindblad.evolve(rho0, spec, float(t)))
-        lines.append(
+    for start in range(0, args.steps, _SWEEP_BLOCK):
+        block = times[start:start + _SWEEP_BLOCK]
+        reports = measure_report(lindblad.evolve(rho0, spec, block))
+        lines.extend(
             f"{_fmt(spec.lam * t)},{_fmt(report.mixedness)},{_fmt(report.concurrence)}"
+            for t, report in zip(block, reports)
         )
     return "\n".join(lines) + "\n"
 

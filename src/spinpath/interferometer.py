@@ -107,11 +107,27 @@ def spin_rotation(axis: str, angle: float) -> np.ndarray:
     return np.cos(half) * ID2 + 1j * np.sin(half) * _AXES[axis]
 
 
-def _conditioned(u_path_i: np.ndarray, u_path_ii: np.ndarray) -> np.ndarray:
-    v = np.zeros((4, 4), dtype=complex)
-    v[np.ix_((0, 2), (0, 2))] = u_path_i
-    v[np.ix_((1, 3), (1, 3))] = u_path_ii
-    return v
+def _shot_unitaries(alpha, beta, gamma=None, delta=None) -> np.ndarray:
+    """(N, 4, 4) block unitaries V = U_I (x) |I><I| + U_II (x) |II><II|.
+
+    Takes length-N angle arrays.  Without gamma/delta (mode A) U_I and
+    U_II are z-rotations by alpha and beta; with them (mode B) each path
+    applies its x-rotation first, then its z-rotation: U_p = U_z * U_x.
+    """
+    uz = np.zeros((len(alpha), 4, 4), dtype=complex)
+    uz[:, 0, 0] = np.exp(0.5j * alpha)
+    uz[:, 1, 1] = np.exp(0.5j * beta)
+    uz[:, 2, 2] = np.exp(-0.5j * alpha)
+    uz[:, 3, 3] = np.exp(-0.5j * beta)
+    if gamma is None:
+        return uz
+    ux = np.zeros((len(alpha), 4, 4), dtype=complex)
+    cg, sg = np.cos(0.5 * gamma), np.sin(0.5 * gamma)
+    cd, sd = np.cos(0.5 * delta), np.sin(0.5 * delta)
+    for a, b, c, s in ((0, 2, cg, sg), (1, 3, cd, sd)):
+        ux[:, a, a] = ux[:, b, b] = c
+        ux[:, a, b] = ux[:, b, a] = 1j * s
+    return uz @ ux
 
 
 def conditioned_unitary(shot: ShotAngles, mode: str) -> np.ndarray:
@@ -124,16 +140,14 @@ def conditioned_unitary(shot: ShotAngles, mode: str) -> np.ndarray:
     if mode == "A":
         if shot.gamma is not None or shot.delta is not None:
             raise ValueError("mode A uses z-angles only; gamma/delta must be omitted")
-        u_i = spin_rotation("z", shot.alpha)
-        u_ii = spin_rotation("z", shot.beta)
+        angles = (shot.alpha, shot.beta)
     elif mode == "B":
         if shot.gamma is None or shot.delta is None:
             raise ValueError("mode B requires gamma and delta")
-        u_i = spin_rotation("z", shot.alpha) @ spin_rotation("x", shot.gamma)
-        u_ii = spin_rotation("z", shot.beta) @ spin_rotation("x", shot.delta)
+        angles = (shot.alpha, shot.beta, shot.gamma, shot.delta)
     else:
         raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
-    return _conditioned(u_i, u_ii)
+    return _shot_unitaries(*np.array(angles)[:, None])[0]
 
 
 def single_shot_state(rho0: np.ndarray, shot: ShotAngles, mode: str) -> np.ndarray:
@@ -208,45 +222,17 @@ def ensemble_average_analytic(rho0: np.ndarray, setup: FieldSetup) -> np.ndarray
 # --- Monte Carlo -------------------------------------------------------------
 
 
-def _sampled_unitaries(rng: np.random.Generator, setup: FieldSetup, count: int) -> np.ndarray:
+def _sampled_angles(rng: np.random.Generator, setup: FieldSetup, count: int) -> tuple:
+    """Per-shot angle arrays of one block, in the fixed draw order."""
     sigma = setup.sigma
-    if setup.mode == "A":
-        if setup.variant == "both_paths_independent":
-            alpha = rng.normal(0.0, sigma, count)
-            beta = rng.normal(0.0, sigma, count)
-        elif setup.variant == "single_field_one_path":
-            alpha = np.zeros(count)
-            beta = rng.normal(0.0, sigma, count)
-        else:
-            alpha = rng.normal(0.0, sigma, count)
-            beta = alpha
-        u = np.zeros((count, 4, 4), dtype=complex)
-        u[:, 0, 0] = np.exp(0.5j * alpha)
-        u[:, 1, 1] = np.exp(0.5j * beta)
-        u[:, 2, 2] = np.exp(-0.5j * alpha)
-        u[:, 3, 3] = np.exp(-0.5j * beta)
-        return u
+    if setup.mode == "B":
+        return tuple(rng.normal(0.0, sigma, count) for _ in range(4))
+    if setup.variant == "single_field_one_path":
+        return np.zeros(count), rng.normal(0.0, sigma, count)
     alpha = rng.normal(0.0, sigma, count)
-    beta = rng.normal(0.0, sigma, count)
-    gamma = rng.normal(0.0, sigma, count)
-    delta = rng.normal(0.0, sigma, count)
-    uz = np.zeros((count, 4, 4), dtype=complex)
-    uz[:, 0, 0] = np.exp(0.5j * alpha)
-    uz[:, 1, 1] = np.exp(0.5j * beta)
-    uz[:, 2, 2] = np.exp(-0.5j * alpha)
-    uz[:, 3, 3] = np.exp(-0.5j * beta)
-    ux = np.zeros((count, 4, 4), dtype=complex)
-    cg, sg = np.cos(0.5 * gamma), np.sin(0.5 * gamma)
-    cd, sd = np.cos(0.5 * delta), np.sin(0.5 * delta)
-    ux[:, 0, 0] = cg
-    ux[:, 2, 2] = cg
-    ux[:, 0, 2] = 1j * sg
-    ux[:, 2, 0] = 1j * sg
-    ux[:, 1, 1] = cd
-    ux[:, 3, 3] = cd
-    ux[:, 1, 3] = 1j * sd
-    ux[:, 3, 1] = 1j * sd
-    return uz @ ux
+    if setup.variant == "single_field_both_paths":
+        return alpha, alpha
+    return alpha, rng.normal(0.0, sigma, count)
 
 
 def ensemble_average_monte_carlo(
@@ -283,7 +269,7 @@ def ensemble_average_monte_carlo(
     while remaining > 0:
         count = min(_BLOCK_SIZE, remaining)
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), block_index)))
-        u = _sampled_unitaries(rng, setup, count)
+        u = _shot_unitaries(*_sampled_angles(rng, setup, count))
         shots = u @ rho0 @ u.conj().transpose(0, 2, 1)
         dev_re = shots.real - base_re
         dev_im = shots.imag - base_im

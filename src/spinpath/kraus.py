@@ -27,32 +27,33 @@ _COMPLETENESS_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Operators of a completely positive trace-preserving map."""
+    """Operators of a completely positive trace-preserving map.
+
+    The operators are stored as read-only copies, so the completeness
+    checked here holds for the life of the set.
+    """
 
     operators: tuple[np.ndarray, ...]
     weight: float
 
     def __post_init__(self):
-        operators = tuple(np.asarray(op, dtype=complex) for op in self.operators)
+        operators = tuple(np.array(op, dtype=complex) for op in self.operators)
         if not operators:
             raise ValueError("kraus set must contain at least one operator")
         for i, op in enumerate(operators):
             if op.shape != (4, 4):
                 raise ValueError(f"operator {i} has shape {op.shape}, expected (4, 4)")
+            op.flags.writeable = False
         object.__setattr__(self, "operators", operators)
-        defect = _completeness_defect(operators)
+        defect = completeness_defect(self)
         if defect > _COMPLETENESS_TOL:
             raise ValueError(f"kraus completeness violated: max|sum M^t M - 1| = {defect:.3e}")
 
 
-def _completeness_defect(operators) -> float:
-    total = np.einsum("kba,kbc->ac", np.conj(operators), operators)
-    return float(np.abs(total - ID4).max())
-
-
 def completeness_defect(kraus_set: KrausSet) -> float:
     """Max elementwise deviation of sum M^dagger M from the identity."""
-    return _completeness_defect(kraus_set.operators)
+    total = np.einsum("kba,kbc->ac", np.conj(kraus_set.operators), kraus_set.operators)
+    return float(np.abs(total - ID4).max())
 
 
 def _check_weight(weight: float) -> float:
@@ -99,9 +100,6 @@ def kraus_set_for_mode(mode: str, weight: float) -> KrausSet:
 def apply_channel(rho: np.ndarray, kraus_set: KrausSet) -> np.ndarray:
     """One application sum_k M_k rho M_k^dagger of the map."""
     rho = validate_density_matrix(rho)
-    defect = completeness_defect(kraus_set)
-    if defect > _COMPLETENESS_TOL:
-        raise ValueError(f"kraus completeness violated: max|sum M^t M - 1| = {defect:.3e}")
     return validate_density_matrix(superop.apply(superop.kraus_map(kraus_set.operators), rho))
 
 

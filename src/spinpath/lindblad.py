@@ -126,42 +126,53 @@ def dissipator(rho: np.ndarray, projectors: ProjectorSet, lam: float) -> np.ndar
     return lam * (rho - superop.apply(superop.kraus_map(projectors.projectors), rho))
 
 
-def evolve_mode_a(rho0: np.ndarray, spec: DecoherenceSpec, t: float) -> np.ndarray:
+def _times(t) -> np.ndarray:
+    """Evaluation time(s) as a float array: a scalar or a 1-d array of t >= 0."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"time must be a scalar or a 1-d array, got shape {times.shape}")
+    if np.any(times < 0.0):
+        raise ValueError(f"time must be nonnegative, got {float(times.min())!r}")
+    return times
+
+
+def evolve_mode_a(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
     """Closed-form mode-A state at time t.
 
     Off-diagonal elements pick up the free phase and an exp(-lam*t)
-    envelope; populations are constants of motion.
+    envelope; populations are constants of motion.  ``t`` as in :func:`evolve`.
     """
     rho0 = validate_density_matrix(rho0)
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t!r}")
+    t = _times(t)
     energies = np.array(spec.hamiltonian.energies)
     factors = np.exp(
-        (-1j * np.subtract.outer(energies, energies) - spec.lam) * t
+        (-1j * np.subtract.outer(energies, energies) - spec.lam) * t[..., None, None]
     )
-    np.fill_diagonal(factors, 1.0)
+    factors[..., range(4), range(4)] = 1.0
     return validate_density_matrix(rho0 * factors)
 
 
-def _damped_cosh_sinh(lam: float, mu: complex, t: float) -> tuple[complex, complex]:
+def _damped_cosh_sinh(lam: float, mu: complex, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Overflow-safe exp(-lam*t/2)*cosh(mu*t/2) and exp(-lam*t/2)*sinh(mu*t/2)/mu.
 
     Re(mu) <= lam always holds here (mu^2 = lam^2 - 4*dE^2), so both
     exponents below are nonpositive and never overflow.  The sinh term
-    uses a series for small |mu*t| to avoid cancellation.
+    uses a series, elementwise, where |mu*t| is small, to avoid
+    cancellation.
     """
     ea = np.exp(0.5 * (mu - lam) * t)
     eb = np.exp(-0.5 * (mu + lam) * t)
     ch = 0.5 * (ea + eb)
     x = 0.5 * mu * t
-    if abs(x) < 1e-6:
-        sh_over_mu = 0.5 * t * np.exp(-0.5 * lam * t) * (1.0 + x * x / 6.0 + x ** 4 / 120.0)
-    else:
-        sh_over_mu = 0.5 * (ea - eb) / mu
-    return complex(ch), complex(sh_over_mu)
+    small = np.abs(x) < 1e-6  # everywhere when mu == 0
+    sh_over_mu = 0.5 * (ea - eb) / mu if mu != 0.0 else 0.0
+    if small.any():
+        series = 0.5 * t * np.exp(-0.5 * lam * t) * (1.0 + x * x / 6.0 + x ** 4 / 120.0)
+        sh_over_mu = np.where(small, series, sh_over_mu)
+    return ch, sh_over_mu
 
 
-def evolve_mode_b(rho0: np.ndarray, spec: DecoherenceSpec, t: float) -> np.ndarray:
+def evolve_mode_b(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
     """Closed-form mode-B state at time t.
 
     The equations of motion split into three families:
@@ -174,42 +185,45 @@ def evolve_mode_b(rho0: np.ndarray, spec: DecoherenceSpec, t: float) -> np.ndarr
       through a 2x2 linear system whose eigenfrequencies involve
       mu = sqrt(lam^2 - 4*dE^2); for 2*|dE| > lam the square root is
       taken complex, which analytically continues the same expressions
-      into the damped-oscillation regime.
+      into the damped-oscillation regime.  ``t`` as in :func:`evolve`.
     """
     rho0 = validate_density_matrix(rho0)
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t!r}")
+    t = _times(t)
     lam = spec.lam
     energies = spec.hamiltonian.energies
-    out = np.zeros((4, 4), dtype=complex)
+    out = np.zeros(t.shape + (4, 4), dtype=complex)
 
     # Cross-block elements: same form as mode A.
     decay = np.exp(-lam * t)
     for k, j in ((0, 1), (0, 3), (2, 1), (2, 3)):
         phase = np.exp(-1j * (energies[k] - energies[j]) * t)
-        out[k, j] = phase * decay * rho0[k, j]
-        out[j, k] = np.conj(phase * decay) * rho0[j, k]
+        out[..., k, j] = phase * decay * rho0[k, j]
+        out[..., j, k] = np.conj(phase * decay) * rho0[j, k]
 
     # Population pairs: exponential approach to the pairwise mean.
     ep = 0.5 * (1.0 + decay)
     em = 0.5 * (1.0 - decay)
     for k, j in ((0, 2), (1, 3)):
-        out[k, k] = ep * rho0[k, k] + em * rho0[j, j]
-        out[j, j] = em * rho0[k, k] + ep * rho0[j, j]
+        out[..., k, k] = ep * rho0[k, k] + em * rho0[j, j]
+        out[..., j, j] = em * rho0[k, k] + ep * rho0[j, j]
 
     # Coupled coherence pairs.
     for k, j in ((0, 2), (1, 3)):
         de = energies[k] - energies[j]
         mu = np.sqrt(complex(lam * lam - 4.0 * de * de))
         ch, sh = _damped_cosh_sinh(lam, mu, t)
-        out[k, j] = (ch - 2.0j * de * sh) * rho0[k, j] + lam * sh * rho0[j, k]
-        out[j, k] = (ch + 2.0j * de * sh) * rho0[j, k] + lam * sh * rho0[k, j]
+        out[..., k, j] = (ch - 2.0j * de * sh) * rho0[k, j] + lam * sh * rho0[j, k]
+        out[..., j, k] = (ch + 2.0j * de * sh) * rho0[j, k] + lam * sh * rho0[k, j]
 
     return validate_density_matrix(out)
 
 
-def evolve(rho0: np.ndarray, spec: DecoherenceSpec, t: float) -> np.ndarray:
-    """Dispatch to the closed form matching ``spec.mode``."""
+def evolve(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
+    """Dispatch to the closed form matching ``spec.mode``.
+
+    ``t`` is a scalar, giving one (4, 4) state, or a 1-d array of
+    times, giving the (N, 4, 4) stack of states at those times.
+    """
     if spec.mode == "A":
         return evolve_mode_a(rho0, spec, t)
     return evolve_mode_b(rho0, spec, t)

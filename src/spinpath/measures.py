@@ -10,13 +10,11 @@ from .pauli import SIGMA_Y
 from .states import BellWeights, validate_density_matrix
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
-_IMAG_TOL = 1e-9
-_NEG_TOL = -1e-9
 
 
 @dataclass(frozen=True)
 class MeasureReport:
-    """Mixedness, concurrence and the intermediate spin-flip spectrum."""
+    """Mixedness, concurrence and Wootters roots of one state."""
 
     mixedness: float
     concurrence: float
@@ -41,49 +39,31 @@ class MeasureReport:
 
 
 def mixedness(rho: np.ndarray) -> float:
-    """Purity Tr(rho^2): 1 for pure states, 1/4 for the maximally mixed one."""
-    rho = validate_density_matrix(rho)
-    return float(np.trace(rho @ rho).real)
-
-
-def spin_flip_transform(rho: np.ndarray) -> np.ndarray:
-    """Product rho * (sy (x) sy) * conj(rho) * (sy (x) sy).
-
-    Complex conjugation is taken entrywise in the product basis the
-    state is stored in.  The result is similar to a positive matrix, so
-    its spectrum is real and nonnegative up to rounding.
-    """
-    rho = validate_density_matrix(rho)
-    return rho @ _YY @ rho.conj() @ _YY
+    """Purity Tr(rho^2) of one state: 1 for pure states, 1/4 for the maximally mixed one."""
+    return measure_report(rho).mixedness
 
 
 def wootters_roots(rho: np.ndarray) -> np.ndarray:
-    """Decreasing square roots of the spin-flip product's eigenvalues."""
-    product = spin_flip_transform(rho)
-    eigenvalues = np.linalg.eigvals(product)
-    max_imag = float(np.abs(eigenvalues.imag).max())
-    if max_imag > _IMAG_TOL:
-        raise np.linalg.LinAlgError(
-            f"spin-flip spectrum not real: max |Im eigenvalue| = {max_imag:.3e}"
-        )
-    real_parts = eigenvalues.real
-    min_eig = float(real_parts.min())
-    if min_eig < _NEG_TOL:
-        raise np.linalg.LinAlgError(
-            f"spin-flip spectrum not nonnegative: min eigenvalue = {min_eig:.3e}"
-        )
-    return np.sort(np.sqrt(np.clip(real_parts, 0.0, None)))[::-1]
+    """Decreasing Wootters roots of one state (4,) or of a stack (N, 4).
+
+    They are the singular values of tau = W^T (sy (x) sy) W with
+    rho = W W^dagger, W = V sqrt(lambda) (Wootters, PRL 80, 2245 (1998)),
+    which keeps full precision on pure states.
+    """
+    rho = validate_density_matrix(rho)
+    eigenvalues, vectors = np.linalg.eigh(rho)
+    w = vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))[..., None, :]
+    tau = w.swapaxes(-2, -1) @ _YY @ w
+    return np.linalg.svd(tau, compute_uv=False)
 
 
 def concurrence(rho: np.ndarray) -> float:
-    """Entanglement monotone max{0, mu1 - mu2 - mu3 - mu4}.
+    """Entanglement monotone max{0, mu1 - mu2 - mu3 - mu4} of one state.
 
-    The mu_i are the decreasing square roots of the eigenvalues of
-    ``spin_flip_transform(rho)``.  Returns 0 for separable states and 1
-    for maximally entangled ones.
+    The mu_i are the decreasing Wootters roots (:func:`wootters_roots`).
+    Returns 0 for separable states and 1 for maximally entangled ones.
     """
-    mu = wootters_roots(rho)
-    return float(max(0.0, mu[0] - mu[1] - mu[2] - mu[3]))
+    return measure_report(rho).concurrence
 
 
 def concurrence_bell_diagonal(weights) -> float:
@@ -93,12 +73,19 @@ def concurrence_bell_diagonal(weights) -> float:
     return float(max(0.0, 2.0 * max(weights.nu) - 1.0))
 
 
-def measure_report(rho: np.ndarray) -> MeasureReport:
-    """Bundle mixedness, concurrence and the spin-flip roots for one state."""
-    rho = validate_density_matrix(rho)
+def measure_report(rho: np.ndarray) -> MeasureReport | list[MeasureReport]:
+    """Mixedness, concurrence and Wootters roots of one state or a stack.
+
+    A (4, 4) state gives one :class:`MeasureReport`; an (N, 4, 4) stack
+    gives a list of N reports.  The state is validated once, by
+    :func:`wootters_roots`.
+    """
+    rho = np.asarray(rho, dtype=complex)
     mu = wootters_roots(rho)
-    return MeasureReport(
-        mixedness=float(np.trace(rho @ rho).real),
-        concurrence=float(max(0.0, mu[0] - mu[1] - mu[2] - mu[3])),
-        wootters_roots=tuple(float(x) for x in mu),
-    )
+    purity = np.einsum("...ij,...ji->...", rho, rho).real
+    entanglement = np.maximum(0.0, mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3])
+    reports = [
+        MeasureReport(mixedness=float(p), concurrence=float(c), wootters_roots=tuple(r))
+        for p, c, r in zip(np.atleast_1d(purity), np.atleast_1d(entanglement), mu.reshape(-1, 4))
+    ]
+    return reports if rho.ndim == 3 else reports[0]

@@ -137,35 +137,44 @@ def maximally_mixed() -> np.ndarray:
     return np.eye(4, dtype=complex) / 4.0
 
 
+def _check(bad, defect, message: str) -> None:
+    """Raise ``message`` for the first flagged state; a stack's is prefixed with its index."""
+    if bad.ndim == 0:
+        if bad:
+            raise StateValidationError(message.format(defect))
+    elif bad.any():
+        i = int(np.argmax(bad))
+        raise StateValidationError(f"state {i}: " + message.format(defect[i]))
+
+
 def validate_density_matrix(m) -> np.ndarray:
     """Check the density-matrix invariants, returning the validated array.
 
-    Checks, in order: shape (4, 4), finiteness, Hermiticity within
-    ``HERMITICITY_TOL``, unit trace within ``TRACE_TOL``, and positive
-    semidefiniteness with eigenvalue floor ``EIGENVALUE_FLOOR``.
+    Accepts one state of shape (4, 4) or a stack of shape (N, 4, 4).
+    Checks, in order and each over the whole stack: finiteness,
+    Hermiticity within ``HERMITICITY_TOL``, unit trace within
+    ``TRACE_TOL``, and positive semidefiniteness with eigenvalue floor
+    ``EIGENVALUE_FLOOR``.
 
     Raises:
-        StateValidationError: naming the violated invariant and its size.
+        StateValidationError: naming the violated invariant and its size;
+            for a stack, prefixed with ``state i: `` for the first
+            offending state.
     """
     m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        raise StateValidationError(f"shape violation: expected (4, 4), got {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise StateValidationError("finiteness violation: matrix contains nan or inf")
-    herm_defect = float(np.abs(m - m.conj().T).max())
-    if herm_defect > HERMITICITY_TOL:
-        raise StateValidationError(
-            f"hermiticity violation: max|rho - rho^dagger| = {herm_defect:.3e}"
-        )
-    trace_defect = abs(float(np.trace(m).real) - 1.0)
-    if trace_defect > TRACE_TOL:
-        raise StateValidationError(f"trace violation: |Tr rho - 1| = {trace_defect:.3e}")
-    eigenvalues = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    min_eig = float(eigenvalues.min())
-    if min_eig < EIGENVALUE_FLOOR:
-        raise StateValidationError(
-            f"positivity violation: min eigenvalue = {min_eig:.3e} < {EIGENVALUE_FLOOR:.1e}"
-        )
+    if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
+        raise StateValidationError(f"shape violation: expected (4, 4) or (N, 4, 4), got {m.shape}")
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    _check(~finite, finite, "finiteness violation: matrix contains nan or inf")
+    adjoint = m.conj().swapaxes(-2, -1)
+    herm_defect = np.abs(m - adjoint).max(axis=(-2, -1))
+    _check(herm_defect > HERMITICITY_TOL, herm_defect,
+           "hermiticity violation: max|rho - rho^dagger| = {:.3e}")
+    trace_defect = np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0)
+    _check(trace_defect > TRACE_TOL, trace_defect, "trace violation: |Tr rho - 1| = {:.3e}")
+    min_eig = np.linalg.eigvalsh((m + adjoint) / 2.0)[..., 0]
+    _check(min_eig < EIGENVALUE_FLOOR, min_eig,
+           f"positivity violation: min eigenvalue = {{:.3e}} < {EIGENVALUE_FLOOR:.1e}")
     return m
 
 

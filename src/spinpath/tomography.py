@@ -5,9 +5,12 @@ path observable) in {X, Y, Z} x {X, Y, Z}, both qubits are projected
 onto the +/-1 eigenspaces of their observables.  Outcome probabilities
 follow the Born rule; finite-shot data are multinomial draws.
 
-Reconstruction is linear inversion in the Pauli basis: correlators come
-from the matching setting, single-qubit expectations are averaged over
-the three settings that share the observable, and the raw estimate is
+All 36 probabilities are one product with the 36x16 Born matrix (row
+4i + k: the conjugated, vectorized projector of outcome k of setting i),
+and reconstruction is its pseudo-inverse.  Outcomes of one setting are
+orthogonal, so this least-squares estimate takes correlators from their
+own setting and averages single-qubit expectations over the three
+settings that share the observable:
 
     raw = 1/4 * (1 + sum_i <s_i> s_i(x)1 + sum_j <p_j> 1(x)p_j
                    + sum_ij <s_i p_j> s_i(x)p_j).
@@ -24,15 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z, spin_path
+from .pauli import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, spin_path
 from .states import matrix_to_json, validate_density_matrix
 
 _OBSERVABLES = {"X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 OBSERVABLE_NAMES = ("X", "Y", "Z")
 
 # Outcome order for counts and probabilities: (+,+), (+,-), (-,+), (-,-).
-_SPIN_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
-_PATH_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+_OUTCOME_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,18 @@ class MeasurementSetting:
 ALL_SETTINGS = tuple(
     MeasurementSetting(s, p) for s in OBSERVABLE_NAMES for p in OBSERVABLE_NAMES
 )
+
+_BORN = np.array([
+    spin_path(
+        (ID2 + a * _OBSERVABLES[setting.spin_observable]) / 2.0,
+        (ID2 + b * _OBSERVABLES[setting.path_observable]) / 2.0,
+    ).conj().reshape(16)
+    for setting in ALL_SETTINGS
+    for a, b in _OUTCOME_SIGNS
+])
+_INVERSE = np.linalg.pinv(_BORN)
+_BORN.flags.writeable = False
+_INVERSE.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -107,26 +121,26 @@ class Reconstruction:
         }
 
 
-def outcome_probabilities(rho: np.ndarray, setting: MeasurementSetting) -> np.ndarray:
-    """Born probabilities of the four joint outcomes, in the fixed order."""
-    rho = validate_density_matrix(rho)
-    spin_obs = _OBSERVABLES[setting.spin_observable]
-    path_obs = _OBSERVABLES[setting.path_observable]
-    probs = np.empty(4)
-    for i, (a, b) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
-        proj = spin_path((ID2 + a * spin_obs) / 2.0, (ID2 + b * path_obs) / 2.0)
-        probs[i] = float(np.trace(rho @ proj).real)
+def _born_probabilities(rho: np.ndarray) -> np.ndarray:
+    """(9, 4) outcome probabilities of a validated state, settings in ALL_SETTINGS order."""
+    probs = (_BORN @ rho.reshape(16)).real.reshape(9, 4)
     if probs.min() < -1e-9:
         raise np.linalg.LinAlgError(f"negative outcome probability: {probs.min():.3e}")
     probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+def outcome_probabilities(rho: np.ndarray, setting: MeasurementSetting) -> np.ndarray:
+    """Born probabilities of the four joint outcomes, in the fixed order."""
+    return _born_probabilities(validate_density_matrix(rho))[ALL_SETTINGS.index(setting)]
 
 
 def exact_records(rho: np.ndarray) -> list[CountRecord]:
     """Infinite-statistics records (shots = 0 sentinel) for all settings."""
+    probs = _born_probabilities(validate_density_matrix(rho))
     return [
-        CountRecord(setting=s, counts=tuple(outcome_probabilities(rho, s)), shots=0)
-        for s in ALL_SETTINGS
+        CountRecord(setting=setting, counts=tuple(p), shots=0)
+        for setting, p in zip(ALL_SETTINGS, probs)
     ]
 
 
@@ -143,8 +157,7 @@ def simulate_counts(rho: np.ndarray, shots: int, seed: int) -> list[CountRecord]
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     records = []
-    for i, setting in enumerate(ALL_SETTINGS):
-        probs = outcome_probabilities(rho, setting)
+    for i, (setting, probs) in enumerate(zip(ALL_SETTINGS, _born_probabilities(rho))):
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), i)))
         counts = rng.multinomial(int(shots), probs)
         records.append(CountRecord(setting=setting, counts=tuple(int(c) for c in counts), shots=int(shots)))
@@ -153,46 +166,30 @@ def simulate_counts(rho: np.ndarray, shots: int, seed: int) -> list[CountRecord]
 
 def reconstruct_linear(records) -> Reconstruction:
     """Linear inversion of a complete set of nine setting records."""
-    by_key = {}
+    by_setting = {}
     for record in records:
-        key = (record.setting.spin_observable, record.setting.path_observable)
-        if key in by_key:
+        if record.setting in by_setting:
+            key = (record.setting.spin_observable, record.setting.path_observable)
             raise ValueError(f"duplicate setting {key}")
-        by_key[key] = record
+        by_setting[record.setting] = record
     missing = [
-        (s, p)
-        for s in OBSERVABLE_NAMES
-        for p in OBSERVABLE_NAMES
-        if (s, p) not in by_key
+        (s.spin_observable, s.path_observable) for s in ALL_SETTINGS if s not in by_setting
     ]
     if missing:
         raise ValueError(f"missing settings: {missing}")
 
-    spin_expectations = dict.fromkeys(OBSERVABLE_NAMES, 0.0)
-    path_expectations = dict.fromkeys(OBSERVABLE_NAMES, 0.0)
-    raw = ID4.copy()
-    for s in OBSERVABLE_NAMES:
-        for p in OBSERVABLE_NAMES:
-            freq = by_key[(s, p)].frequencies()
-            correlator = float(freq @ (_SPIN_SIGNS * _PATH_SIGNS))
-            raw += correlator * spin_path(_OBSERVABLES[s], _OBSERVABLES[p])
-            spin_expectations[s] += float(freq @ _SPIN_SIGNS) / 3.0
-            path_expectations[p] += float(freq @ _PATH_SIGNS) / 3.0
-    for s in OBSERVABLE_NAMES:
-        raw += spin_expectations[s] * spin_path(_OBSERVABLES[s], ID2)
-    for p in OBSERVABLE_NAMES:
-        raw += path_expectations[p] * spin_path(ID2, _OBSERVABLES[p])
-    raw = raw / 4.0
-
+    freqs = np.concatenate([by_setting[s].frequencies() for s in ALL_SETTINGS])
+    raw = (_INVERSE @ freqs).reshape(4, 4)
     estimate = project_psd(raw)
     residual = float(np.linalg.norm(raw - estimate))
     return Reconstruction(estimate=estimate, frobenius_residual=residual)
 
 
 def project_psd(m: np.ndarray) -> np.ndarray:
-    """Nearest-physical repair: clip negative eigenvalues, renormalize trace.
+    """Eigenvalue-clipped projection: clip negative eigenvalues, renormalize trace.
 
-    The input must be Hermitian within 1e-9 (it is symmetrized before
+    The result is a valid state but in general not the Frobenius-nearest
+    one.  The input must be Hermitian within 1e-9 (it is symmetrized before
     the eigendecomposition).  Raises if every clipped eigenvalue is
     zero, since no state can be formed then.
     """
@@ -225,18 +222,3 @@ def counts_to_json(records) -> list:
         }
         for r in records
     ]
-
-
-def counts_from_json(items) -> list[CountRecord]:
-    if not isinstance(items, list):
-        raise ValueError("counts json must be a list")
-    records = []
-    for item in items:
-        try:
-            setting = MeasurementSetting(item["spin"], item["path"])
-            records.append(
-                CountRecord(setting=setting, counts=tuple(item["counts"]), shots=int(item["shots"]))
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed counts json entry: {exc}") from exc
-    return records

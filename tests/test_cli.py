@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from spinpath import lindblad
 from spinpath.cli import main
+from spinpath.measures import measure_report
 from spinpath.pauli import SIGMA_X, SIGMA_Y, SIGMA_Z
 from spinpath.states import experiment_initial, matrix_from_json, matrix_to_json
 
@@ -108,6 +110,41 @@ def test_sweep_zero_lambda_constant_rows(capsys):
     assert np.all(rows[:, 0] == 0.0)
     assert np.all(rows[:, 1] == rows[0, 1])
     assert np.all(rows[:, 2] == rows[0, 2])
+
+
+def test_sweep_evaluates_blocks_of_256_points(capsys, monkeypatch):
+    closed_form = lindblad.evolve
+    sizes = []
+
+    def counting_evolve(rho0, spec, t):
+        sizes.append(np.size(t))
+        return closed_form(rho0, spec, t)
+
+    monkeypatch.setattr(lindblad, "evolve", counting_evolve)
+    energies = ["0", "0.3", "1", "0.2"]
+    code, out = run(
+        capsys,
+        ["sweep", "--mode", "B", "--lambda", "1", "--time", "3", "--steps", "600",
+         "--energies", *energies],
+    )
+    assert code == 0
+    assert sizes == [256, 256, 88]
+    _, rows = parse_csv(out)
+    spec = lindblad.DecoherenceSpec(
+        "B", 1.0, lindblad.SystemHamiltonian(tuple(float(e) for e in energies))
+    )
+    for t, row in zip(np.linspace(0.0, 3.0, 600), rows):
+        report = measure_report(closed_form(experiment_initial(), spec, float(t)))
+        assert abs(row[1] - report.mixedness) <= 1e-11
+        assert abs(row[2] - report.concurrence) <= 1e-11
+
+
+def test_sweep_rejects_more_than_a_million_points(capsys):
+    code = main(
+        ["sweep", "--mode", "A", "--lambda", "1", "--time", "1", "--steps", "1000001"]
+    )
+    assert code == 2
+    assert "--steps" in capsys.readouterr().err
 
 
 def test_ensemble_sigma_zero_exact(capsys):

@@ -185,6 +185,15 @@ def test_kraus_set_rejects_incomplete_operators():
         KrausSet(operators=(0.5 * np.eye(4, dtype=complex),), weight=0.1)
 
 
+def test_kraus_set_operators_are_read_only_copies():
+    source = np.eye(4, dtype=complex)
+    kraus_set = KrausSet(operators=(source,), weight=0.0)
+    with pytest.raises(ValueError):
+        kraus_set.operators[0][0, 0] = 2.0
+    source[0, 0] = 2.0
+    assert completeness_defect(kraus_set) == 0.0
+
+
 
 def random_rank_state(rng, rank):
     g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))

@@ -152,6 +152,32 @@ def test_evolve_rejects_negative_time():
         evolve_mode_a(experiment_initial(), spec, -0.1)
     with pytest.raises(ValueError):
         evolve_mode_b(experiment_initial(), DecoherenceSpec(mode="B", lam=1.0), -0.1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        evolve_mode_a(experiment_initial(), spec, np.array([0.0, 1.0, -0.1]))
+    with pytest.raises(ValueError, match="1-d"):
+        evolve_mode_a(experiment_initial(), spec, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("mode", ["A", "B"])
+@pytest.mark.parametrize(
+    "lam,energies",
+    [
+        (2.0, (0.0, 0.3, 0.5, 0.1)),
+        (1.0, (1.0, 0.0, -0.5, 2.0)),
+        (1.0, (0.0, 0.2, 0.5, -0.3)),
+    ],
+    ids=["overdamped", "oscillatory", "critical"],
+)
+def test_evolve_time_stack_equals_per_time_calls(mode, lam, energies):
+    # Mode-B regimes by lam against 2|dE| of both coherence pairs; the
+    # tiny times take the small-|mu t| series next to the cosh/sinh form.
+    rho0 = random_state(np.random.default_rng(53))
+    spec = DecoherenceSpec(mode=mode, lam=lam, hamiltonian=SystemHamiltonian(energies))
+    times = np.concatenate([[0.0, 1e-8, 1e-6], np.linspace(0.0, 6.0, 61)])
+    stacked = evolve(rho0, spec, times)
+    assert stacked.shape == (times.size, 4, 4)
+    per_time = np.stack([evolve(rho0, spec, float(t)) for t in times])
+    assert np.abs(stacked - per_time).max() <= 1e-15
 
 
 def test_decoherence_spec_rejects_bad_inputs():

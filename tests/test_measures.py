@@ -6,10 +6,15 @@ from spinpath.measures import (
     concurrence_bell_diagonal,
     measure_report,
     mixedness,
-    spin_flip_transform,
     wootters_roots,
 )
-from spinpath.states import bell_diagonal, experiment_initial, from_pure, maximally_mixed
+from spinpath.states import (
+    StateValidationError,
+    bell_diagonal,
+    experiment_initial,
+    from_pure,
+    maximally_mixed,
+)
 
 
 def random_unitary(rng, dim):
@@ -42,15 +47,16 @@ def test_concurrence_bell_diagonal_examples():
     assert abs(concurrence_bell_diagonal((0.6, 0.2, 0.1, 0.1)) - 0.2) < 1e-15
 
 
-def test_spin_flip_singlet_spectrum():
-    product = spin_flip_transform(experiment_initial())
-    eigenvalues = np.sort(np.linalg.eigvals(product).real)[::-1]
-    assert np.abs(eigenvalues - np.array([1.0, 0.0, 0.0, 0.0])).max() < 1e-12
-
-
-def test_spin_flip_maximally_mixed():
-    product = spin_flip_transform(maximally_mixed())
-    assert np.abs(product - np.eye(4) / 16.0).max() < 1e-14
+def test_concurrence_of_random_pure_states_to_machine_precision():
+    # For a pure state C = 2|psi0 psi3 - psi1 psi2| (Wootters 1998).
+    rng = np.random.default_rng(41)
+    psi = rng.normal(size=(5000, 4)) + 1j * rng.normal(size=(5000, 4))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    exact = 2.0 * np.abs(psi[:, 0] * psi[:, 3] - psi[:, 1] * psi[:, 2])
+    worst = max(
+        abs(concurrence(np.outer(v, v.conj())) - c) for v, c in zip(psi, exact)
+    )
+    assert worst <= 1e-13
 
 
 def test_product_state_has_zero_roots():
@@ -116,3 +122,29 @@ def test_measures_reject_invalid_state():
         mixedness(np.eye(4, dtype=complex))
     with pytest.raises(ValueError):
         concurrence(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
+    stack = np.array([maximally_mixed()] * 5)
+    stack[3] = np.diag([1.5, -0.5, 0.0, 0.0])
+    with pytest.raises(StateValidationError, match="^state 3: positivity"):
+        measure_report(stack)
+
+
+def random_states(rng, count):
+    """Random density matrices of ranks 1..4 from Ginibre draws."""
+    out = []
+    for i in range(count):
+        g = rng.normal(size=(4, 1 + i % 4)) + 1j * rng.normal(size=(4, 1 + i % 4))
+        rho = g @ g.conj().T
+        out.append(rho / np.trace(rho).real)
+    return np.array(out)
+
+
+def test_measure_report_stack_equals_per_state_reports():
+    rho = random_states(np.random.default_rng(43), 64)
+    reports = measure_report(rho)
+    assert len(reports) == 64
+    for state, report in zip(rho, reports):
+        single = measure_report(state)
+        assert abs(report.mixedness - single.mixedness) <= 1e-15
+        assert abs(report.concurrence - single.concurrence) <= 1e-15
+        assert np.abs(np.subtract(report.wootters_roots, single.wootters_roots)).max() <= 1e-15
+    assert np.abs(wootters_roots(rho) - [r.wootters_roots for r in reports]).max() == 0.0

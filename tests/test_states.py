@@ -150,6 +150,39 @@ def test_validate_rejects_nan():
         validate_density_matrix(m)
 
 
+def _invalid(invariant):
+    m = maximally_mixed()
+    if invariant == "finiteness":
+        m[0, 0] = np.nan
+    elif invariant == "hermiticity":
+        m[0, 1] = 0.1
+    elif invariant == "trace":
+        m = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    else:
+        m = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+    return m
+
+
+@pytest.mark.parametrize("invariant", ["finiteness", "hermiticity", "trace", "positivity"])
+def test_validate_stack_names_first_invalid_state(invariant):
+    stack = np.array([maximally_mixed(), experiment_initial()] * 3)
+    assert np.array_equal(validate_density_matrix(stack), stack)
+    stack[4] = _invalid(invariant)
+    stack[5] = _invalid(invariant)
+    with pytest.raises(StateValidationError) as stacked:
+        validate_density_matrix(stack)
+    with pytest.raises(StateValidationError) as single:
+        validate_density_matrix(stack[4])
+    assert str(stacked.value) == f"state 4: {single.value}"
+    assert str(single.value).startswith(invariant)
+
+
+def test_validate_rejects_bad_shapes():
+    for shape in ((3, 3), (4,), (2, 2, 4, 4), (4, 4, 3)):
+        with pytest.raises(StateValidationError, match="shape"):
+            validate_density_matrix(np.zeros(shape, dtype=complex))
+
+
 def test_matrix_json_round_trip():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

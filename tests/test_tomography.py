@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from spinpath.lindblad import DecoherenceSpec, evolve
+from spinpath.pauli import ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z, spin_path
 from spinpath.states import StateValidationError, from_pure, maximally_mixed
 from spinpath.tomography import (
     ALL_SETTINGS,
     CountRecord,
     MeasurementSetting,
-    counts_from_json,
     counts_to_json,
     exact_records,
     outcome_probabilities,
@@ -213,14 +213,42 @@ def test_reconstruct_rejects_invalid_probability_input():
 def test_counts_json_round_trip():
     records = simulate_counts(SINGLET, 100, 5)
     payload = counts_to_json(records)
-    assert payload[0].keys() == {"spin", "path", "counts", "shots"}
-    restored = counts_from_json(payload)
-    for a, b in zip(records, restored):
-        assert a.setting == b.setting
-        assert tuple(a.counts) == tuple(b.counts)
-        assert a.shots == b.shots
+    assert [(item["spin"], item["path"]) for item in payload] == [
+        (s.spin_observable, s.path_observable) for s in ALL_SETTINGS
+    ]
+    for item, record in zip(payload, records):
+        assert item.keys() == {"spin", "path", "counts", "shots"}
+        assert item["counts"] == list(record.counts)
+        assert sum(item["counts"]) == item["shots"] == 100
 
 
-def test_counts_json_rejects_malformed():
-    with pytest.raises((ValueError, KeyError)):
-        counts_from_json([{"spin": "Z", "counts": [1, 2, 3, 4], "shots": 10}])
+def pauli_sum_inversion(records):
+    """Pauli-sum linear inversion, the reference for the Born-matrix pseudo-inverse.
+
+    raw = 1/4 (1 + sum <s_i> s_i(x)1 + sum <p_j> 1(x)p_j + sum <s_i p_j> s_i(x)p_j),
+    correlators from their own setting, single-qubit expectations averaged
+    over the three settings that share the observable.
+    """
+    paulis = {"X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
+    spin_signs = np.array([1.0, 1.0, -1.0, -1.0])
+    path_signs = np.array([1.0, -1.0, 1.0, -1.0])
+    raw = ID4.copy()
+    for record in records:
+        s, p = record.setting.spin_observable, record.setting.path_observable
+        freq = record.frequencies()
+        raw += float(freq @ (spin_signs * path_signs)) * spin_path(paulis[s], paulis[p])
+        raw += float(freq @ spin_signs) / 3.0 * spin_path(paulis[s], ID2)
+        raw += float(freq @ path_signs) / 3.0 * spin_path(ID2, paulis[p])
+    return raw / 4.0
+
+
+def test_reconstruct_linear_equals_pauli_sum_inversion():
+    rng = np.random.default_rng(89)
+    for i in range(200):
+        rho = random_state(rng)
+        records = exact_records(rho) if i % 4 == 0 else simulate_counts(rho, 10 ** (i % 4), i)
+        raw = pauli_sum_inversion(records)
+        expected = project_psd(raw)
+        result = reconstruct_linear(records)
+        assert np.abs(result.estimate - expected).max() <= 1e-14
+        assert abs(result.frobenius_residual - np.linalg.norm(raw - expected)) <= 1e-14
