@@ -16,7 +16,6 @@ from .interferometer import (
     ensemble_average_monte_carlo,
     lambda_from_sigma,
     single_shot_state,
-    spin_rotation,
 )
 from .kraus import (
     KrausSet,

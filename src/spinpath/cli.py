@@ -31,6 +31,9 @@ _NAMED_INITIALS = {
 # One evolve and one measure_report call per block of grid points bounds the working set.
 _SWEEP_BLOCK = 256
 _MAX_SWEEP_POINTS = 1_000_000
+# Monte Carlo work is samples per sigma; these bound it before any sampling starts.
+_MAX_SAMPLES = 10_000_000
+_MAX_SIGMAS = 32
 
 _VARIANT_FLAGS = {
     "both-paths-independent": "both_paths_independent",
@@ -124,7 +127,13 @@ def cmd_sweep(args) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_samples(samples: int) -> None:
+    if samples > _MAX_SAMPLES:
+        raise ValueError(f"--samples {samples} exceeds the limit of {_MAX_SAMPLES} shots")
+
+
 def cmd_ensemble(args) -> str:
+    _check_samples(args.samples)
     rho0 = _initial_state(args.initial)
     setup = interferometer.FieldSetup(
         mode=args.mode, sigma=args.sigma, variant=_VARIANT_FLAGS[args.variant]
@@ -187,6 +196,9 @@ def cmd_tomography(args) -> str:
 
 
 def cmd_calibrate(args) -> str:
+    _check_samples(args.samples)
+    if len(args.sigmas) > _MAX_SIGMAS:
+        raise ValueError(f"--sigmas takes at most {_MAX_SIGMAS} values, got {len(args.sigmas)}")
     rho0 = states.experiment_initial()
     initial_magnitude = float(np.abs(rho0[1, 2]))
     variant = _VARIANT_FLAGS[args.variant]

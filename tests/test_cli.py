@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from spinpath import lindblad
+from spinpath import interferometer, lindblad
 from spinpath.cli import main
 from spinpath.measures import measure_report
 from spinpath.pauli import SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -145,6 +145,32 @@ def test_sweep_rejects_more_than_a_million_points(capsys):
     )
     assert code == 2
     assert "--steps" in capsys.readouterr().err
+
+
+def _forbid_sampling(monkeypatch):
+    def sample(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(interferometer, "ensemble_average_monte_carlo", sample)
+
+
+def test_ensemble_and_calibrate_reject_more_than_ten_million_samples(capsys, monkeypatch):
+    _forbid_sampling(monkeypatch)
+    for argv in (
+        ["ensemble", "--mode", "A", "--sigma", "1", "--samples", "10000001"],
+        ["calibrate", "--mode", "A", "--sigmas", "1", "--samples", "10000001"],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--samples" in err and "10000000" in err
+
+
+def test_calibrate_rejects_more_than_32_sigmas(capsys, monkeypatch):
+    _forbid_sampling(monkeypatch)
+    sigmas = [str(0.1 * (i + 1)) for i in range(33)]
+    assert main(["calibrate", "--mode", "A", "--sigmas", *sigmas, "--samples", "100"]) == 2
+    err = capsys.readouterr().err
+    assert "--sigmas" in err and "32" in err
 
 
 def test_ensemble_sigma_zero_exact(capsys):

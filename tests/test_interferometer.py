@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinpath.interferometer import (
+    _BLOCK_SIZE,
+    _STDERR_FLOOR,
+    _sampled_angles,
+    _shot_factors,
+    _shot_states,
     FieldSetup,
     ShotAngles,
     conditioned_unitary,
@@ -10,11 +17,10 @@ from spinpath.interferometer import (
     ensemble_average_monte_carlo,
     lambda_from_sigma,
     single_shot_state,
-    spin_rotation,
 )
 from spinpath.lindblad import DecoherenceSpec, evolve
 from spinpath.measures import mixedness
-from spinpath.pauli import SIGMA_X
+from spinpath.pauli import ID2, SIGMA_X, spin_path
 from spinpath.states import experiment_initial
 
 
@@ -34,29 +40,109 @@ def mode_b_shot_matrix(alpha, beta, gamma, delta):
     return np.outer(amplitudes, amplitudes.conj())
 
 
-def test_spin_rotation_z_is_phase_diagonal():
-    alpha = 0.77
-    expected = np.diag([np.exp(1j * alpha / 2.0), np.exp(-1j * alpha / 2.0)])
-    assert np.abs(spin_rotation("z", alpha) - expected).max() < 1e-15
+FIELD_SETUPS = [
+    ("A", "both_paths_independent"),
+    ("A", "single_field_one_path"),
+    ("A", "single_field_both_paths"),
+    ("B", "both_paths_independent"),
+]
 
 
-def test_spin_rotation_x_special_angles():
-    assert np.abs(spin_rotation("x", np.pi) - 1j * SIGMA_X).max() < 1e-15
-    assert np.abs(spin_rotation("x", 2.0 * np.pi) + np.eye(2)).max() < 1e-12
+def random_rank_state(rng, rank):
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = g @ g.conj().T
+    rho = rho / np.trace(rho).real
+    return (rho + rho.conj().T) / 2.0
 
 
-def test_spin_rotation_unitary_and_additive():
+def reference_shot_unitaries(alpha, beta, gamma=None, delta=None):
+    """(N, 4, 4) block unitaries V = U_z U_x built as matrices, one per shot."""
+    uz = np.zeros((len(alpha), 4, 4), dtype=complex)
+    uz[:, 0, 0] = np.exp(0.5j * alpha)
+    uz[:, 1, 1] = np.exp(0.5j * beta)
+    uz[:, 2, 2] = np.exp(-0.5j * alpha)
+    uz[:, 3, 3] = np.exp(-0.5j * beta)
+    if gamma is None:
+        return uz
+    ux = np.zeros((len(alpha), 4, 4), dtype=complex)
+    cg, sg = np.cos(0.5 * gamma), np.sin(0.5 * gamma)
+    cd, sd = np.cos(0.5 * delta), np.sin(0.5 * delta)
+    for a, b, c, s in ((0, 2, cg, sg), (1, 3, cd, sd)):
+        ux[:, a, a] = ux[:, b, b] = c
+        ux[:, a, b] = ux[:, b, a] = 1j * s
+    return uz @ ux
+
+
+def reference_monte_carlo(rho0, setup, samples, seed):
+    """Block Monte Carlo through the batched products u @ rho0 @ u^dagger.
+
+    Same blocks, child seeds and draws as ensemble_average_monte_carlo;
+    the shifted-data sums are taken in extended precision, so the
+    reference carries no summation roundoff of its own.  Returns
+    (mean, stderr_re, stderr_im).
+    """
+    sums = np.zeros((4, 4, 4), dtype=np.longdouble)
+    remaining, block_index = samples, 0
+    while remaining > 0:
+        count = min(_BLOCK_SIZE, remaining)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, block_index)))
+        u = reference_shot_unitaries(*_sampled_angles(rng, setup, count))
+        shots = u @ rho0 @ u.conj().transpose(0, 2, 1)
+        dev_re = (shots.real - rho0.real).astype(np.longdouble)
+        dev_im = (shots.imag - rho0.imag).astype(np.longdouble)
+        sums += [dev_re.sum(0), dev_im.sum(0), (dev_re ** 2).sum(0), (dev_im ** 2).sum(0)]
+        remaining -= count
+        block_index += 1
+    sum_re, sum_im, sumsq_re, sumsq_im = sums
+    n = samples
+    mean = (rho0.real + sum_re / n).astype(float) + 1j * (rho0.imag + sum_im / n).astype(float)
+    var_re = np.clip((sumsq_re - sum_re ** 2 / n) / (n - 1), 0.0, None)
+    var_im = np.clip((sumsq_im - sum_im ** 2 / n) / (n - 1), 0.0, None)
+    return mean, np.sqrt(var_re / n).astype(float), np.sqrt(var_im / n).astype(float)
+
+
+PATH_I, PATH_II = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+
+
+def test_conditioned_unitary_z_rotation_is_phase_diagonal():
+    alpha, beta = 0.77, -2.1
+    expected = np.diag(np.exp(0.5j * np.array([alpha, beta, -alpha, -beta])))
+    u = conditioned_unitary(ShotAngles(alpha=alpha, beta=beta), "A")
+    assert np.abs(u - expected).max() < 1e-15
+    u = conditioned_unitary(ShotAngles(alpha=alpha, beta=beta, gamma=0.0, delta=0.0), "B")
+    assert np.abs(u - expected).max() < 1e-15
+
+
+def test_conditioned_unitary_x_rotation_at_pi_flips_spin():
+    # An x-rotation by pi is i sigma_x on its own path and leaves the other alone.
+    u = conditioned_unitary(ShotAngles(alpha=0.0, beta=0.0, gamma=np.pi, delta=0.0), "B")
+    assert np.abs(u - (spin_path(1j * SIGMA_X, PATH_I) + spin_path(ID2, PATH_II))).max() < 1e-15
+    u = conditioned_unitary(ShotAngles(alpha=0.0, beta=0.0, gamma=0.0, delta=np.pi), "B")
+    assert np.abs(u - (spin_path(ID2, PATH_I) + spin_path(1j * SIGMA_X, PATH_II))).max() < 1e-15
+    u = conditioned_unitary(ShotAngles(alpha=0.0, beta=0.0, gamma=2 * np.pi, delta=2 * np.pi), "B")
+    assert np.abs(u + np.eye(4)).max() < 1e-12
+
+
+def test_conditioned_unitary_unitary_and_additive():
     rng = np.random.default_rng(41)
-    for axis in ("x", "z"):
-        a, b = rng.uniform(-np.pi, np.pi, 2)
-        u, v = spin_rotation(axis, a), spin_rotation(axis, b)
-        assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-12
-        assert np.abs(u @ v - spin_rotation(axis, a + b)).max() < 1e-12
+    for _ in range(10):
+        a1, b1, a2, b2 = rng.uniform(-np.pi, np.pi, 4)
+        u = conditioned_unitary(ShotAngles(alpha=a1, beta=b1), "A")
+        v = conditioned_unitary(ShotAngles(alpha=a2, beta=b2), "A")
+        assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-12
+        summed = ShotAngles(alpha=a1 + a2, beta=b1 + b2)
+        assert np.abs(u @ v - conditioned_unitary(summed, "A")).max() < 1e-12
+        u = conditioned_unitary(ShotAngles(alpha=0.0, beta=0.0, gamma=a1, delta=b1), "B")
+        v = conditioned_unitary(ShotAngles(alpha=0.0, beta=0.0, gamma=a2, delta=b2), "B")
+        summed = ShotAngles(alpha=0.0, beta=0.0, gamma=a1 + a2, delta=b1 + b2)
+        assert np.abs(u @ v - conditioned_unitary(summed, "B")).max() < 1e-12
 
 
-def test_spin_rotation_rejects_unknown_axis():
+def test_conditioned_unitary_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        spin_rotation("y", 1.0)
+        conditioned_unitary(ShotAngles(alpha=0.1, beta=0.2), "C")
+    with pytest.raises(ValueError):
+        ShotAngles(alpha=np.inf, beta=0.2)
 
 
 def test_conditioned_unitary_identity_at_zero_angles():
@@ -239,12 +325,15 @@ def test_lambda_from_sigma_rejects_bad_inputs():
         )
 
 
-def test_monte_carlo_sigma_zero_is_exact():
-    setup = FieldSetup(mode="A", sigma=0.0)
-    estimate = ensemble_average_monte_carlo(experiment_initial(), setup, 100, 0)
-    assert np.abs(estimate.mean - experiment_initial()).max() == 0.0
-    assert estimate.stderr_re.max() == 0.0
-    assert estimate.stderr_im.max() == 0.0
+@pytest.mark.parametrize("mode,variant", FIELD_SETUPS)
+def test_monte_carlo_sigma_zero_is_exact(mode, variant):
+    setup = FieldSetup(mode=mode, sigma=0.0, variant=variant)
+    rng = np.random.default_rng(61)
+    for rho0 in [experiment_initial()] + [random_rank_state(rng, rank) for rank in (1, 2, 3, 4)]:
+        estimate = ensemble_average_monte_carlo(rho0, setup, 100, 0)
+        assert np.array_equal(estimate.mean, rho0)
+        assert estimate.stderr_re.max() == 0.0
+        assert estimate.stderr_im.max() == 0.0
 
 
 def test_monte_carlo_is_deterministic():
@@ -320,3 +409,38 @@ def test_ensemble_estimate_json_shape():
     assert payload["variant"] == "single_field_one_path"
     assert payload["mean"]["dim"] == 4
     assert len(payload["stderr_re"]) == 4
+
+
+ANGLES = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, 4),
+    mode=st.sampled_from(["A", "B"]),
+    shot=st.lists(st.tuples(ANGLES, ANGLES, ANGLES, ANGLES), min_size=1, max_size=8),
+)
+def test_shot_states_match_matrix_products(seed, rank, mode, shot):
+    rho0 = random_rank_state(np.random.default_rng(seed), rank)
+    drawn = tuple(np.array(column) for column in zip(*shot))
+    drawn = drawn[:2] if mode == "A" else drawn
+    u = reference_shot_unitaries(*drawn)
+    expected = u @ rho0 @ u.conj().transpose(0, 2, 1)
+    shots = _shot_states(rho0, *_shot_factors(*drawn))
+    assert np.abs(shots.transpose(2, 0, 1) - expected).max() <= 1e-15
+
+
+@pytest.mark.parametrize("mode,variant", FIELD_SETUPS)
+@pytest.mark.parametrize("samples", [2, _BLOCK_SIZE - 1, _BLOCK_SIZE + 1, 20000])
+def test_monte_carlo_matches_matrix_product_reference(mode, variant, samples):
+    setup = FieldSetup(mode=mode, sigma=1.3, variant=variant)
+    rng = np.random.default_rng(67)
+    for rho0 in [experiment_initial(), random_rank_state(rng, 4)]:
+        estimate = ensemble_average_monte_carlo(rho0, setup, samples, 11)
+        mean, stderr_re, stderr_im = reference_monte_carlo(rho0, setup, samples, 11)
+        assert np.abs(estimate.mean - mean).max() <= 1e-15
+        # Elements whose shot-to-shot spread is rounding noise (stderr ~1e-20) are
+        # held to the package's stderr floor; all others to 1e-12 relative.
+        np.testing.assert_allclose(estimate.stderr_re, stderr_re, rtol=1e-12, atol=_STDERR_FLOOR)
+        np.testing.assert_allclose(estimate.stderr_im, stderr_im, rtol=1e-12, atol=_STDERR_FLOOR)
