@@ -10,18 +10,12 @@ two-qubit state tomography.
 from .interferometer import (
     EnsembleEstimate,
     FieldSetup,
-    ShotAngles,
-    conditioned_unitary,
     ensemble_average_analytic,
     ensemble_average_monte_carlo,
     lambda_from_sigma,
-    single_shot_state,
 )
 from .kraus import (
     KrausSet,
-    apply_channel,
-    kraus_set_a,
-    kraus_set_b,
     lindblad_generators_from_kraus,
     trotter_evolve,
 )
@@ -29,13 +23,10 @@ from .lindblad import (
     DecoherenceSpec,
     ProjectorSet,
     SystemHamiltonian,
-    dissipator,
     evolve,
     evolve_mode_a,
     evolve_mode_b,
     integrate_master,
-    projectors_mode_a,
-    projectors_mode_b,
 )
 from .measures import (
     MeasureReport,
@@ -60,7 +51,6 @@ from .tomography import (
     CountRecord,
     MeasurementSetting,
     Reconstruction,
-    outcome_probabilities,
     project_psd,
     reconstruct_linear,
     simulate_counts,

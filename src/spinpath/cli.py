@@ -119,10 +119,10 @@ def cmd_sweep(args) -> str:
     lines = ["lambda_t,mixedness,concurrence"]
     for start in range(0, args.steps, _SWEEP_BLOCK):
         block = times[start:start + _SWEEP_BLOCK]
-        reports = measure_report(lindblad.evolve(rho0, spec, block))
+        report = measure_report(lindblad.evolve(rho0, spec, block))
         lines.extend(
-            f"{_fmt(spec.lam * t)},{_fmt(report.mixedness)},{_fmt(report.concurrence)}"
-            for t, report in zip(block, reports)
+            f"{_fmt(spec.lam * t)},{_fmt(m)},{_fmt(c)}"
+            for t, m, c in zip(block, report.mixedness, report.concurrence)
         )
     return "\n".join(lines) + "\n"
 

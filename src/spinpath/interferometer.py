@@ -59,22 +59,11 @@ class FieldSetup:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-
-
-@dataclass(frozen=True)
-class ShotAngles:
-    """Rotation angles of a single shot (gamma/delta only used by mode B)."""
-
-    alpha: float
-    beta: float
-    gamma: float | None = None
-    delta: float | None = None
-
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "delta"):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
-                raise ValueError(f"angle {name} must be finite, got {value!r}")
+        if self.mode == "B" and self.variant != "both_paths_independent":
+            raise ValueError(
+                f"variant {self.variant!r} is not supported for mode B; "
+                "only 'both_paths_independent' is"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,42 +127,6 @@ def _shot_states(rho0: np.ndarray, a: np.ndarray, b) -> np.ndarray:
     return left * a.conj()[None, :, :] + left[:, _SPIN_FLIP] * b.conj()[None, :, :]
 
 
-def _shot_angles(shot: ShotAngles, mode: str) -> tuple:
-    """Angles of one shot as length-1 arrays in ``_shot_factors`` order."""
-    if mode == "A":
-        if shot.gamma is not None or shot.delta is not None:
-            raise ValueError("mode A uses z-angles only; gamma/delta must be omitted")
-        angles = (shot.alpha, shot.beta)
-    elif mode == "B":
-        if shot.gamma is None or shot.delta is None:
-            raise ValueError("mode B requires gamma and delta")
-        angles = (shot.alpha, shot.beta, shot.gamma, shot.delta)
-    else:
-        raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
-    return tuple(np.array(angles)[:, None])
-
-
-def conditioned_unitary(shot: ShotAngles, mode: str) -> np.ndarray:
-    """Block unitary applying the per-path spin rotations of one shot.
-
-    Mode A rotates about z only (angles alpha on path I, beta on path
-    II).  Mode B applies the x-rotation first, then the z-rotation, on
-    each path: U_p = U_z * U_x.
-    """
-    a, b = _shot_factors(*_shot_angles(shot, mode))
-    v = np.diag(a[:, 0])
-    if b is not None:
-        v[np.arange(4), _SPIN_FLIP] = b[:, 0]
-    return v
-
-
-def single_shot_state(rho0: np.ndarray, shot: ShotAngles, mode: str) -> np.ndarray:
-    """State after one shot with fixed angles: V rho0 V^dagger."""
-    rho0 = validate_density_matrix(rho0)
-    factors = _shot_factors(*_shot_angles(shot, mode))
-    return validate_density_matrix(_shot_states(rho0, *factors)[:, :, 0])
-
-
 # --- closed-form Gaussian averaging -----------------------------------------
 #
 # Every conditioned rotation in a single Gaussian angle theta decomposes
@@ -220,11 +173,6 @@ def _channel_sequence(setup: FieldSetup):
         if setup.variant == "single_field_one_path":
             return (_harmonics("z", "II"),)
         return (_harmonics("z", "both"),)
-    if setup.variant != "both_paths_independent":
-        raise ValueError(
-            f"variant {setup.variant!r} is not supported for mode B; "
-            "only 'both_paths_independent' is"
-        )
     return (_harmonics("x", "II"), _harmonics("z", "II"), _harmonics("x", "I"), _harmonics("z", "I"))
 
 
@@ -292,11 +240,6 @@ def ensemble_average_monte_carlo(
         raise ValueError(f"need at least 2 samples, got {samples!r}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    if setup.mode == "B" and setup.variant != "both_paths_independent":
-        raise ValueError(
-            f"variant {setup.variant!r} is not supported for mode B; "
-            "only 'both_paths_independent' is"
-        )
     sums = np.zeros((4, 4, 4))
     remaining = int(samples)
     block_index = 0
@@ -352,11 +295,6 @@ def lambda_from_sigma(setup: FieldSetup, dwell_time: float) -> float:
     field in one path, 1/2 with one shared field on both paths, and
     1/2 for mode B.
     """
-    if dwell_time <= 0.0:
-        raise ValueError(f"dwell time must be positive, got {dwell_time!r}")
-    key = (setup.mode, setup.variant)
-    if key not in _LAMBDA_T_COEFF:
-        raise ValueError(
-            f"variant {setup.variant!r} is not supported for mode {setup.mode}"
-        )
-    return _LAMBDA_T_COEFF[key] * setup.sigma ** 2 / dwell_time
+    if not (np.isfinite(dwell_time) and dwell_time > 0.0):
+        raise ValueError(f"dwell_time must be positive and finite, got {dwell_time!r}")
+    return _LAMBDA_T_COEFF[setup.mode, setup.variant] * setup.sigma ** 2 / dwell_time

@@ -34,7 +34,6 @@ class KrausSet:
     """
 
     operators: tuple[np.ndarray, ...]
-    weight: float
 
     def __post_init__(self):
         operators = tuple(np.array(op, dtype=complex) for op in self.operators)
@@ -63,44 +62,21 @@ def _check_weight(weight: float) -> float:
     return weight
 
 
-def kraus_set_a(weight: float) -> KrausSet:
-    """Mode-A step map: dephasing by sigma_z factors on both qubits."""
-    w = _check_weight(weight)
-    c = np.sqrt(w / 4.0)
-    operators = (
-        np.sqrt(1.0 - 3.0 * w / 4.0) * ID4,
-        c * spin_path(ID2, SIGMA_Z),
-        c * spin_path(SIGMA_Z, ID2),
-        c * spin_path(SIGMA_Z, SIGMA_Z),
-    )
-    return KrausSet(operators=operators, weight=w)
-
-
-def kraus_set_b(weight: float) -> KrausSet:
-    """Mode-B step map: sigma_x on the spin replaces two sigma_z factors."""
-    w = _check_weight(weight)
-    c = np.sqrt(w / 4.0)
-    operators = (
-        np.sqrt(1.0 - 3.0 * w / 4.0) * ID4,
-        c * spin_path(ID2, SIGMA_Z),
-        c * spin_path(SIGMA_X, ID2),
-        c * spin_path(SIGMA_X, SIGMA_Z),
-    )
-    return KrausSet(operators=operators, weight=w)
+# (spin, path) factors of each mode's three jump operators, the companions of the identity.
+_JUMP_FACTORS = {
+    "A": ((ID2, SIGMA_Z), (SIGMA_Z, ID2), (SIGMA_Z, SIGMA_Z)),
+    "B": ((ID2, SIGMA_Z), (SIGMA_X, ID2), (SIGMA_X, SIGMA_Z)),
+}
 
 
 def kraus_set_for_mode(mode: str, weight: float) -> KrausSet:
-    if mode == "A":
-        return kraus_set_a(weight)
-    if mode == "B":
-        return kraus_set_b(weight)
-    raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
-
-
-def apply_channel(rho: np.ndarray, kraus_set: KrausSet) -> np.ndarray:
-    """One application sum_k M_k rho M_k^dagger of the map."""
-    rho = validate_density_matrix(rho)
-    return validate_density_matrix(superop.apply(superop.kraus_map(kraus_set.operators), rho))
+    """Step map of ``mode`` with weight w: sqrt(1 - 3w/4) * 1 and sqrt(w/4) * each jump operator."""
+    if mode not in _JUMP_FACTORS:
+        raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
+    w = _check_weight(weight)
+    c = np.sqrt(w / 4.0)
+    jumps = tuple(c * spin_path(spin, path) for spin, path in _JUMP_FACTORS[mode])
+    return KrausSet(operators=(np.sqrt(1.0 - 3.0 * w / 4.0) * ID4,) + jumps)
 
 
 def trotter_evolve(rho0: np.ndarray, mode: str, lam: float, t: float, n: int) -> np.ndarray:
@@ -113,8 +89,8 @@ def trotter_evolve(rho0: np.ndarray, mode: str, lam: float, t: float, n: int) ->
         raise ValueError(f"step count must be a positive integer, got {n!r}")
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ValueError(f"coupling strength must be nonnegative, got {lam!r}")
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t!r}")
+    if not (np.isfinite(t) and t >= 0.0):
+        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
     step_map = superop.kraus_map(kraus_set_for_mode(mode, lam * t / n).operators)
     return validate_density_matrix(superop.apply(np.linalg.matrix_power(step_map, int(n)), rho))
 
@@ -131,8 +107,8 @@ def lindblad_generators_from_kraus(kraus_set: KrausSet, dt: float) -> tuple[list
     Only the four-operator structure above (identity leader plus
     unitary-proportional companions) is supported.
     """
-    if dt <= 0.0:
-        raise ValueError(f"step duration must be positive, got {dt!r}")
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"step duration dt must be finite and positive, got {dt!r}")
     operators = kraus_set.operators
     if len(operators) != 4:
         raise ValueError(f"unsupported kraus set: expected 4 operators, got {len(operators)}")

@@ -73,7 +73,7 @@ class DecoherenceSpec:
 
 @dataclass(frozen=True, eq=False)
 class ProjectorSet:
-    """Complete family of orthogonal projectors defining a dissipator."""
+    """Complete family of orthogonal projectors defining the damping term."""
 
     projectors: tuple[np.ndarray, ...]
 
@@ -93,46 +93,30 @@ class ProjectorSet:
         object.__setattr__(self, "projectors", projectors)
 
 
-def projectors_mode_a() -> ProjectorSet:
-    """Rank-1 projectors onto the four product basis vectors."""
-    return ProjectorSet(tuple(np.diag(row).astype(complex) for row in np.eye(4)))
-
-
-def projectors_mode_b() -> ProjectorSet:
-    """Projectors onto (e1 +/- e3)/sqrt(2) and (e2 +/- e4)/sqrt(2)."""
-    vectors = []
-    for a, b in ((0, 2), (1, 3)):
-        for sign in (1.0, -1.0):
-            v = np.zeros(4, dtype=complex)
-            v[a] = 1.0 / np.sqrt(2.0)
-            v[b] = sign / np.sqrt(2.0)
-            vectors.append(v)
-    return ProjectorSet(tuple(np.outer(v, v.conj()) for v in vectors))
+# Rows: the unit vectors whose rank-1 projectors define each mode.
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_PROJECTOR_VECTORS = {
+    "A": np.eye(4),
+    "B": _INV_SQRT2 * np.array([[1, 0, 1, 0], [1, 0, -1, 0], [0, 1, 0, 1], [0, 1, 0, -1]]),
+}
 
 
 def projectors_for_mode(mode: str) -> ProjectorSet:
-    if mode == "A":
-        return projectors_mode_a()
-    if mode == "B":
-        return projectors_mode_b()
-    raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
-
-
-def dissipator(rho: np.ndarray, projectors: ProjectorSet, lam: float) -> np.ndarray:
-    """Damping term lam * (rho - sum_k P_k rho P_k) of the master equation."""
-    if not (np.isfinite(lam) and lam >= 0.0):
-        raise ValueError(f"coupling strength must be nonnegative, got {lam!r}")
-    rho = np.asarray(rho, dtype=complex)
-    return lam * (rho - superop.apply(superop.kraus_map(projectors.projectors), rho))
+    """Projectors onto the product basis (mode A), or onto (e1 +/- e3)/sqrt(2)
+    and (e2 +/- e4)/sqrt(2) (mode B)."""
+    if mode not in _PROJECTOR_VECTORS:
+        raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
+    return ProjectorSet(tuple(np.outer(v, v) for v in _PROJECTOR_VECTORS[mode]))
 
 
 def _times(t) -> np.ndarray:
-    """Evaluation time(s) as a float array: a scalar or a 1-d array of t >= 0."""
+    """Evaluation time(s) as a float array: a scalar or a 1-d array of finite t >= 0."""
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError(f"time must be a scalar or a 1-d array, got shape {times.shape}")
-    if np.any(times < 0.0):
-        raise ValueError(f"time must be nonnegative, got {float(times.min())!r}")
+    bad = ~(np.isfinite(times) & (times >= 0.0))
+    if bad.any():
+        raise ValueError(f"time must be finite and nonnegative, got {float(times[bad][0])!r}")
     return times
 
 
@@ -247,10 +231,10 @@ def integrate_master(
     re-Hermitized and trace-renormalized before validation.
     """
     rho = np.array(validate_density_matrix(rho0))
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t!r}")
-    if dt <= 0.0:
-        raise ValueError(f"step size must be positive, got {dt!r}")
+    if not (np.isfinite(t) and t >= 0.0):
+        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"step size dt must be finite and positive, got {dt!r}")
     if t == 0.0:
         return rho
     generator = superop.liouvillian(spec.hamiltonian.diagonal(), projectors.projectors, spec.lam)

@@ -14,21 +14,30 @@ _YY = np.kron(SIGMA_Y, SIGMA_Y)
 
 @dataclass(frozen=True)
 class MeasureReport:
-    """Mixedness, concurrence and Wootters roots of one state."""
+    """Mixedness, concurrence and Wootters roots of one state or of a stack.
 
-    mixedness: float
-    concurrence: float
-    wootters_roots: tuple[float, float, float, float]
+    For one state the fields are floats and a tuple of four floats; for an
+    (N, 4, 4) stack they are arrays of shape (N,), (N,) and (N, 4).  The
+    range checks run once over the whole stack.
+    """
+
+    mixedness: float | np.ndarray
+    concurrence: float | np.ndarray
+    wootters_roots: tuple[float, float, float, float] | np.ndarray
 
     def __post_init__(self):
-        if not (0.25 - 1e-9 <= self.mixedness <= 1.0 + 1e-9):
-            raise ValueError(f"mixedness out of range [1/4, 1]: {self.mixedness!r}")
-        if not (-1e-12 <= self.concurrence <= 1.0 + 1e-9):
-            raise ValueError(f"concurrence out of range [0, 1]: {self.concurrence!r}")
-        roots = tuple(float(r) for r in self.wootters_roots)
-        if len(roots) != 4 or any(r < 0 for r in roots) or list(roots) != sorted(roots, reverse=True):
+        mixedness, concurrence = np.asarray(self.mixedness), np.asarray(self.concurrence)
+        bad = ~((0.25 - 1e-9 <= mixedness) & (mixedness <= 1.0 + 1e-9))
+        if bad.any():
+            raise ValueError(f"mixedness out of range [1/4, 1]: {float(mixedness[bad][0])!r}")
+        bad = ~((-1e-12 <= concurrence) & (concurrence <= 1.0 + 1e-9))
+        if bad.any():
+            raise ValueError(f"concurrence out of range [0, 1]: {float(concurrence[bad][0])!r}")
+        roots = np.asarray(self.wootters_roots, dtype=float)
+        if roots.shape[-1:] != (4,) or not (roots >= 0).all() or not (np.diff(roots) <= 0).all():
             raise ValueError("wootters_roots must be 4 nonnegative reals in decreasing order")
-        object.__setattr__(self, "wootters_roots", roots)
+        if roots.ndim == 1:
+            object.__setattr__(self, "wootters_roots", tuple(float(r) for r in roots))
 
     def to_json(self) -> dict:
         return {
@@ -73,19 +82,17 @@ def concurrence_bell_diagonal(weights) -> float:
     return float(max(0.0, 2.0 * max(weights.nu) - 1.0))
 
 
-def measure_report(rho: np.ndarray) -> MeasureReport | list[MeasureReport]:
+def measure_report(rho: np.ndarray) -> MeasureReport:
     """Mixedness, concurrence and Wootters roots of one state or a stack.
 
-    A (4, 4) state gives one :class:`MeasureReport`; an (N, 4, 4) stack
-    gives a list of N reports.  The state is validated once, by
-    :func:`wootters_roots`.
+    A (4, 4) state gives a :class:`MeasureReport` of floats; an (N, 4, 4)
+    stack gives one report of arrays over the stack.  The state is
+    validated once, by :func:`wootters_roots`.
     """
     rho = np.asarray(rho, dtype=complex)
     mu = wootters_roots(rho)
     purity = np.einsum("...ij,...ji->...", rho, rho).real
     entanglement = np.maximum(0.0, mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3])
-    reports = [
-        MeasureReport(mixedness=float(p), concurrence=float(c), wootters_roots=tuple(r))
-        for p, c, r in zip(np.atleast_1d(purity), np.atleast_1d(entanglement), mu.reshape(-1, 4))
-    ]
-    return reports if rho.ndim == 3 else reports[0]
+    if rho.ndim == 3:
+        return MeasureReport(mixedness=purity, concurrence=entanglement, wootters_roots=mu)
+    return MeasureReport(mixedness=float(purity), concurrence=float(entanglement), wootters_roots=mu)

@@ -84,27 +84,6 @@ class BellWeights:
             raise ValueError(f"weights must sum to 1: |sum - 1| = {abs(total - 1.0):.3e}")
         object.__setattr__(self, "nu", nu)
 
-    # Convenient linear combinations that show up in the matrix form.
-    @property
-    def sigma1(self) -> float:
-        return self.nu[0] + self.nu[1]
-
-    @property
-    def sigma2(self) -> float:
-        return self.nu[2] + self.nu[3]
-
-    @property
-    def delta1(self) -> float:
-        return self.nu[0] - self.nu[1]
-
-    @property
-    def delta2(self) -> float:
-        return self.nu[2] - self.nu[3]
-
-    @property
-    def delta(self) -> float:
-        return self.sigma1 - self.sigma2
-
 
 def bell_diagonal(weights) -> np.ndarray:
     """Mixture ``sum_i nu_i |psi_i><psi_i|`` of the four Bell projectors.
@@ -113,8 +92,8 @@ def bell_diagonal(weights) -> np.ndarray:
     """
     if not isinstance(weights, BellWeights):
         weights = BellWeights(tuple(weights))
-    s1, s2 = weights.sigma1, weights.sigma2
-    d1, d2 = weights.delta1, weights.delta2
+    nu1, nu2, nu3, nu4 = weights.nu
+    s1, s2, d1, d2 = nu1 + nu2, nu3 + nu4, nu1 - nu2, nu3 - nu4
     rho = 0.5 * np.array(
         [
             [s1, 0.0, 0.0, d1],

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, spin_path
-from .states import matrix_to_json, validate_density_matrix
+from .states import validate_density_matrix
 
 _OBSERVABLES = {"X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 OBSERVABLE_NAMES = ("X", "Y", "Z")
@@ -114,12 +114,6 @@ class Reconstruction:
     estimate: np.ndarray
     frobenius_residual: float
 
-    def to_json(self) -> dict:
-        return {
-            "estimate": matrix_to_json(self.estimate),
-            "frobenius_residual": self.frobenius_residual,
-        }
-
 
 def _born_probabilities(rho: np.ndarray) -> np.ndarray:
     """(9, 4) outcome probabilities of a validated state, settings in ALL_SETTINGS order."""
@@ -128,11 +122,6 @@ def _born_probabilities(rho: np.ndarray) -> np.ndarray:
         raise np.linalg.LinAlgError(f"negative outcome probability: {probs.min():.3e}")
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum(axis=1, keepdims=True)
-
-
-def outcome_probabilities(rho: np.ndarray, setting: MeasurementSetting) -> np.ndarray:
-    """Born probabilities of the four joint outcomes, in the fixed order."""
-    return _born_probabilities(validate_density_matrix(rho))[ALL_SETTINGS.index(setting)]
 
 
 def exact_records(rho: np.ndarray) -> list[CountRecord]:

@@ -173,6 +173,18 @@ def test_calibrate_rejects_more_than_32_sigmas(capsys, monkeypatch):
     assert "--sigmas" in err and "32" in err
 
 
+def test_mode_b_single_field_variants_fail_before_sampling(capsys, monkeypatch):
+    _forbid_sampling(monkeypatch)
+    for argv in (
+        ["ensemble", "--mode", "B", "--sigma", "1", "--samples", "100",
+         "--variant", "single-field-both-paths"],
+        ["calibrate", "--mode", "B", "--sigmas", "1", "--samples", "100",
+         "--variant", "single-field-one-path"],
+    ):
+        assert main(argv) == 2
+        assert "not supported for mode B" in capsys.readouterr().err
+
+
 def test_ensemble_sigma_zero_exact(capsys):
     payload = run_json(
         capsys, ["ensemble", "--mode", "A", "--sigma", "0", "--samples", "50"]
@@ -363,6 +375,23 @@ def test_config_errors_exit_2(capsys):
         capsys, ["sweep", "--mode", "A", "--lambda", "1", "--time", "1", "--steps", "1"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--mode", "A", "--lambda", "1", "--time", "nan"],
+        ["evolve", "--mode", "A", "--lambda", "0", "--time", "inf", "--energies", "0", "1", "2", "3"],
+        ["sweep", "--mode", "A", "--lambda", "1", "--time", "nan", "--steps", "11"],
+        ["kraus-compare", "--mode", "A", "--lambda", "1", "--time", "nan", "--steps", "4"],
+    ],
+    ids=["evolve-nan", "evolve-inf", "sweep-nan", "kraus-compare-nan"],
+)
+def test_non_finite_time_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "time must be finite" in captured.err
 
 
 def test_missing_initial_file_exits_2(tmp_path, capsys):

@@ -5,23 +5,21 @@ from hypothesis import strategies as st
 
 from spinpath.interferometer import (
     _BLOCK_SIZE,
+    _SPIN_FLIP,
     _STDERR_FLOOR,
     _sampled_angles,
     _shot_factors,
     _shot_states,
     FieldSetup,
-    ShotAngles,
-    conditioned_unitary,
     consistency_ratio,
     ensemble_average_analytic,
     ensemble_average_monte_carlo,
     lambda_from_sigma,
-    single_shot_state,
 )
 from spinpath.lindblad import DecoherenceSpec, evolve
 from spinpath.measures import mixedness
 from spinpath.pauli import ID2, SIGMA_X, spin_path
-from spinpath.states import experiment_initial
+from spinpath.states import experiment_initial, validate_density_matrix
 
 
 def mode_b_shot_matrix(alpha, beta, gamma, delta):
@@ -104,22 +102,38 @@ def reference_monte_carlo(rho0, setup, samples, seed):
 PATH_I, PATH_II = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
 
 
+def assembled_unitary(*angles):
+    """The 4x4 V = diag(a) + diag(b) F of one shot, assembled from ``_shot_factors``.
+
+    Takes (alpha, beta) for mode A or (alpha, beta, gamma, delta) for mode B.
+    """
+    a, b = _shot_factors(*np.array(angles, dtype=float)[:, None])
+    v = np.diag(a[:, 0])
+    if b is not None:
+        v[np.arange(4), _SPIN_FLIP] = b[:, 0]
+    return v
+
+
+def shot_state(rho0, *angles):
+    """V rho0 V^dagger of one shot through the Monte Carlo kernel, validated."""
+    factors = _shot_factors(*np.array(angles, dtype=float)[:, None])
+    return validate_density_matrix(_shot_states(rho0, *factors)[:, :, 0])
+
+
 def test_conditioned_unitary_z_rotation_is_phase_diagonal():
     alpha, beta = 0.77, -2.1
     expected = np.diag(np.exp(0.5j * np.array([alpha, beta, -alpha, -beta])))
-    u = conditioned_unitary(ShotAngles(alpha=alpha, beta=beta), "A")
-    assert np.abs(u - expected).max() < 1e-15
-    u = conditioned_unitary(ShotAngles(alpha=alpha, beta=beta, gamma=0.0, delta=0.0), "B")
-    assert np.abs(u - expected).max() < 1e-15
+    assert np.abs(assembled_unitary(alpha, beta) - expected).max() < 1e-15
+    assert np.abs(assembled_unitary(alpha, beta, 0.0, 0.0) - expected).max() < 1e-15
 
 
 def test_conditioned_unitary_x_rotation_at_pi_flips_spin():
     # An x-rotation by pi is i sigma_x on its own path and leaves the other alone.
-    u = conditioned_unitary(ShotAngles(alpha=0.0, beta=0.0, gamma=np.pi, delta=0.0), "B")
+    u = assembled_unitary(0.0, 0.0, np.pi, 0.0)
     assert np.abs(u - (spin_path(1j * SIGMA_X, PATH_I) + spin_path(ID2, PATH_II))).max() < 1e-15
-    u = conditioned_unitary(ShotAngles(alpha=0.0, beta=0.0, gamma=0.0, delta=np.pi), "B")
+    u = assembled_unitary(0.0, 0.0, 0.0, np.pi)
     assert np.abs(u - (spin_path(ID2, PATH_I) + spin_path(1j * SIGMA_X, PATH_II))).max() < 1e-15
-    u = conditioned_unitary(ShotAngles(alpha=0.0, beta=0.0, gamma=2 * np.pi, delta=2 * np.pi), "B")
+    u = assembled_unitary(0.0, 0.0, 2 * np.pi, 2 * np.pi)
     assert np.abs(u + np.eye(4)).max() < 1e-12
 
 
@@ -127,43 +141,24 @@ def test_conditioned_unitary_unitary_and_additive():
     rng = np.random.default_rng(41)
     for _ in range(10):
         a1, b1, a2, b2 = rng.uniform(-np.pi, np.pi, 4)
-        u = conditioned_unitary(ShotAngles(alpha=a1, beta=b1), "A")
-        v = conditioned_unitary(ShotAngles(alpha=a2, beta=b2), "A")
+        u = assembled_unitary(a1, b1)
+        v = assembled_unitary(a2, b2)
         assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-12
-        summed = ShotAngles(alpha=a1 + a2, beta=b1 + b2)
-        assert np.abs(u @ v - conditioned_unitary(summed, "A")).max() < 1e-12
-        u = conditioned_unitary(ShotAngles(alpha=0.0, beta=0.0, gamma=a1, delta=b1), "B")
-        v = conditioned_unitary(ShotAngles(alpha=0.0, beta=0.0, gamma=a2, delta=b2), "B")
-        summed = ShotAngles(alpha=0.0, beta=0.0, gamma=a1 + a2, delta=b1 + b2)
-        assert np.abs(u @ v - conditioned_unitary(summed, "B")).max() < 1e-12
-
-
-def test_conditioned_unitary_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        conditioned_unitary(ShotAngles(alpha=0.1, beta=0.2), "C")
-    with pytest.raises(ValueError):
-        ShotAngles(alpha=np.inf, beta=0.2)
+        assert np.abs(u @ v - assembled_unitary(a1 + a2, b1 + b2)).max() < 1e-12
+        u = assembled_unitary(0.0, 0.0, a1, b1)
+        v = assembled_unitary(0.0, 0.0, a2, b2)
+        assert np.abs(u @ v - assembled_unitary(0.0, 0.0, a1 + a2, b1 + b2)).max() < 1e-12
 
 
 def test_conditioned_unitary_identity_at_zero_angles():
-    u = conditioned_unitary(ShotAngles(alpha=0.0, beta=0.0), "A")
-    assert np.abs(u - np.eye(4)).max() < 1e-15
-    u = conditioned_unitary(ShotAngles(alpha=0.0, beta=0.0, gamma=0.0, delta=0.0), "B")
-    assert np.abs(u - np.eye(4)).max() < 1e-15
-
-
-def test_conditioned_unitary_angle_requirements():
-    with pytest.raises(ValueError):
-        conditioned_unitary(ShotAngles(alpha=0.1, beta=0.2), "B")
-    with pytest.raises(ValueError):
-        conditioned_unitary(ShotAngles(alpha=0.1, beta=0.2, gamma=0.3, delta=0.4), "A")
+    assert np.abs(assembled_unitary(0.0, 0.0) - np.eye(4)).max() < 1e-15
+    assert np.abs(assembled_unitary(0.0, 0.0, 0.0, 0.0) - np.eye(4)).max() < 1e-15
 
 
 def test_conditioned_unitary_is_unitary():
     rng = np.random.default_rng(43)
     for _ in range(10):
-        a, b, g, d = rng.uniform(-np.pi, np.pi, 4)
-        u = conditioned_unitary(ShotAngles(alpha=a, beta=b, gamma=g, delta=d), "B")
+        u = assembled_unitary(*rng.uniform(-np.pi, np.pi, 4))
         assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-12
 
 
@@ -171,15 +166,13 @@ def test_single_shot_mode_a_coherence_phase():
     rng = np.random.default_rng(47)
     for _ in range(10):
         a, b = rng.uniform(-np.pi, np.pi, 2)
-        state = single_shot_state(experiment_initial(), ShotAngles(alpha=a, beta=b), "A")
+        state = shot_state(experiment_initial(), a, b)
         expected = -0.5 * np.exp(1j * (a + b) / 2.0)
         assert abs(state[1, 2] - expected) < 1e-12
 
 
 def test_single_shot_mode_a_phase_wraps_to_sign_flip():
-    state = single_shot_state(
-        experiment_initial(), ShotAngles(alpha=1.5 * np.pi, beta=0.5 * np.pi), "A"
-    )
+    state = shot_state(experiment_initial(), 1.5 * np.pi, 0.5 * np.pi)
     assert abs(state[1, 2] - 0.5) < 1e-12
 
 
@@ -187,23 +180,18 @@ def test_single_shot_mode_b_matches_amplitude_construction():
     rng = np.random.default_rng(53)
     for _ in range(10):
         a, b, g, d = rng.uniform(-np.pi, np.pi, 4)
-        shot = ShotAngles(alpha=a, beta=b, gamma=g, delta=d)
-        state = single_shot_state(experiment_initial(), shot, "B")
+        state = shot_state(experiment_initial(), a, b, g, d)
         assert np.abs(state - mode_b_shot_matrix(a, b, g, d)).max() < 1e-12
 
 
 def test_single_shot_mode_b_x_flip_fills_corner():
-    shot = ShotAngles(alpha=0.0, beta=0.0, gamma=np.pi, delta=0.0)
-    state = single_shot_state(experiment_initial(), shot, "B")
+    state = shot_state(experiment_initial(), 0.0, 0.0, np.pi, 0.0)
     assert abs(state[0, 0] - 0.5) < 1e-12
 
 
 def test_single_shot_preserves_purity():
     rng = np.random.default_rng(59)
-    a, b, g, d = rng.uniform(-np.pi, np.pi, 4)
-    state = single_shot_state(
-        experiment_initial(), ShotAngles(alpha=a, beta=b, gamma=g, delta=d), "B"
-    )
+    state = shot_state(experiment_initial(), *rng.uniform(-np.pi, np.pi, 4))
     assert abs(mixedness(state) - 1.0) < 1e-12
 
 
@@ -252,10 +240,12 @@ def test_analytic_average_variant_factors():
 
 
 def test_analytic_average_rejects_mode_b_variants():
+    # The setup itself refuses the pair, before any averaging.
     for variant in ("single_field_one_path", "single_field_both_paths"):
-        setup = FieldSetup(mode="B", sigma=1.0, variant=variant)
-        with pytest.raises(ValueError):
-            ensemble_average_analytic(experiment_initial(), setup)
+        with pytest.raises(ValueError, match="not supported for mode B"):
+            ensemble_average_analytic(
+                experiment_initial(), FieldSetup(mode="B", sigma=1.0, variant=variant)
+            )
 
 
 def test_mode_b_average_order_independent_for_singlet():
@@ -277,7 +267,7 @@ def test_mode_b_average_order_independent_for_singlet():
 def test_constant_angle_offset_preserves_coherence_modulus():
     setup = FieldSetup(mode="A", sigma=1.3)
     averaged = ensemble_average_analytic(experiment_initial(), setup)
-    offset = conditioned_unitary(ShotAngles(alpha=0.83, beta=-1.91), "A")
+    offset = assembled_unitary(0.83, -1.91)
     shifted = offset @ averaged @ offset.conj().T
     assert abs(abs(shifted[1, 2]) - abs(averaged[1, 2])) < 1e-12
 
@@ -317,8 +307,9 @@ def test_lambda_from_sigma_examples():
 
 
 def test_lambda_from_sigma_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        lambda_from_sigma(FieldSetup(mode="A", sigma=1.0), 0.0)
+    for dwell in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="dwell_time"):
+            lambda_from_sigma(FieldSetup(mode="A", sigma=1.0), dwell)
     with pytest.raises(ValueError):
         lambda_from_sigma(
             FieldSetup(mode="B", sigma=1.0, variant="single_field_one_path"), 1.0
@@ -375,9 +366,6 @@ def test_monte_carlo_input_validation():
         ensemble_average_monte_carlo(experiment_initial(), setup, 1, 0)
     with pytest.raises(ValueError):
         ensemble_average_monte_carlo(experiment_initial(), setup, 100, -1)
-    bad = FieldSetup(mode="B", sigma=1.0, variant="single_field_both_paths")
-    with pytest.raises(ValueError):
-        ensemble_average_monte_carlo(experiment_initial(), bad, 100, 0)
 
 
 def test_field_setup_validation():
@@ -387,6 +375,9 @@ def test_field_setup_validation():
         FieldSetup(mode="A", sigma=-1.0)
     with pytest.raises(ValueError):
         FieldSetup(mode="A", sigma=1.0, variant="nonsense")
+    for variant in ("single_field_one_path", "single_field_both_paths"):
+        with pytest.raises(ValueError, match="not supported for mode B"):
+            FieldSetup(mode="B", sigma=1.0, variant=variant)
 
 
 def test_ensemble_estimate_json_shape():

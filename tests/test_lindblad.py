@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinpath.lindblad import (
     DecoherenceSpec,
     SystemHamiltonian,
-    dissipator,
     evolve,
     evolve_mode_a,
     evolve_mode_b,
     integrate_master,
     projectors_for_mode,
-    projectors_mode_a,
-    projectors_mode_b,
 )
 from spinpath.measures import mixedness
 from spinpath.states import experiment_initial, maximally_mixed, validate_density_matrix
+from spinpath.superop import apply, liouvillian
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -25,8 +25,21 @@ def random_state(rng):
     return rho / np.trace(rho).real
 
 
+def random_rank_state(rng, rank):
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = g @ g.conj().T
+    rho = rho / np.trace(rho).real
+    return (rho + rho.conj().T) / 2.0
+
+
+def damping(rho, mode, lam):
+    """The Liouvillian's damping term at H = 0: -lam (rho - sum_k P_k rho P_k)."""
+    generator = liouvillian(np.zeros((4, 4)), projectors_for_mode(mode).projectors, lam)
+    return apply(generator, rho)
+
+
 def test_projectors_mode_a_are_basis_projectors():
-    ps = projectors_mode_a().projectors
+    ps = projectors_for_mode("A").projectors
     for i, p in enumerate(ps):
         expected = np.zeros((4, 4), dtype=complex)
         expected[i, i] = 1.0
@@ -34,7 +47,7 @@ def test_projectors_mode_a_are_basis_projectors():
 
 
 def test_projectors_mode_b_entries():
-    p1 = projectors_mode_b().projectors[0]
+    p1 = projectors_for_mode("B").projectors[0]
     expected = np.zeros((4, 4), dtype=complex)
     for i in (0, 2):
         for j in (0, 2):
@@ -50,12 +63,14 @@ def test_projectors_complete_and_idempotent():
         for p in ps:
             assert np.abs(p @ p - p).max() < 1e-12
             assert np.abs(p - p.conj().T).max() < 1e-12
+    with pytest.raises(ValueError):
+        projectors_for_mode("C")
 
 
 def test_projectors_mode_b_is_spin_hadamard_rotation_of_mode_a():
     rotation = np.kron(HADAMARD, np.eye(2, dtype=complex))
-    rotated = [rotation @ p @ rotation.conj().T for p in projectors_mode_a().projectors]
-    actual = projectors_mode_b().projectors
+    rotated = [rotation @ p @ rotation.conj().T for p in projectors_for_mode("A").projectors]
+    actual = projectors_for_mode("B").projectors
     # The rotated family equals the mode-B family as a set.
     for r in rotated:
         assert min(np.abs(r - a).max() for a in actual) < 1e-12
@@ -63,23 +78,21 @@ def test_projectors_mode_b_is_spin_hadamard_rotation_of_mode_a():
 
 def test_dissipator_zero_for_diagonal_state_mode_a():
     rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    d = dissipator(rho, projectors_mode_a(), 1.7)
-    assert np.abs(d).max() < 1e-15
+    assert np.abs(damping(rho, "A", 1.7)).max() < 1e-15
 
 
 def test_dissipator_mode_a_removes_diagonal():
     rho = experiment_initial()
     lam = 0.8
-    d = dissipator(rho, projectors_mode_a(), lam)
-    expected = lam * (rho - np.diag(np.diag(rho)))
-    assert np.abs(d - expected).max() < 1e-15
+    expected = -lam * (rho - np.diag(np.diag(rho)))
+    assert np.abs(damping(rho, "A", lam) - expected).max() < 1e-15
 
 
 def test_dissipator_zero_coupling_and_invariants():
     rng = np.random.default_rng(2)
     rho = random_state(rng)
-    assert np.abs(dissipator(rho, projectors_mode_b(), 0.0)).max() < 1e-15
-    d = dissipator(rho, projectors_mode_b(), 1.3)
+    assert np.abs(damping(rho, "B", 0.0)).max() < 1e-15
+    d = damping(rho, "B", 1.3)
     assert abs(np.trace(d)) < 1e-12
     assert np.abs(d - d.conj().T).max() < 1e-12
 
@@ -142,7 +155,7 @@ def test_evolve_mode_b_oscillatory_regime_matches_integrator():
     rho0[2, 0] = 0.25
     spec = DecoherenceSpec(mode="B", lam=1.0, hamiltonian=SystemHamiltonian((1.0, 0.0, 0.0, 0.0)))
     closed = evolve_mode_b(rho0, spec, 1.3)
-    numeric = integrate_master(rho0, projectors_mode_b(), spec, 1.3, dt=1e-3)
+    numeric = integrate_master(rho0, projectors_for_mode("B"), spec, 1.3, dt=1e-3)
     assert np.abs(closed - numeric).max() < 1e-8
 
 
@@ -156,6 +169,12 @@ def test_evolve_rejects_negative_time():
         evolve_mode_a(experiment_initial(), spec, np.array([0.0, 1.0, -0.1]))
     with pytest.raises(ValueError, match="1-d"):
         evolve_mode_a(experiment_initial(), spec, np.zeros((2, 2)))
+    # Non-finite times, also where lam = 0 and split energies would give nan phases.
+    for mode in ("A", "B"):
+        spec = DecoherenceSpec(mode=mode, lam=0.0, hamiltonian=SystemHamiltonian((0.0, 1.0, 2.0, 3.0)))
+        for t in (np.nan, np.inf, np.array([0.0, 1.0, np.nan])):
+            with pytest.raises(ValueError, match="time must be finite"):
+                evolve(experiment_initial(), spec, t)
 
 
 @pytest.mark.parametrize("mode", ["A", "B"])
@@ -204,16 +223,22 @@ def test_integrator_zero_coupling_is_identity():
     rng = np.random.default_rng(10)
     rho = random_state(rng)
     spec = DecoherenceSpec(mode="A", lam=0.0)
-    out = integrate_master(rho, projectors_mode_a(), spec, 1.0, dt=1e-3)
+    out = integrate_master(rho, projectors_for_mode("A"), spec, 1.0, dt=1e-3)
     assert np.abs(out - rho).max() < 1e-10
 
 
 def test_integrator_rejects_bad_dt():
     spec = DecoherenceSpec(mode="A", lam=1.0)
-    with pytest.raises(ValueError):
-        integrate_master(experiment_initial(), projectors_mode_a(), spec, 1.0, dt=0.0)
-    with pytest.raises(ValueError):
-        integrate_master(experiment_initial(), projectors_mode_a(), spec, 1.0, dt=-1e-3)
+    for dt in (0.0, -1e-3, np.nan, np.inf):
+        with pytest.raises(ValueError, match="step size dt"):
+            integrate_master(experiment_initial(), projectors_for_mode("A"), spec, 1.0, dt=dt)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -0.5])
+def test_integrator_rejects_non_finite_and_negative_time(t):
+    spec = DecoherenceSpec(mode="B", lam=1.0)
+    with pytest.raises(ValueError, match="time must be finite and nonnegative"):
+        integrate_master(experiment_initial(), projectors_for_mode("B"), spec, t)
 
 
 @pytest.mark.parametrize("mode", ["A", "B"])
@@ -230,7 +255,7 @@ def test_integrator_lands_exactly_on_t():
     t = 0.7771
     closed = evolve_mode_b(experiment_initial(), spec, t)
     numeric = integrate_master(
-        experiment_initial(), projectors_mode_b(), spec, t, dt=1e-3
+        experiment_initial(), projectors_for_mode("B"), spec, t, dt=1e-3
     )
     assert np.abs(closed - numeric).max() < 1e-8
 
@@ -256,6 +281,24 @@ def test_semigroup_property(mode):
     direct = evolve(rho, spec, t1 + t2)
     stepped = evolve(evolve(rho, spec, t1), spec, t2)
     assert np.abs(direct - stepped).max() < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, 4),
+    mode=st.sampled_from(["A", "B"]),
+    lam=st.floats(min_value=0.0, max_value=3.0),
+    energies=st.tuples(*[st.floats(min_value=-2.0, max_value=2.0)] * 4),
+    t1=st.floats(min_value=0.0, max_value=2.0),
+    t2=st.floats(min_value=0.0, max_value=2.0),
+)
+def test_semigroup_law_over_random_specs(seed, rank, mode, lam, energies, t1, t2):
+    rho = random_rank_state(np.random.default_rng(seed), rank)
+    spec = DecoherenceSpec(mode=mode, lam=lam, hamiltonian=SystemHamiltonian(energies))
+    direct = evolve(rho, spec, t1 + t2)
+    stepped = evolve(evolve(rho, spec, t1), spec, t2)
+    assert np.abs(direct - stepped).max() <= 1e-9
 
 
 def test_mode_a_diagonal_states_stationary():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spinpath.measures import (
+    MeasureReport,
     concurrence,
     concurrence_bell_diagonal,
     measure_report,
@@ -128,6 +129,23 @@ def test_measures_reject_invalid_state():
         measure_report(stack)
 
 
+def test_measure_report_range_checks_cover_every_state():
+    roots = np.array([[1.0, 0.0, 0.0, 0.0]] * 3)
+    good = {"mixedness": np.ones(3), "concurrence": np.ones(3), "wootters_roots": roots}
+    MeasureReport(**good)
+    for field, index, value, message in (
+        ("mixedness", 2, 0.2, "mixedness"),
+        ("concurrence", 1, 1.1, "concurrence"),
+        ("wootters_roots", 2, [0.0, 1.0, 0.0, 0.0], "wootters_roots"),
+    ):
+        fields = {name: array.copy() for name, array in good.items()}
+        fields[field][index] = value
+        with pytest.raises(ValueError, match=message):
+            MeasureReport(**fields)
+        with pytest.raises(ValueError, match=message):
+            MeasureReport(**{name: array[index] for name, array in fields.items()})
+
+
 def random_states(rng, count):
     """Random density matrices of ranks 1..4 from Ginibre draws."""
     out = []
@@ -140,11 +158,12 @@ def random_states(rng, count):
 
 def test_measure_report_stack_equals_per_state_reports():
     rho = random_states(np.random.default_rng(43), 64)
-    reports = measure_report(rho)
-    assert len(reports) == 64
-    for state, report in zip(rho, reports):
+    report = measure_report(rho)
+    assert report.mixedness.shape == report.concurrence.shape == (64,)
+    assert report.wootters_roots.shape == (64, 4)
+    for i, state in enumerate(rho):
         single = measure_report(state)
-        assert abs(report.mixedness - single.mixedness) <= 1e-15
-        assert abs(report.concurrence - single.concurrence) <= 1e-15
-        assert np.abs(np.subtract(report.wootters_roots, single.wootters_roots)).max() <= 1e-15
-    assert np.abs(wootters_roots(rho) - [r.wootters_roots for r in reports]).max() == 0.0
+        assert abs(report.mixedness[i] - single.mixedness) <= 1e-15
+        assert abs(report.concurrence[i] - single.concurrence) <= 1e-15
+        assert np.abs(report.wootters_roots[i] - single.wootters_roots).max() <= 1e-15
+    assert np.abs(wootters_roots(rho) - report.wootters_roots).max() == 0.0

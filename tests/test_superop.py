@@ -1,7 +1,7 @@
 import numpy as np
 
 from spinpath import superop
-from spinpath.lindblad import projectors_mode_b
+from spinpath.lindblad import projectors_for_mode
 
 
 def random_matrix(rng):
@@ -34,7 +34,7 @@ def test_kraus_and_chi_maps_match_operator_loops():
 def test_liouvillian_matches_master_equation_rhs():
     rng = np.random.default_rng(53)
     h, rho = random_hermitian(rng), random_hermitian(rng)
-    projectors = projectors_mode_b().projectors
+    projectors = projectors_for_mode("B").projectors
     lam = 0.7
     pinched = sum(p @ rho @ p for p in projectors)
     expected = -1j * (h @ rho - rho @ h) - lam * (rho - pinched)
@@ -45,7 +45,7 @@ def test_liouvillian_matches_master_equation_rhs():
 def test_rk4_step_matches_four_stage_update():
     rng = np.random.default_rng(54)
     h, rho = random_hermitian(rng), random_hermitian(rng)
-    projectors = projectors_mode_b().projectors
+    projectors = projectors_for_mode("B").projectors
     generator = superop.liouvillian(h, projectors, 1.3)
 
     def rhs(x):

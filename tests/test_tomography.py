@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinpath.lindblad import DecoherenceSpec, evolve
 from spinpath.pauli import ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z, spin_path
@@ -10,7 +12,6 @@ from spinpath.tomography import (
     MeasurementSetting,
     counts_to_json,
     exact_records,
-    outcome_probabilities,
     project_psd,
     reconstruct_linear,
     simulate_counts,
@@ -26,6 +27,18 @@ def random_state(rng):
     return rho / np.trace(rho).real
 
 
+def random_rank_state(rng, rank):
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = g @ g.conj().T
+    rho = rho / np.trace(rho).real
+    return (rho + rho.conj().T) / 2.0
+
+
+def setting_probabilities(rho, setting):
+    """Born probabilities of one setting's four outcomes: its row of exact_records."""
+    return {r.setting: r.frequencies() for r in exact_records(rho)}[setting]
+
+
 def test_settings_enumeration():
     assert len(ALL_SETTINGS) == 9
     assert len(set(ALL_SETTINGS)) == 9
@@ -36,14 +49,14 @@ def test_settings_enumeration():
 
 def test_probabilities_maximally_mixed():
     for setting in ALL_SETTINGS:
-        probs = outcome_probabilities(maximally_mixed(), setting)
+        probs = setting_probabilities(maximally_mixed(), setting)
         assert np.abs(probs - 0.25).max() < 1e-12
 
 
 @pytest.mark.parametrize("observable", ["Z", "X"])
 def test_probabilities_singlet_anticorrelated(observable):
     setting = MeasurementSetting(spin_observable=observable, path_observable=observable)
-    probs = outcome_probabilities(SINGLET, setting)
+    probs = setting_probabilities(SINGLET, setting)
     assert np.abs(probs - np.array([0.0, 0.5, 0.5, 0.0])).max() < 1e-12
 
 
@@ -52,7 +65,7 @@ def test_probabilities_normalized_on_random_states():
     for _ in range(20):
         rho = random_state(rng)
         for setting in ALL_SETTINGS:
-            probs = outcome_probabilities(rho, setting)
+            probs = setting_probabilities(rho, setting)
             assert probs.min() >= 0.0
             assert abs(probs.sum() - 1.0) < 1e-12
 
@@ -90,12 +103,19 @@ def test_simulate_counts_rejects_bad_shots():
 
 
 def test_exact_records_carry_probabilities():
+    # Exact records hold the Born probabilities Tr(rho P) of each outcome projector.
     records = exact_records(SINGLET)
     assert len(records) == 9
+    paulis = {"X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
+    signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
     for record in records:
         assert record.shots == 0
         assert abs(sum(record.counts) - 1.0) < 1e-12
-        expected = outcome_probabilities(SINGLET, record.setting)
+        s, p = paulis[record.setting.spin_observable], paulis[record.setting.path_observable]
+        expected = [
+            np.trace(SINGLET @ spin_path((ID2 + a * s) / 2.0, (ID2 + b * p) / 2.0)).real
+            for a, b in signs
+        ]
         assert np.abs(record.frequencies() - expected).max() < 1e-15
 
 
@@ -123,6 +143,14 @@ def test_reconstruct_round_trip_many_random_states():
         rho = random_state(rng)
         result = reconstruct_linear(exact_records(rho))
         assert np.linalg.norm(result.estimate - rho) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+def test_exact_round_trip_over_random_rank_states(seed, rank):
+    rho = random_rank_state(np.random.default_rng(seed), rank)
+    result = reconstruct_linear(exact_records(rho))
+    assert np.linalg.norm(result.estimate - rho) <= 1e-9
 
 
 def test_reconstruct_requires_all_settings():
