@@ -24,8 +24,6 @@ from .lindblad import (
     ProjectorSet,
     SystemHamiltonian,
     evolve,
-    evolve_mode_a,
-    evolve_mode_b,
     integrate_master,
 )
 from .measures import (
@@ -48,8 +46,6 @@ from .states import (
     validate_density_matrix,
 )
 from .tomography import (
-    CountRecord,
-    MeasurementSetting,
     Reconstruction,
     project_psd,
     reconstruct_linear,

@@ -180,12 +180,12 @@ def cmd_kraus_compare(args) -> str:
 def cmd_tomography(args) -> str:
     rho0 = _initial_state(args.initial)
     if args.shots == 0:
-        records = tomography.exact_records(rho0)
+        counts = tomography.exact_records(rho0)
     else:
-        records = tomography.simulate_counts(rho0, args.shots, args.seed)
-    reconstruction = tomography.reconstruct_linear(records)
+        counts = tomography.simulate_counts(rho0, args.shots, args.seed)
+    reconstruction = tomography.reconstruct_linear(counts)
     payload = {
-        "counts": tomography.counts_to_json(records),
+        "counts": tomography.counts_to_json(counts, args.shots),
         "estimate": states.matrix_to_json(reconstruction.estimate),
         "frobenius_residual": reconstruction.frobenius_residual,
         "frobenius_error_to_input": float(

@@ -56,7 +56,7 @@ class FieldSetup:
         if self.mode not in ("A", "B"):
             raise ValueError(f"mode must be 'A' or 'B', got {self.mode!r}")
         if not (np.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma!r}")
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.mode == "B" and self.variant != "both_paths_independent":

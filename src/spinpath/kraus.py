@@ -88,7 +88,7 @@ def trotter_evolve(rho0: np.ndarray, mode: str, lam: float, t: float, n: int) ->
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"step count must be a positive integer, got {n!r}")
     if not (np.isfinite(lam) and lam >= 0.0):
-        raise ValueError(f"coupling strength must be nonnegative, got {lam!r}")
+        raise ValueError(f"coupling strength must be finite and nonnegative, got {lam!r}")
     if not (np.isfinite(t) and t >= 0.0):
         raise ValueError(f"time must be finite and nonnegative, got {t!r}")
     step_map = superop.kraus_map(kraus_set_for_mode(mode, lam * t / n).operators)

@@ -15,8 +15,8 @@ orthogonal rank-1 projectors.  Two families are supported:
   (e2 +/- e4)/sqrt(2), i.e. the product basis rotated by a Hadamard on
   the spin factor.  This additionally mixes populations pairwise.
 
-Both modes have closed-form solutions (``evolve_mode_a`` /
-``evolve_mode_b``); ``integrate_master`` provides an independent
+Both modes have closed-form solutions, reached through ``evolve``, which
+dispatches on ``spec.mode``; ``integrate_master`` provides an independent
 fixed-step numerical route for cross-checking them.
 
 All functions are pure and safe to call concurrently.
@@ -68,7 +68,7 @@ class DecoherenceSpec:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be 'A' or 'B', got {self.mode!r}")
         if not (np.isfinite(self.lam) and self.lam >= 0.0):
-            raise ValueError(f"coupling strength must be nonnegative, got {self.lam!r}")
+            raise ValueError(f"coupling strength must be finite and nonnegative, got {self.lam!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +120,7 @@ def _times(t) -> np.ndarray:
     return times
 
 
-def evolve_mode_a(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
+def _evolve_mode_a(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
     """Closed-form mode-A state at time t.
 
     Off-diagonal elements pick up the free phase and an exp(-lam*t)
@@ -156,7 +156,7 @@ def _damped_cosh_sinh(lam: float, mu: complex, t: np.ndarray) -> tuple[np.ndarra
     return ch, sh_over_mu
 
 
-def evolve_mode_b(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
+def _evolve_mode_b(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
     """Closed-form mode-B state at time t.
 
     The equations of motion split into three families:
@@ -209,8 +209,8 @@ def evolve(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
     times, giving the (N, 4, 4) stack of states at those times.
     """
     if spec.mode == "A":
-        return evolve_mode_a(rho0, spec, t)
-    return evolve_mode_b(rho0, spec, t)
+        return _evolve_mode_a(rho0, spec, t)
+    return _evolve_mode_b(rho0, spec, t)
 
 
 def integrate_master(

@@ -1,9 +1,14 @@
-"""Simulated two-qubit state tomography.
+"""Simulated two-qubit state tomography on (9, 4) arrays.
 
 Measurement model: for each of the nine settings (spin observable,
 path observable) in {X, Y, Z} x {X, Y, Z}, both qubits are projected
 onto the +/-1 eigenspaces of their observables.  Outcome probabilities
 follow the Born rule; finite-shot data are multinomial draws.
+
+Data are (9, 4) arrays: row i is setting ``ALL_SETTINGS[i]``, column k
+is outcome k in the order (+,+), (+,-), (-,+), (-,-).  Exact data hold
+the Born probabilities (floats, rows summing to 1); finite-shot data
+hold integer counts, every row summing to the shot count.
 
 All 36 probabilities are one product with the 36x16 Born matrix (row
 4i + k: the conjugated, vectorized projector of outcome k of setting i),
@@ -31,80 +36,21 @@ from .pauli import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, spin_path
 from .states import validate_density_matrix
 
 _OBSERVABLES = {"X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
-OBSERVABLE_NAMES = ("X", "Y", "Z")
+
+# (spin, path) Pauli letters of the nine settings: the row order of every (9, 4) array.
+ALL_SETTINGS = tuple((s, p) for s in "XYZ" for p in "XYZ")
 
 # Outcome order for counts and probabilities: (+,+), (+,-), (-,+), (-,-).
 _OUTCOME_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
-
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """One observable per qubit, named by its Pauli letter."""
-
-    spin_observable: str
-    path_observable: str
-
-    def __post_init__(self):
-        for name in (self.spin_observable, self.path_observable):
-            if name not in _OBSERVABLES:
-                raise ValueError(f"observable must be one of {OBSERVABLE_NAMES}, got {name!r}")
-
-
-ALL_SETTINGS = tuple(
-    MeasurementSetting(s, p) for s in OBSERVABLE_NAMES for p in OBSERVABLE_NAMES
-)
-
 _BORN = np.array([
-    spin_path(
-        (ID2 + a * _OBSERVABLES[setting.spin_observable]) / 2.0,
-        (ID2 + b * _OBSERVABLES[setting.path_observable]) / 2.0,
-    ).conj().reshape(16)
-    for setting in ALL_SETTINGS
+    spin_path((ID2 + a * _OBSERVABLES[s]) / 2.0, (ID2 + b * _OBSERVABLES[p]) / 2.0).conj().reshape(16)
+    for s, p in ALL_SETTINGS
     for a, b in _OUTCOME_SIGNS
 ])
 _INVERSE = np.linalg.pinv(_BORN)
 _BORN.flags.writeable = False
 _INVERSE.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class CountRecord:
-    """Outcome tallies for one setting.
-
-    ``shots >= 1`` means integer counts summing to ``shots``.  The
-    sentinel ``shots == 0`` marks exact-probability records, whose
-    "counts" are the Born probabilities themselves (used to feed the
-    reconstruction with infinite-statistics data).
-    """
-
-    setting: MeasurementSetting
-    counts: tuple
-    shots: int
-
-    def __post_init__(self):
-        counts = tuple(float(c) for c in self.counts)
-        if len(counts) != 4:
-            raise ValueError(f"expected 4 outcome tallies, got {len(counts)}")
-        if any(c < 0 for c in counts):
-            raise ValueError("counts must be nonnegative")
-        if self.shots < 0:
-            raise ValueError(f"shots must be nonnegative, got {self.shots!r}")
-        if self.shots > 0:
-            if any(c != int(c) for c in counts):
-                raise ValueError("counts must be integers when shots > 0")
-            if int(sum(counts)) != self.shots:
-                raise ValueError(
-                    f"counts sum to {int(sum(counts))}, expected shots = {self.shots}"
-                )
-            counts = tuple(int(c) for c in counts)
-        elif abs(sum(counts) - 1.0) > 1e-9:
-            raise ValueError(f"probability record must sum to 1, got {sum(counts)!r}")
-        object.__setattr__(self, "counts", counts)
-
-    def frequencies(self) -> np.ndarray:
-        if self.shots > 0:
-            return np.array(self.counts, dtype=float) / self.shots
-        return np.array(self.counts, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,51 +70,67 @@ def _born_probabilities(rho: np.ndarray) -> np.ndarray:
     return probs / probs.sum(axis=1, keepdims=True)
 
 
-def exact_records(rho: np.ndarray) -> list[CountRecord]:
-    """Infinite-statistics records (shots = 0 sentinel) for all settings."""
-    probs = _born_probabilities(validate_density_matrix(rho))
-    return [
-        CountRecord(setting=setting, counts=tuple(p), shots=0)
-        for setting, p in zip(ALL_SETTINGS, probs)
-    ]
+def exact_records(rho: np.ndarray) -> np.ndarray:
+    """(9, 4) Born probabilities of every outcome: infinite-statistics data."""
+    return _born_probabilities(validate_density_matrix(rho))
 
 
-def simulate_counts(rho: np.ndarray, shots: int, seed: int) -> list[CountRecord]:
-    """Multinomial outcome counts for all nine settings.
+def simulate_counts(rho: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """(9, 4) integer multinomial counts, ``shots`` per setting.
 
-    Setting i (in the fixed X/Y/Z x X/Y/Z enumeration order) draws from
-    a generator seeded with SeedSequence((seed, i)), so records are a
-    pure function of (rho, shots, seed), independent of scheduling.
+    Setting i draws from a generator seeded with SeedSequence((seed, i)),
+    so counts are a pure function of (rho, shots, seed), independent of
+    scheduling.
     """
     rho = validate_density_matrix(rho)
     if not isinstance(shots, (int, np.integer)) or shots < 1:
         raise ValueError(f"shots must be a positive integer, got {shots!r}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    records = []
-    for i, (setting, probs) in enumerate(zip(ALL_SETTINGS, _born_probabilities(rho))):
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), i)))
-        counts = rng.multinomial(int(shots), probs)
-        records.append(CountRecord(setting=setting, counts=tuple(int(c) for c in counts), shots=int(shots)))
-    return records
+    return np.array([
+        np.random.default_rng(np.random.SeedSequence((int(seed), i))).multinomial(int(shots), probs)
+        for i, probs in enumerate(_born_probabilities(rho))
+    ])
 
 
-def reconstruct_linear(records) -> Reconstruction:
-    """Linear inversion of a complete set of nine setting records."""
-    by_setting = {}
-    for record in records:
-        if record.setting in by_setting:
-            key = (record.setting.spin_observable, record.setting.path_observable)
-            raise ValueError(f"duplicate setting {key}")
-        by_setting[record.setting] = record
-    missing = [
-        (s.spin_observable, s.path_observable) for s in ALL_SETTINGS if s not in by_setting
-    ]
-    if missing:
-        raise ValueError(f"missing settings: {missing}")
+def _frequencies(counts) -> np.ndarray:
+    """Outcome frequencies of a (9, 4) count or probability array, checked.
 
-    freqs = np.concatenate([by_setting[s].frequencies() for s in ALL_SETTINGS])
-    raw = (_INVERSE @ freqs).reshape(4, 4)
+    Rows that each sum to 1 within 1e-9 are probabilities; otherwise the
+    entries must be integers whose nine rows share one positive total.
+    """
+    data = np.asarray(counts)
+    if data.shape != (9, 4):
+        raise ValueError(f"expected a (9, 4) array, one row per setting, got shape {data.shape}")
+    if data.dtype.kind not in "iuf":
+        raise ValueError(f"tallies must be real numbers, got dtype {data.dtype}")
+    data = data.astype(float)
+    if not np.isfinite(data).all():
+        raise ValueError("tallies contain nan or inf")
+    if data.min() < 0.0:
+        raise ValueError(f"tallies must be nonnegative, got {float(data.min())!r}")
+    totals = data.sum(axis=1)
+    off = int(np.abs(totals - 1.0).argmax())
+    if abs(totals[off] - 1.0) <= 1e-9:
+        return data
+    fractional = np.flatnonzero(data != np.round(data))
+    if fractional.size:
+        i, k = divmod(int(fractional[0]), 4)
+        raise ValueError(
+            f"tallies are neither integer counts nor probability rows summing to 1 within 1e-9: "
+            f"entry ({i}, {k}) = {float(data[i, k])!r} is not an integer "
+            f"and row {off} sums to {float(totals[off])!r}"
+        )
+    if totals[0] <= 0.0 or (totals != totals[0]).any():
+        raise ValueError(
+            f"count rows must share one positive total (the shot count), got {totals.tolist()}"
+        )
+    return data / totals[0]
+
+
+def reconstruct_linear(counts) -> Reconstruction:
+    """Linear inversion of a (9, 4) count or probability array."""
+    raw = (_INVERSE @ _frequencies(counts).reshape(36)).reshape(4, 4)
     estimate = project_psd(raw)
     residual = float(np.linalg.norm(raw - estimate))
     return Reconstruction(estimate=estimate, frobenius_residual=residual)
@@ -200,14 +162,9 @@ def project_psd(m: np.ndarray) -> np.ndarray:
     return validate_density_matrix((vecs * vals) @ vecs.conj().T)
 
 
-def counts_to_json(records) -> list:
-    """Serialize records as a list of per-setting objects."""
+def counts_to_json(counts, shots: int) -> list:
+    """Serialize a (9, 4) array as per-setting objects; shots = 0 marks probabilities."""
     return [
-        {
-            "spin": r.setting.spin_observable,
-            "path": r.setting.path_observable,
-            "counts": list(r.counts),
-            "shots": r.shots,
-        }
-        for r in records
+        {"spin": s, "path": p, "counts": row, "shots": shots}
+        for (s, p), row in zip(ALL_SETTINGS, np.asarray(counts).tolist())
     ]

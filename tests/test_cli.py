@@ -394,6 +394,23 @@ def test_non_finite_time_exits_2(capsys, argv):
     assert "time must be finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["evolve", "--mode", "A", "--lambda", "inf", "--time", "1"],
+         "coupling strength must be finite and nonnegative, got inf"),
+        (["ensemble", "--mode", "A", "--sigma", "nan", "--samples", "10"],
+         "sigma must be finite and nonnegative, got nan"),
+    ],
+    ids=["evolve-lambda-inf", "ensemble-sigma-nan"],
+)
+def test_non_finite_coupling_and_width_exit_2(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_missing_initial_file_exits_2(tmp_path, capsys):
     code, _ = run(
         capsys,

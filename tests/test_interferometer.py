@@ -371,8 +371,9 @@ def test_monte_carlo_input_validation():
 def test_field_setup_validation():
     with pytest.raises(ValueError):
         FieldSetup(mode="C", sigma=1.0)
-    with pytest.raises(ValueError):
-        FieldSetup(mode="A", sigma=-1.0)
+    for sigma in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+            FieldSetup(mode="A", sigma=sigma)
     with pytest.raises(ValueError):
         FieldSetup(mode="A", sigma=1.0, variant="nonsense")
     for variant in ("single_field_one_path", "single_field_both_paths"):

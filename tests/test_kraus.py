@@ -10,7 +10,7 @@ from spinpath.kraus import (
     lindblad_generators_from_kraus,
     trotter_evolve,
 )
-from spinpath.lindblad import DecoherenceSpec, evolve, evolve_mode_a
+from spinpath.lindblad import DecoherenceSpec, evolve, projectors_for_mode
 from spinpath.states import experiment_initial, maximally_mixed
 
 
@@ -118,7 +118,7 @@ def test_single_step_error_is_second_order():
     coefficients = []
     for dt in (1e-2, 5e-3, 2.5e-3):
         stepped = one_step(rho, "A", lam * dt)
-        exact = evolve_mode_a(rho, DecoherenceSpec(mode="A", lam=lam), dt)
+        exact = evolve(rho, DecoherenceSpec(mode="A", lam=lam), dt)
         coefficients.append(float(np.abs(stepped - exact).max()) / dt**2)
     ratios = [coefficients[i] / coefficients[i + 1] for i in range(len(coefficients) - 1)]
     for r in ratios:
@@ -129,8 +129,8 @@ def test_mode_a_channel_commutes_with_analytic_map():
     rng = np.random.default_rng(33)
     rho = random_state(rng)
     spec = DecoherenceSpec(mode="A", lam=1.0)
-    channel_first = evolve_mode_a(one_step(rho, "A", 0.5), spec, 0.7)
-    evolve_first = one_step(evolve_mode_a(rho, spec, 0.7), "A", 0.5)
+    channel_first = evolve(one_step(rho, "A", 0.5), spec, 0.7)
+    evolve_first = one_step(evolve(rho, spec, 0.7), "A", 0.5)
     assert np.abs(channel_first - evolve_first).max() < 1e-10
 
 
@@ -164,13 +164,36 @@ def test_trotter_rejects_bad_parameters():
         trotter_evolve(rho, "A", 1.0, 1.0, 0)
     with pytest.raises(ValueError):
         trotter_evolve(rho, "A", 3.0, 1.0, 2)  # w = 1.5 > 4/3
-    with pytest.raises(ValueError):
-        trotter_evolve(rho, "A", -1.0, 1.0, 4)
+    for lam in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="coupling strength must be finite and nonnegative"):
+            trotter_evolve(rho, "A", lam, 1.0, 4)
     with pytest.raises(ValueError):
         trotter_evolve(rho, "Q", 1.0, 1.0, 4)
     for t in (np.nan, np.inf, -1.0):
         with pytest.raises(ValueError, match="time must be finite and nonnegative"):
             trotter_evolve(rho, "A", 0.0, t, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, 4),
+    mode=st.sampled_from(["A", "B"]),
+    lam=st.floats(min_value=0.0, max_value=3.0),
+    t=st.floats(min_value=0.0, max_value=2.0),
+    data=st.data(),
+)
+def test_trotter_first_order_exact_oracle(seed, rank, mode, lam, t, data):
+    # Each step is rho -> (1 - w) rho + w D with D = sum_k P_k rho P_k, and D
+    # is a fixed point, so n steps of weight w = lam t / n leave
+    # D + (1 - w)^n (rho - D); the closed form at H = 0 is D + e^{-lam t} (rho - D).
+    n = data.draw(st.integers(max(1, int(np.ceil(3.0 * lam * t / 4.0))), 2048), label="n")
+    rho = random_rank_state(np.random.default_rng(seed), rank)
+    dephased = sum(p @ rho @ p for p in projectors_for_mode(mode).projectors)
+    trotter_oracle = dephased + (1.0 - lam * t / n) ** n * (rho - dephased)
+    assert np.abs(trotter_evolve(rho, mode, lam, t, n) - trotter_oracle).max() <= 2e-12
+    closed_oracle = dephased + np.exp(-lam * t) * (rho - dephased)
+    assert np.abs(evolve(rho, DecoherenceSpec(mode=mode, lam=lam), t) - closed_oracle).max() <= 1e-13
 
 
 def test_generator_recovery_and_residual():

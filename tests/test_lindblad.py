@@ -7,8 +7,6 @@ from spinpath.lindblad import (
     DecoherenceSpec,
     SystemHamiltonian,
     evolve,
-    evolve_mode_a,
-    evolve_mode_b,
     integrate_master,
     projectors_for_mode,
 )
@@ -99,7 +97,7 @@ def test_dissipator_zero_coupling_and_invariants():
 
 def test_evolve_mode_a_half_coherence_at_ln2():
     spec = DecoherenceSpec(mode="A", lam=1.0)
-    state = evolve_mode_a(experiment_initial(), spec, np.log(2.0))
+    state = evolve(experiment_initial(), spec, np.log(2.0))
     assert abs(state[1, 2] - (-0.25)) < 1e-12
 
 
@@ -107,12 +105,12 @@ def test_evolve_mode_a_time_zero_is_identity():
     rng = np.random.default_rng(4)
     rho = random_state(rng)
     spec = DecoherenceSpec(mode="A", lam=2.0, hamiltonian=SystemHamiltonian((1.0, 0.5, 0.0, -0.5)))
-    assert np.abs(evolve_mode_a(rho, spec, 0.0) - rho).max() < 1e-15
+    assert np.abs(evolve(rho, spec, 0.0) - rho).max() < 1e-15
 
 
 def test_evolve_mode_a_long_time_limit():
     spec = DecoherenceSpec(mode="A", lam=1.0)
-    state = evolve_mode_a(experiment_initial(), spec, 50.0)
+    state = evolve(experiment_initial(), spec, 50.0)
     assert np.abs(state - np.diag([0.0, 0.5, 0.5, 0.0])).max() < 1e-12
 
 
@@ -120,14 +118,14 @@ def test_evolve_mode_a_diagonal_unchanged():
     rng = np.random.default_rng(6)
     rho = random_state(rng)
     spec = DecoherenceSpec(mode="A", lam=1.0, hamiltonian=SystemHamiltonian((1.0, 0.3, 0.0, -0.7)))
-    state = evolve_mode_a(rho, spec, 1.7)
+    state = evolve(rho, spec, 1.7)
     assert np.abs(np.diag(state) - np.diag(rho)).max() < 1e-14
 
 
 def test_evolve_mode_b_singlet_matrix():
     lam, t = 1.0, 0.9
     spec = DecoherenceSpec(mode="B", lam=lam)
-    state = evolve_mode_b(experiment_initial(), spec, t)
+    state = evolve(experiment_initial(), spec, t)
     e = np.exp(-lam * t)
     expected = 0.25 * np.array(
         [
@@ -145,7 +143,7 @@ def test_evolve_mode_b_time_zero_is_identity():
     rng = np.random.default_rng(8)
     rho = random_state(rng)
     spec = DecoherenceSpec(mode="B", lam=1.5, hamiltonian=SystemHamiltonian((1.0, 0.5, 0.0, -0.5)))
-    assert np.abs(evolve_mode_b(rho, spec, 0.0) - rho).max() < 1e-15
+    assert np.abs(evolve(rho, spec, 0.0) - rho).max() < 1e-15
 
 
 def test_evolve_mode_b_oscillatory_regime_matches_integrator():
@@ -154,7 +152,7 @@ def test_evolve_mode_b_oscillatory_regime_matches_integrator():
     rho0[0, 2] = 0.25
     rho0[2, 0] = 0.25
     spec = DecoherenceSpec(mode="B", lam=1.0, hamiltonian=SystemHamiltonian((1.0, 0.0, 0.0, 0.0)))
-    closed = evolve_mode_b(rho0, spec, 1.3)
+    closed = evolve(rho0, spec, 1.3)
     numeric = integrate_master(rho0, projectors_for_mode("B"), spec, 1.3, dt=1e-3)
     assert np.abs(closed - numeric).max() < 1e-8
 
@@ -162,13 +160,13 @@ def test_evolve_mode_b_oscillatory_regime_matches_integrator():
 def test_evolve_rejects_negative_time():
     spec = DecoherenceSpec(mode="A", lam=1.0)
     with pytest.raises(ValueError):
-        evolve_mode_a(experiment_initial(), spec, -0.1)
+        evolve(experiment_initial(), spec, -0.1)
     with pytest.raises(ValueError):
-        evolve_mode_b(experiment_initial(), DecoherenceSpec(mode="B", lam=1.0), -0.1)
+        evolve(experiment_initial(), DecoherenceSpec(mode="B", lam=1.0), -0.1)
     with pytest.raises(ValueError, match="nonnegative"):
-        evolve_mode_a(experiment_initial(), spec, np.array([0.0, 1.0, -0.1]))
+        evolve(experiment_initial(), spec, np.array([0.0, 1.0, -0.1]))
     with pytest.raises(ValueError, match="1-d"):
-        evolve_mode_a(experiment_initial(), spec, np.zeros((2, 2)))
+        evolve(experiment_initial(), spec, np.zeros((2, 2)))
     # Non-finite times, also where lam = 0 and split energies would give nan phases.
     for mode in ("A", "B"):
         spec = DecoherenceSpec(mode=mode, lam=0.0, hamiltonian=SystemHamiltonian((0.0, 1.0, 2.0, 3.0)))
@@ -202,8 +200,9 @@ def test_evolve_time_stack_equals_per_time_calls(mode, lam, energies):
 def test_decoherence_spec_rejects_bad_inputs():
     with pytest.raises(ValueError):
         DecoherenceSpec(mode="C", lam=1.0)
-    with pytest.raises(ValueError):
-        DecoherenceSpec(mode="A", lam=-0.5)
+    for lam in (-0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="coupling strength must be finite and nonnegative"):
+            DecoherenceSpec(mode="A", lam=lam)
     with pytest.raises(ValueError):
         SystemHamiltonian((np.inf, 0.0, 0.0, 0.0))
 
@@ -253,7 +252,7 @@ def test_integrator_lands_exactly_on_t():
     # t is not a multiple of dt: the shortened final step must still match.
     spec = DecoherenceSpec(mode="B", lam=1.0)
     t = 0.7771
-    closed = evolve_mode_b(experiment_initial(), spec, t)
+    closed = evolve(experiment_initial(), spec, t)
     numeric = integrate_master(
         experiment_initial(), projectors_for_mode("B"), spec, t, dt=1e-3
     )
@@ -304,12 +303,12 @@ def test_semigroup_law_over_random_specs(seed, rank, mode, lam, energies, t1, t2
 def test_mode_a_diagonal_states_stationary():
     rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     spec = DecoherenceSpec(mode="A", lam=1.3, hamiltonian=SystemHamiltonian((1.0, 0.5, 0.0, -0.5)))
-    assert np.abs(evolve_mode_a(rho, spec, 2.5) - rho).max() < 1e-14
+    assert np.abs(evolve(rho, spec, 2.5) - rho).max() < 1e-14
 
 
 def test_mode_b_singlet_asymptote_is_maximally_mixed():
     spec = DecoherenceSpec(mode="B", lam=1.0)
-    state = evolve_mode_b(experiment_initial(), spec, 30.0)
+    state = evolve(experiment_initial(), spec, 30.0)
     assert np.abs(state - maximally_mixed()).max() < 1e-10
 
 

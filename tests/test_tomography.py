@@ -8,8 +8,6 @@ from spinpath.pauli import ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z, spin_path
 from spinpath.states import StateValidationError, from_pure, maximally_mixed
 from spinpath.tomography import (
     ALL_SETTINGS,
-    CountRecord,
-    MeasurementSetting,
     counts_to_json,
     exact_records,
     project_psd,
@@ -34,65 +32,50 @@ def random_rank_state(rng, rank):
     return (rho + rho.conj().T) / 2.0
 
 
-def setting_probabilities(rho, setting):
-    """Born probabilities of one setting's four outcomes: its row of exact_records."""
-    return {r.setting: r.frequencies() for r in exact_records(rho)}[setting]
-
-
 def test_settings_enumeration():
-    assert len(ALL_SETTINGS) == 9
-    assert len(set(ALL_SETTINGS)) == 9
-    for setting in ALL_SETTINGS:
-        assert setting.spin_observable in ("X", "Y", "Z")
-        assert setting.path_observable in ("X", "Y", "Z")
+    assert ALL_SETTINGS == tuple((s, p) for s in "XYZ" for p in "XYZ")
 
 
 def test_probabilities_maximally_mixed():
-    for setting in ALL_SETTINGS:
-        probs = setting_probabilities(maximally_mixed(), setting)
-        assert np.abs(probs - 0.25).max() < 1e-12
+    probs = exact_records(maximally_mixed())
+    assert probs.shape == (9, 4)
+    assert np.abs(probs - 0.25).max() < 1e-12
 
 
 @pytest.mark.parametrize("observable", ["Z", "X"])
 def test_probabilities_singlet_anticorrelated(observable):
-    setting = MeasurementSetting(spin_observable=observable, path_observable=observable)
-    probs = setting_probabilities(SINGLET, setting)
+    probs = exact_records(SINGLET)[ALL_SETTINGS.index((observable, observable))]
     assert np.abs(probs - np.array([0.0, 0.5, 0.5, 0.0])).max() < 1e-12
 
 
 def test_probabilities_normalized_on_random_states():
     rng = np.random.default_rng(61)
     for _ in range(20):
-        rho = random_state(rng)
-        for setting in ALL_SETTINGS:
-            probs = setting_probabilities(rho, setting)
-            assert probs.min() >= 0.0
-            assert abs(probs.sum() - 1.0) < 1e-12
+        probs = exact_records(random_state(rng))
+        assert probs.min() >= 0.0
+        assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
 
 
 def test_simulate_counts_deterministic():
     first = simulate_counts(SINGLET, 1000, 11)
     second = simulate_counts(SINGLET, 1000, 11)
-    for a, b in zip(first, second):
-        assert a.setting == b.setting
-        assert a.counts == b.counts
+    assert first.shape == (9, 4)
+    assert np.issubdtype(first.dtype, np.integer)
+    assert np.array_equal(first, second)
 
 
 def test_simulate_counts_singlet_zz_anticorrelation():
-    records = simulate_counts(SINGLET, 5000, 3)
-    by_setting = {record.setting: record for record in records}
-    zz = by_setting[MeasurementSetting(spin_observable="Z", path_observable="Z")]
-    assert zz.counts[0] == 0
-    assert zz.counts[3] == 0
-    assert zz.counts[1] + zz.counts[2] == 5000
+    zz = simulate_counts(SINGLET, 5000, 3)[ALL_SETTINGS.index(("Z", "Z"))]
+    assert zz[0] == 0
+    assert zz[3] == 0
+    assert zz[1] + zz[2] == 5000
 
 
 def test_simulate_counts_binomial_concentration():
     shots = 10**6
     bound = 5.0 * np.sqrt(shots * 0.25 * 0.75)
-    for record in simulate_counts(maximally_mixed(), shots, 19):
-        for count in record.counts:
-            assert abs(count - shots / 4.0) <= bound
+    counts = simulate_counts(maximally_mixed(), shots, 19)
+    assert np.abs(counts - shots / 4.0).max() <= bound
 
 
 def test_simulate_counts_rejects_bad_shots():
@@ -103,20 +86,18 @@ def test_simulate_counts_rejects_bad_shots():
 
 
 def test_exact_records_carry_probabilities():
-    # Exact records hold the Born probabilities Tr(rho P) of each outcome projector.
-    records = exact_records(SINGLET)
-    assert len(records) == 9
+    # Row i holds the Born probabilities Tr(rho P) of setting i's outcome projectors.
+    probs = exact_records(SINGLET)
+    assert probs.shape == (9, 4)
     paulis = {"X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
     signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-    for record in records:
-        assert record.shots == 0
-        assert abs(sum(record.counts) - 1.0) < 1e-12
-        s, p = paulis[record.setting.spin_observable], paulis[record.setting.path_observable]
+    for (spin, path), row in zip(ALL_SETTINGS, probs):
+        s, p = paulis[spin], paulis[path]
         expected = [
             np.trace(SINGLET @ spin_path((ID2 + a * s) / 2.0, (ID2 + b * p) / 2.0)).real
             for a, b in signs
         ]
-        assert np.abs(record.frequencies() - expected).max() < 1e-15
+        assert np.abs(row - expected).max() < 1e-15
 
 
 def test_reconstruct_exact_singlet():
@@ -132,8 +113,7 @@ def test_reconstruct_exact_decohered_state():
 
 
 def test_reconstruct_finite_shots_pinned():
-    records = simulate_counts(SINGLET, 10**4, 7)
-    result = reconstruct_linear(records)
+    result = reconstruct_linear(simulate_counts(SINGLET, 10**4, 7))
     assert np.linalg.norm(result.estimate - SINGLET) <= 0.1
 
 
@@ -154,12 +134,11 @@ def test_exact_round_trip_over_random_rank_states(seed, rank):
 
 
 def test_reconstruct_requires_all_settings():
-    records = exact_records(SINGLET)
-    with pytest.raises(ValueError):
-        reconstruct_linear(records[:8])
-    duplicated = records[:8] + [records[0]]
-    with pytest.raises(ValueError):
-        reconstruct_linear(duplicated)
+    # One row per setting in ALL_SETTINGS order: a missing or an extra row is a shape error.
+    probs = exact_records(SINGLET)
+    for bad in (probs[:8], np.vstack([probs, probs[:1]]), probs.T, probs.reshape(36)):
+        with pytest.raises(ValueError, match=r"expected a \(9, 4\) array"):
+            reconstruct_linear(bad)
 
 
 def test_estimator_error_median_decreases_with_shots():
@@ -169,8 +148,7 @@ def test_estimator_error_median_decreases_with_shots():
     for power, shots in enumerate((10**2, 10**3, 10**4, 10**5)):
         errors = []
         for index, target in enumerate(targets):
-            records = simulate_counts(target, shots, 1000 * power + index)
-            result = reconstruct_linear(records)
+            result = reconstruct_linear(simulate_counts(target, shots, 1000 * power + index))
             errors.append(np.linalg.norm(result.estimate - target))
         medians.append(float(np.median(errors)))
     assert medians[0] > medians[1] > medians[2] > medians[3]
@@ -221,15 +199,37 @@ def test_project_psd_never_moves_away_from_targets():
         )
 
 
-def test_count_record_validation():
-    setting = ALL_SETTINGS[0]
-    CountRecord(setting=setting, counts=(1, 2, 3, 4), shots=10)
-    with pytest.raises(ValueError):
-        CountRecord(setting=setting, counts=(1, 2, 3, 4), shots=11)
-    with pytest.raises(ValueError):
-        CountRecord(setting=setting, counts=(-1, 2, 3, 6), shots=10)
-    with pytest.raises(ValueError):
-        CountRecord(setting=setting, counts=(0.3, 0.3, 0.3, 0.3), shots=0)
+def with_entry(array, value, i=4, k=2):
+    """Copy of ``array`` as floats with entry (i, k) set to ``value``."""
+    out = np.array(array, dtype=float)
+    out[i, k] = value
+    return out
+
+
+def test_count_array_validation():
+    counts = np.tile([1, 2, 3, 4], (9, 1))
+    probs = exact_records(SINGLET)
+    # Accepted: integer counts sharing one row total, the same counts as
+    # whole-valued floats, and probability rows.
+    for good in (counts, counts.astype(float), probs, probs.tolist()):
+        reconstruct_linear(good)
+    unequal = counts.copy()
+    unequal[3] = (1, 2, 3, 5)
+    bad_cases = [
+        (with_entry(counts, -1.0), "must be nonnegative"),
+        (with_entry(probs, -0.25), "must be nonnegative"),
+        (with_entry(probs, np.nan), "nan or inf"),
+        (with_entry(counts, np.inf), "nan or inf"),
+        (with_entry(counts, 2.5), r"entry \(4, 2\) = 2.5 is not an integer"),
+        (unequal, "must share one positive total"),
+        (np.zeros((9, 4), dtype=int), "must share one positive total"),
+        (np.full((9, 4), 0.3), r"probability rows summing to 1 .* sums to 1.2"),
+        (with_entry(probs, probs[4, 2] + 2e-9), r"row 4 sums to 1.000000002"),
+        (counts.astype(complex), "must be real numbers"),
+    ]
+    for bad, message in bad_cases:
+        with pytest.raises(ValueError, match=message):
+            reconstruct_linear(bad)
 
 
 def test_reconstruct_rejects_invalid_probability_input():
@@ -239,18 +239,19 @@ def test_reconstruct_rejects_invalid_probability_input():
 
 
 def test_counts_json_round_trip():
-    records = simulate_counts(SINGLET, 100, 5)
-    payload = counts_to_json(records)
-    assert [(item["spin"], item["path"]) for item in payload] == [
-        (s.spin_observable, s.path_observable) for s in ALL_SETTINGS
-    ]
-    for item, record in zip(payload, records):
+    counts = simulate_counts(SINGLET, 100, 5)
+    payload = counts_to_json(counts, 100)
+    assert [(item["spin"], item["path"]) for item in payload] == list(ALL_SETTINGS)
+    for item, row in zip(payload, counts):
         assert item.keys() == {"spin", "path", "counts", "shots"}
-        assert item["counts"] == list(record.counts)
+        assert item["counts"] == row.tolist()
+        assert all(type(c) is int for c in item["counts"])
         assert sum(item["counts"]) == item["shots"] == 100
+    exact = counts_to_json(exact_records(SINGLET), 0)
+    assert all(item["shots"] == 0 and type(item["counts"][0]) is float for item in exact)
 
 
-def pauli_sum_inversion(records):
+def pauli_sum_inversion(counts):
     """Pauli-sum linear inversion, the reference for the Born-matrix pseudo-inverse.
 
     raw = 1/4 (1 + sum <s_i> s_i(x)1 + sum <p_j> 1(x)p_j + sum <s_i p_j> s_i(x)p_j),
@@ -261,9 +262,8 @@ def pauli_sum_inversion(records):
     spin_signs = np.array([1.0, 1.0, -1.0, -1.0])
     path_signs = np.array([1.0, -1.0, 1.0, -1.0])
     raw = ID4.copy()
-    for record in records:
-        s, p = record.setting.spin_observable, record.setting.path_observable
-        freq = record.frequencies()
+    freqs = counts / counts.sum(axis=1, keepdims=True)
+    for (s, p), freq in zip(ALL_SETTINGS, freqs):
         raw += float(freq @ (spin_signs * path_signs)) * spin_path(paulis[s], paulis[p])
         raw += float(freq @ spin_signs) / 3.0 * spin_path(paulis[s], ID2)
         raw += float(freq @ path_signs) / 3.0 * spin_path(ID2, paulis[p])
@@ -274,9 +274,9 @@ def test_reconstruct_linear_equals_pauli_sum_inversion():
     rng = np.random.default_rng(89)
     for i in range(200):
         rho = random_state(rng)
-        records = exact_records(rho) if i % 4 == 0 else simulate_counts(rho, 10 ** (i % 4), i)
-        raw = pauli_sum_inversion(records)
+        counts = exact_records(rho) if i % 4 == 0 else simulate_counts(rho, 10 ** (i % 4), i)
+        raw = pauli_sum_inversion(counts)
         expected = project_psd(raw)
-        result = reconstruct_linear(records)
+        result = reconstruct_linear(counts)
         assert np.abs(result.estimate - expected).max() <= 1e-14
         assert abs(result.frobenius_residual - np.linalg.norm(raw - expected)) <= 1e-14
