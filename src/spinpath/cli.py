@@ -11,6 +11,7 @@ failure, 4 produced-state validation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -64,11 +65,11 @@ def _initial_state(name: str) -> np.ndarray:
         raise ValueError(f"cannot read state file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"state file {path!r} is not valid json: {exc}") from exc
-    matrix = _matrix_from_any_json(obj)
     try:
-        return states.validate_density_matrix(matrix)
-    except states.StateValidationError as exc:
-        # Bad input is a configuration problem, not a produced-state failure.
+        return states.validate_density_matrix(_matrix_from_any_json(obj))
+    except ValueError as exc:
+        # Bad input is a configuration problem, not a produced-state failure,
+        # so a StateValidationError leaves here as a plain ValueError.
         raise ValueError(f"state file {path!r}: {exc}") from exc
 
 
@@ -254,7 +255,14 @@ def _add_common(parser, *, initial=True, out=True):
         parser.add_argument("--out", default="-", help="output path, or - for stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The spinpath argument parser, built once per process.
+
+    ``parse_args`` returns a fresh namespace on every call and nothing
+    mutates the parser, so every ``main`` call shares this one.  The
+    handlers it binds look up their kernels at call time.
+    """
     parser = argparse.ArgumentParser(
         prog="spinpath",
         description="two-qubit spin-path decoherence simulator",

@@ -236,9 +236,9 @@ def ensemble_average_monte_carlo(
     bit-exactly instead of picking up summation roundoff.
     """
     rho0 = validate_density_matrix(rho0)
-    if not isinstance(samples, (int, np.integer)) or samples < 2:
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     sums = np.zeros((4, 4, 4))
     remaining = int(samples)

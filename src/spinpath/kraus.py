@@ -85,7 +85,7 @@ def trotter_evolve(rho0: np.ndarray, mode: str, lam: float, t: float, n: int) ->
     The composition is the n-th matrix power of the step's 16x16 map.
     """
     rho = validate_density_matrix(rho0)
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"step count must be a positive integer, got {n!r}")
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ValueError(f"coupling strength must be finite and nonnegative, got {lam!r}")

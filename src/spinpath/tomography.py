@@ -83,9 +83,9 @@ def simulate_counts(rho: np.ndarray, shots: int, seed: int) -> np.ndarray:
     scheduling.
     """
     rho = validate_density_matrix(rho)
-    if not isinstance(shots, (int, np.integer)) or shots < 1:
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
         raise ValueError(f"shots must be a positive integer, got {shots!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     return np.array([
         np.random.default_rng(np.random.SeedSequence((int(seed), i))).multinomial(int(shots), probs)

@@ -1,4 +1,9 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -430,16 +435,87 @@ def test_missing_initial_file_exits_2(tmp_path, capsys):
 
 
 def test_invalid_initial_matrix_exits_2(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(matrix_to_json(np.eye(4, dtype=complex))))
-    code, _ = run(
-        capsys,
-        ["evolve", "--mode", "A", "--lambda", "1", "--time", "1", "--initial", str(bad)],
-    )
-    assert code == 2
+    # Every rejection of a state file names the file, and is a usage error.
+    cases = [
+        (matrix_to_json(np.eye(4, dtype=complex)), "trace"),
+        ({"dim": 3, "re": [[1.0]], "im": [[0.0]]}, "unsupported dim: 3"),
+        ({"shots": 0}, "no 4x4 matrix found in state file"),
+        ({"dim": 4, "re": [[1.0]], "im": [[0.0]]},
+         "matrix json parts must be 4x4, got (1, 1) and (1, 1)"),
+    ]
+    for index, (content, message) in enumerate(cases):
+        bad = tmp_path / f"bad{index}.json"
+        bad.write_text(json.dumps(content))
+        code = main(
+            ["evolve", "--mode", "A", "--lambda", "1", "--time", "1", "--initial", str(bad)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: state file {str(bad)!r}: ")
+        assert message in captured.err
 
 
 def test_argparse_usage_error_is_exit_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["evolve", "--mode", "Q", "--lambda", "1", "--time", "1"])
     assert excinfo.value.code == 2
+
+
+EVOLVE_A = ["evolve", "--mode", "A", "--lambda", "1", "--time", "1"]
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    assert main(EVOLVE_A) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(EVOLVE_A) == 0
+    assert main(["tomography", "--shots", "0"]) == 0
+    assert main(["sweep", "--mode", "B", "--lambda", "1", "--time", "1", "--steps", "5"]) == 0
+    capsys.readouterr()
+    assert built == []
+
+
+def test_flags_of_one_call_do_not_leak_into_the_next(capsys):
+    _, first = run(capsys, EVOLVE_A)
+    _, split = run(capsys, EVOLVE_A + ["--energies", "1", "2", "3", "4"])
+    _, again = run(capsys, EVOLVE_A)
+    assert split != first
+    assert again == first
+
+
+def test_usage_error_leaves_the_next_call_intact(capsys):
+    _, expected = run(capsys, EVOLVE_A)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["evolve", "--lambda", "5", "--time", "2", "--energies", "1", "2", "3", "4",
+              "--mode", "Q"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, EVOLVE_A) == (0, expected)
+
+
+def test_out_file_then_stdout(tmp_path, capsys):
+    target = tmp_path / "state.json"
+    assert run(capsys, EVOLVE_A + ["--out", str(target)]) == (0, "")
+    assert run(capsys, EVOLVE_A + ["--out", "-"]) == (0, target.read_text())
+
+
+def test_module_entry_point_matches_in_process_main(capsys):
+    argv = ["evolve", "--mode", "B", "--lambda", "1", "--time", "1.0986", "--initial", "singlet"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "spinpath.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    run(capsys, ["tomography", "--shots", "100", "--seed", "3"])
+    run(capsys, EVOLVE_A + ["--energies", "1", "2", "3", "4"])
+    assert run(capsys, argv) == (0, fresh.stdout)

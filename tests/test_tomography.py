@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinpath.interferometer import FieldSetup, ensemble_average_monte_carlo
+from spinpath.kraus import trotter_evolve
 from spinpath.lindblad import DecoherenceSpec, evolve
 from spinpath.pauli import ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z, spin_path
 from spinpath.states import StateValidationError, from_pure, maximally_mixed
@@ -83,6 +85,25 @@ def test_simulate_counts_rejects_bad_shots():
         simulate_counts(SINGLET, 0, 1)
     with pytest.raises(ValueError):
         simulate_counts(SINGLET, -5, 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: simulate_counts(SINGLET, True, 1), "shots must be a positive integer"),
+        (lambda: simulate_counts(SINGLET, 10, False), "seed must be a nonnegative integer"),
+        (lambda: trotter_evolve(SINGLET, "A", 1.0, 1.0, True), "step count must be a positive integer"),
+        (lambda: ensemble_average_monte_carlo(SINGLET, FieldSetup("A", 1.0), True, 0),
+         "need at least 2 samples"),
+        (lambda: ensemble_average_monte_carlo(SINGLET, FieldSetup("A", 1.0), 10, False),
+         "seed must be a nonnegative integer"),
+    ],
+    ids=["shots", "counts-seed", "trotter-n", "samples", "monte-carlo-seed"],
+)
+def test_integer_counts_and_seeds_reject_bool(call, message):
+    # bool is an int subclass; True must not pass as one shot, one step or seed 1.
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_exact_records_carry_probabilities():
