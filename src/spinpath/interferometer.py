@@ -35,9 +35,10 @@ from .states import matrix_to_json, validate_density_matrix
 VARIANTS = ("both_paths_independent", "single_field_one_path", "single_field_both_paths")
 
 _BLOCK_SIZE = 8192
-# Shots per elementwise pass within a block: its (4, 4, 1024) complex
-# temporaries take 256 KiB each.  Whole 8192-shot passes cost about 1.4x
-# more per shot and 8 MB more peak memory on a 2-core Xeon (L2 4 MiB).
+# Mode-B shots per elementwise pass within a block: its (4, 4, 1024)
+# complex temporaries take 256 KiB each.  Whole 8192-shot passes cost
+# about 1.4x more per shot and 8 MB more peak memory on a 2-core Xeon
+# (L2 4 MiB).
 _PASS_SIZE = 1024
 _STDERR_FLOOR = 1e-15
 
@@ -94,35 +95,32 @@ class EnsembleEstimate:
 _SPIN_FLIP = np.array([2, 3, 0, 1])
 
 
-def _shot_factors(alpha, beta, gamma=None, delta=None) -> tuple:
-    """Factors of the block unitaries V = diag(a) + diag(b) F of N shots.
+def _shot_factors(alpha, beta, gamma, delta) -> tuple:
+    """Factors of the mode-B block unitaries V = diag(a) + diag(b) F of N shots.
 
     Takes length-N angle arrays and returns a and b of shape (4, N); F is
-    the spin flip on each path.  The z-rotations give the phases
-    z = exp(i/2 (alpha, beta, -alpha, -beta)).  Without gamma/delta
-    (mode A) a = z and b is None (zero); with them (mode B) each path
-    applies its x-rotation first, then its z-rotation, so
-    a = z cos(x/2) and b = i z sin(x/2) with x = (gamma, delta, gamma, delta).
+    the spin flip on each path.  Each path applies its x-rotation first,
+    then its z-rotation, so a = z cos(x/2) and b = i z sin(x/2) with the
+    phases z = exp(i/2 (alpha, beta, -alpha, -beta)), written from real
+    cos and sin, and the x-angles x = (gamma, delta, gamma, delta).
     """
-    half = np.exp(0.5j * np.stack((alpha, beta)))
-    z = np.concatenate((half, half.conj()))
-    if gamma is None:
-        return z, None
+    half = 0.5 * np.stack((alpha, beta))
+    z = np.empty((4,) + half.shape[1:], dtype=complex)
+    z.real[:2] = z.real[2:] = np.cos(half)
+    z.imag[:2] = np.sin(half)
+    np.negative(z.imag[:2], out=z.imag[2:])
     x = 0.5 * np.stack((gamma, delta))
     cos, sin = np.cos(x), np.sin(x)
     return z * np.concatenate((cos, cos)), 1j * (z * np.concatenate((sin, sin)))
 
 
-def _shot_states(rho0: np.ndarray, a: np.ndarray, b) -> np.ndarray:
-    """(4, 4, N) shot states V rho0 V^dagger, shots along the last axis.
+def _shot_states(rho0: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(4, 4, N) mode-B shot states V rho0 V^dagger, shots along the last axis.
 
-    Elementwise from the factors of V: mode A is rho0_jk a_j a_k*; mode B
-    forms L = V rho0 = a (.) rho0 + b (.) rho0[F] row-wise, then
-    L V^dagger = L (.) a* + L[:, F] (.) b* column-wise.
+    Elementwise from the factors of V: L = V rho0 = a (.) rho0 + b (.) rho0[F]
+    row-wise, then L V^dagger = L (.) a* + L[:, F] (.) b* column-wise.
     """
     rho = rho0[:, :, None]
-    if b is None:
-        return a[:, None, :] * rho * a.conj()[None, :, :]
     left = a[:, None, :] * rho + b[:, None, :] * rho[_SPIN_FLIP]
     return left * a.conj()[None, :, :] + left[:, _SPIN_FLIP] * b.conj()[None, :, :]
 
@@ -200,15 +198,17 @@ def _sampled_angles(rng: np.random.Generator, setup: FieldSetup, count: int) -> 
     return alpha, rng.normal(0.0, sigma, count)
 
 
-def _deviation_sums(rho0: np.ndarray, a: np.ndarray, b) -> np.ndarray:
-    """Sums over the shots of Re, Im, Re^2 and Im^2 of V rho0 V^dagger - rho0.
+def _shot_block(rho0: np.ndarray, *angles: np.ndarray) -> np.ndarray:
+    """Mode-B sums over one block's shots of Re, Im, Re^2 and Im^2 of V rho0 V^dagger - rho0.
 
-    Takes the factors of V from ``_shot_factors`` and returns shape (4, 4, 4).
+    Builds the shot states elementwise from ``_shot_factors`` in passes of
+    ``_PASS_SIZE`` shots and returns shape (4, 4, 4).
     """
+    a, b = _shot_factors(*angles)
     sums = np.zeros((4, 4, 4))
     for start in range(0, a.shape[1], _PASS_SIZE):
         part = np.s_[:, start:start + _PASS_SIZE]
-        shots = _shot_states(rho0, a[part], None if b is None else b[part])
+        shots = _shot_states(rho0, a[part], b[part])
         dev_re = shots.real - rho0.real[:, :, None]
         dev_im = shots.imag - rho0.imag[:, :, None]
         sums += (
@@ -220,6 +220,99 @@ def _deviation_sums(rho0: np.ndarray, a: np.ndarray, b) -> np.ndarray:
     return sums
 
 
+def _shot_moments(rho0: np.ndarray, blocks, n: int) -> tuple:
+    """Mode-B mean state and per-element variances of Re and Im over the
+    shots, from the block sums of their deviations from rho0 (shifted data)."""
+    sums = np.zeros((4, 4, 4))
+    for angles in blocks:
+        sums += _shot_block(rho0, *angles)
+    sum_re, sum_im, sumsq_re, sumsq_im = sums
+    n = float(n)
+    mean = (rho0.real + sum_re / n) + 1j * (rho0.imag + sum_im / n)
+    var_re = np.clip((sumsq_re - sum_re ** 2 / n) / (n - 1.0), 0.0, None)
+    var_im = np.clip((sumsq_im - sum_im ** 2 / n) / (n - 1.0), 0.0, None)
+    return mean, var_re, var_im
+
+
+# Mode A multiplies rho0_jk by exp(i theta_jk), theta_jk = phi_j - phi_k
+# with the phases phi = (alpha, beta, -alpha, -beta) / 2.  Each theta_jk is
+# _PHASE_SIGN[j, k] times the difference d[_PHASE_INDEX[j, k]] of
+# d = ((alpha - beta) / 2, (alpha + beta) / 2, alpha, beta, 0); the last
+# one, theta = 0, sits on the diagonal.
+_PHASE_INDEX = np.array([[4, 0, 2, 1], [0, 4, 1, 3], [2, 1, 4, 0], [1, 3, 0, 4]])
+_PHASE_SIGN = np.array([[1, 1, 1, 1], [-1, 1, 1, 1], [-1, -1, 1, -1], [-1, -1, 1, 1]])
+
+
+def _phase_block(alpha: np.ndarray, beta: np.ndarray) -> tuple:
+    """Shot count, sums and scatter factor of one mode-A block.
+
+    Per shot and difference d the data are x = cos(d) - 1 and y = sin(d),
+    from cos and sin of alpha/2 and beta/2 by the angle-addition rules.
+    Returns their sums, shape (4, 2), and an upper-triangular R of shape
+    (4, 2, 2) with R^T R the scatter of (x, y) about the block mean.  R
+    comes from a two-column Gram-Schmidt on the centred data, so a spread
+    that is tiny next to the mean or along one direction keeps its digits.
+    """
+    # In-place steps keep each block to five large arrays.
+    half = np.stack((alpha, beta))
+    half *= 0.5
+    cos, sin = np.cos(half), np.sin(half)
+    (cos_a, cos_b), (sin_a, sin_b) = cos, sin
+    x, y = np.empty((4, len(alpha))), np.empty((4, len(alpha)))
+    cc, ss = cos_a * cos_b, sin_a * sin_b
+    np.add(cc, ss, out=x[0])
+    np.subtract(cc, ss, out=x[1])
+    x[:2] -= 1.0
+    np.multiply(sin, sin, out=x[2:])
+    x[2:] *= -2.0
+    sc, cs = sin_a * cos_b, cos_a * sin_b
+    np.subtract(sc, cs, out=y[0])
+    np.add(sc, cs, out=y[1])
+    np.multiply(sin, cos, out=y[2:])
+    y[2:] *= 2.0
+    sums = np.stack((x.sum(axis=1), y.sum(axis=1)), axis=-1)
+    x -= sums[:, :1] / len(alpha)
+    y -= sums[:, 1:] / len(alpha)
+    sxx, sxy = np.einsum("dn,dn->d", x, x), np.einsum("dn,dn->d", x, y)
+    x *= (sxy / np.where(sxx > 0.0, sxx, 1.0))[:, None]
+    y -= x
+    r11 = np.sqrt(sxx)
+    r12 = sxy / np.where(r11 > 0.0, r11, 1.0)
+    r22 = np.sqrt(np.einsum("dn,dn->d", y, y))
+    return len(alpha), sums, np.stack((r11, r12, np.zeros_like(r11), r22), axis=-1).reshape(4, 2, 2)
+
+
+def _phase_moments(rho0: np.ndarray, blocks, n: int) -> tuple:
+    """Mode-A mean state and per-element variances of Re and Im over the shots.
+
+    A shot deviates from rho0 by rho0_jk (exp(i theta_jk) - 1), whose Re
+    and Im are linear in the (x, y) of its difference d with coefficients
+    from rho0_jk alone (never from the conjugate element, as an input is
+    Hermitian only within tolerance).  So the block data of the four
+    differences carry every element: the mean from the summed (x, y),
+    the variance as the squared norm of the coefficient vector mapped by
+    the stacked scatter factors of all blocks, plus one row per block for
+    its mean's offset from the overall mean.
+    """
+    counts, sums, factors = zip(*(_phase_block(*angles) for angles in blocks))
+    mean = np.sum(sums, axis=0) / n
+    offsets = [
+        np.sqrt(count) * (total / count - mean)[:, None, :] for count, total in zip(counts, sums)
+    ]
+    rows = np.concatenate(factors + tuple(offsets), axis=1)
+    # Difference 4 (theta = 0) has all-zero data.
+    mean = np.concatenate((mean, np.zeros((1, 2))))[_PHASE_INDEX]
+    rows = np.concatenate((rows, np.zeros((1,) + rows.shape[1:])))[_PHASE_INDEX]
+    re, im = rho0.real, rho0.imag
+    x, y = mean[..., 0], _PHASE_SIGN * mean[..., 1]
+    mean_state = (re + (re * x - im * y)) + 1j * (im + (re * y + im * x))
+    coeff_re = np.stack((re, -_PHASE_SIGN * im), axis=-1)
+    coeff_im = np.stack((im, _PHASE_SIGN * re), axis=-1)
+    var_re = np.square(np.einsum("jkrc,jkc->jkr", rows, coeff_re)).sum(axis=-1) / (n - 1)
+    var_im = np.square(np.einsum("jkrc,jkc->jkr", rows, coeff_im)).sum(axis=-1) / (n - 1)
+    return mean_state, var_re, var_im
+
+
 def ensemble_average_monte_carlo(
     rho0: np.ndarray, setup: FieldSetup, samples: int, seed: int
 ) -> EnsembleEstimate:
@@ -228,37 +321,41 @@ def ensemble_average_monte_carlo(
     Sampling runs in fixed blocks of 8192 shots; block i uses the child
     seed SeedSequence((seed, i)) and blocks are merged in index order,
     so the estimate is a pure function of (rho0, setup, samples, seed).
-    Each block's shot states are built elementwise from the factors of
+
+    Mode A never builds shot states: a shot only multiplies rho0_jk by
+    the phase exp(i theta_jk), and theta_jk is one of four phase
+    differences (or 0 on the diagonal), so each block reduces to the sums
+    and a scatter factor of (cos d - 1, sin d) per difference, which every
+    element combines with its own Re and Im of rho0 (``_phase_moments``).
+    Mode B alone builds its shot states, elementwise from the factors of
     V = diag(a) + diag(b) F (``_shot_states``), without 4x4 products.
 
-    Sums are accumulated as deviations from the input state (shifted-data
-    form), so a zero-width angle distribution reproduces the input
-    bit-exactly instead of picking up summation roundoff.
+    Both modes accumulate deviations from the input state (shifted
+    data).  At zero width every angle is exactly 0, so cos 0 - 1 and
+    sin 0 (mode A) and every shot deviation (mode B) are exactly zero:
+    the input comes back bit-exactly, with zero standard errors.
     """
     rho0 = validate_density_matrix(rho0)
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples!r}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    sums = np.zeros((4, 4, 4))
-    remaining = int(samples)
-    block_index = 0
-    while remaining > 0:
-        count = min(_BLOCK_SIZE, remaining)
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), block_index)))
-        sums += _deviation_sums(rho0, *_shot_factors(*_sampled_angles(rng, setup, count)))
-        remaining -= count
-        block_index += 1
-    sum_re, sum_im, sumsq_re, sumsq_im = sums
-    n = float(samples)
-    mean = (rho0.real + sum_re / n) + 1j * (rho0.imag + sum_im / n)
-    var_re = np.clip((sumsq_re - sum_re ** 2 / n) / (n - 1.0), 0.0, None)
-    var_im = np.clip((sumsq_im - sum_im ** 2 / n) / (n - 1.0), 0.0, None)
+    n = int(samples)
+    blocks = (
+        _sampled_angles(
+            np.random.default_rng(np.random.SeedSequence((int(seed), block_index))),
+            setup,
+            min(_BLOCK_SIZE, n - start),
+        )
+        for block_index, start in enumerate(range(0, n, _BLOCK_SIZE))
+    )
+    moments = _phase_moments if setup.mode == "A" else _shot_moments
+    mean, var_re, var_im = moments(rho0, blocks, n)
     return EnsembleEstimate(
         mean=mean,
         stderr_re=np.sqrt(var_re / n),
         stderr_im=np.sqrt(var_im / n),
-        samples=int(samples),
+        samples=n,
         seed=int(seed),
         setup=setup,
     )

@@ -43,6 +43,9 @@ ALL_SETTINGS = tuple((s, p) for s in "XYZ" for p in "XYZ")
 # Outcome order for counts and probabilities: (+,+), (+,-), (-,+), (-,-).
 _OUTCOME_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
+# Largest shot count a multinomial draw takes: NumPy counts in int64.
+_MAX_SHOTS = int(np.iinfo(np.int64).max)
+
 _BORN = np.array([
     spin_path((ID2 + a * _OBSERVABLES[s]) / 2.0, (ID2 + b * _OBSERVABLES[p]) / 2.0).conj().reshape(16)
     for s, p in ALL_SETTINGS
@@ -80,11 +83,14 @@ def simulate_counts(rho: np.ndarray, shots: int, seed: int) -> np.ndarray:
 
     Setting i draws from a generator seeded with SeedSequence((seed, i)),
     so counts are a pure function of (rho, shots, seed), independent of
-    scheduling.
+    scheduling.  ``shots`` is at most 2**63 - 1, the int64 limit of the
+    multinomial draw.
     """
     rho = validate_density_matrix(rho)
     if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
         raise ValueError(f"shots must be a positive integer, got {shots!r}")
+    if shots > _MAX_SHOTS:
+        raise ValueError(f"shots {shots} exceeds the limit of {_MAX_SHOTS}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     return np.array([

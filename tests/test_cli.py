@@ -416,6 +416,16 @@ def test_non_finite_coupling_and_width_exit_2(capsys, argv, message):
     assert message in captured.err
 
 
+def test_tomography_shots_beyond_int64_exit_2(capsys):
+    limit = np.iinfo(np.int64).max
+    assert main(["tomography", "--shots", str(limit + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"shots {limit + 1} exceeds the limit of {limit}" in captured.err
+    assert main(["tomography", "--shots", str(limit)]) == 0
+    capsys.readouterr()
+
+
 def test_missing_initial_file_exits_2(tmp_path, capsys):
     code, _ = run(
         capsys,

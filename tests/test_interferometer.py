@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinpath.interferometer import (
+    VARIANTS,
     _BLOCK_SIZE,
     _SPIN_FLIP,
     _STDERR_FLOOR,
@@ -19,7 +20,7 @@ from spinpath.interferometer import (
 from spinpath.lindblad import DecoherenceSpec, evolve
 from spinpath.measures import mixedness
 from spinpath.pauli import ID2, SIGMA_X, spin_path
-from spinpath.states import experiment_initial, validate_density_matrix
+from spinpath.states import experiment_initial, from_pure, validate_density_matrix
 
 
 def mode_b_shot_matrix(alpha, beta, gamma, delta):
@@ -74,32 +75,50 @@ def reference_shot_unitaries(alpha, beta, gamma=None, delta=None):
 def reference_monte_carlo(rho0, setup, samples, seed):
     """Block Monte Carlo through the batched products u @ rho0 @ u^dagger.
 
-    Same blocks, child seeds and draws as ensemble_average_monte_carlo;
-    the shifted-data sums are taken in extended precision, so the
-    reference carries no summation roundoff of its own.  Returns
-    (mean, stderr_re, stderr_im).
+    Same blocks, child seeds and draws as ensemble_average_monte_carlo.
+    The deviations from rho0 are averaged in extended precision and their
+    variance is taken in two passes (mean first, then squared distances
+    to it), so the reference carries neither summation roundoff nor the
+    cancellation of sum-of-squares formulas.  Returns (mean, stderr_re,
+    stderr_im).
     """
-    sums = np.zeros((4, 4, 4), dtype=np.longdouble)
-    remaining, block_index = samples, 0
-    while remaining > 0:
-        count = min(_BLOCK_SIZE, remaining)
+    shots = []
+    for block_index, start in enumerate(range(0, samples, _BLOCK_SIZE)):
         rng = np.random.default_rng(np.random.SeedSequence((seed, block_index)))
+        count = min(_BLOCK_SIZE, samples - start)
         u = reference_shot_unitaries(*_sampled_angles(rng, setup, count))
-        shots = u @ rho0 @ u.conj().transpose(0, 2, 1)
-        dev_re = (shots.real - rho0.real).astype(np.longdouble)
-        dev_im = (shots.imag - rho0.imag).astype(np.longdouble)
-        sums += [dev_re.sum(0), dev_im.sum(0), (dev_re ** 2).sum(0), (dev_im ** 2).sum(0)]
-        remaining -= count
-        block_index += 1
-    sum_re, sum_im, sumsq_re, sumsq_im = sums
-    n = samples
-    mean = (rho0.real + sum_re / n).astype(float) + 1j * (rho0.imag + sum_im / n).astype(float)
-    var_re = np.clip((sumsq_re - sum_re ** 2 / n) / (n - 1), 0.0, None)
-    var_im = np.clip((sumsq_im - sum_im ** 2 / n) / (n - 1), 0.0, None)
-    return mean, np.sqrt(var_re / n).astype(float), np.sqrt(var_im / n).astype(float)
+        shots.append(u @ rho0 @ u.conj().transpose(0, 2, 1))
+    shots = np.concatenate(shots)
+    dev_re = (shots.real - rho0.real).astype(np.longdouble)
+    dev_im = (shots.imag - rho0.imag).astype(np.longdouble)
+    mean_re, mean_im = dev_re.mean(axis=0), dev_im.mean(axis=0)
+    var_re = ((dev_re - mean_re) ** 2).sum(axis=0) / (samples - 1)
+    var_im = ((dev_im - mean_im) ** 2).sum(axis=0) / (samples - 1)
+    mean = (rho0.real + mean_re).astype(float) + 1j * (rho0.imag + mean_im).astype(float)
+    return mean, np.sqrt(var_re / samples).astype(float), np.sqrt(var_im / samples).astype(float)
 
 
 PATH_I, PATH_II = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+
+
+def shot_factors(*angles):
+    """``_shot_factors`` of (alpha, beta) for mode A or (alpha, beta, gamma, delta)
+    for mode B.  Mode A has zero x-angles, so a = z exactly and b = 0."""
+    if len(angles) == 2:
+        angles += (np.zeros_like(angles[0]),) * 2
+    return _shot_factors(*angles)
+
+
+def mode_a_shot_states(rho0, z):
+    """(4, 4, N) mode-A shot states rho0_jk z_j z_k*, built elementwise."""
+    return z[:, None, :] * rho0[:, :, None] * z.conj()[None, :, :]
+
+
+def shot_states(rho0, *angles):
+    """(4, 4, N) shot states: mode A elementwise from the phases z, mode B
+    through the Monte Carlo kernel."""
+    a, b = shot_factors(*angles)
+    return mode_a_shot_states(rho0, a) if len(angles) == 2 else _shot_states(rho0, a, b)
 
 
 def assembled_unitary(*angles):
@@ -107,17 +126,16 @@ def assembled_unitary(*angles):
 
     Takes (alpha, beta) for mode A or (alpha, beta, gamma, delta) for mode B.
     """
-    a, b = _shot_factors(*np.array(angles, dtype=float)[:, None])
+    a, b = shot_factors(*np.array(angles, dtype=float)[:, None])
     v = np.diag(a[:, 0])
-    if b is not None:
-        v[np.arange(4), _SPIN_FLIP] = b[:, 0]
+    v[np.arange(4), _SPIN_FLIP] = b[:, 0]
     return v
 
 
 def shot_state(rho0, *angles):
-    """V rho0 V^dagger of one shot through the Monte Carlo kernel, validated."""
-    factors = _shot_factors(*np.array(angles, dtype=float)[:, None])
-    return validate_density_matrix(_shot_states(rho0, *factors)[:, :, 0])
+    """V rho0 V^dagger of one shot, validated."""
+    shots = shot_states(rho0, *np.array(angles, dtype=float)[:, None])
+    return validate_density_matrix(shots[:, :, 0])
 
 
 def test_conditioned_unitary_z_rotation_is_phase_diagonal():
@@ -419,7 +437,7 @@ def test_shot_states_match_matrix_products(seed, rank, mode, shot):
     drawn = drawn[:2] if mode == "A" else drawn
     u = reference_shot_unitaries(*drawn)
     expected = u @ rho0 @ u.conj().transpose(0, 2, 1)
-    shots = _shot_states(rho0, *_shot_factors(*drawn))
+    shots = shot_states(rho0, *drawn)
     assert np.abs(shots.transpose(2, 0, 1) - expected).max() <= 1e-15
 
 
@@ -428,7 +446,14 @@ def test_shot_states_match_matrix_products(seed, rank, mode, shot):
 def test_monte_carlo_matches_matrix_product_reference(mode, variant, samples):
     setup = FieldSetup(mode=mode, sigma=1.3, variant=variant)
     rng = np.random.default_rng(67)
-    for rho0 in [experiment_initial(), random_rank_state(rng, 4)]:
+    rank4 = random_rank_state(rng, 4)
+    # Hermitian only within the validation tolerance: each element must use
+    # its own entry, never its conjugate partner's.
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    skew = (g - g.conj().T) * (4e-13 / np.abs(g - g.conj().T).max())
+    skewed = rank4 + skew
+    assert 0.0 < np.abs(skewed - skewed.conj().T).max() < 1e-12
+    for rho0 in [experiment_initial(), rank4, skewed]:
         estimate = ensemble_average_monte_carlo(rho0, setup, samples, 11)
         mean, stderr_re, stderr_im = reference_monte_carlo(rho0, setup, samples, 11)
         assert np.abs(estimate.mean - mean).max() <= 1e-15
@@ -436,3 +461,41 @@ def test_monte_carlo_matches_matrix_product_reference(mode, variant, samples):
         # held to the package's stderr floor; all others to 1e-12 relative.
         np.testing.assert_allclose(estimate.stderr_re, stderr_re, rtol=1e-12, atol=_STDERR_FLOOR)
         np.testing.assert_allclose(estimate.stderr_im, stderr_im, rtol=1e-12, atol=_STDERR_FLOOR)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_mode_a_stderr_keeps_a_vanishing_spread(variant):
+    # Two shots whose Re deviations of element (1, 2) agree exactly, so its true
+    # standard error is 0.  A sum-of-squares formula leaves roundoff of ~1e-9.
+    setup = FieldSetup(mode="A", sigma=1.3, variant=variant)
+    for seed in range(8):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+        alpha, beta = _sampled_angles(rng, setup, 2)
+        phase = np.exp(0.5j * (alpha + beta))  # exp(i theta_12) of each shot
+        # rho_12 = exp(-i chi) / 2 turns the shots' difference rho_12 (phase[0] - phase[1]) imaginary.
+        chi = np.angle(phase[0] - phase[1]) - np.pi / 2.0
+        rho0 = from_pure(np.array([0.0, 1.0, np.exp(1j * chi), 0.0]) / np.sqrt(2.0))
+        estimate = ensemble_average_monte_carlo(rho0, setup, 2, seed)
+        mean, stderr_re, stderr_im = reference_monte_carlo(rho0, setup, 2, seed)
+        assert estimate.stderr_re[1, 2] <= _STDERR_FLOOR
+        assert np.abs(estimate.mean - mean).max() <= 1e-15
+        np.testing.assert_allclose(estimate.stderr_re, stderr_re, rtol=1e-12, atol=_STDERR_FLOOR)
+        np.testing.assert_allclose(estimate.stderr_im, stderr_im, rtol=1e-12, atol=_STDERR_FLOOR)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    variant=st.sampled_from(VARIANTS),
+    sigma=st.floats(min_value=0.0, max_value=3.0),
+    samples=st.integers(2, 20000),
+    rank=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mode_a_monte_carlo_matches_reference_over_random_specs(variant, sigma, samples, rank, seed):
+    rho0 = random_rank_state(np.random.default_rng(seed), rank)
+    setup = FieldSetup(mode="A", sigma=sigma, variant=variant)
+    estimate = ensemble_average_monte_carlo(rho0, setup, samples, seed)
+    mean, stderr_re, stderr_im = reference_monte_carlo(rho0, setup, samples, seed)
+    assert np.abs(estimate.mean - mean).max() <= 1e-15
+    np.testing.assert_allclose(estimate.stderr_re, stderr_re, rtol=1e-12, atol=_STDERR_FLOOR)
+    np.testing.assert_allclose(estimate.stderr_im, stderr_im, rtol=1e-12, atol=_STDERR_FLOOR)

@@ -85,6 +85,11 @@ def test_simulate_counts_rejects_bad_shots():
         simulate_counts(SINGLET, 0, 1)
     with pytest.raises(ValueError):
         simulate_counts(SINGLET, -5, 1)
+    limit = np.iinfo(np.int64).max
+    for shots in (limit + 1, 2**70, np.uint64(limit) + np.uint64(1)):
+        with pytest.raises(ValueError, match=f"shots {shots} exceeds the limit of {limit}"):
+            simulate_counts(SINGLET, shots, 1)
+    assert (simulate_counts(SINGLET, limit, 1).sum(axis=1) == limit).all()
 
 
 @pytest.mark.parametrize(
