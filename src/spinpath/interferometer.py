@@ -15,10 +15,13 @@ average over shots reproduces the continuous decoherence channels of
 
 ``ensemble_average_analytic`` evaluates the Gaussian average in closed
 form for arbitrary input states; ``ensemble_average_monte_carlo`` does
-the same by sampling.  Monte Carlo results depend only on (seed,
-samples): sampling is organized in fixed-size blocks with per-block
-child seeds, so the outcome is bitwise independent of how the work
-would be scheduled.
+the same by sampling.  It builds no shot states: a shot's deviation from
+the input is linear in a few real numbers per shot (two per phase
+difference in mode A, 36 in mode B), with coefficients that each
+element takes from its own entries of the input state.  Monte Carlo
+results depend only on (seed, samples): sampling is organized in
+fixed-size blocks with per-block child seeds, so the outcome is bitwise
+independent of how the work would be scheduled.
 """
 
 from __future__ import annotations
@@ -35,11 +38,11 @@ from .states import matrix_to_json, validate_density_matrix
 VARIANTS = ("both_paths_independent", "single_field_one_path", "single_field_both_paths")
 
 _BLOCK_SIZE = 8192
-# Mode-B shots per elementwise pass within a block: its (4, 4, 1024)
-# complex temporaries take 256 KiB each.  Whole 8192-shot passes cost
-# about 1.4x more per shot and 8 MB more peak memory on a 2-core Xeon
-# (L2 4 MiB).
-_PASS_SIZE = 1024
+# Mode-B shots per pass within a block.  A pass keeps its (36, 2048)
+# columns, the rows mapped from them and its cos/sin in about 1.2 MB,
+# inside one core's 2 MiB L2 on the 2-core Xeon measured; there passes of
+# 1024, 4096 and 8192 shots cost 16 %, 4 % and 13 % more per shot.
+_PASS_SIZE = 2048
 _STDERR_FLOOR = 1e-15
 
 _AXES = {"x": SIGMA_X, "z": SIGMA_Z}
@@ -58,6 +61,8 @@ class FieldSetup:
             raise ValueError(f"mode must be 'A' or 'B', got {self.mode!r}")
         if not (np.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
+        if not np.isfinite(self.sigma * self.sigma):
+            raise ValueError(f"sigma {self.sigma!r} is too large: its square overflows")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.mode == "B" and self.variant != "both_paths_independent":
@@ -89,40 +94,6 @@ class EnsembleEstimate:
             "mode": self.setup.mode,
             "variant": self.setup.variant,
         }
-
-
-# Index of the opposite spin on the same path: F e_j = e_{_SPIN_FLIP[j]}.
-_SPIN_FLIP = np.array([2, 3, 0, 1])
-
-
-def _shot_factors(alpha, beta, gamma, delta) -> tuple:
-    """Factors of the mode-B block unitaries V = diag(a) + diag(b) F of N shots.
-
-    Takes length-N angle arrays and returns a and b of shape (4, N); F is
-    the spin flip on each path.  Each path applies its x-rotation first,
-    then its z-rotation, so a = z cos(x/2) and b = i z sin(x/2) with the
-    phases z = exp(i/2 (alpha, beta, -alpha, -beta)), written from real
-    cos and sin, and the x-angles x = (gamma, delta, gamma, delta).
-    """
-    half = 0.5 * np.stack((alpha, beta))
-    z = np.empty((4,) + half.shape[1:], dtype=complex)
-    z.real[:2] = z.real[2:] = np.cos(half)
-    z.imag[:2] = np.sin(half)
-    np.negative(z.imag[:2], out=z.imag[2:])
-    x = 0.5 * np.stack((gamma, delta))
-    cos, sin = np.cos(x), np.sin(x)
-    return z * np.concatenate((cos, cos)), 1j * (z * np.concatenate((sin, sin)))
-
-
-def _shot_states(rho0: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(4, 4, N) mode-B shot states V rho0 V^dagger, shots along the last axis.
-
-    Elementwise from the factors of V: L = V rho0 = a (.) rho0 + b (.) rho0[F]
-    row-wise, then L V^dagger = L (.) a* + L[:, F] (.) b* column-wise.
-    """
-    rho = rho0[:, :, None]
-    left = a[:, None, :] * rho + b[:, None, :] * rho[_SPIN_FLIP]
-    return left * a.conj()[None, :, :] + left[:, _SPIN_FLIP] * b.conj()[None, :, :]
 
 
 # --- closed-form Gaussian averaging -----------------------------------------
@@ -160,7 +131,7 @@ def _harmonics(axis: str, path: str):
 def _angle_map(harmonics: np.ndarray, sigma: float) -> np.ndarray:
     """16x16 superoperator of the Gaussian average over one angle."""
     gap = np.subtract.outer(_ORDERS, _ORDERS)
-    return superop.chi_map(harmonics, np.exp(-(gap ** 2) * sigma * sigma / 8.0))
+    return superop.chi_map(harmonics, np.exp(-(gap ** 2) * (sigma * sigma / 8.0)))
 
 
 def _channel_sequence(setup: FieldSetup):
@@ -198,42 +169,6 @@ def _sampled_angles(rng: np.random.Generator, setup: FieldSetup, count: int) -> 
     return alpha, rng.normal(0.0, sigma, count)
 
 
-def _shot_block(rho0: np.ndarray, *angles: np.ndarray) -> np.ndarray:
-    """Mode-B sums over one block's shots of Re, Im, Re^2 and Im^2 of V rho0 V^dagger - rho0.
-
-    Builds the shot states elementwise from ``_shot_factors`` in passes of
-    ``_PASS_SIZE`` shots and returns shape (4, 4, 4).
-    """
-    a, b = _shot_factors(*angles)
-    sums = np.zeros((4, 4, 4))
-    for start in range(0, a.shape[1], _PASS_SIZE):
-        part = np.s_[:, start:start + _PASS_SIZE]
-        shots = _shot_states(rho0, a[part], b[part])
-        dev_re = shots.real - rho0.real[:, :, None]
-        dev_im = shots.imag - rho0.imag[:, :, None]
-        sums += (
-            dev_re.sum(axis=-1),
-            dev_im.sum(axis=-1),
-            np.einsum("jkn,jkn->jk", dev_re, dev_re),
-            np.einsum("jkn,jkn->jk", dev_im, dev_im),
-        )
-    return sums
-
-
-def _shot_moments(rho0: np.ndarray, blocks, n: int) -> tuple:
-    """Mode-B mean state and per-element variances of Re and Im over the
-    shots, from the block sums of their deviations from rho0 (shifted data)."""
-    sums = np.zeros((4, 4, 4))
-    for angles in blocks:
-        sums += _shot_block(rho0, *angles)
-    sum_re, sum_im, sumsq_re, sumsq_im = sums
-    n = float(n)
-    mean = (rho0.real + sum_re / n) + 1j * (rho0.imag + sum_im / n)
-    var_re = np.clip((sumsq_re - sum_re ** 2 / n) / (n - 1.0), 0.0, None)
-    var_im = np.clip((sumsq_im - sum_im ** 2 / n) / (n - 1.0), 0.0, None)
-    return mean, var_re, var_im
-
-
 # Mode A multiplies rho0_jk by exp(i theta_jk), theta_jk = phi_j - phi_k
 # with the phases phi = (alpha, beta, -alpha, -beta) / 2.  Each theta_jk is
 # _PHASE_SIGN[j, k] times the difference d[_PHASE_INDEX[j, k]] of
@@ -243,33 +178,41 @@ _PHASE_INDEX = np.array([[4, 0, 2, 1], [0, 4, 1, 3], [2, 1, 4, 0], [1, 3, 0, 4]]
 _PHASE_SIGN = np.array([[1, 1, 1, 1], [-1, 1, 1, 1], [-1, -1, 1, -1], [-1, -1, 1, 1]])
 
 
+def _phase_data(cos: np.ndarray, sin: np.ndarray, mixed: np.ndarray, single: np.ndarray) -> None:
+    """Write x = cos(d) - 1 and y = sin(d) of the four phase differences d,
+    from cos and sin, shape (2, N), of alpha/2 and beta/2 by the
+    angle-addition rules.  ``mixed`` receives [[x, x], [y, y]] of
+    d = (alpha - beta)/2, (alpha + beta)/2 and ``single`` those of
+    d = alpha, beta; both have shape (2, 2, N)."""
+    (cos_a, cos_b), (sin_a, sin_b) = cos, sin
+    cc, ss = cos_a * cos_b, sin_a * sin_b
+    np.add(cc, ss, out=mixed[0, 0])
+    np.subtract(cc, ss, out=mixed[0, 1])
+    mixed[0] -= 1.0
+    np.multiply(sin, sin, out=single[0])
+    single[0] *= -2.0
+    sc, cs = sin_a * cos_b, cos_a * sin_b
+    np.subtract(sc, cs, out=mixed[1, 0])
+    np.add(sc, cs, out=mixed[1, 1])
+    np.multiply(sin, cos, out=single[1])
+    single[1] *= 2.0
+
+
 def _phase_block(alpha: np.ndarray, beta: np.ndarray) -> tuple:
     """Shot count, sums and scatter factor of one mode-A block.
 
-    Per shot and difference d the data are x = cos(d) - 1 and y = sin(d),
-    from cos and sin of alpha/2 and beta/2 by the angle-addition rules.
-    Returns their sums, shape (4, 2), and an upper-triangular R of shape
-    (4, 2, 2) with R^T R the scatter of (x, y) about the block mean.  R
-    comes from a two-column Gram-Schmidt on the centred data, so a spread
-    that is tiny next to the mean or along one direction keeps its digits.
+    Per shot and difference d the data are x = cos(d) - 1 and y = sin(d)
+    (``_phase_data``).  Returns their sums, shape (4, 2), and an
+    upper-triangular R of shape (4, 2, 2) with R^T R the scatter of (x, y)
+    about the block mean.  R comes from a two-column Gram-Schmidt on the
+    centred data, so a spread that is tiny next to the mean or along one
+    direction keeps its digits.
     """
     # In-place steps keep each block to five large arrays.
     half = np.stack((alpha, beta))
     half *= 0.5
-    cos, sin = np.cos(half), np.sin(half)
-    (cos_a, cos_b), (sin_a, sin_b) = cos, sin
-    x, y = np.empty((4, len(alpha))), np.empty((4, len(alpha)))
-    cc, ss = cos_a * cos_b, sin_a * sin_b
-    np.add(cc, ss, out=x[0])
-    np.subtract(cc, ss, out=x[1])
-    x[:2] -= 1.0
-    np.multiply(sin, sin, out=x[2:])
-    x[2:] *= -2.0
-    sc, cs = sin_a * cos_b, cos_a * sin_b
-    np.subtract(sc, cs, out=y[0])
-    np.add(sc, cs, out=y[1])
-    np.multiply(sin, cos, out=y[2:])
-    y[2:] *= 2.0
+    x, y = data = np.empty((2, 4, len(alpha)))
+    _phase_data(np.cos(half), np.sin(half), data[:, :2], data[:, 2:])
     sums = np.stack((x.sum(axis=1), y.sum(axis=1)), axis=-1)
     x -= sums[:, :1] / len(alpha)
     y -= sums[:, 1:] / len(alpha)
@@ -313,6 +256,153 @@ def _phase_moments(rho0: np.ndarray, blocks, n: int) -> tuple:
     return mean_state, var_re, var_im
 
 
+# Mode B turns the spin on each path about x, by gamma on path I and delta
+# on path II, and then about z as in mode A.  With c_j and s_j the cos and
+# sin of half the x-angle on e_j's path (path j % 2) and F the opposite
+# spin on the same path (F e_j = e_{_SPIN_FLIP[j]}), a shot maps
+#
+#     rho_jk -> exp(i theta_jk) [c_j c_k rho_jk - i c_j s_k rho_{j,Fk}
+#                                + i s_j c_k rho_{Fj,k} + s_j s_k rho_{Fj,Fk}]
+#
+# with theta_jk as in mode A.  Its deviation from rho_jk is real-linear in
+# 36 per-shot columns, each exactly 0 at zero angles.  Columns 0-19 serve
+# the cross-path elements and 20-35 the others, so the coefficients form
+# two blocks:
+#   0-3    x = cos d - 1, then y = sin d, of d = (alpha -/+ beta)/2;
+#   4-19   cos d (4 + 8 D + q) and sin d (8 + 8 D + q) of those two
+#          differences D times the x-factor product q of
+#          (cg cd - 1, cg sd, sg cd, sg sd), g for gamma/2, d for delta/2;
+#   20-23  x, then y, of d = alpha and beta;
+#   24-27  s^2 of paths I and II, then s c of paths I and II;
+#   28-35  those four times cos (28-31) and sin (32-35) of alpha on
+#          path I or beta on path II.
+# Diagonal elements use two columns, same-path coherences six and
+# cross-path coherences ten.
+_SPIN_FLIP = np.array([2, 3, 0, 1])
+_SHOT_COLUMNS, _CROSS_COLUMNS = 36, 20
+# Re (first 16) and Im rows of the cross-path elements, row-major.
+_CROSS_ROWS = np.tile((np.add.outer(range(4), range(4)) % 2 == 1).ravel(), 2)
+
+
+def _column_table() -> np.ndarray:
+    """Read-only (16 * 36, 16) complex table T of the mode-B deviations.
+
+    The deviation of element (j, k) in a shot with columns g is
+    sum_c g_c (T vec rho0)[36 (4 j + k) + c], vec row-major.  The row of
+    (j, k) reads rho0_jk, rho0_{j,Fk}, rho0_{Fj,k} and rho0_{Fj,Fk} only,
+    never the conjugate element: an input is Hermitian only within
+    tolerance.
+    """
+    table = np.zeros((4, 4, _SHOT_COLUMNS, 4, 4), dtype=complex)
+    for j, k in np.ndindex(4, 4):
+        d, phase = _PHASE_INDEX[j, k], 1j * _PHASE_SIGN[j, k]  # exp(i theta) = cos d + phase sin d
+        here = table[j, k]
+        if d != 4:  # (exp(i theta) - 1) rho_jk
+            x = 20 * (d // 2) + d % 2
+            here[x, j, k] += 1.0
+            here[x + 2, j, k] += phase
+        # The bracket minus rho_jk, term by term; sj and sk pick s (1) or c (0).
+        for sj, sk in np.ndindex(2, 2):
+            entry = (_SPIN_FLIP[j] if sj else j, _SPIN_FLIP[k] if sk else k)
+            weight = (1.0, -1j, 1j, 1.0)[2 * sj + sk]
+            if j % 2 == k % 2:  # one path: c^2 = 1 - s^2 and c s = s c
+                if not (sj or sk):
+                    sj = sk = 1
+                    weight = -weight
+                alone = 24 + 2 * (sj != sk) + j % 2
+                cos_col, sin_col = alone + 4, alone + 8
+            else:
+                q = 2 * (sj, sk)[j % 2] + (sk, sj)[j % 2]
+                alone, cos_col, sin_col = None, 4 + 8 * d + q, 8 + 8 * d + q
+            if d == 4:
+                here[alone][entry] += weight
+            else:
+                here[cos_col][entry] += weight
+                here[sin_col][entry] += phase * weight
+    table = table.reshape(16 * _SHOT_COLUMNS, 16)
+    table.flags.writeable = False
+    return table
+
+
+_COLUMN_TABLE = _column_table()
+
+
+def _shot_coefficients(rho0: np.ndarray) -> np.ndarray:
+    """Real (32, 36) U: a mode-B shot with columns g maps rho0 to rho0 + D
+    with Re D (rows 0-15) and Im D (rows 16-31), row-major, equal to U g."""
+    u = (_COLUMN_TABLE @ rho0.ravel()).reshape(16, _SHOT_COLUMNS)
+    return np.concatenate((u.real, u.imag))
+
+
+def _shot_columns(trig: np.ndarray, out: np.ndarray) -> None:
+    """Write the 36 columns of N mode-B shots into out, shape (36, N), from
+    trig, shape (2, 4, N): cos and sin of the half angles (alpha, beta,
+    gamma, delta) / 2."""
+    cos, sin = trig
+    _phase_data(cos[:2], sin[:2], out[:4].reshape(2, 2, -1), out[20:24].reshape(2, 2, -1))
+    cos_mixed, sin_mixed = out[:2] + 1.0, out[2:4]
+    cos_single, sin_single = out[20:22] + 1.0, out[22:24]
+    np.multiply(sin[2:], sin[2:], out=out[24:26])
+    np.multiply(sin[2:], cos[2:], out=out[26:28])
+    path = out[24:28].reshape(2, 2, -1)
+    np.multiply(path, cos_single, out=out[28:32].reshape(2, 2, -1))
+    np.multiply(path, sin_single, out=out[32:36].reshape(2, 2, -1))
+    products = (trig[:, None, 2] * trig[None, :, 3]).reshape(4, -1)
+    products[0] -= 1.0
+    cross = out[4:20].reshape(2, 2, 4, -1)
+    np.multiply(products, cos_mixed[:, None], out=cross[:, 0])
+    np.multiply(products, sin_mixed[:, None], out=cross[:, 1])
+
+
+def _shot_moments(rho0: np.ndarray, blocks, n: int) -> tuple:
+    """Mode-B mean state and per-element variances of Re and Im over the shots.
+
+    No shot state is built.  Per pass of ``_PASS_SIZE`` shots the kernel
+    takes the column sums, centres the columns on the pass mean and adds,
+    for each row of U that is not all zero, the squared norm of that row
+    times the centred columns (one product per block of U); an all-zero
+    row has variance exactly 0.  Passes merge by Chan's update: each adds
+    count * (U (pass mean - overall mean))^2.  The mean state is
+    rho0 + U (overall column mean).  One set of pass buffers serves the
+    whole call.
+    """
+    u = _shot_coefficients(rho0)
+    nonzero = np.any(u != 0.0, axis=1)
+    cross, other = np.flatnonzero(nonzero & _CROSS_ROWS), np.flatnonzero(nonzero & ~_CROSS_ROWS)
+    u_cross, u_other = u[cross, :_CROSS_COLUMNS], u[other, _CROSS_COLUMNS:]
+    live = np.concatenate((cross, other))
+    trig = np.empty((2, 4, _PASS_SIZE))
+    columns = np.empty((_SHOT_COLUMNS, _PASS_SIZE))
+    mapped = np.empty((len(live), _PASS_SIZE))
+    scatter = np.zeros(len(live))
+    counts, sums = [], []
+    for angles in blocks:
+        half = np.stack(angles)
+        half *= 0.5
+        for start in range(0, half.shape[1], _PASS_SIZE):
+            count = min(_PASS_SIZE, half.shape[1] - start)
+            part, pass_trig = half[:, start:start + count], trig[:, :, :count]
+            np.cos(part, out=pass_trig[0])
+            np.sin(part, out=pass_trig[1])
+            g, y = columns[:, :count], mapped[:, :count]
+            _shot_columns(pass_trig, g)
+            total = g.sum(axis=1)
+            g -= (total / count)[:, None]
+            np.matmul(u_cross, g[:_CROSS_COLUMNS], out=y[:len(cross)])
+            np.matmul(u_other, g[_CROSS_COLUMNS:], out=y[len(cross):])
+            scatter += np.einsum("rn,rn->r", y, y)
+            counts.append(count)
+            sums.append(total)
+    counts, sums = np.array(counts, dtype=float), np.array(sums)
+    mean = sums.sum(axis=0) / n
+    scatter += counts @ np.square((sums / counts[:, None] - mean) @ u[live].T)
+    variance = np.zeros(2 * 16)
+    variance[live] = scatter / (n - 1)
+    re, im = (u @ mean).reshape(2, 4, 4)
+    var_re, var_im = variance.reshape(2, 4, 4)
+    return (rho0.real + re) + 1j * (rho0.imag + im), var_re, var_im
+
+
 def ensemble_average_monte_carlo(
     rho0: np.ndarray, setup: FieldSetup, samples: int, seed: int
 ) -> EnsembleEstimate:
@@ -322,18 +412,22 @@ def ensemble_average_monte_carlo(
     seed SeedSequence((seed, i)) and blocks are merged in index order,
     so the estimate is a pure function of (rho0, setup, samples, seed).
 
-    Mode A never builds shot states: a shot only multiplies rho0_jk by
-    the phase exp(i theta_jk), and theta_jk is one of four phase
-    differences (or 0 on the diagonal), so each block reduces to the sums
-    and a scatter factor of (cos d - 1, sin d) per difference, which every
-    element combines with its own Re and Im of rho0 (``_phase_moments``).
-    Mode B alone builds its shot states, elementwise from the factors of
-    V = diag(a) + diag(b) F (``_shot_states``), without 4x4 products.
+    Neither mode builds shot states.  In mode A a shot only multiplies
+    rho0_jk by the phase exp(i theta_jk), and theta_jk is one of four
+    phase differences (or 0 on the diagonal), so each block reduces to the
+    sums and a scatter factor of (cos d - 1, sin d) per difference, which
+    every element combines with its own Re and Im of rho0
+    (``_phase_moments``).  In mode B a shot's deviation from rho0 is
+    U g: g holds 36 real numbers per shot built from the four angles, and
+    the real (32, 36) U holds Re and Im of each element's coefficients,
+    taken from that element's own four entries of rho0.  Passes of shots
+    reduce to column sums and, per row of U, the squared norm of U times
+    the centred columns (``_shot_moments``).
 
     Both modes accumulate deviations from the input state (shifted
-    data).  At zero width every angle is exactly 0, so cos 0 - 1 and
-    sin 0 (mode A) and every shot deviation (mode B) are exactly zero:
-    the input comes back bit-exactly, with zero standard errors.
+    data).  At zero width every angle is exactly 0, so every column is
+    exactly zero: the input comes back bit-exactly, with zero standard
+    errors.
     """
     rho0 = validate_density_matrix(rho0)
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 2:

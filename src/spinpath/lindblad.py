@@ -136,24 +136,34 @@ def _evolve_mode_a(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
     return validate_density_matrix(rho0 * factors)
 
 
-def _damped_cosh_sinh(lam: float, mu: complex, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Overflow-safe exp(-lam*t/2)*cosh(mu*t/2) and exp(-lam*t/2)*sinh(mu*t/2)/mu.
+def _damped_cosh_sinh(lam: float, gap: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Overflow-safe exp(-lam*t/2)*cosh(mu*t/2) and exp(-lam*t/2)*sinh(mu*t/2)/mu
+    with mu = sqrt(lam^2 - gap^2).
 
-    Re(mu) <= lam always holds here (mu^2 = lam^2 - 4*dE^2), so both
-    exponents below are nonpositive and never overflow.  The sinh term
-    uses a series, elementwise, where |mu*t| is small, to avoid
-    cancellation.
+    For gap != 0, mu is formed as sqrt(lam - gap) * sqrt(lam + gap) in
+    complex arithmetic, so lam^2 never overflows, and mu - lam as
+    -gap^2 / (mu + lam), which does not cancel when lam >> |gap| (mu + lam
+    is nonzero whenever gap is).  At gap = 0, mu = lam exactly.
+    Re(mu) <= lam always holds, so both exponents below are nonpositive
+    and never overflow.  The sinh term uses a series, elementwise, where
+    |mu*t| is small, to avoid cancellation.
     """
-    ea = np.exp(0.5 * (mu - lam) * t)
+    if gap == 0.0:
+        mu, mu_minus_lam = complex(lam), 0.0
+    else:
+        mu = np.sqrt(complex(lam - gap)) * np.sqrt(complex(lam + gap))
+        mu_minus_lam = -gap * (gap / (mu + lam))
+    ea = np.exp(0.5 * mu_minus_lam * t)
     eb = np.exp(-0.5 * (mu + lam) * t)
     ch = 0.5 * (ea + eb)
     x = 0.5 * mu * t
     small = np.abs(x) < 1e-6  # everywhere when mu == 0
-    sh_over_mu = 0.5 * (ea - eb) / mu if mu != 0.0 else 0.0
-    if small.any():
-        series = 0.5 * t * np.exp(-0.5 * lam * t) * (1.0 + x * x / 6.0 + x ** 4 / 120.0)
-        sh_over_mu = np.where(small, series, sh_over_mu)
-    return ch, sh_over_mu
+    if not small.any():
+        return ch, 0.5 * (ea - eb) / mu
+    series = 0.5 * t * np.exp(-0.5 * lam * t) * (1.0 + x * x / 6.0 + x ** 4 / 120.0)
+    if small.all():  # mu may be 0 or subnormal: no division
+        return ch, series
+    return ch, np.where(small, series, 0.5 * (ea - eb) / mu)
 
 
 def _evolve_mode_b(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
@@ -194,8 +204,7 @@ def _evolve_mode_b(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
     # Coupled coherence pairs.
     for k, j in ((0, 2), (1, 3)):
         de = energies[k] - energies[j]
-        mu = np.sqrt(complex(lam * lam - 4.0 * de * de))
-        ch, sh = _damped_cosh_sinh(lam, mu, t)
+        ch, sh = _damped_cosh_sinh(lam, 2.0 * de, t)
         out[..., k, j] = (ch - 2.0j * de * sh) * rho0[k, j] + lam * sh * rho0[j, k]
         out[..., j, k] = (ch + 2.0j * de * sh) * rho0[j, k] + lam * sh * rho0[k, j]
 

@@ -416,6 +416,35 @@ def test_non_finite_coupling_and_width_exit_2(capsys, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["calibrate", "--mode", "A", "--sigmas", "1e200", "--samples", "10"],
+        ["ensemble", "--mode", "A", "--sigma", "1e300", "--samples", "10"],
+    ],
+    ids=["calibrate", "ensemble"],
+)
+def test_sigma_whose_square_overflows_exits_2(capsys, argv):
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sigma" in captured.err and "too large" in captured.err
+
+
+def test_ensemble_at_the_largest_sigmas_runs_without_overflow(capsys):
+    # sigma^2 is finite, but 4 sigma^2 is not.
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        payload = run_json(capsys, ["ensemble", "--mode", "B", "--sigma", "1.3e154", "--samples", "10"])
+    assert np.abs(matrix_from_json(payload["analytic"]) - 0.25 * np.eye(4)).max() < 1e-15
+
+
+def test_evolve_mode_b_huge_coupling_exits_0(capsys):
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        payload = run_json(capsys, ["evolve", "--mode", "B", "--lambda", "1e200", "--time", "1"])
+    assert np.abs(matrix_from_json(payload["state"]) - 0.25 * np.eye(4)).max() < 1e-15
+
+
 def test_tomography_shots_beyond_int64_exit_2(capsys):
     limit = np.iinfo(np.int64).max
     assert main(["tomography", "--shots", str(limit + 1)]) == 2

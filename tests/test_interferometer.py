@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from spinpath.interferometer import (
     VARIANTS,
     _BLOCK_SIZE,
-    _SPIN_FLIP,
+    _SHOT_COLUMNS,
     _STDERR_FLOOR,
     _sampled_angles,
-    _shot_factors,
-    _shot_states,
+    _shot_coefficients,
+    _shot_columns,
     FieldSetup,
     consistency_ratio,
     ensemble_average_analytic,
@@ -101,57 +101,46 @@ def reference_monte_carlo(rho0, setup, samples, seed):
 PATH_I, PATH_II = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
 
 
-def shot_factors(*angles):
-    """``_shot_factors`` of (alpha, beta) for mode A or (alpha, beta, gamma, delta)
-    for mode B.  Mode A has zero x-angles, so a = z exactly and b = 0."""
-    if len(angles) == 2:
-        angles += (np.zeros_like(angles[0]),) * 2
-    return _shot_factors(*angles)
-
-
-def mode_a_shot_states(rho0, z):
-    """(4, 4, N) mode-A shot states rho0_jk z_j z_k*, built elementwise."""
-    return z[:, None, :] * rho0[:, :, None] * z.conj()[None, :, :]
+def reference_unitary(*angles):
+    """The 4x4 V of one shot from ``reference_shot_unitaries``: (alpha, beta)
+    for mode A or (alpha, beta, gamma, delta) for mode B."""
+    return reference_shot_unitaries(*(np.array([angle], dtype=float) for angle in angles))[0]
 
 
 def shot_states(rho0, *angles):
-    """(4, 4, N) shot states: mode A elementwise from the phases z, mode B
-    through the Monte Carlo kernel."""
-    a, b = shot_factors(*angles)
-    return mode_a_shot_states(rho0, a) if len(angles) == 2 else _shot_states(rho0, a, b)
-
-
-def assembled_unitary(*angles):
-    """The 4x4 V = diag(a) + diag(b) F of one shot, assembled from ``_shot_factors``.
-
-    Takes (alpha, beta) for mode A or (alpha, beta, gamma, delta) for mode B.
-    """
-    a, b = shot_factors(*np.array(angles, dtype=float)[:, None])
-    v = np.diag(a[:, 0])
-    v[np.arange(4), _SPIN_FLIP] = b[:, 0]
-    return v
+    """(N, 4, 4) shot states rho0 + U g as the Monte Carlo kernel represents
+    them: U from rho0 alone, g the columns of each shot.  Takes length-N
+    angle arrays, (alpha, beta) for mode A, which is mode B with
+    gamma = delta = 0, or (alpha, beta, gamma, delta)."""
+    angles = np.array(angles, dtype=float).reshape(len(angles), -1)
+    if len(angles) == 2:
+        angles = np.concatenate((angles, np.zeros_like(angles)))
+    half = 0.5 * angles
+    columns = np.empty((_SHOT_COLUMNS, angles.shape[1]))
+    _shot_columns(np.stack((np.cos(half), np.sin(half))), columns)
+    re, im = (_shot_coefficients(np.asarray(rho0, dtype=complex)) @ columns).reshape(2, 4, 4, -1)
+    return rho0 + (re + 1j * im).transpose(2, 0, 1)
 
 
 def shot_state(rho0, *angles):
-    """V rho0 V^dagger of one shot, validated."""
-    shots = shot_states(rho0, *np.array(angles, dtype=float)[:, None])
-    return validate_density_matrix(shots[:, :, 0])
+    """One shot state rho0 + U g, validated."""
+    return validate_density_matrix(shot_states(rho0, *angles)[0])
 
 
 def test_conditioned_unitary_z_rotation_is_phase_diagonal():
     alpha, beta = 0.77, -2.1
     expected = np.diag(np.exp(0.5j * np.array([alpha, beta, -alpha, -beta])))
-    assert np.abs(assembled_unitary(alpha, beta) - expected).max() < 1e-15
-    assert np.abs(assembled_unitary(alpha, beta, 0.0, 0.0) - expected).max() < 1e-15
+    assert np.abs(reference_unitary(alpha, beta) - expected).max() < 1e-15
+    assert np.abs(reference_unitary(alpha, beta, 0.0, 0.0) - expected).max() < 1e-15
 
 
 def test_conditioned_unitary_x_rotation_at_pi_flips_spin():
     # An x-rotation by pi is i sigma_x on its own path and leaves the other alone.
-    u = assembled_unitary(0.0, 0.0, np.pi, 0.0)
+    u = reference_unitary(0.0, 0.0, np.pi, 0.0)
     assert np.abs(u - (spin_path(1j * SIGMA_X, PATH_I) + spin_path(ID2, PATH_II))).max() < 1e-15
-    u = assembled_unitary(0.0, 0.0, 0.0, np.pi)
+    u = reference_unitary(0.0, 0.0, 0.0, np.pi)
     assert np.abs(u - (spin_path(ID2, PATH_I) + spin_path(1j * SIGMA_X, PATH_II))).max() < 1e-15
-    u = assembled_unitary(0.0, 0.0, 2 * np.pi, 2 * np.pi)
+    u = reference_unitary(0.0, 0.0, 2 * np.pi, 2 * np.pi)
     assert np.abs(u + np.eye(4)).max() < 1e-12
 
 
@@ -159,24 +148,24 @@ def test_conditioned_unitary_unitary_and_additive():
     rng = np.random.default_rng(41)
     for _ in range(10):
         a1, b1, a2, b2 = rng.uniform(-np.pi, np.pi, 4)
-        u = assembled_unitary(a1, b1)
-        v = assembled_unitary(a2, b2)
+        u = reference_unitary(a1, b1)
+        v = reference_unitary(a2, b2)
         assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-12
-        assert np.abs(u @ v - assembled_unitary(a1 + a2, b1 + b2)).max() < 1e-12
-        u = assembled_unitary(0.0, 0.0, a1, b1)
-        v = assembled_unitary(0.0, 0.0, a2, b2)
-        assert np.abs(u @ v - assembled_unitary(0.0, 0.0, a1 + a2, b1 + b2)).max() < 1e-12
+        assert np.abs(u @ v - reference_unitary(a1 + a2, b1 + b2)).max() < 1e-12
+        u = reference_unitary(0.0, 0.0, a1, b1)
+        v = reference_unitary(0.0, 0.0, a2, b2)
+        assert np.abs(u @ v - reference_unitary(0.0, 0.0, a1 + a2, b1 + b2)).max() < 1e-12
 
 
 def test_conditioned_unitary_identity_at_zero_angles():
-    assert np.abs(assembled_unitary(0.0, 0.0) - np.eye(4)).max() < 1e-15
-    assert np.abs(assembled_unitary(0.0, 0.0, 0.0, 0.0) - np.eye(4)).max() < 1e-15
+    assert np.abs(reference_unitary(0.0, 0.0) - np.eye(4)).max() < 1e-15
+    assert np.abs(reference_unitary(0.0, 0.0, 0.0, 0.0) - np.eye(4)).max() < 1e-15
 
 
 def test_conditioned_unitary_is_unitary():
     rng = np.random.default_rng(43)
     for _ in range(10):
-        u = assembled_unitary(*rng.uniform(-np.pi, np.pi, 4))
+        u = reference_unitary(*rng.uniform(-np.pi, np.pi, 4))
         assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-12
 
 
@@ -285,7 +274,7 @@ def test_mode_b_average_order_independent_for_singlet():
 def test_constant_angle_offset_preserves_coherence_modulus():
     setup = FieldSetup(mode="A", sigma=1.3)
     averaged = ensemble_average_analytic(experiment_initial(), setup)
-    offset = assembled_unitary(0.83, -1.91)
+    offset = reference_unitary(0.83, -1.91)
     shifted = offset @ averaged @ offset.conj().T
     assert abs(abs(shifted[1, 2]) - abs(averaged[1, 2])) < 1e-12
 
@@ -392,6 +381,10 @@ def test_field_setup_validation():
     for sigma in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
             FieldSetup(mode="A", sigma=sigma)
+    for sigma in (1e200, 1.5e154):
+        with pytest.raises(ValueError, match=r"sigma .* too large: its square overflows"):
+            FieldSetup(mode="A", sigma=sigma)
+    FieldSetup(mode="B", sigma=1.3e154)  # its square is finite
     with pytest.raises(ValueError):
         FieldSetup(mode="A", sigma=1.0, variant="nonsense")
     for variant in ("single_field_one_path", "single_field_both_paths"):
@@ -432,13 +425,13 @@ ANGLES = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
     shot=st.lists(st.tuples(ANGLES, ANGLES, ANGLES, ANGLES), min_size=1, max_size=8),
 )
 def test_shot_states_match_matrix_products(seed, rank, mode, shot):
+    # The kernel's per-shot representation rho0 + U g against u rho0 u^dagger.
     rho0 = random_rank_state(np.random.default_rng(seed), rank)
     drawn = tuple(np.array(column) for column in zip(*shot))
     drawn = drawn[:2] if mode == "A" else drawn
     u = reference_shot_unitaries(*drawn)
     expected = u @ rho0 @ u.conj().transpose(0, 2, 1)
-    shots = shot_states(rho0, *drawn)
-    assert np.abs(shots.transpose(2, 0, 1) - expected).max() <= 1e-15
+    assert np.abs(shot_states(rho0, *drawn) - expected).max() <= 1e-15
 
 
 @pytest.mark.parametrize("mode,variant", FIELD_SETUPS)
@@ -499,3 +492,47 @@ def test_mode_a_monte_carlo_matches_reference_over_random_specs(variant, sigma, 
     assert np.abs(estimate.mean - mean).max() <= 1e-15
     np.testing.assert_allclose(estimate.stderr_re, stderr_re, rtol=1e-12, atol=_STDERR_FLOOR)
     np.testing.assert_allclose(estimate.stderr_im, stderr_im, rtol=1e-12, atol=_STDERR_FLOOR)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sigma=st.floats(min_value=0.0, max_value=3.0),
+    samples=st.integers(2, 20000),
+    rank=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mode_b_monte_carlo_matches_reference_over_random_specs(sigma, samples, rank, seed):
+    rho0 = random_rank_state(np.random.default_rng(seed), rank)
+    setup = FieldSetup(mode="B", sigma=sigma)
+    estimate = ensemble_average_monte_carlo(rho0, setup, samples, seed)
+    mean, stderr_re, stderr_im = reference_monte_carlo(rho0, setup, samples, seed)
+    assert np.abs(estimate.mean - mean).max() <= 1e-15
+    np.testing.assert_allclose(estimate.stderr_re, stderr_re, rtol=1e-12, atol=_STDERR_FLOOR)
+    np.testing.assert_allclose(estimate.stderr_im, stderr_im, rtol=1e-12, atol=_STDERR_FLOOR)
+
+
+def test_mode_b_stderr_keeps_its_digits_at_two_samples():
+    # A spread that is small next to the deviation itself: a one-pass
+    # sum-of-squares variance gives stderr_re[1, 2] = 5.894913987866559e-05 here.
+    rho0 = random_rank_state(np.random.default_rng(20), 1)
+    setup = FieldSetup(mode="B", sigma=0.5)
+    estimate = ensemble_average_monte_carlo(rho0, setup, 2, 20)
+    mean, stderr_re, stderr_im = reference_monte_carlo(rho0, setup, 2, 20)
+    assert abs(stderr_re[1, 2] - 5.8949139882774615e-05) < 1e-18
+    assert abs(estimate.stderr_re[1, 2] / stderr_re[1, 2] - 1.0) <= 1e-12
+    assert np.abs(estimate.mean - mean).max() <= 1e-15
+    np.testing.assert_allclose(estimate.stderr_re, stderr_re, rtol=1e-12, atol=_STDERR_FLOOR)
+    np.testing.assert_allclose(estimate.stderr_im, stderr_im, rtol=1e-12, atol=_STDERR_FLOOR)
+
+
+def test_mode_b_stderr_is_zero_exactly_where_no_shot_moves_an_element():
+    # Elements whose four entries rho_jk, rho_{j,Fk}, rho_{Fj,k}, rho_{Fj,Fk}
+    # all vanish never move, so their standard errors are exactly 0.
+    rho0 = from_pure(np.array([1.0, 0.0, 0.0, 0.0]))
+    estimate = ensemble_average_monte_carlo(rho0, FieldSetup(mode="B", sigma=1.3), 1000, 3)
+    path_i = np.ix_([0, 2], [0, 2])
+    frozen = np.ones((4, 4), dtype=bool)
+    frozen[path_i] = False
+    assert np.all(estimate.stderr_re[frozen] == 0.0) and np.all(estimate.stderr_im[frozen] == 0.0)
+    assert np.all(estimate.mean[frozen] == 0.0)
+    assert estimate.stderr_re[path_i].min() > 0.0

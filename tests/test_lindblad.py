@@ -157,6 +157,35 @@ def test_evolve_mode_b_oscillatory_regime_matches_integrator():
     assert np.abs(closed - numeric).max() < 1e-8
 
 
+@pytest.mark.parametrize(
+    "lam,t,expected",
+    [
+        (1e4, 1e4, 0.23364412936342929757 - 0.000011682206497376981195j),
+        (1e6, 1e6, 0.2336402738615044216 - 1.1682013693078141584e-7j),
+        (1e7, 4e7, 0.11036383419082990234 - 5.5181917095415089123e-9j),
+    ],
+)
+def test_evolve_mode_b_keeps_its_digits_when_lam_dwarfs_the_gap(lam, t, expected):
+    # lam >> 2|dE|: mu - lam must not come from subtracting two nearly equal
+    # numbers.  Expected values from the closed form at 60 digits.
+    rho0 = np.zeros((4, 4), dtype=complex)
+    rho0[0, 0] = rho0[2, 2] = 0.5
+    rho0[0, 2], rho0[2, 0] = 0.3 + 0.1j, 0.3 - 0.1j
+    spec = DecoherenceSpec(mode="B", lam=lam, hamiltonian=SystemHamiltonian((0.5, 0.0, 0.0, 0.0)))
+    out = evolve(rho0, spec, t)
+    assert abs(out[0, 2] - expected) <= 1e-15 * abs(expected)
+    assert abs(out[2, 0] - np.conj(expected)) <= 1e-15 * abs(expected)
+
+
+def test_evolve_mode_b_huge_coupling_is_finite():
+    # lam^2 overflows here; the state is already fully relaxed.
+    for energies in ((0.0, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0, 0.0)):
+        spec = DecoherenceSpec(mode="B", lam=1e200, hamiltonian=SystemHamiltonian(energies))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = evolve(experiment_initial(), spec, 1.0)
+        assert np.abs(out - 0.25 * np.eye(4)).max() < 1e-15
+
+
 def test_evolve_rejects_negative_time():
     spec = DecoherenceSpec(mode="A", lam=1.0)
     with pytest.raises(ValueError):
