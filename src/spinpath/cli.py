@@ -63,8 +63,10 @@ def _initial_state(name: str) -> np.ndarray:
             obj = json.load(handle)
     except OSError as exc:
         raise ValueError(f"cannot read state file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"state file {path!r} is not valid json: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"state file {path!r} is nested too deeply to read") from exc
     try:
         return states.validate_density_matrix(_matrix_from_any_json(obj))
     except ValueError as exc:
@@ -77,8 +79,11 @@ def _write_output(target: str, text: str) -> None:
     if target == "-":
         sys.stdout.write(text)
     else:
-        with open(target, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(target, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write output file {target!r}: {exc}") from exc
 
 
 def _dumps(payload) -> str:
@@ -218,7 +223,14 @@ def cmd_calibrate(args) -> str:
         # the input bit-exactly) reports lambda_t = 0 exactly.
         lambda_t = float(-np.log(magnitude / initial_magnitude)) + 0.0
         points.append({"sigma": float(sigma), "lambda_t": lambda_t})
+    # Fit against sigma^2 / 2^e, with 2^e the binade of the largest sigma^2,
+    # so that sigma^4 neither overflows nor, for tiny sigmas, underflows to
+    # 0 (a term that underflows is negligible next to the largest, about 1).
+    # Scaling by a power of two is exact, so the fit keeps its digits;
+    # ldexp undoes it at the end.
     sq = np.array([p["sigma"] ** 2 for p in points])
+    exponent = int(np.frexp(sq.max())[1])
+    sq = np.ldexp(sq, -exponent)
     lt = np.array([p["lambda_t"] for p in points])
     denom = float((sq ** 2).sum())
     if denom == 0.0:
@@ -230,6 +242,8 @@ def cmd_calibrate(args) -> str:
         coefficient_stderr = float(np.sqrt(spread / denom))
     else:
         coefficient_stderr = 0.0
+    coefficient = float(np.ldexp(coefficient, -exponent))
+    coefficient_stderr = float(np.ldexp(coefficient_stderr, -exponent))
     setup = interferometer.FieldSetup(mode=args.mode, sigma=1.0, variant=variant)
     payload = {
         "mode": args.mode,
@@ -329,7 +343,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.handler(args)
+        _write_output(args.out, args.handler(args))
     except states.StateValidationError as exc:
         print(f"error: produced state invalid: {exc}", file=sys.stderr)
         return 4
@@ -339,7 +353,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_output(args.out, text)
     return 0
 
 

@@ -16,12 +16,13 @@ average over shots reproduces the continuous decoherence channels of
 ``ensemble_average_analytic`` evaluates the Gaussian average in closed
 form for arbitrary input states; ``ensemble_average_monte_carlo`` does
 the same by sampling.  It builds no shot states: a shot's deviation from
-the input is linear in a few real numbers per shot (two per phase
-difference in mode A, 36 in mode B), with coefficients that each
-element takes from its own entries of the input state.  Monte Carlo
-results depend only on (seed, samples): sampling is organized in
-fixed-size blocks with per-block child seeds, so the outcome is bitwise
-independent of how the work would be scheduled.
+the input is linear in a few real numbers per shot (36 in mode B, of
+which mode A, a mode-B shot with no x-rotation, needs 8), with
+coefficients that each element takes from its own entries of the input
+state, and one kernel serves both modes.  Monte Carlo results depend
+only on (seed, samples): sampling is organized in fixed-size blocks
+with per-block child seeds, so the outcome is bitwise independent of
+how the work would be scheduled.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ from .states import matrix_to_json, validate_density_matrix
 VARIANTS = ("both_paths_independent", "single_field_one_path", "single_field_both_paths")
 
 _BLOCK_SIZE = 8192
-# Mode-B shots per pass within a block.  A pass keeps its (36, 2048)
-# columns, the rows mapped from them and its cos/sin in about 1.2 MB,
-# inside one core's 2 MiB L2 on the 2-core Xeon measured; there passes of
-# 1024, 4096 and 8192 shots cost 16 %, 4 % and 13 % more per shot.
+# Shots per pass within a block, either mode.  A mode-B pass keeps its
+# (36, 2048) columns, the rows mapped from them and its cos/sin in about
+# 1.2 MB, inside one core's 2 MiB L2 on the 2-core Xeon measured; there
+# passes of 1024, 4096 and 8192 shots cost 16 %, 4 % and 13 % more per shot.
 _PASS_SIZE = 2048
 _STDERR_FLOOR = 1e-15
 
@@ -198,64 +199,6 @@ def _phase_data(cos: np.ndarray, sin: np.ndarray, mixed: np.ndarray, single: np.
     single[1] *= 2.0
 
 
-def _phase_block(alpha: np.ndarray, beta: np.ndarray) -> tuple:
-    """Shot count, sums and scatter factor of one mode-A block.
-
-    Per shot and difference d the data are x = cos(d) - 1 and y = sin(d)
-    (``_phase_data``).  Returns their sums, shape (4, 2), and an
-    upper-triangular R of shape (4, 2, 2) with R^T R the scatter of (x, y)
-    about the block mean.  R comes from a two-column Gram-Schmidt on the
-    centred data, so a spread that is tiny next to the mean or along one
-    direction keeps its digits.
-    """
-    # In-place steps keep each block to five large arrays.
-    half = np.stack((alpha, beta))
-    half *= 0.5
-    x, y = data = np.empty((2, 4, len(alpha)))
-    _phase_data(np.cos(half), np.sin(half), data[:, :2], data[:, 2:])
-    sums = np.stack((x.sum(axis=1), y.sum(axis=1)), axis=-1)
-    x -= sums[:, :1] / len(alpha)
-    y -= sums[:, 1:] / len(alpha)
-    sxx, sxy = np.einsum("dn,dn->d", x, x), np.einsum("dn,dn->d", x, y)
-    x *= (sxy / np.where(sxx > 0.0, sxx, 1.0))[:, None]
-    y -= x
-    r11 = np.sqrt(sxx)
-    r12 = sxy / np.where(r11 > 0.0, r11, 1.0)
-    r22 = np.sqrt(np.einsum("dn,dn->d", y, y))
-    return len(alpha), sums, np.stack((r11, r12, np.zeros_like(r11), r22), axis=-1).reshape(4, 2, 2)
-
-
-def _phase_moments(rho0: np.ndarray, blocks, n: int) -> tuple:
-    """Mode-A mean state and per-element variances of Re and Im over the shots.
-
-    A shot deviates from rho0 by rho0_jk (exp(i theta_jk) - 1), whose Re
-    and Im are linear in the (x, y) of its difference d with coefficients
-    from rho0_jk alone (never from the conjugate element, as an input is
-    Hermitian only within tolerance).  So the block data of the four
-    differences carry every element: the mean from the summed (x, y),
-    the variance as the squared norm of the coefficient vector mapped by
-    the stacked scatter factors of all blocks, plus one row per block for
-    its mean's offset from the overall mean.
-    """
-    counts, sums, factors = zip(*(_phase_block(*angles) for angles in blocks))
-    mean = np.sum(sums, axis=0) / n
-    offsets = [
-        np.sqrt(count) * (total / count - mean)[:, None, :] for count, total in zip(counts, sums)
-    ]
-    rows = np.concatenate(factors + tuple(offsets), axis=1)
-    # Difference 4 (theta = 0) has all-zero data.
-    mean = np.concatenate((mean, np.zeros((1, 2))))[_PHASE_INDEX]
-    rows = np.concatenate((rows, np.zeros((1,) + rows.shape[1:])))[_PHASE_INDEX]
-    re, im = rho0.real, rho0.imag
-    x, y = mean[..., 0], _PHASE_SIGN * mean[..., 1]
-    mean_state = (re + (re * x - im * y)) + 1j * (im + (re * y + im * x))
-    coeff_re = np.stack((re, -_PHASE_SIGN * im), axis=-1)
-    coeff_im = np.stack((im, _PHASE_SIGN * re), axis=-1)
-    var_re = np.square(np.einsum("jkrc,jkc->jkr", rows, coeff_re)).sum(axis=-1) / (n - 1)
-    var_im = np.square(np.einsum("jkrc,jkc->jkr", rows, coeff_im)).sum(axis=-1) / (n - 1)
-    return mean_state, var_re, var_im
-
-
 # Mode B turns the spin on each path about x, by gamma on path I and delta
 # on path II, and then about z as in mode A.  With c_j and s_j the cos and
 # sin of half the x-angle on e_j's path (path j % 2) and F the opposite
@@ -278,8 +221,12 @@ def _phase_moments(rho0: np.ndarray, blocks, n: int) -> tuple:
 #          path I or beta on path II.
 # Diagonal elements use two columns, same-path coherences six and
 # cross-path coherences ten.
+# A mode-A shot is a mode-B shot with gamma = delta = 0, where every column
+# outside _PHASE_COLUMNS (0-3 and 20-23) is exactly 0; mode A fills only
+# those eight, whose cross-path block ends at column 4.
 _SPIN_FLIP = np.array([2, 3, 0, 1])
 _SHOT_COLUMNS, _CROSS_COLUMNS = 36, 20
+_PHASE_COLUMNS = np.r_[0:4, 20:24]
 # Re (first 16) and Im rows of the cross-path elements, row-major.
 _CROSS_ROWS = np.tile((np.add.outer(range(4), range(4)) % 2 == 1).ravel(), 2)
 
@@ -334,6 +281,14 @@ def _shot_coefficients(rho0: np.ndarray) -> np.ndarray:
     return np.concatenate((u.real, u.imag))
 
 
+def _phase_columns(trig: np.ndarray, out: np.ndarray) -> None:
+    """Write the 8 columns of N mode-A shots, mode B's _PHASE_COLUMNS, into
+    out, shape (8, N), from trig, shape (2, 2, N): cos and sin of the half
+    angles (alpha, beta) / 2."""
+    cos, sin = trig
+    _phase_data(cos, sin, out[:4].reshape(2, 2, -1), out[4:].reshape(2, 2, -1))
+
+
 def _shot_columns(trig: np.ndarray, out: np.ndarray) -> None:
     """Write the 36 columns of N mode-B shots into out, shape (36, N), from
     trig, shape (2, 4, N): cos and sin of the half angles (alpha, beta,
@@ -354,25 +309,31 @@ def _shot_columns(trig: np.ndarray, out: np.ndarray) -> None:
     np.multiply(products, sin_mixed[:, None], out=cross[:, 1])
 
 
-def _shot_moments(rho0: np.ndarray, blocks, n: int) -> tuple:
-    """Mode-B mean state and per-element variances of Re and Im over the shots.
+def _shot_moments(rho0: np.ndarray, blocks, n: int, mode: str) -> tuple:
+    """Mean state and per-element variances of Re and Im over the shots.
 
-    No shot state is built.  Per pass of ``_PASS_SIZE`` shots the kernel
-    takes the column sums, centres the columns on the pass mean and adds,
-    for each row of U that is not all zero, the squared norm of that row
-    times the centred columns (one product per block of U); an all-zero
-    row has variance exactly 0.  Passes merge by Chan's update: each adds
+    No shot state is built.  Mode B uses all 36 columns and U; mode A
+    its 8 phase columns and those columns of U.  Per pass of
+    ``_PASS_SIZE`` shots the kernel takes the column sums, centres the
+    columns on the pass mean and adds, for each row of U that is not all
+    zero, the squared norm of that row times the centred columns (one
+    product per block of U); an all-zero row has variance exactly 0.
+    Passes merge by Chan's update: each adds
     count * (U (pass mean - overall mean))^2.  The mean state is
     rho0 + U (overall column mean).  One set of pass buffers serves the
     whole call.
     """
     u = _shot_coefficients(rho0)
+    if mode == "A":
+        u, split, width, fill = u[:, _PHASE_COLUMNS], 4, 2, _phase_columns
+    else:
+        split, width, fill = _CROSS_COLUMNS, 4, _shot_columns
     nonzero = np.any(u != 0.0, axis=1)
     cross, other = np.flatnonzero(nonzero & _CROSS_ROWS), np.flatnonzero(nonzero & ~_CROSS_ROWS)
-    u_cross, u_other = u[cross, :_CROSS_COLUMNS], u[other, _CROSS_COLUMNS:]
+    u_cross, u_other = u[cross, :split], u[other, split:]
     live = np.concatenate((cross, other))
-    trig = np.empty((2, 4, _PASS_SIZE))
-    columns = np.empty((_SHOT_COLUMNS, _PASS_SIZE))
+    trig = np.empty((2, width, _PASS_SIZE))
+    columns = np.empty((u.shape[1], _PASS_SIZE))
     mapped = np.empty((len(live), _PASS_SIZE))
     scatter = np.zeros(len(live))
     counts, sums = [], []
@@ -385,11 +346,11 @@ def _shot_moments(rho0: np.ndarray, blocks, n: int) -> tuple:
             np.cos(part, out=pass_trig[0])
             np.sin(part, out=pass_trig[1])
             g, y = columns[:, :count], mapped[:, :count]
-            _shot_columns(pass_trig, g)
+            fill(pass_trig, g)
             total = g.sum(axis=1)
             g -= (total / count)[:, None]
-            np.matmul(u_cross, g[:_CROSS_COLUMNS], out=y[:len(cross)])
-            np.matmul(u_other, g[_CROSS_COLUMNS:], out=y[len(cross):])
+            np.matmul(u_cross, g[:split], out=y[:len(cross)])
+            np.matmul(u_other, g[split:], out=y[len(cross):])
             scatter += np.einsum("rn,rn->r", y, y)
             counts.append(count)
             sums.append(total)
@@ -412,17 +373,16 @@ def ensemble_average_monte_carlo(
     seed SeedSequence((seed, i)) and blocks are merged in index order,
     so the estimate is a pure function of (rho0, setup, samples, seed).
 
-    Neither mode builds shot states.  In mode A a shot only multiplies
-    rho0_jk by the phase exp(i theta_jk), and theta_jk is one of four
-    phase differences (or 0 on the diagonal), so each block reduces to the
-    sums and a scatter factor of (cos d - 1, sin d) per difference, which
-    every element combines with its own Re and Im of rho0
-    (``_phase_moments``).  In mode B a shot's deviation from rho0 is
-    U g: g holds 36 real numbers per shot built from the four angles, and
-    the real (32, 36) U holds Re and Im of each element's coefficients,
-    taken from that element's own four entries of rho0.  Passes of shots
-    reduce to column sums and, per row of U, the squared norm of U times
-    the centred columns (``_shot_moments``).
+    Neither mode builds shot states.  In mode B a shot's deviation from
+    rho0 is U g: g holds 36 real numbers per shot built from the four
+    angles, and the real (32, 36) U holds Re and Im of each element's
+    coefficients, taken from that element's own four entries of rho0.
+    A mode-A shot is a mode-B shot with gamma = delta = 0, whose only
+    nonzero columns are the (cos d - 1, sin d) of the four phase
+    differences, so mode A fills just those 8 columns and uses those
+    columns of U.  Passes of shots reduce to column sums and, per row of
+    U, the squared norm of U times the centred columns
+    (``_shot_moments``, one kernel for both modes).
 
     Both modes accumulate deviations from the input state (shifted
     data).  At zero width every angle is exactly 0, so every column is
@@ -443,8 +403,7 @@ def ensemble_average_monte_carlo(
         )
         for block_index, start in enumerate(range(0, n, _BLOCK_SIZE))
     )
-    moments = _phase_moments if setup.mode == "A" else _shot_moments
-    mean, var_re, var_im = moments(rho0, blocks, n)
+    mean, var_re, var_im = _shot_moments(rho0, blocks, n, setup.mode)
     return EnsembleEstimate(
         mean=mean,
         stderr_re=np.sqrt(var_re / n),

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -439,6 +440,20 @@ def test_ensemble_at_the_largest_sigmas_runs_without_overflow(capsys):
     assert np.abs(matrix_from_json(payload["analytic"]) - 0.25 * np.eye(4)).max() < 1e-15
 
 
+@pytest.mark.parametrize("sigmas", [["1e100", "1"], ["1e-100", "1e-90"]], ids=["huge", "tiny"])
+def test_calibrate_fit_at_extreme_sigmas_is_the_least_squares_coefficient(capsys, sigmas):
+    # sigma^4 overflows (1e400) or underflows to 0 (1e-400, 1e-360); the fit must
+    # still be sum(lambda_t sigma^2) / sum(sigma^4) over the reported points.
+    argv = ["calibrate", "--mode", "B", "--sigmas", *sigmas, "--samples", "10"]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        payload = run_json(capsys, argv)
+    squares = [Fraction(point["sigma"]) ** 2 for point in payload["points"]]
+    lambda_t = [Fraction(point["lambda_t"]) for point in payload["points"]]
+    expected = sum(lt * sq for lt, sq in zip(lambda_t, squares)) / sum(sq * sq for sq in squares)
+    assert payload["coefficient"] == pytest.approx(float(expected), rel=1e-13, abs=0.0)
+    assert np.isfinite(payload["coefficient_stderr"])
+
+
 def test_evolve_mode_b_huge_coupling_exits_0(capsys):
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         payload = run_json(capsys, ["evolve", "--mode", "B", "--lambda", "1e200", "--time", "1"])
@@ -502,6 +517,33 @@ def test_argparse_usage_error_is_exit_2():
 
 
 EVOLVE_A = ["evolve", "--mode", "A", "--lambda", "1", "--time", "1"]
+
+
+def test_state_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bin.json"
+    bad.write_bytes(b"\xff\xfe")
+    code = main(EVOLVE_A + ["--initial", str(bad)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: state file {str(bad)!r} is not valid json: ")
+
+
+def test_state_file_nested_too_deeply_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code = main(EVOLVE_A + ["--initial", str(deep)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: state file {str(deep)!r} ")
+
+
+@pytest.mark.parametrize("target", ["missing-dir/state.json", "."], ids=["missing-dir", "directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, target):
+    path = str(tmp_path / target)
+    code = main(EVOLVE_A + ["--out", path])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: cannot write output file {path!r}: ")
 
 
 def test_main_reuses_one_parser(capsys, monkeypatch):

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from spinpath.interferometer import (
     VARIANTS,
     _BLOCK_SIZE,
+    _PHASE_COLUMNS,
     _SHOT_COLUMNS,
     _STDERR_FLOOR,
+    _phase_columns,
     _sampled_angles,
     _shot_coefficients,
     _shot_columns,
@@ -432,6 +434,25 @@ def test_shot_states_match_matrix_products(seed, rank, mode, shot):
     u = reference_shot_unitaries(*drawn)
     expected = u @ rho0 @ u.conj().transpose(0, 2, 1)
     assert np.abs(shot_states(rho0, *drawn) - expected).max() <= 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(shot=st.lists(st.tuples(ANGLES, ANGLES), min_size=1, max_size=8))
+def test_mode_a_columns_are_the_mode_b_phase_columns_without_x_rotation(shot):
+    # The one Monte Carlo kernel rests on this: at gamma = delta = 0 every
+    # mode-B column outside _PHASE_COLUMNS is exactly 0, and those columns
+    # are bit for bit the 8 columns mode A fills.
+    alpha, beta = (np.array(column) for column in zip(*shot))
+    half = 0.5 * np.stack((alpha, beta, np.zeros_like(alpha), np.zeros_like(alpha)))
+    trig = np.stack((np.cos(half), np.sin(half)))
+    full = np.empty((_SHOT_COLUMNS, len(alpha)))
+    _shot_columns(trig, full)
+    phase = np.empty((len(_PHASE_COLUMNS), len(alpha)))
+    _phase_columns(np.ascontiguousarray(trig[:, :2]), phase)
+    rest = np.ones(_SHOT_COLUMNS, dtype=bool)
+    rest[_PHASE_COLUMNS] = False
+    assert np.all(full[rest] == 0.0)
+    assert full[_PHASE_COLUMNS].tobytes() == phase.tobytes()
 
 
 @pytest.mark.parametrize("mode,variant", FIELD_SETUPS)
