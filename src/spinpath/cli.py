@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -35,12 +36,6 @@ _MAX_SWEEP_POINTS = 1_000_000
 # Monte Carlo work is samples per sigma; these bound it before any sampling starts.
 _MAX_SAMPLES = 10_000_000
 _MAX_SIGMAS = 32
-
-_VARIANT_FLAGS = {
-    "both-paths-independent": "both_paths_independent",
-    "single-field-one-path": "single_field_one_path",
-    "single-field-both-paths": "single_field_both_paths",
-}
 
 
 def _matrix_from_any_json(obj) -> np.ndarray:
@@ -95,11 +90,10 @@ def _fmt(x: float) -> str:
 
 
 def _decoherence_spec(args) -> lindblad.DecoherenceSpec:
-    energies = tuple(getattr(args, "energies", (0.0, 0.0, 0.0, 0.0)))
     return lindblad.DecoherenceSpec(
         mode=args.mode,
         lam=args.lam,
-        hamiltonian=lindblad.SystemHamiltonian(energies),
+        hamiltonian=lindblad.SystemHamiltonian(args.energies),
     )
 
 
@@ -142,7 +136,7 @@ def cmd_ensemble(args) -> str:
     _check_samples(args.samples)
     rho0 = _initial_state(args.initial)
     setup = interferometer.FieldSetup(
-        mode=args.mode, sigma=args.sigma, variant=_VARIANT_FLAGS[args.variant]
+        mode=args.mode, sigma=args.sigma, variant=args.variant.replace("-", "_")
     )
     estimate = interferometer.ensemble_average_monte_carlo(
         rho0, setup, args.samples, args.seed
@@ -207,7 +201,7 @@ def cmd_calibrate(args) -> str:
         raise ValueError(f"--sigmas takes at most {_MAX_SIGMAS} values, got {len(args.sigmas)}")
     rho0 = states.experiment_initial()
     initial_magnitude = float(np.abs(rho0[1, 2]))
-    variant = _VARIANT_FLAGS[args.variant]
+    variant = args.variant.replace("-", "_")
     points = []
     for i, sigma in enumerate(args.sigmas):
         setup = interferometer.FieldSetup(mode=args.mode, sigma=sigma, variant=variant)
@@ -226,11 +220,15 @@ def cmd_calibrate(args) -> str:
     # Fit against sigma^2 / 2^e, with 2^e the binade of the largest sigma^2,
     # so that sigma^4 neither overflows nor, for tiny sigmas, underflows to
     # 0 (a term that underflows is negligible next to the largest, about 1).
-    # Scaling by a power of two is exact, so the fit keeps its digits;
-    # ldexp undoes it at the end.
-    sq = np.array([p["sigma"] ** 2 for p in points])
-    exponent = int(np.frexp(sq.max())[1])
-    sq = np.ldexp(sq, -exponent)
+    # Where the largest sigma^2 would be subnormal or 0, sigma is scaled
+    # before squaring.  Scaling by a power of two is exact, so the fit keeps
+    # its digits; ldexp undoes it at the end.
+    largest = max(p["sigma"] for p in points)
+    shift = 0 if largest ** 2 >= sys.float_info.min else -math.frexp(largest)[1]
+    sq = np.array([math.ldexp(p["sigma"], shift) ** 2 for p in points])
+    binade = int(np.frexp(sq.max())[1])
+    sq = np.ldexp(sq, -binade)
+    exponent = binade - 2 * shift
     lt = np.array([p["lambda_t"] for p in points])
     denom = float((sq ** 2).sum())
     if denom == 0.0:
@@ -258,15 +256,14 @@ def cmd_calibrate(args) -> str:
     return _dumps(payload)
 
 
-def _add_common(parser, *, initial=True, out=True):
+def _add_common(parser, *, initial=True):
     if initial:
         parser.add_argument(
             "--initial",
             default="singlet",
             help="named state (singlet, bell1..bell4, maximally-mixed) or a json state file path",
         )
-    if out:
-        parser.add_argument("--out", default="-", help="output path, or - for stdout")
+    parser.add_argument("--out", default="-", help="output path, or - for stdout")
 
 
 @functools.cache
@@ -282,6 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="two-qubit spin-path decoherence simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # --variant spells the field-layout variants with hyphens.
+    variants = sorted(variant.replace("_", "-") for variant in interferometer.VARIANTS)
 
     p = sub.add_parser("evolve", help="closed-form evolution plus measures")
     p.add_argument("--mode", required=True, choices=("A", "B"))
@@ -305,9 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--variant", default="both-paths-independent", choices=sorted(_VARIANT_FLAGS)
-    )
+    p.add_argument("--variant", default="both-paths-independent", choices=variants)
     _add_common(p)
     p.set_defaults(handler=cmd_ensemble)
 
@@ -330,9 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigmas", type=float, nargs="+", required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--variant", default="both-paths-independent", choices=sorted(_VARIANT_FLAGS)
-    )
+    p.add_argument("--variant", default="both-paths-independent", choices=variants)
     _add_common(p, initial=False)
     p.set_defaults(handler=cmd_calibrate)
 

@@ -11,7 +11,8 @@ before the z-rotations on each path.  When the angles fluctuate shot to
 shot as independent zero-mean Gaussians of width sigma, the ensemble
 average over shots reproduces the continuous decoherence channels of
 :mod:`spinpath.lindblad` with a coupling fixed by sigma
-(:func:`lambda_from_sigma`).
+(:func:`lambda_from_sigma`) on Bell-diagonal input states; on other
+inputs some coherences decay at other rates.
 
 ``ensemble_average_analytic`` evaluates the Gaussian average in closed
 form for arbitrary input states; ``ensemble_average_monte_carlo`` does
@@ -36,7 +37,17 @@ from . import superop
 from .pauli import ID2, SIGMA_X, SIGMA_Z, spin_path
 from .states import matrix_to_json, validate_density_matrix
 
-VARIANTS = ("both_paths_independent", "single_field_one_path", "single_field_both_paths")
+# Every field layout: (mode, variant) -> (rotations, lambda t / sigma^2).
+# A rotation is a (spin axis, path) pair with its own Gaussian angle.  The
+# Monte Carlo draws the angles in table order; the analytic average
+# applies the last rotation first (x before z on each path in mode B).
+_LAYOUTS = {
+    ("A", "both_paths_independent"): ((("z", "I"), ("z", "II")), 0.25),
+    ("A", "single_field_one_path"): ((("z", "II"),), 0.125),
+    ("A", "single_field_both_paths"): ((("z", "both"),), 0.5),
+    ("B", "both_paths_independent"): ((("z", "I"), ("z", "II"), ("x", "I"), ("x", "II")), 0.5),
+}
+VARIANTS = tuple(dict.fromkeys(variant for _, variant in _LAYOUTS))
 
 _BLOCK_SIZE = 8192
 # Shots per pass within a block, either mode.  A mode-B pass keeps its
@@ -66,10 +77,10 @@ class FieldSetup:
             raise ValueError(f"sigma {self.sigma!r} is too large: its square overflows")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.mode == "B" and self.variant != "both_paths_independent":
+        if (self.mode, self.variant) not in _LAYOUTS:
+            supported = " or ".join(repr(v) for m, v in _LAYOUTS if m == self.mode)
             raise ValueError(
-                f"variant {self.variant!r} is not supported for mode B; "
-                "only 'both_paths_independent' is"
+                f"variant {self.variant!r} is not supported for mode {self.mode}; only {supported} is"
             )
 
 
@@ -135,39 +146,32 @@ def _angle_map(harmonics: np.ndarray, sigma: float) -> np.ndarray:
     return superop.chi_map(harmonics, np.exp(-(gap ** 2) * (sigma * sigma / 8.0)))
 
 
-def _channel_sequence(setup: FieldSetup):
-    """Per-angle channels in application order (innermost rotation first)."""
-    if setup.mode == "A":
-        if setup.variant == "both_paths_independent":
-            return (_harmonics("z", "II"), _harmonics("z", "I"))
-        if setup.variant == "single_field_one_path":
-            return (_harmonics("z", "II"),)
-        return (_harmonics("z", "both"),)
-    return (_harmonics("x", "II"), _harmonics("z", "II"), _harmonics("x", "I"), _harmonics("z", "I"))
-
-
 def ensemble_average_analytic(rho0: np.ndarray, setup: FieldSetup) -> np.ndarray:
     """Exact Gaussian ensemble average of the shot states."""
     rho = validate_density_matrix(rho0)
-    maps = [_angle_map(harmonics, setup.sigma) for harmonics in _channel_sequence(setup)]
-    average = reduce(np.matmul, reversed(maps))
+    rotations, _ = _LAYOUTS[setup.mode, setup.variant]
+    maps = (_angle_map(_harmonics(*rotation), setup.sigma) for rotation in rotations)
+    average = reduce(np.matmul, maps)
     return validate_density_matrix(superop.apply(average, rho))
 
 
 # --- Monte Carlo -------------------------------------------------------------
 
 
+# The kernel angles (alpha, beta, gamma, delta) that each rotation turns.
+_KERNEL_ANGLES = {("z", "I"): [0], ("z", "II"): [1], ("z", "both"): [0, 1],
+                  ("x", "I"): [2], ("x", "II"): [3]}
+
+
 def _sampled_angles(rng: np.random.Generator, setup: FieldSetup, count: int) -> tuple:
-    """Per-shot angle arrays of one block, in the fixed draw order."""
-    sigma = setup.sigma
-    if setup.mode == "B":
-        return tuple(rng.normal(0.0, sigma, count) for _ in range(4))
-    if setup.variant == "single_field_one_path":
-        return np.zeros(count), rng.normal(0.0, sigma, count)
-    alpha = rng.normal(0.0, sigma, count)
-    if setup.variant == "single_field_both_paths":
-        return alpha, alpha
-    return alpha, rng.normal(0.0, sigma, count)
+    """Per-shot kernel angles of one block: (alpha, beta) in mode A,
+    (alpha, beta, gamma, delta) in mode B.  One draw per rotation of the
+    layout, in table order; an angle no rotation turns is 0."""
+    rotations, _ = _LAYOUTS[setup.mode, setup.variant]
+    angles = np.zeros((4 if setup.mode == "B" else 2, count))
+    for rotation in rotations:
+        angles[_KERNEL_ANGLES[rotation]] = rng.normal(0.0, setup.sigma, count)
+    return tuple(angles)
 
 
 # Mode A multiplies rho0_jk by exp(i theta_jk), theta_jk = phi_j - phi_k
@@ -428,23 +432,14 @@ def consistency_ratio(estimate: EnsembleEstimate, reference: np.ndarray) -> floa
     return float(max(ratio_re.max(), ratio_im.max()))
 
 
-_LAMBDA_T_COEFF = {
-    ("A", "both_paths_independent"): 0.25,
-    ("A", "single_field_one_path"): 0.125,
-    ("A", "single_field_both_paths"): 0.5,
-    ("B", "both_paths_independent"): 0.5,
-}
-
-
 def lambda_from_sigma(setup: FieldSetup, dwell_time: float) -> float:
     """Coupling strength whose continuous evolution over ``dwell_time``
-    matches the Gaussian ensemble average of the setup.
+    matches the Gaussian ensemble average of the setup on Bell-diagonal
+    input states.
 
-    The product lam * dwell_time equals c * sigma^2 with c = 1/4 for
-    mode A with independent fields in both paths, 1/8 with a single
-    field in one path, 1/2 with one shared field on both paths, and
-    1/2 for mode B.
+    The product lam * dwell_time equals c * sigma^2, with c the layout's
+    coefficient in ``_LAYOUTS``.
     """
     if not (np.isfinite(dwell_time) and dwell_time > 0.0):
         raise ValueError(f"dwell_time must be positive and finite, got {dwell_time!r}")
-    return _LAMBDA_T_COEFF[setup.mode, setup.variant] * setup.sigma ** 2 / dwell_time
+    return _LAYOUTS[setup.mode, setup.variant][1] * setup.sigma ** 2 / dwell_time

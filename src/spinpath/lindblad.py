@@ -120,20 +120,18 @@ def _times(t) -> np.ndarray:
     return times
 
 
-def _evolve_mode_a(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
-    """Closed-form mode-A state at time t.
+def _evolve_mode_a(rho0: np.ndarray, spec: DecoherenceSpec, t: np.ndarray) -> np.ndarray:
+    """Closed-form mode-A state(s) at the time(s) t.
 
     Off-diagonal elements pick up the free phase and an exp(-lam*t)
-    envelope; populations are constants of motion.  ``t`` as in :func:`evolve`.
+    envelope; populations are constants of motion.
     """
-    rho0 = validate_density_matrix(rho0)
-    t = _times(t)
     energies = np.array(spec.hamiltonian.energies)
     factors = np.exp(
         (-1j * np.subtract.outer(energies, energies) - spec.lam) * t[..., None, None]
     )
     factors[..., range(4), range(4)] = 1.0
-    return validate_density_matrix(rho0 * factors)
+    return rho0 * factors
 
 
 def _damped_cosh_sinh(lam: float, gap: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,8 +144,14 @@ def _damped_cosh_sinh(lam: float, gap: float, t: np.ndarray) -> tuple[np.ndarray
     is nonzero whenever gap is).  At gap = 0, mu = lam exactly.
     Re(mu) <= lam always holds, so both exponents below are nonpositive
     and never overflow.  The sinh term uses a series, elementwise, where
-    |mu*t| is small, to avoid cancellation.
+    |mu*t| is small, to avoid cancellation.  A complex division by a
+    subnormal divisor overflows, so lam and |gap| both below 2^-500 are
+    scaled up by 2^600 and t down by as much, which leaves lam*t and gap*t
+    unchanged; the sinh term is scaled back.
     """
+    if 0.0 < max(lam, abs(gap)) < 2.0 ** -500:
+        ch, sh = _damped_cosh_sinh(lam * 2.0 ** 600, gap * 2.0 ** 600, t / 2.0 ** 600)
+        return ch, sh * 2.0 ** 600
     if gap == 0.0:
         mu, mu_minus_lam = complex(lam), 0.0
     else:
@@ -160,14 +164,15 @@ def _damped_cosh_sinh(lam: float, gap: float, t: np.ndarray) -> tuple[np.ndarray
     small = np.abs(x) < 1e-6  # everywhere when mu == 0
     if not small.any():
         return ch, 0.5 * (ea - eb) / mu
+    x = np.where(small, x, 0.0)  # the series is kept only where |x| is small; elsewhere it may overflow
     series = 0.5 * t * np.exp(-0.5 * lam * t) * (1.0 + x * x / 6.0 + x ** 4 / 120.0)
     if small.all():  # mu may be 0 or subnormal: no division
         return ch, series
     return ch, np.where(small, series, 0.5 * (ea - eb) / mu)
 
 
-def _evolve_mode_b(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
-    """Closed-form mode-B state at time t.
+def _evolve_mode_b(rho0: np.ndarray, spec: DecoherenceSpec, t: np.ndarray) -> np.ndarray:
+    """Closed-form mode-B state(s) at the time(s) t.
 
     The equations of motion split into three families:
 
@@ -179,10 +184,8 @@ def _evolve_mode_b(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
       through a 2x2 linear system whose eigenfrequencies involve
       mu = sqrt(lam^2 - 4*dE^2); for 2*|dE| > lam the square root is
       taken complex, which analytically continues the same expressions
-      into the damped-oscillation regime.  ``t`` as in :func:`evolve`.
+      into the damped-oscillation regime.
     """
-    rho0 = validate_density_matrix(rho0)
-    t = _times(t)
     lam = spec.lam
     energies = spec.hamiltonian.energies
     out = np.zeros(t.shape + (4, 4), dtype=complex)
@@ -208,18 +211,19 @@ def _evolve_mode_b(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
         out[..., k, j] = (ch - 2.0j * de * sh) * rho0[k, j] + lam * sh * rho0[j, k]
         out[..., j, k] = (ch + 2.0j * de * sh) * rho0[j, k] + lam * sh * rho0[k, j]
 
-    return validate_density_matrix(out)
+    return out
 
 
 def evolve(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
-    """Dispatch to the closed form matching ``spec.mode``.
+    """Closed-form state(s) of the mode ``spec.mode``.
 
     ``t`` is a scalar, giving one (4, 4) state, or a 1-d array of
-    times, giving the (N, 4, 4) stack of states at those times.
+    times, giving the (N, 4, 4) stack of states at those times.  The
+    input and the output are validated here, once each.
     """
-    if spec.mode == "A":
-        return _evolve_mode_a(rho0, spec, t)
-    return _evolve_mode_b(rho0, spec, t)
+    rho0 = validate_density_matrix(rho0)
+    closed_form = _evolve_mode_a if spec.mode == "A" else _evolve_mode_b
+    return validate_density_matrix(closed_form(rho0, spec, _times(t)))
 
 
 def integrate_master(

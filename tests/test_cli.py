@@ -13,7 +13,7 @@ from spinpath import interferometer, lindblad
 from spinpath.cli import main
 from spinpath.measures import measure_report
 from spinpath.pauli import SIGMA_X, SIGMA_Y, SIGMA_Z
-from spinpath.states import experiment_initial, matrix_from_json, matrix_to_json
+from spinpath.states import bell_state, experiment_initial, from_pure, matrix_from_json, matrix_to_json
 
 
 def run(capsys, argv):
@@ -440,10 +440,15 @@ def test_ensemble_at_the_largest_sigmas_runs_without_overflow(capsys):
     assert np.abs(matrix_from_json(payload["analytic"]) - 0.25 * np.eye(4)).max() < 1e-15
 
 
-@pytest.mark.parametrize("sigmas", [["1e100", "1"], ["1e-100", "1e-90"]], ids=["huge", "tiny"])
+@pytest.mark.parametrize(
+    "sigmas",
+    [["1e100", "1"], ["1e-100", "1e-90"], ["1e-170", "2e-170"], ["5e-324"]],
+    ids=["huge", "tiny", "square-underflows", "smallest"],
+)
 def test_calibrate_fit_at_extreme_sigmas_is_the_least_squares_coefficient(capsys, sigmas):
-    # sigma^4 overflows (1e400) or underflows to 0 (1e-400, 1e-360); the fit must
-    # still be sum(lambda_t sigma^2) / sum(sigma^4) over the reported points.
+    # sigma^4 overflows (1e400) or underflows to 0 (1e-400, 1e-360), or even
+    # sigma^2 does (1e-340); the fit must still be
+    # sum(lambda_t sigma^2) / sum(sigma^4) over the reported points.
     argv = ["calibrate", "--mode", "B", "--sigmas", *sigmas, "--samples", "10"]
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         payload = run_json(capsys, argv)
@@ -458,6 +463,25 @@ def test_evolve_mode_b_huge_coupling_exits_0(capsys):
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         payload = run_json(capsys, ["evolve", "--mode", "B", "--lambda", "1e200", "--time", "1"])
     assert np.abs(matrix_from_json(payload["state"]) - 0.25 * np.eye(4)).max() < 1e-15
+
+
+def test_sweep_mode_b_huge_coupling_with_split_energies_raises_no_floating_point_error(capsys):
+    # t = 0 takes the sinh series and t > 0 the division; the series must not
+    # be evaluated (and overflow) where it is not used.
+    argv = ["sweep", "--mode", "B", "--lambda", "1e200", "--time", "1", "--steps", "3",
+            "--energies", "0", "0", "1", "0"]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        code, out = run(capsys, argv)
+    assert code == 0
+    assert out == "lambda_t,mixedness,concurrence\n0,1,1\n5e+199,0.25,0\n1e+200,0.25,0\n"
+
+
+def test_evolve_mode_b_subnormal_gap_exits_0(capsys):
+    argv = ["evolve", "--mode", "B", "--lambda", "0", "--time", "0",
+            "--energies", "0", "0", "0", "2.225073858507203e-309", "--initial", "bell1"]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        payload = run_json(capsys, argv)
+    assert np.array_equal(matrix_from_json(payload["state"]), from_pure(bell_state(1)))
 
 
 def test_tomography_shots_beyond_int64_exit_2(capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinpath.lindblad import (
@@ -321,12 +321,32 @@ def test_semigroup_property(mode):
     t1=st.floats(min_value=0.0, max_value=2.0),
     t2=st.floats(min_value=0.0, max_value=2.0),
 )
+# A subnormal gap: mu + lam is a subnormal imaginary number, whose reciprocal overflows.
+@example(seed=0, rank=1, mode="B", lam=0.0, energies=(0.0, 0.0, 0.0, 2.225073858507203e-309), t1=0.0, t2=0.0)
 def test_semigroup_law_over_random_specs(seed, rank, mode, lam, energies, t1, t2):
     rho = random_rank_state(np.random.default_rng(seed), rank)
     spec = DecoherenceSpec(mode=mode, lam=lam, hamiltonian=SystemHamiltonian(energies))
     direct = evolve(rho, spec, t1 + t2)
     stepped = evolve(evolve(rho, spec, t1), spec, t2)
     assert np.abs(direct - stepped).max() <= 1e-9
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-310, 3e-308])
+@pytest.mark.parametrize("gap_exponent", [-1074, -1030, -700])
+def test_mode_b_tiny_gap_matches_the_rescaled_problem(lam, gap_exponent):
+    # The closed form depends on lam t and the energies times t only, so a
+    # tiny lam and gap at huge times equal lam, gap times 2^k at times / 2^k.
+    rho = random_rank_state(np.random.default_rng(5), 4)
+    gap, k = np.ldexp(1.5, gap_exponent), min(-gap_exponent - 4, 1020)
+    times = np.ldexp(np.array([0.0, 1e-3, 0.4, 1.3, 2.0]), k)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        tiny = evolve(rho, DecoherenceSpec("B", lam, SystemHamiltonian((0.0, 0.0, 0.0, gap))), times)
+    scaled = evolve(
+        rho,
+        DecoherenceSpec("B", np.ldexp(lam, k), SystemHamiltonian((0.0, 0.0, 0.0, np.ldexp(gap, k)))),
+        np.ldexp(times, -k),
+    )
+    assert np.abs(tiny - scaled).max() <= 1e-14
 
 
 def test_mode_a_diagonal_states_stationary():
