@@ -85,10 +85,6 @@ def _dumps(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 def _decoherence_spec(args) -> lindblad.DecoherenceSpec:
     return lindblad.DecoherenceSpec(
         mode=args.mode,
@@ -120,10 +116,8 @@ def cmd_sweep(args) -> str:
     for start in range(0, args.steps, _SWEEP_BLOCK):
         block = times[start:start + _SWEEP_BLOCK]
         report = measure_report(lindblad.evolve(rho0, spec, block))
-        lines.extend(
-            f"{_fmt(spec.lam * t)},{_fmt(m)},{_fmt(c)}"
-            for t, m, c in zip(block, report.mixedness, report.concurrence)
-        )
+        rows = np.column_stack((spec.lam * block, report.mixedness, report.concurrence))
+        lines.extend("%.12g,%.12g,%.12g" % (lt, m, c) for lt, m, c in rows.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -23,6 +23,7 @@ from .states import validate_density_matrix
 
 MAX_WEIGHT = 4.0 / 3.0
 _COMPLETENESS_TOL = 1e-12
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,6 +84,15 @@ def trotter_evolve(rho0: np.ndarray, mode: str, lam: float, t: float, n: int) ->
     """n-fold composition of the per-step map with weight lam*t/n.
 
     The composition is the n-th matrix power of the step's 16x16 map.
+    Rounding in that power makes the trace drift by up to about n*eps
+    (measured: 1.0e-11 at n = 2^16, 8.9e-11 at 2^20), so Hermiticity and
+    trace drift are checked against the budget max(1e-9, 64*n*eps), which
+    grows with n; within it the result is re-Hermitized and renormalized
+    to the input's trace (the map preserves it) before validation.
+
+    Raises:
+        numpy.linalg.LinAlgError: when the drift exceeds the budget,
+            naming n.
     """
     rho = validate_density_matrix(rho0)
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
@@ -92,7 +102,10 @@ def trotter_evolve(rho0: np.ndarray, mode: str, lam: float, t: float, n: int) ->
     if not (np.isfinite(t) and t >= 0.0):
         raise ValueError(f"time must be finite and nonnegative, got {t!r}")
     step_map = superop.kraus_map(kraus_set_for_mode(mode, lam * t / n).operators)
-    return validate_density_matrix(superop.apply(np.linalg.matrix_power(step_map, int(n)), rho))
+    out = superop.apply(np.linalg.matrix_power(step_map, int(n)), rho)
+    budget = max(1e-9, 64 * int(n) * _EPS)
+    trace = float(np.trace(rho).real)
+    return validate_density_matrix(superop.settle(out, budget, f"Trotter composition (n={n})", trace))
 
 
 def lindblad_generators_from_kraus(kraus_set: KrausSet, dt: float) -> tuple[list[np.ndarray], float]:

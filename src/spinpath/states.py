@@ -21,6 +21,9 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-9
 NORM_TOL = 1e-12
+# c*1 with c = -EIGENVALUE_FLOOR/2: a Cholesky factorization of rho + c*1 exists
+# only if min eig(rho) > -c - O(eps), a bound far above the floor.
+_CHOLESKY_SHIFT = -EIGENVALUE_FLOOR / 2.0 * np.eye(4)
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -135,6 +138,15 @@ def validate_density_matrix(m) -> np.ndarray:
     ``TRACE_TOL``, and positive semidefiniteness with eigenvalue floor
     ``EIGENVALUE_FLOOR``.
 
+    Positivity is first certified by a Cholesky factorization of
+    ``(rho + rho^dagger)/2 + c*1`` with shift ``c = -EIGENVALUE_FLOOR/2
+    = 5e-10``: it succeeds only when the least eigenvalue exceeds
+    ``-c - O(eps)``, well above the floor, so every state of a stack that
+    factors passes.  When any state fails to factor, the exact check
+    decides alone: ``eigvalsh`` of every state, its least eigenvalue
+    compared with the floor.  Accept/reject decisions and messages are
+    therefore those of the exact check.
+
     Raises:
         StateValidationError: naming the violated invariant and its size;
             for a stack, prefixed with ``state i: `` for the first
@@ -151,9 +163,13 @@ def validate_density_matrix(m) -> np.ndarray:
            "hermiticity violation: max|rho - rho^dagger| = {:.3e}")
     trace_defect = np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0)
     _check(trace_defect > TRACE_TOL, trace_defect, "trace violation: |Tr rho - 1| = {:.3e}")
-    min_eig = np.linalg.eigvalsh((m + adjoint) / 2.0)[..., 0]
-    _check(min_eig < EIGENVALUE_FLOOR, min_eig,
-           f"positivity violation: min eigenvalue = {{:.3e}} < {EIGENVALUE_FLOOR:.1e}")
+    hermitian = (m + adjoint) / 2.0
+    try:
+        np.linalg.cholesky(hermitian + _CHOLESKY_SHIFT)
+    except np.linalg.LinAlgError:
+        min_eig = np.linalg.eigvalsh(hermitian)[..., 0]
+        _check(min_eig < EIGENVALUE_FLOOR, min_eig,
+               f"positivity violation: min eigenvalue = {{:.3e}} < {EIGENVALUE_FLOOR:.1e}")
     return m
 
 

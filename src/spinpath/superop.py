@@ -64,3 +64,23 @@ def rk4_step(generator: np.ndarray, step: float) -> np.ndarray:
 def apply(superop: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Image of a 4x4 matrix under a 16x16 superoperator."""
     return (superop @ np.asarray(rho, dtype=complex).reshape(16)).reshape(4, 4)
+
+
+def settle(rho: np.ndarray, budget: float, route: str, trace: float = 1.0) -> np.ndarray:
+    """Re-Hermitize a state propagated by ``route`` and renormalize it to ``trace``.
+
+    A state already Hermitian with that trace comes back bit-identical.
+
+    Raises:
+        numpy.linalg.LinAlgError: when the Hermiticity drift or the trace's
+            distance from ``trace`` exceeds ``budget``, naming ``route``.
+    """
+    herm_drift = float(np.abs(rho - rho.conj().T).max())
+    trace_drift = abs(float(np.trace(rho).real) - trace)
+    if herm_drift > budget or trace_drift > budget:
+        raise np.linalg.LinAlgError(
+            f"{route} drift exceeded budget {budget:.1e}: "
+            f"hermiticity {herm_drift:.3e}, trace {trace_drift:.3e}"
+        )
+    rho = (rho + rho.conj().T) / 2.0
+    return rho / (np.trace(rho).real / trace)

@@ -1,13 +1,17 @@
 import argparse
+import io
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinpath import interferometer, lindblad
 from spinpath.cli import main
@@ -143,6 +147,35 @@ def test_sweep_evaluates_blocks_of_256_points(capsys, monkeypatch):
         report = measure_report(closed_form(experiment_initial(), spec, float(t)))
         assert abs(row[1] - report.mixedness) <= 1e-11
         assert abs(row[2] - report.concurrence) <= 1e-11
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    mode=st.sampled_from(["A", "B"]),
+    lam=st.one_of(st.sampled_from([0.0, 1e-7, 1.0, 1e200]), st.floats(0.0, 5.0)),
+    end=st.one_of(st.sampled_from([1e-9, 3.5, 1e5]), st.floats(0.0, 20.0)),
+    steps=st.one_of(st.integers(2, 255), st.integers(257, 700), st.sampled_from([256, 512, 513])),
+    # Hundredths, so a negative energy never reads as an option ("-1e-05" would).
+    energies=st.lists(st.integers(-300, 300).map(lambda k: k / 100.0), min_size=4, max_size=4),
+    initial=st.sampled_from(["singlet", "bell1", "bell3", "maximally-mixed"]),
+)
+def test_sweep_csv_is_the_12_digit_format_of_each_value(mode, lam, end, steps, energies, initial):
+    argv = ["sweep", "--mode", mode, "--lambda", repr(lam), "--time", repr(end),
+            "--steps", str(steps), "--energies", *map(repr, energies), "--initial", initial]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    spec = lindblad.DecoherenceSpec(mode, lam, lindblad.SystemHamiltonian(tuple(energies)))
+    rho0 = {"singlet": experiment_initial(), "bell1": from_pure(bell_state(1)),
+            "bell3": from_pure(bell_state(3)), "maximally-mixed": np.eye(4) / 4.0}[initial]
+    times = np.linspace(0.0, end, steps)
+    expected = ["lambda_t,mixedness,concurrence"]
+    for start in range(0, steps, 256):
+        block = times[start:start + 256]
+        report = measure_report(lindblad.evolve(rho0, spec, block))
+        for t, m, c in zip(block, report.mixedness, report.concurrence):
+            expected.append(",".join(format(float(x), ".12g") for x in (lam * t, m, c)))
+    assert out.getvalue() == "\n".join(expected) + "\n"
 
 
 def test_sweep_rejects_more_than_a_million_points(capsys):
@@ -283,6 +316,18 @@ def test_kraus_compare_mode_b_error_halves(capsys):
     )
     ratio = payload["max_error_half_steps"] / payload["max_error"]
     assert 1.7 <= ratio <= 2.3
+
+
+@pytest.mark.parametrize("initial", ["singlet", "bell1", "maximally-mixed"])
+def test_kraus_compare_at_65536_steps_exits_0(capsys, initial):
+    payload = run_json(
+        capsys,
+        ["kraus-compare", "--mode", "B", "--lambda", "1.7", "--time", "0.9", "--steps", "65536",
+         "--initial", initial],
+    )
+    assert payload["max_error"] < 3e-6
+    if initial != "maximally-mixed":  # a fixed point: both errors are rounding
+        assert abs(payload["convergence_order"] - 1.0) < 1e-3
 
 
 def test_tomography_exact_round_trip(capsys):
@@ -482,6 +527,22 @@ def test_evolve_mode_b_subnormal_gap_exits_0(capsys):
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         payload = run_json(capsys, argv)
     assert np.array_equal(matrix_from_json(payload["state"]), from_pure(bell_state(1)))
+
+
+@pytest.mark.parametrize("mode", ["A", "B"])
+@pytest.mark.parametrize("command", [["evolve"], ["sweep", "--steps", "5"]], ids=["evolve", "sweep"])
+def test_energy_phase_overflow_exits_2_naming_energies_and_time(capsys, mode, command):
+    argv = [*command, "--mode", mode, "--lambda", "0", "--time", "1e300",
+            "--energies", "0", "0", "1e10", "0"]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: energy phase (E_k - E_j) * t is not finite for energies "
+        "(0.0, 0.0, 10000000000.0, 0.0) at time 1e+300\n"
+    )
 
 
 def test_tomography_shots_beyond_int64_exit_2(capsys):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinpath import kraus
 from spinpath.kraus import (
     KrausSet,
     completeness_defect,
@@ -11,7 +12,7 @@ from spinpath.kraus import (
     trotter_evolve,
 )
 from spinpath.lindblad import DecoherenceSpec, evolve, projectors_for_mode
-from spinpath.states import experiment_initial, maximally_mixed
+from spinpath.states import bell_state, experiment_initial, from_pure, maximally_mixed
 
 
 def random_state(rng):
@@ -266,3 +267,30 @@ def test_trotter_final_state_valid_at_4096_steps():
         t = float(rng.uniform(0.05, 0.4))
         out = trotter_evolve(rho, mode, lam, t, 4096)
         assert abs(np.trace(out).real - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2**16, 2**20])
+@pytest.mark.parametrize(
+    "rho",
+    [experiment_initial(), from_pure(bell_state(1)), maximally_mixed()],
+    ids=["singlet", "bell1", "maximally-mixed"],
+)
+def test_trotter_stays_valid_at_large_step_counts(rho, n):
+    # Rounding in the n-th power drifts the trace by about n * eps (1e-11 at
+    # 2^16, 9e-11 at 2^20), beyond the 1e-12 validation tolerance; the result
+    # is renormalized to the input's trace within the n-dependent budget.
+    out = trotter_evolve(rho, "B", 1.7, 0.9, n)
+    assert abs(np.trace(out).real - np.trace(rho).real) <= 1e-15
+    assert np.abs(out - out.conj().T).max() == 0.0
+    exact = evolve(rho, DecoherenceSpec(mode="B", lam=1.7), 0.9)
+    assert np.abs(out - exact).max() <= 0.2 / n
+
+
+def test_trotter_drift_beyond_its_budget_is_a_numerical_failure(monkeypatch):
+    # An identity step of weight 1 + 5e-13, within the Kraus completeness
+    # tolerance, gains about n * 5e-13 of trace: 5e-7 at 2^20, above the
+    # budget 64 * n * eps = 1.5e-8.
+    leaky = KrausSet(operators=(np.sqrt(1.0 + 5e-13) * np.eye(4),))
+    monkeypatch.setattr(kraus, "kraus_set_for_mode", lambda mode, weight: leaky)
+    with pytest.raises(np.linalg.LinAlgError, match=r"Trotter composition \(n=1048576\) drift exceeded budget"):
+        trotter_evolve(experiment_initial(), "B", 1.7, 0.9, 2**20)

@@ -11,7 +11,12 @@ from spinpath.lindblad import (
     projectors_for_mode,
 )
 from spinpath.measures import mixedness
-from spinpath.states import experiment_initial, maximally_mixed, validate_density_matrix
+from spinpath.states import (
+    StateValidationError,
+    experiment_initial,
+    maximally_mixed,
+    validate_density_matrix,
+)
 from spinpath.superop import apply, liouvillian
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -202,6 +207,37 @@ def test_evolve_rejects_negative_time():
         for t in (np.nan, np.inf, np.array([0.0, 1.0, np.nan])):
             with pytest.raises(ValueError, match="time must be finite"):
                 evolve(experiment_initial(), spec, t)
+
+
+@pytest.mark.parametrize("mode", ["A", "B"])
+@pytest.mark.parametrize(
+    "energies,t",
+    [
+        ((0.0, 0.0, 1e10, 0.0), 1e300),
+        ((1e308, -1e308, 0.0, 0.0), 1.0),
+        ((1e308, -1e308, 0.0, 0.0), 0.0),
+        ((0.0, 0.0, 1e10, 0.0), np.array([0.0, 1.0, 1e300])),
+    ],
+    ids=["phase-overflows", "gap-overflows", "gap-overflows-at-t0", "stack"],
+)
+def test_evolve_rejects_an_energy_phase_that_is_not_finite(mode, energies, t):
+    spec = DecoherenceSpec(mode=mode, lam=0.0, hamiltonian=SystemHamiltonian(energies))
+    with pytest.raises(ValueError, match=r"energy phase \(E_k - E_j\) \* t is not finite") as info:
+        evolve(experiment_initial(), spec, t)
+    assert not isinstance(info.value, StateValidationError)
+    assert f"energies {tuple(energies)}" in str(info.value)
+    assert f"at time {float(np.max(t))!r}" in str(info.value)
+
+
+def test_evolve_rejects_a_mode_b_pair_phase_at_twice_the_gap():
+    # (E_1 - E_3) * t = 1e308 is finite, but the coupled pair turns at 2e308.
+    energies = (1e300, 0.0, 0.0, 0.0)
+    spec_a = DecoherenceSpec(mode="A", lam=0.0, hamiltonian=SystemHamiltonian(energies))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        validate_density_matrix(evolve(experiment_initial(), spec_a, 1e8))
+    spec_b = DecoherenceSpec(mode="B", lam=0.0, hamiltonian=SystemHamiltonian(energies))
+    with pytest.raises(ValueError, match="energy phase"):
+        evolve(experiment_initial(), spec_b, 1e8)
 
 
 @pytest.mark.parametrize("mode", ["A", "B"])

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinpath.states import (
+    EIGENVALUE_FLOOR,
+    HERMITICITY_TOL,
+    TRACE_TOL,
     BellWeights,
     StateValidationError,
     bell_diagonal,
@@ -175,6 +180,97 @@ def test_validate_stack_names_first_invalid_state(invariant):
         validate_density_matrix(stack[4])
     assert str(stacked.value) == f"state 4: {single.value}"
     assert str(single.value).startswith(invariant)
+
+
+def _eigvalsh_validator(m):
+    """Oracle: the validator whose positivity check is eigvalsh of every state."""
+    m = np.asarray(m, dtype=complex)
+
+    def check(bad, defect, message):
+        if bad.ndim == 0:
+            if bad:
+                raise StateValidationError(message.format(defect))
+        elif bad.any():
+            i = int(np.argmax(bad))
+            raise StateValidationError(f"state {i}: " + message.format(defect[i]))
+
+    if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
+        raise StateValidationError(f"shape violation: expected (4, 4) or (N, 4, 4), got {m.shape}")
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    check(~finite, finite, "finiteness violation: matrix contains nan or inf")
+    adjoint = m.conj().swapaxes(-2, -1)
+    herm_defect = np.abs(m - adjoint).max(axis=(-2, -1))
+    check(herm_defect > HERMITICITY_TOL, herm_defect,
+          "hermiticity violation: max|rho - rho^dagger| = {:.3e}")
+    trace_defect = np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0)
+    check(trace_defect > TRACE_TOL, trace_defect, "trace violation: |Tr rho - 1| = {:.3e}")
+    min_eig = np.linalg.eigvalsh((m + adjoint) / 2.0)[..., 0]
+    check(min_eig < EIGENVALUE_FLOOR, min_eig,
+          f"positivity violation: min eigenvalue = {{:.3e}} < {EIGENVALUE_FLOOR:.1e}")
+    return m
+
+
+def _state_with_least_eigenvalue(seed, rank, least):
+    """A unit-trace Hermitian matrix of the given rank whose least eigenvalue is moved to ``least``."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    w, v = np.linalg.eigh(g @ g.conj().T)
+    w = w / w.sum()
+    w[-1] += w[0] - least
+    w[0] = least
+    rho = (v * w) @ v.conj().T
+    return (rho + rho.conj().T) / 2.0
+
+
+def _outcome(validator, m):
+    try:
+        out = validator(m)
+    except StateValidationError as exc:
+        return str(exc)
+    assert np.array_equal(out, m)
+    return "accepted"
+
+
+# Least eigenvalues around the floor -1e-9, with the band (-1e-9, -5e-10]
+# where the Cholesky certificate fails and the exact check still accepts.
+LEAST = st.one_of(
+    st.floats(-2e-9, 1e-9),
+    st.floats(-1e-9, -5e-10, exclude_min=True),
+    st.sampled_from([EIGENVALUE_FLOOR, -5e-10, 0.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4), least=LEAST)
+def test_validate_decides_positivity_as_the_eigvalsh_oracle(seed, rank, least):
+    rho = _state_with_least_eigenvalue(seed, rank, least)
+    assert _outcome(validate_density_matrix, rho) == _outcome(_eigvalsh_validator, rho)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 12), data=st.data())
+def test_validate_stack_decides_positivity_as_the_eigvalsh_oracle(seed, size, data):
+    ranks = data.draw(st.lists(st.integers(1, 4), min_size=size, max_size=size))
+    stack = np.array([_state_with_least_eigenvalue(seed + i, rank, 0.0) for i, rank in enumerate(ranks)])
+    for _ in range(data.draw(st.integers(1, 2))):
+        i = data.draw(st.integers(0, size - 1))
+        stack[i] = _state_with_least_eigenvalue(seed + size + i, ranks[i], data.draw(LEAST))
+    expected = _outcome(_eigvalsh_validator, stack)
+    assert _outcome(validate_density_matrix, stack) == expected
+    if expected != "accepted":
+        assert expected.startswith("state ")
+
+
+def test_validate_spares_eigvalsh_when_the_certificate_holds(monkeypatch):
+    def eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh ran")
+
+    good = np.array([experiment_initial(), maximally_mixed(), bell_diagonal((0.5, 0.5, 0.0, 0.0))])
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    validate_density_matrix(good)
+    validate_density_matrix(good[0])
+    with pytest.raises(AssertionError, match="eigvalsh ran"):
+        validate_density_matrix(_state_with_least_eigenvalue(0, 3, -7e-10))
 
 
 def test_validate_rejects_bad_shapes():

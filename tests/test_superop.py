@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from spinpath import superop
 from spinpath.lindblad import projectors_for_mode
@@ -58,3 +59,17 @@ def test_rk4_step_matches_four_stage_update():
     k4 = rhs(rho + step * k3)
     expected = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     assert np.abs(superop.apply(superop.rk4_step(generator, step), rho) - expected).max() < 1e-13
+
+
+def test_settle_keeps_a_settled_state_and_rejects_drift_beyond_budget():
+    rng = np.random.default_rng(59)
+    rho = random_hermitian(rng) + 2.0 * np.eye(4)
+    trace = float(np.trace(rho).real)
+    assert np.array_equal(superop.settle(rho, 1e-9, "route", trace), rho)
+    drifted = rho * (1.0 + 1e-10)
+    drifted[0, 1] += 1e-11
+    settled = superop.settle(drifted, 1e-8, "route", trace)
+    assert np.array_equal(settled, settled.conj().T)
+    assert abs(np.trace(settled).real - trace) <= 1e-15 * trace
+    with pytest.raises(np.linalg.LinAlgError, match=r"route drift exceeded budget 1\.0e-12"):
+        superop.settle(drifted, 1e-12, "route", trace)
