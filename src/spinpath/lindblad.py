@@ -15,9 +15,13 @@ orthogonal rank-1 projectors.  Two families are supported:
   (e2 +/- e4)/sqrt(2), i.e. the product basis rotated by a Hadamard on
   the spin factor.  This additionally mixes populations pairwise.
 
-Both modes have closed-form solutions, reached through ``evolve``, which
-dispatches on ``spec.mode``; ``integrate_master`` provides an independent
-fixed-step numerical route for cross-checking them.
+Both modes have one closed form, reached through ``evolve``: the state
+at time t is D * rho0 + E * rho0[F][:, F] elementwise, with F the spin
+flip on each path (e1 <-> e3, e2 <-> e4).  Mode A has E = 0; mode B's
+coupled coherence pairs take real cosh/sinh forms when damped
+(2|dE| < lam) and real cos/sin forms when critical or oscillating.
+``integrate_master`` provides an independent fixed-step numerical route
+for cross-checking them.
 
 All functions are pure and safe to call concurrently.
 """
@@ -121,102 +125,68 @@ def _times(t) -> np.ndarray:
     return times
 
 
-def _evolve_mode_a(rho0: np.ndarray, spec: DecoherenceSpec, t: np.ndarray) -> np.ndarray:
-    """Closed-form mode-A state(s) at the time(s) t.
-
-    Off-diagonal elements pick up the free phase and an exp(-lam*t)
-    envelope; populations are constants of motion.
-    """
-    energies = np.array(spec.hamiltonian.energies)
-    factors = np.exp(
-        (-1j * np.subtract.outer(energies, energies) - spec.lam) * t[..., None, None]
-    )
-    factors[..., range(4), range(4)] = 1.0
-    return rho0 * factors
+# Spin flip on each path: e1 <-> e3, e2 <-> e4.
+_SPIN_FLIP = [2, 3, 0, 1]
 
 
 def _damped_cosh_sinh(lam: float, gap: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Overflow-safe exp(-lam*t/2)*cosh(mu*t/2) and exp(-lam*t/2)*sinh(mu*t/2)/mu
-    with mu = sqrt(lam^2 - gap^2).
+    """exp(-lam*t/2)*cosh(mu*t/2) and exp(-lam*t/2)*sinh(mu*t/2)/mu with
+    mu = sqrt(lam^2 - gap^2), in real arithmetic.
 
-    For gap != 0, mu is formed as sqrt(lam - gap) * sqrt(lam + gap) in
-    complex arithmetic, so lam^2 never overflows, and mu - lam as
-    -gap^2 / (mu + lam), which does not cancel when lam >> |gap| (mu + lam
-    is nonzero whenever gap is).  At gap = 0, mu = lam exactly.
-    Re(mu) <= lam always holds, so both exponents below are nonpositive
-    and never overflow.  The sinh term uses a series, elementwise, where
-    |mu*t| is small, to avoid cancellation.  A complex division by a
-    subnormal divisor overflows, so lam and |gap| both below 2^-500 are
-    scaled up by 2^600 and t down by as much, which leaves lam*t and gap*t
-    unchanged; the sinh term is scaled back.
+    With h = lam/2 and k = |gap|/2, the overdamped regime k < h takes
+    m = mu/2 = sqrt(h - k) sqrt(h + k) (h exactly at k = 0) and
+    m - h = -k^2 / (m + h), which does not cancel when lam >> |gap|, and
+    sinh through expm1.  The critical and underdamped regime k >= h has
+    mu = 2iw with w = sqrt(k - h) sqrt(k + h): cos(w*t) and sin(w*t)/(2w),
+    or t/2 at w = 0.  No sum exceeds lam or |gap|, so with lam*t and
+    |gap|*t finite nothing overflows; |sin x| <= |x| and -expm1(-x) <= x
+    keep a division by a subnormal m or w finite.
     """
-    if 0.0 < max(lam, abs(gap)) < 2.0 ** -500:
-        ch, sh = _damped_cosh_sinh(lam * 2.0 ** 600, gap * 2.0 ** 600, t / 2.0 ** 600)
-        return ch, sh * 2.0 ** 600
-    if gap == 0.0:
-        mu, mu_minus_lam = complex(lam), 0.0
-    else:
-        mu = np.sqrt(complex(lam - gap)) * np.sqrt(complex(lam + gap))
-        mu_minus_lam = -gap * (gap / (mu + lam))
-    ea = np.exp(0.5 * mu_minus_lam * t)
-    eb = np.exp(-0.5 * (mu + lam) * t)
-    ch = 0.5 * (ea + eb)
-    x = 0.5 * mu * t
-    small = np.abs(x) < 1e-6  # everywhere when mu == 0
-    if not small.any():
-        return ch, 0.5 * (ea - eb) / mu
-    x = np.where(small, x, 0.0)  # the series is kept only where |x| is small; elsewhere it may overflow
-    series = 0.5 * t * np.exp(-0.5 * lam * t) * (1.0 + x * x / 6.0 + x ** 4 / 120.0)
-    if small.all():  # mu may be 0 or subnormal: no division
-        return ch, series
-    return ch, np.where(small, series, 0.5 * (ea - eb) / mu)
+    h, k = 0.5 * lam, 0.5 * abs(gap)
+    if k < h:
+        m = h if k == 0.0 else min(h, math.sqrt(h - k) * math.sqrt(h + k))  # m <= h despite rounding
+        slow = np.exp(-k * (k / (m + h)) * t)
+        ch = 0.5 * (slow + np.exp(-(m + h) * t))
+        return ch, 0.5 * slow * (-0.5 * np.expm1(-2.0 * m * t) / m)
+    w = math.sqrt(k - h) * math.sqrt(k + h)
+    envelope = np.exp(-h * t)
+    sinc = t if w == 0.0 else np.sin(w * t) / w
+    return envelope * np.cos(w * t), 0.5 * envelope * sinc
 
 
-def _evolve_mode_b(rho0: np.ndarray, spec: DecoherenceSpec, t: np.ndarray) -> np.ndarray:
-    """Closed-form mode-B state(s) at the time(s) t.
+def _closed_form(rho0: np.ndarray, spec: DecoherenceSpec, t: np.ndarray) -> np.ndarray:
+    """Closed-form state(s) at the time(s) t: D * rho0 + E * rho0[F][:, F]
+    elementwise, with F the spin flip on each path.
 
-    The equations of motion split into three families:
-
-    * elements connecting {e1, e3} to {e2, e4} decay exactly as in
-      mode A;
-    * the population pairs (rho11, rho33) and (rho22, rho44) relax
-      toward their pairwise means with rate lam;
-    * the coherence pairs (rho13, rho31) and (rho24, rho42) couple
-      through a 2x2 linear system whose eigenfrequencies involve
-      mu = sqrt(lam^2 - 4*dE^2); for 2*|dE| > lam the square root is
-      taken complex, which analytically continues the same expressions
-      into the damped-oscillation regime.
+    D holds mode A's factors, the free phase under an exp(-lam*t)
+    envelope on each coherence and 1 on the populations, and E = 0.
+    Mode B overwrites the entries of its two spin pairs (e_j, e_Fj):
+    populations relax to the pair's mean, 1/2 (1 -/+ exp(-lam*t)) in D
+    and E; the coherences rho_{j,Fj} take ch -/+ 2i dE sh in D and
+    lam * sh in E, from ``_damped_cosh_sinh`` at gap 2 dE.
     """
     lam = spec.lam
-    energies = spec.hamiltonian.energies
-    out = np.zeros(t.shape + (4, 4), dtype=complex)
-
-    # Cross-block elements: same form as mode A.
-    decay = np.exp(-lam * t)
-    for k, j in ((0, 1), (0, 3), (2, 1), (2, 3)):
-        phase = np.exp(-1j * (energies[k] - energies[j]) * t)
-        out[..., k, j] = phase * decay * rho0[k, j]
-        out[..., j, k] = np.conj(phase * decay) * rho0[j, k]
-
-    # Population pairs: exponential approach to the pairwise mean.
-    ep = 0.5 * (1.0 + decay)
-    em = 0.5 * (1.0 - decay)
-    for k, j in ((0, 2), (1, 3)):
-        out[..., k, k] = ep * rho0[k, k] + em * rho0[j, j]
-        out[..., j, j] = em * rho0[k, k] + ep * rho0[j, j]
-
-    # Coupled coherence pairs.
-    for k, j in ((0, 2), (1, 3)):
-        de = energies[k] - energies[j]
-        ch, sh = _damped_cosh_sinh(lam, 2.0 * de, t)
-        out[..., k, j] = (ch - 2.0j * de * sh) * rho0[k, j] + lam * sh * rho0[j, k]
-        out[..., j, k] = (ch + 2.0j * de * sh) * rho0[j, k] + lam * sh * rho0[k, j]
-
-    return out
+    energies = np.array(spec.hamiltonian.energies)
+    gaps = np.subtract.outer(energies, energies)
+    d = np.exp((-1j * gaps - lam) * t[..., None, None])
+    d[..., range(4), range(4)] = 1.0
+    if spec.mode == "A":
+        return rho0 * d
+    e = np.zeros(d.shape)
+    decay = np.exp(-lam * t)[..., None]
+    d[..., range(4), range(4)] = 0.5 * (1.0 + decay)
+    e[..., range(4), range(4)] = 0.5 * (1.0 - decay)
+    for j, f in ((0, 2), (1, 3)):
+        ch, sh = _damped_cosh_sinh(lam, 2.0 * gaps[j, f], t)
+        d[..., j, f] = ch - 2j * gaps[j, f] * sh
+        d[..., f, j] = ch + 2j * gaps[j, f] * sh
+        e[..., j, f] = e[..., f, j] = lam * sh
+    return d * rho0 + e * rho0[_SPIN_FLIP][:, _SPIN_FLIP]
 
 
 def _check_phases(spec: DecoherenceSpec, times: np.ndarray) -> None:
-    """Reject times at which an energy phase (E_k - E_j) * t is not finite.
+    """Reject times at which an energy phase (E_k - E_j) * t or the
+    coupling-time product lam * t is not finite.
 
     Mode B's coupled coherence pairs turn at twice their gap.  The rates
     are Python floats, whose overflow gives inf without a warning.
@@ -230,6 +200,9 @@ def _check_phases(spec: DecoherenceSpec, times: np.ndarray) -> None:
         raise ValueError(
             f"energy phase (E_k - E_j) * t is not finite for energies {energies} at time {t_max!r}"
         )
+    lam = float(spec.lam)
+    if not math.isfinite(lam * t_max):
+        raise ValueError(f"lam * t is not finite for lam {lam!r} at time {t_max!r}")
 
 
 def evolve(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
@@ -238,13 +211,13 @@ def evolve(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
     ``t`` is a scalar, giving one (4, 4) state, or a 1-d array of
     times, giving the (N, 4, 4) stack of states at those times.  The
     input and the output are validated here, once each; a time at which
-    an energy phase overflows is rejected before the closed form runs.
+    an energy phase or lam * t overflows is rejected before the closed
+    form runs.
     """
     rho0 = validate_density_matrix(rho0)
     times = _times(t)
     _check_phases(spec, times)
-    closed_form = _evolve_mode_a if spec.mode == "A" else _evolve_mode_b
-    return validate_density_matrix(closed_form(rho0, spec, times))
+    return validate_density_matrix(_closed_form(rho0, spec, times))
 
 
 def integrate_master(

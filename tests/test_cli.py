@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -510,9 +511,71 @@ def test_evolve_mode_b_huge_coupling_exits_0(capsys):
     assert np.abs(matrix_from_json(payload["state"]) - 0.25 * np.eye(4)).max() < 1e-15
 
 
+def write_pair_coherence_state(tmp_path):
+    """1/4 + 0.2 (|e1><e3| + |e3><e1|) as a state file."""
+    rho = 0.25 * np.eye(4, dtype=complex)
+    rho[0, 2] = rho[2, 0] = 0.2
+    path = tmp_path / "pair_coherence.json"
+    path.write_text(json.dumps(matrix_to_json(rho)))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, file_state",
+    [
+        (["evolve", "--mode", "B", "--lambda", "1e308", "--time", "1"], False),
+        (["evolve", "--mode", "B", "--lambda", "1e308", "--time", "1", "--energies", "0", "1", "0", "1"], False),
+        (["evolve", "--mode", "B", "--lambda", "1.5e308", "--time", "1", "--energies", "5e199", "0", "0", "0"], True),
+        (["evolve", "--mode", "B", "--lambda", "1.5e308", "--time", "1", "--energies", "5e307", "0", "0", "0"], True),
+    ],
+    ids=["degenerate", "split", "gap-5e199", "gap-5e307"],
+)
+def test_evolve_mode_b_coupling_near_the_float_limit_relaxes(tmp_path, capsys, argv, file_state):
+    # lam + mu, and lam + 2|dE| in the last case, would overflow here.  Both
+    # initial states relax fully: pair-mean populations and coherences 0.
+    if file_state:
+        argv = [*argv, "--initial", write_pair_coherence_state(tmp_path)]
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        payload = run_json(capsys, argv)
+    assert np.abs(matrix_from_json(payload["state"]) - 0.25 * np.eye(4)).max() <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--mode", "B", "--lambda", "3", "--time", "0.225", "--energies", "1.50000000015", "0", "0", "0"],
+        ["sweep", "--mode", "B", "--lambda", "1.5", "--time", "5", "--steps", "201",
+         "--energies", "0.750000000075", "0", "0", "0"],
+    ],
+    ids=["evolve", "sweep"],
+)
+def test_mode_b_near_critical_damping_exits_0(tmp_path, capsys, argv):
+    # 2|E_1 - E_3| = lam (1 + 1e-10): the output must stay exactly Hermitian.
+    code, out = run(capsys, [*argv, "--initial", write_pair_coherence_state(tmp_path)])
+    assert code == 0
+    assert out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--mode", "A", "--lambda", "1e307", "--time", "1e100"],
+        ["sweep", "--mode", "B", "--lambda", "1e307", "--time", "1e100", "--steps", "3"],
+    ],
+    ids=["evolve", "sweep"],
+)
+def test_coupling_time_product_overflow_exits_2_naming_lambda_and_time(capsys, argv):
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: lam * t is not finite for lam 1e+307 at time 1e+100\n"
+
+
 def test_sweep_mode_b_huge_coupling_with_split_energies_raises_no_floating_point_error(capsys):
-    # t = 0 takes the sinh series and t > 0 the division; the series must not
-    # be evaluated (and overflow) where it is not used.
+    # t = 0 and t > 0 in one stack, at a coupling whose square overflows.
     argv = ["sweep", "--mode", "B", "--lambda", "1e200", "--time", "1", "--steps", "3",
             "--energies", "0", "0", "1", "0"]
     with np.errstate(over="raise", invalid="raise", divide="raise"):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +35,30 @@ def random_rank_state(rng, rank):
     rho = g @ g.conj().T
     rho = rho / np.trace(rho).real
     return (rho + rho.conj().T) / 2.0
+
+
+def taylor_expm(a):
+    """exp(a) by scaling and squaring: a Taylor series of a / 2^s, squared s times."""
+    norm = np.abs(a).sum(axis=1).max()
+    s = max(0, math.ceil(math.log2(norm)) + 2) if norm > 0 else 0  # ||a / 2^s|| <= 1/4
+    a = a / 2.0 ** s
+    term = total = np.eye(len(a), dtype=complex)
+    for n in range(1, 18):
+        term = term @ a / n
+        total = total + term
+    for _ in range(s):
+        total = total @ total
+    return total
+
+
+def exact_evolution(rho, spec, times):
+    """The states exp(L t) rho of the 16x16 Liouvillian L, one per time."""
+    generator = liouvillian(
+        np.diag(np.array(spec.hamiltonian.energies, dtype=complex)),
+        projectors_for_mode(spec.mode).projectors,
+        spec.lam,
+    )
+    return np.stack([(taylor_expm(generator * t) @ rho.reshape(16)).reshape(4, 4) for t in times])
 
 
 def damping(rho, mode, lam):
@@ -191,6 +217,76 @@ def test_evolve_mode_b_huge_coupling_is_finite():
         assert np.abs(out - 0.25 * np.eye(4)).max() < 1e-15
 
 
+def near_critical_state():
+    """1/4 + 0.2 (|e1><e3| + |e3><e1|): only the first coupled coherence pair is set."""
+    rho = 0.25 * np.eye(4, dtype=complex)
+    rho[0, 2] = rho[2, 0] = 0.2
+    return rho
+
+
+def test_evolve_mode_b_near_critical_damping_is_exactly_hermitian():
+    # 2|E_1 - E_3| = lam (1 + eps): the damped and the oscillating forms of the
+    # coupled pair meet here.  The output of an exactly Hermitian input must
+    # be exactly Hermitian, not just within the validation tolerance.
+    cases = [(near_critical_state(), 3.0, 1.50000000015, 0.225)]
+    rng = np.random.default_rng(71)
+    for _ in range(200):
+        eps = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-14.0, -2.0)
+        lam = rng.uniform(0.1, 3.0)
+        rho = random_rank_state(rng, int(rng.integers(1, 5)))
+        cases.append((rho, lam, 0.5 * lam * (1.0 + eps), np.linspace(0.0, 3.0, 7)))
+    for rho, lam, e1, t in cases:
+        spec = DecoherenceSpec(mode="B", lam=lam, hamiltonian=SystemHamiltonian((e1, 0.0, 0.0, 0.0)))
+        out = evolve(rho, spec, t)
+        assert np.abs(out - np.swapaxes(out, -1, -2).conj()).max() <= 1e-15
+
+
+def test_evolve_mode_b_at_the_largest_coupling_starts_from_the_input():
+    # sqrt(h - k) sqrt(h + k) rounds above h = lam / 2 here, while 2 h is the
+    # largest float: mu = 2 m must still not overflow (inf * 0 at t = 0).
+    spec = DecoherenceSpec("B", 1.7976931348623157e308, SystemHamiltonian((8.566468994827393e291, 0.0, 0.0, 0.0)))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        out = evolve(near_critical_state(), spec, np.array([0.0, 1.0]))
+    assert np.array_equal(out[0], near_critical_state())
+    assert np.abs(out[1] - 0.25 * np.eye(4)).max() <= 1e-15
+
+
+@st.composite
+def closed_form_specs(draw):
+    """Specs over lam in [0, 3] and energies in [-2, 2]^4, half of them with
+    2|E_1 - E_3| = lam (1 + eps), |eps| in [1e-14, 1e-2] or eps = 0."""
+    mode = draw(st.sampled_from(["A", "B"]))
+    lam = draw(st.floats(min_value=0.0, max_value=3.0))
+    energies = list(draw(st.tuples(*[st.floats(min_value=-2.0, max_value=2.0)] * 4)))
+    if draw(st.booleans()):
+        # log-uniform, so that every decade of |eps| is drawn as often
+        eps = draw(st.just(0.0) | st.floats(min_value=-14.0, max_value=-2.0).map(lambda x: 10.0 ** x))
+        eps *= draw(st.sampled_from([-1.0, 1.0]))
+        energies[0] = draw(st.sampled_from([-0.5, 0.5])) * lam * (1.0 + eps)
+        energies[2] = 0.0
+    return DecoherenceSpec(mode=mode, lam=lam, hamiltonian=SystemHamiltonian(tuple(energies)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, 4),
+    spec=closed_form_specs(),
+    t=st.floats(min_value=0.0, max_value=3.0)
+    | st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=1, max_size=8).map(np.array),
+)
+# eps = 1e-10 and -1e-12, where |mu t| is about 1e-5: sinh(mu t / 2) / mu taken as a
+# difference of exponentials cancels there.
+@example(seed=0, rank=1, spec=DecoherenceSpec("B", 3.0, SystemHamiltonian((1.50000000015, 0.0, 0.0, 0.0))), t=0.225)
+@example(seed=0, rank=1, spec=DecoherenceSpec("B", 3.0, SystemHamiltonian((1.4999999999985, 0.0, 0.0, 0.0))), t=0.5)
+def test_closed_form_matches_the_exact_exponential(seed, rank, spec, t):
+    rho = random_rank_state(np.random.default_rng(seed), rank)
+    out = evolve(rho, spec, t)
+    assert out.shape == np.shape(t) + (4, 4)
+    expected = exact_evolution(rho, spec, np.atleast_1d(t))
+    assert np.abs(out.reshape(-1, 4, 4) - expected).max() <= 1e-12
+
+
 def test_evolve_rejects_negative_time():
     spec = DecoherenceSpec(mode="A", lam=1.0)
     with pytest.raises(ValueError):
@@ -229,6 +325,17 @@ def test_evolve_rejects_an_energy_phase_that_is_not_finite(mode, energies, t):
     assert f"at time {float(np.max(t))!r}" in str(info.value)
 
 
+@pytest.mark.parametrize("mode", ["A", "B"])
+@pytest.mark.parametrize("t", [1e100, np.array([0.0, 1.0, 1e100])], ids=["scalar", "stack"])
+@pytest.mark.parametrize("lam", [1e307, np.float64(1e307)], ids=["float", "float64"])
+def test_evolve_rejects_a_coupling_time_product_that_is_not_finite(mode, t, lam):
+    spec = DecoherenceSpec(mode=mode, lam=lam)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with pytest.raises(ValueError, match=r"lam \* t is not finite for lam 1e\+307 at time 1e\+100") as info:
+            evolve(experiment_initial(), spec, t)
+    assert not isinstance(info.value, StateValidationError)
+
+
 def test_evolve_rejects_a_mode_b_pair_phase_at_twice_the_gap():
     # (E_1 - E_3) * t = 1e308 is finite, but the coupled pair turns at 2e308.
     energies = (1e300, 0.0, 0.0, 0.0)
@@ -251,8 +358,8 @@ def test_evolve_rejects_a_mode_b_pair_phase_at_twice_the_gap():
     ids=["overdamped", "oscillatory", "critical"],
 )
 def test_evolve_time_stack_equals_per_time_calls(mode, lam, energies):
-    # Mode-B regimes by lam against 2|dE| of both coherence pairs; the
-    # tiny times take the small-|mu t| series next to the cosh/sinh form.
+    # Mode-B regimes by lam against 2|dE| of both coherence pairs, down to
+    # tiny times.
     rho0 = random_state(np.random.default_rng(53))
     spec = DecoherenceSpec(mode=mode, lam=lam, hamiltonian=SystemHamiltonian(energies))
     times = np.concatenate([[0.0, 1e-8, 1e-6], np.linspace(0.0, 6.0, 61)])
@@ -357,7 +464,7 @@ def test_semigroup_property(mode):
     t1=st.floats(min_value=0.0, max_value=2.0),
     t2=st.floats(min_value=0.0, max_value=2.0),
 )
-# A subnormal gap: mu + lam is a subnormal imaginary number, whose reciprocal overflows.
+# A subnormal gap: the pair's rates are subnormal, and so is any divisor formed from them.
 @example(seed=0, rank=1, mode="B", lam=0.0, energies=(0.0, 0.0, 0.0, 2.225073858507203e-309), t1=0.0, t2=0.0)
 def test_semigroup_law_over_random_specs(seed, rank, mode, lam, energies, t1, t2):
     rho = random_rank_state(np.random.default_rng(seed), rank)
