@@ -10,6 +10,12 @@ from .pauli import SIGMA_Y
 from .states import BellWeights, validate_density_matrix
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
+_EYE = np.eye(4, dtype=complex)
+# A validated state has trace 1 and no eigenvalue below -1e-9, so det > 1e-12
+# leaves none negative and, as the other three multiply to at most 1/27, puts
+# the least above 2.7e-11: far above the Hermiticity slack (< 2e-12) of the
+# lower triangle that Cholesky reads, and above where LAPACK Cholesky fails.
+_DET_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -40,37 +46,55 @@ class MeasureReport:
             object.__setattr__(self, "wootters_roots", tuple(float(r) for r in roots))
 
     def to_json(self) -> dict:
+        """Floats and a list of four roots for one state; lists for a stack."""
         return {
-            "mixedness": self.mixedness,
-            "concurrence": self.concurrence,
-            "wootters_roots": list(self.wootters_roots),
+            "mixedness": np.asarray(self.mixedness).tolist(),
+            "concurrence": np.asarray(self.concurrence).tolist(),
+            "wootters_roots": np.asarray(self.wootters_roots).tolist(),
         }
 
 
-def mixedness(rho: np.ndarray) -> float:
-    """Purity Tr(rho^2) of one state: 1 for pure states, 1/4 for the maximally mixed one."""
+def mixedness(rho: np.ndarray) -> float | np.ndarray:
+    """Purity Tr(rho^2): 1 for pure states, 1/4 for the maximally mixed one.
+
+    A float for one state, an (N,) array for an (N, 4, 4) stack.
+    """
     return measure_report(rho).mixedness
 
 
 def wootters_roots(rho: np.ndarray) -> np.ndarray:
     """Decreasing Wootters roots of one state (4,) or of a stack (N, 4).
 
-    They are the singular values of tau = W^T (sy (x) sy) W with
-    rho = W W^dagger, W = V sqrt(lambda) (Wootters, PRL 80, 2245 (1998)),
-    which keeps full precision on pure states.
+    They are the singular values of tau = W^T (sy (x) sy) W for any factor
+    rho = W W^dagger (Wootters, PRL 80, 2245 (1998)): W -> W U leaves them
+    unchanged.  W is the Cholesky factor of each state with det rho above
+    1e-12; a state below that floor (rank-deficient, such as a pure state)
+    takes W = V sqrt(lambda) from ``eigh`` with negative eigenvalues clipped
+    to 0, which keeps full precision on pure states.  Which route a state
+    takes depends on that state alone.
     """
     rho = validate_density_matrix(rho)
-    eigenvalues, vectors = np.linalg.eigh(rho)
-    w = vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))[..., None, :]
+    w = _factor(rho)
     tau = w.swapaxes(-2, -1) @ _YY @ w
     return np.linalg.svd(tau, compute_uv=False)
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Entanglement monotone max{0, mu1 - mu2 - mu3 - mu4} of one state.
+def _factor(rho: np.ndarray) -> np.ndarray:
+    """A factor W with rho = W W^dagger of each validated state in rho."""
+    clear = np.linalg.det(rho).real > _DET_FLOOR
+    w = np.linalg.cholesky(np.where(clear[..., None, None], rho, _EYE))
+    if not clear.all():
+        eigenvalues, vectors = np.linalg.eigh(rho[~clear])
+        w[~clear] = vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))[..., None, :]
+    return w
+
+
+def concurrence(rho: np.ndarray) -> float | np.ndarray:
+    """Entanglement monotone max{0, mu1 - mu2 - mu3 - mu4}.
 
     The mu_i are the decreasing Wootters roots (:func:`wootters_roots`).
-    Returns 0 for separable states and 1 for maximally entangled ones.
+    Returns 0 for separable states and 1 for maximally entangled ones:
+    a float for one state, an (N,) array for an (N, 4, 4) stack.
     """
     return measure_report(rho).concurrence
 

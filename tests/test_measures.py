@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinpath.measures import (
     MeasureReport,
@@ -9,6 +13,7 @@ from spinpath.measures import (
     mixedness,
     wootters_roots,
 )
+from spinpath.pauli import SIGMA_Y
 from spinpath.states import (
     StateValidationError,
     bell_diagonal,
@@ -116,6 +121,18 @@ def test_measure_report_fields_and_json():
     payload = report.to_json()
     assert set(payload) == {"mixedness", "concurrence", "wootters_roots"}
     assert len(payload["wootters_roots"]) == 4
+    assert type(payload["mixedness"]) is float and type(payload["concurrence"]) is float
+    assert json.loads(json.dumps(payload)) == payload
+
+
+def test_measure_report_json_of_a_stack_is_lists():
+    stack = np.array([experiment_initial(), maximally_mixed(), bell_diagonal((0.7, 0.1, 0.1, 0.1))])
+    report = measure_report(stack)
+    payload = json.loads(json.dumps(report.to_json()))
+    assert payload["mixedness"] == report.mixedness.tolist()
+    assert payload["concurrence"] == report.concurrence.tolist()
+    assert payload["wootters_roots"] == report.wootters_roots.tolist()
+    assert len(payload["wootters_roots"]) == 3 and all(len(roots) == 4 for roots in payload["wootters_roots"])
 
 
 def test_measures_reject_invalid_state():
@@ -146,21 +163,102 @@ def test_measure_report_range_checks_cover_every_state():
             MeasureReport(**{name: array[index] for name, array in fields.items()})
 
 
+def ginibre_state(rng, rank):
+    """A random density matrix of the given rank from a Ginibre draw."""
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
 def random_states(rng, count):
     """Random density matrices of ranks 1..4 from Ginibre draws."""
-    out = []
-    for i in range(count):
-        g = rng.normal(size=(4, 1 + i % 4)) + 1j * rng.normal(size=(4, 1 + i % 4))
-        rho = g @ g.conj().T
-        out.append(rho / np.trace(rho).real)
-    return np.array(out)
+    return np.array([ginibre_state(rng, 1 + i % 4) for i in range(count)])
+
+
+def near_pure_state(rng, epsilon):
+    """(1 - epsilon) |psi><psi| + epsilon sigma for a random pure psi and full-rank sigma."""
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi /= np.linalg.norm(psi)
+    rho = (1.0 - epsilon) * np.outer(psi, psi.conj()) + epsilon * ginibre_state(rng, 4)
+    return (rho + rho.conj().T) / 2.0
+
+
+def spectral_state(rng, eigenvalues):
+    """U diag(eigenvalues) U^dagger for a random unitary U."""
+    u = random_unitary(rng, 4)
+    rho = (u * eigenvalues) @ u.conj().T
+    return (rho + rho.conj().T) / 2.0
+
+
+def eigh_factor_roots(rho):
+    """The Wootters roots through the clipped-eigh factor W = V sqrt(lambda): the reference route."""
+    eigenvalues, vectors = np.linalg.eigh(rho)
+    w = vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))[..., None, :]
+    tau = w.swapaxes(-2, -1) @ np.kron(SIGMA_Y, SIGMA_Y) @ w
+    return np.linalg.svd(tau, compute_uv=False)
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+# Random rank 1-4 states; Bell-diagonal states (zero weights make them
+# rank-deficient); near-pure mixtures with epsilon log-uniform in
+# [1e-16, 1e-2], whose det ~ epsilon^3 straddles the det floor 1e-12; and
+# valid states with two eigenvalues in [-0.99e-9, 0), which the rounding of
+# U diag U^dagger keeps above the eigenvalue floor -1e-9.
+PROPERTY_STATES = st.one_of(
+    st.builds(lambda seed, rank: ginibre_state(np.random.default_rng(seed), rank), SEEDS, st.integers(1, 4)),
+    st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 4)
+    .filter(lambda w: sum(w) > 0.0)
+    .map(lambda w: bell_diagonal(np.array(w) / sum(w))),
+    st.builds(
+        lambda seed, exponent: near_pure_state(np.random.default_rng(seed), 10.0**exponent),
+        SEEDS,
+        st.floats(-16.0, -2.0),
+    ),
+    st.builds(
+        lambda seed, split, negative: spectral_state(
+            np.random.default_rng(seed),
+            np.array([split * (1.0 - sum(negative)), (1.0 - split) * (1.0 - sum(negative)), *negative]),
+        ),
+        SEEDS,
+        st.floats(0.0, 1.0),
+        st.tuples(*[st.floats(-0.99e-9, 0.0, exclude_max=True)] * 2),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rho=PROPERTY_STATES)
+def test_wootters_roots_match_the_eigh_factor_route(rho):
+    assert np.abs(wootters_roots(rho) - eigh_factor_roots(rho)).max() <= 1e-14
+
+
+def test_wootters_roots_run_eigh_only_below_the_det_floor(monkeypatch):
+    rng = np.random.default_rng(47)
+    stack = np.array([experiment_initial(), ginibre_state(rng, 4), ginibre_state(rng, 2), maximally_mixed()])
+    eigh, seen = np.linalg.eigh, []
+
+    def counting_eigh(a, *args, **kwargs):
+        seen.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    wootters_roots(stack[[1, 3]])
+    wootters_roots(stack[1])
+    assert seen == []
+    wootters_roots(stack)
+    assert seen == [2]
 
 
 def test_measure_report_stack_equals_per_state_reports():
-    rho = random_states(np.random.default_rng(43), 64)
+    rng = np.random.default_rng(43)
+    # Ranks 1-4 and near-pure states on both sides of the det floor, so one
+    # stack takes both the Cholesky and the eigh factor.
+    rho = np.concatenate([random_states(rng, 64), [near_pure_state(rng, 10.0**e) for e in range(-8, 0)]])
+    dets = np.linalg.det(rho).real
+    assert (dets > 1e-12).sum() > 16 and (dets <= 1e-12).sum() > 48
     report = measure_report(rho)
-    assert report.mixedness.shape == report.concurrence.shape == (64,)
-    assert report.wootters_roots.shape == (64, 4)
+    assert report.mixedness.shape == report.concurrence.shape == (72,)
+    assert report.wootters_roots.shape == (72, 4)
     for i, state in enumerate(rho):
         single = measure_report(state)
         assert abs(report.mixedness[i] - single.mixedness) <= 1e-15
