@@ -6,8 +6,12 @@ w = lam * t (valid for 0 <= w <= 4/3):
     mode A: sqrt(1 - 3w/4) * 1,  sqrt(w/4) * {1 (x) sz, sz (x) 1, sz (x) sz}
     mode B: sqrt(1 - 3w/4) * 1,  sqrt(w/4) * {1 (x) sz, sx (x) 1, sx (x) sz}
 
-Applying the n-fold composition with per-step weight lam*t/n converges
-to the continuous-time solution at first order in 1/n, which
+With J_0 = 1 and J_1..J_3 the jump operators, the step map is
+(1 - w) * 1 + w * T with T = 1/4 sum_k J_k (x) J_k^*.  The J_k form a
+Klein group up to sign, so T is a projector and weights compose as
+1 - W = (1 - w_1)(1 - w_2): n steps of weight w are one step of weight
+W = 1 - (1 - w)^n.  The n-fold composition with per-step weight lam*t/n
+converges to the continuous-time solution at first order in 1/n, which
 ``trotter_evolve`` exploits and the test suite cross-checks.
 """
 
@@ -23,7 +27,6 @@ from .states import validate_density_matrix
 
 MAX_WEIGHT = 4.0 / 3.0
 _COMPLETENESS_TOL = 1e-12
-_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,32 +66,39 @@ def _check_weight(weight: float) -> float:
     return weight
 
 
-# (spin, path) factors of each mode's three jump operators, the companions of the identity.
-_JUMP_FACTORS = {
-    "A": ((ID2, SIGMA_Z), (SIGMA_Z, ID2), (SIGMA_Z, SIGMA_Z)),
-    "B": ((ID2, SIGMA_Z), (SIGMA_X, ID2), (SIGMA_X, SIGMA_Z)),
+def _jumps(*factors) -> np.ndarray:
+    """Read-only (3, 4, 4) stack of the jump operators spin (x) path."""
+    jumps = np.array([spin_path(spin, path) for spin, path in factors])
+    jumps.flags.writeable = False
+    return jumps
+
+
+# Each mode's three jump operators, the companions of the identity.
+_JUMPS = {
+    "A": _jumps((ID2, SIGMA_Z), (SIGMA_Z, ID2), (SIGMA_Z, SIGMA_Z)),
+    "B": _jumps((ID2, SIGMA_Z), (SIGMA_X, ID2), (SIGMA_X, SIGMA_Z)),
 }
 
 
 def kraus_set_for_mode(mode: str, weight: float) -> KrausSet:
     """Step map of ``mode`` with weight w: sqrt(1 - 3w/4) * 1 and sqrt(w/4) * each jump operator."""
-    if mode not in _JUMP_FACTORS:
+    if mode not in _JUMPS:
         raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
     w = _check_weight(weight)
-    c = np.sqrt(w / 4.0)
-    jumps = tuple(c * spin_path(spin, path) for spin, path in _JUMP_FACTORS[mode])
+    jumps = tuple(np.sqrt(w / 4.0) * _JUMPS[mode])
     return KrausSet(operators=(np.sqrt(1.0 - 3.0 * w / 4.0) * ID4,) + jumps)
 
 
 def trotter_evolve(rho0: np.ndarray, mode: str, lam: float, t: float, n: int) -> np.ndarray:
-    """n-fold composition of the per-step map with weight lam*t/n.
+    """n-fold composition of the per-step map with weight w = lam*t/n.
 
-    The composition is the n-th matrix power of the step's 16x16 map.
-    Rounding in that power makes the trace drift by up to about n*eps
-    (measured: 1.0e-11 at n = 2^16, 8.9e-11 at 2^20), so Hermiticity and
-    trace drift are checked against the budget max(1e-9, 64*n*eps), which
-    grows with n; within it the result is re-Hermitized and renormalized
-    to the input's trace (the map preserves it) before validation.
+    The weight is checked per step as in ``kraus_set_for_mode``.  The n
+    steps are then applied as the one step of weight W = 1 - (1 - w)^n
+    (see the module docstring), computed as -expm1(n * log1p(-w)) for
+    w < 1 and by the power for w >= 1, so rounding does not grow with n.
+    Hermiticity and trace drift are checked against a fixed budget of
+    1e-9; within it the result is re-Hermitized and renormalized to the
+    input's trace (the map preserves it) before validation.
 
     Raises:
         numpy.linalg.LinAlgError: when the drift exceeds the budget,
@@ -101,11 +111,11 @@ def trotter_evolve(rho0: np.ndarray, mode: str, lam: float, t: float, n: int) ->
         raise ValueError(f"coupling strength must be finite and nonnegative, got {lam!r}")
     if not (np.isfinite(t) and t >= 0.0):
         raise ValueError(f"time must be finite and nonnegative, got {t!r}")
-    step_map = superop.kraus_map(kraus_set_for_mode(mode, lam * t / n).operators)
-    out = superop.apply(np.linalg.matrix_power(step_map, int(n)), rho)
-    budget = max(1e-9, 64 * int(n) * _EPS)
+    w = _check_weight(lam * t / n)
+    total = -np.expm1(n * np.log1p(-w)) if w < 1.0 else 1.0 - (1.0 - w) ** n
+    out = superop.apply(superop.kraus_map(kraus_set_for_mode(mode, total).operators), rho)
     trace = float(np.trace(rho).real)
-    return validate_density_matrix(superop.settle(out, budget, f"Trotter composition (n={n})", trace))
+    return validate_density_matrix(superop.settle(out, 1e-9, f"Trotter composition (n={n})", trace))
 
 
 def lindblad_generators_from_kraus(kraus_set: KrausSet, dt: float) -> tuple[list[np.ndarray], float]:

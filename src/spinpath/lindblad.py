@@ -78,16 +78,21 @@ class DecoherenceSpec:
 
 @dataclass(frozen=True, eq=False)
 class ProjectorSet:
-    """Complete family of orthogonal projectors defining the damping term."""
+    """Complete family of orthogonal projectors defining the damping term.
+
+    The projectors are stored as read-only copies, so the checks made
+    here hold for the life of the set.
+    """
 
     projectors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        projectors = tuple(np.asarray(p, dtype=complex) for p in self.projectors)
+        projectors = tuple(np.array(p, dtype=complex) for p in self.projectors)
         total = np.zeros((4, 4), dtype=complex)
         for i, p in enumerate(projectors):
             if p.shape != (4, 4):
                 raise ValueError(f"projector {i} has shape {p.shape}, expected (4, 4)")
+            p.flags.writeable = False
             if np.abs(p - p.conj().T).max() > 1e-12:
                 raise ValueError(f"projector {i} is not Hermitian")
             if np.abs(p @ p - p).max() > 1e-12:
@@ -104,14 +109,17 @@ _PROJECTOR_VECTORS = {
     "A": np.eye(4),
     "B": _INV_SQRT2 * np.array([[1, 0, 1, 0], [1, 0, -1, 0], [0, 1, 0, 1], [0, 1, 0, -1]]),
 }
+_PROJECTORS = {
+    mode: ProjectorSet(tuple(np.outer(v, v) for v in vectors)) for mode, vectors in _PROJECTOR_VECTORS.items()
+}
 
 
 def projectors_for_mode(mode: str) -> ProjectorSet:
     """Projectors onto the product basis (mode A), or onto (e1 +/- e3)/sqrt(2)
     and (e2 +/- e4)/sqrt(2) (mode B)."""
-    if mode not in _PROJECTOR_VECTORS:
+    if mode not in _PROJECTORS:
         raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
-    return ProjectorSet(tuple(np.outer(v, v) for v in _PROJECTOR_VECTORS[mode]))
+    return _PROJECTORS[mode]
 
 
 def _times(t) -> np.ndarray:

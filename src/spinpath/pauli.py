@@ -20,5 +20,6 @@ ID4 = np.eye(4, dtype=complex)
 
 
 def spin_path(spin_op: np.ndarray, path_op: np.ndarray) -> np.ndarray:
-    """Tensor product ``spin_op (x) path_op`` in the fixed basis ordering."""
-    return np.kron(np.asarray(spin_op, dtype=complex), np.asarray(path_op, dtype=complex))
+    """Tensor product ``spin_op (x) path_op`` in the fixed basis ordering, as np.kron of the two."""
+    a, b = np.asarray(spin_op, dtype=complex), np.asarray(path_op, dtype=complex)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)

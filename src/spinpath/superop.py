@@ -5,11 +5,12 @@ Matrices are vectorized row-major, vec(X) = X.reshape(16), so that
     vec(A X B) = kron(A, B^T) vec(X)
 
 and the sandwich X -> L X R^dagger is the matrix kron(L, conj(R)).
-Composing maps is matrix multiplication, and n repetitions of a map are
-its n-th matrix power.  The numerical routes (RK4 integration, Kraus
-composition, Gaussian angle averaging) all build their maps here; the
-closed forms in :mod:`spinpath.lindblad` do not, so they stay an
-independent check.
+Composing maps is matrix multiplication: n RK4 steps are the n-th
+matrix power of the step map, while n Kraus steps of weight w are one
+step of weight 1 - (1 - w)^n (see :mod:`spinpath.kraus`).  The
+numerical routes (RK4 integration, Kraus composition, Gaussian angle
+averaging) all build their maps here; the closed forms in
+:mod:`spinpath.lindblad` do not, so they stay an independent check.
 
 See Havel, J. Math. Phys. 44, 534 (2003) and Wood, Biamonte & Cory,
 Quantum Inf. Comput. 15, 759 (2015) for this representation.
@@ -25,8 +26,8 @@ ID16 = np.eye(16, dtype=complex)
 
 
 def sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Superoperator of X -> left X right^dagger."""
-    return np.kron(left, np.conj(right))
+    """Superoperator of X -> left X right^dagger, kron(left, conj(right)) as one broadcast product."""
+    return (np.asarray(left)[:, None, :, None] * np.conj(right)[None, :, None, :]).reshape(16, 16)
 
 
 def chi_map(operators, chi: np.ndarray) -> np.ndarray:

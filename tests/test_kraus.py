@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinpath import kraus
+from spinpath import superop
 from spinpath.kraus import (
+    MAX_WEIGHT,
     KrausSet,
     completeness_defect,
     kraus_set_for_mode,
@@ -276,9 +277,9 @@ def test_trotter_final_state_valid_at_4096_steps():
     ids=["singlet", "bell1", "maximally-mixed"],
 )
 def test_trotter_stays_valid_at_large_step_counts(rho, n):
-    # Rounding in the n-th power drifts the trace by about n * eps (1e-11 at
-    # 2^16, 9e-11 at 2^20), beyond the 1e-12 validation tolerance; the result
-    # is renormalized to the input's trace within the n-dependent budget.
+    # The n steps are one step of weight 1 - (1 - w)^n, so rounding does not
+    # grow with n; the result is re-Hermitized and renormalized to the
+    # input's trace within the fixed 1e-9 budget.
     out = trotter_evolve(rho, "B", 1.7, 0.9, n)
     assert abs(np.trace(out).real - np.trace(rho).real) <= 1e-15
     assert np.abs(out - out.conj().T).max() == 0.0
@@ -287,10 +288,91 @@ def test_trotter_stays_valid_at_large_step_counts(rho, n):
 
 
 def test_trotter_drift_beyond_its_budget_is_a_numerical_failure(monkeypatch):
-    # An identity step of weight 1 + 5e-13, within the Kraus completeness
-    # tolerance, gains about n * 5e-13 of trace: 5e-7 at 2^20, above the
-    # budget 64 * n * eps = 1.5e-8.
-    leaky = KrausSet(operators=(np.sqrt(1.0 + 5e-13) * np.eye(4),))
-    monkeypatch.setattr(kraus, "kraus_set_for_mode", lambda mode, weight: leaky)
-    with pytest.raises(np.linalg.LinAlgError, match=r"Trotter composition \(n=1048576\) drift exceeded budget"):
+    # A composed map that gains 2e-9 of trace is past the fixed 1e-9 budget at
+    # any n; one that gains 5e-10 is within it and is renormalized.
+    monkeypatch.setattr(superop, "kraus_map", lambda operators: (1.0 + 2e-9) * superop.ID16)
+    with pytest.raises(np.linalg.LinAlgError, match=r"Trotter composition \(n=1048576\) drift exceeded budget 1\.0e-09"):
         trotter_evolve(experiment_initial(), "B", 1.7, 0.9, 2**20)
+    monkeypatch.setattr(superop, "kraus_map", lambda operators: (1.0 + 5e-10) * superop.ID16)
+    assert abs(trotter_evolve(experiment_initial(), "B", 1.7, 0.9, 2**20).trace().real - 1.0) <= 1e-15
+
+
+def step_map(mode, weight):
+    return superop.kraus_map(kraus_set_for_mode(mode, weight).operators)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mode=st.sampled_from(["A", "B"]),
+    w1=st.floats(min_value=0.0, max_value=MAX_WEIGHT),
+    w2=st.floats(min_value=0.0, max_value=MAX_WEIGHT),
+)
+@example(mode="A", w1=MAX_WEIGHT, w2=0.0)
+@example(mode="B", w1=MAX_WEIGHT, w2=MAX_WEIGHT)
+@example(mode="B", w1=1.0, w2=MAX_WEIGHT)
+def test_step_weights_compose_as_one_minus_product(mode, w1, w2):
+    # The step map is (1 - w) 1 + w T with T the map of weight 1, a projector,
+    # so two steps are one step of weight 1 - (1 - w1)(1 - w2).
+    composed = step_map(mode, w1) @ step_map(mode, w2)
+    assert np.abs(composed - step_map(mode, 1.0 - (1.0 - w1) * (1.0 - w2))).max() <= 1e-14
+    projector = step_map(mode, 1.0)
+    assert np.array_equal(projector @ projector, projector)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, 4),
+    mode=st.sampled_from(["A", "B"]),
+    weight=st.floats(min_value=0.0, max_value=MAX_WEIGHT),
+    n=st.integers(1, 2048),
+)
+@example(seed=1, rank=4, mode="A", weight=1.0, n=1)
+@example(seed=2, rank=3, mode="B", weight=1.0, n=2)
+@example(seed=3, rank=1, mode="A", weight=MAX_WEIGHT, n=3)
+@example(seed=4, rank=2, mode="B", weight=MAX_WEIGHT, n=4)
+@example(seed=5, rank=1, mode="B", weight=MAX_WEIGHT, n=2047)
+@example(seed=6, rank=4, mode="A", weight=MAX_WEIGHT, n=2048)
+def test_trotter_matches_the_matrix_power_of_the_step_map(seed, rank, mode, weight, n):
+    # The n-th matrix power is the reference; its own rounding grows as n * eps.
+    rho = random_rank_state(np.random.default_rng(seed), rank)
+    lam, t = weight, float(n)
+    power = np.linalg.matrix_power(step_map(mode, lam * t / n), n)
+    expected = superop.apply(power, rho)
+    assert np.abs(trotter_evolve(rho, mode, lam, t, n) - expected).max() <= 64 * n * np.finfo(float).eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, 4),
+    mode=st.sampled_from(["A", "B"]),
+    lam=st.floats(min_value=0.0, max_value=5.0),
+    t=st.floats(min_value=0.0, max_value=3.0),
+)
+def test_one_step_of_weight_one_minus_exp_is_the_closed_form(seed, rank, mode, lam, t):
+    # With H = 0 the channel at time t is exactly one Kraus step of weight 1 - e^{-lam t}.
+    rho = random_rank_state(np.random.default_rng(seed), rank)
+    operators = kraus_set_for_mode(mode, -np.expm1(-lam * t)).operators
+    stepped = sum(m @ rho @ m.conj().T for m in operators)
+    assert np.abs(stepped - evolve(rho, DecoherenceSpec(mode=mode, lam=lam), t)).max() <= 1e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, 4),
+    mode=st.sampled_from(["A", "B"]),
+    lam=st.floats(min_value=0.0, max_value=3.0),
+    t=st.floats(min_value=0.0, max_value=2.0),
+    data=st.data(),
+)
+def test_trotter_matches_its_oracle_in_extended_precision(seed, rank, mode, lam, t, data):
+    # D + (1 - w)^n (rho - D), with D = sum_k P_k rho P_k, evaluated in long double.
+    n = data.draw(st.integers(max(1, int(np.ceil(3.0 * lam * t / 4.0))), 2048), label="n")
+    rho = random_rank_state(np.random.default_rng(seed), rank)
+    wide = rho.astype(np.clongdouble)
+    dephased = sum(p.astype(np.clongdouble) @ wide @ p for p in projectors_for_mode(mode).projectors)
+    survival = (1 - np.longdouble(lam * t / n)) ** n
+    oracle = dephased + survival * (wide - dephased)
+    assert np.abs(trotter_evolve(rho, mode, lam, t, n) - oracle).max() <= 1e-15

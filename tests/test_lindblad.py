@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spinpath.lindblad import (
     DecoherenceSpec,
+    ProjectorSet,
     SystemHamiltonian,
     evolve,
     integrate_master,
@@ -94,6 +95,24 @@ def test_projectors_complete_and_idempotent():
             assert np.abs(p - p.conj().T).max() < 1e-12
     with pytest.raises(ValueError):
         projectors_for_mode("C")
+
+
+def test_projector_set_projectors_are_read_only_copies():
+    source = [np.diag(row).astype(complex) for row in np.eye(4)]
+    projector_set = ProjectorSet(tuple(source))
+    with pytest.raises(ValueError):
+        projector_set.projectors[0][0, 0] = 2.0
+    source[0][0, 0] = 2.0
+    assert np.array_equal(sum(projector_set.projectors), np.eye(4))
+
+
+def test_projectors_for_mode_share_one_read_only_set():
+    for mode in ("A", "B"):
+        shared = projectors_for_mode(mode)
+        assert projectors_for_mode(mode) is shared
+        for p in shared.projectors:
+            with pytest.raises(ValueError):
+                p[0, 0] = 2.0
 
 
 def test_projectors_mode_b_is_spin_hadamard_rotation_of_mode_a():

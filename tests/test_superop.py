@@ -3,6 +3,7 @@ import pytest
 
 from spinpath import superop
 from spinpath.lindblad import projectors_for_mode
+from spinpath.pauli import spin_path
 
 
 def random_matrix(rng):
@@ -19,6 +20,15 @@ def test_sandwich_matches_matrix_products():
     left, right, x = random_matrix(rng), random_matrix(rng), random_matrix(rng)
     expected = left @ x @ right.conj().T
     assert np.abs(superop.apply(superop.sandwich(left, right), x) - expected).max() < 1e-13
+
+
+def test_sandwich_and_spin_path_equal_np_kron_exactly():
+    rng = np.random.default_rng(50)
+    for _ in range(500):
+        left, right = random_matrix(rng), random_matrix(rng)
+        assert np.array_equal(superop.sandwich(left, right), np.kron(left, np.conj(right)))
+        spin, path = random_matrix(rng)[:2, :2], random_matrix(rng)[2:, 2:]
+        assert np.array_equal(spin_path(spin, path), np.kron(spin, path))
 
 
 def test_kraus_and_chi_maps_match_operator_loops():
