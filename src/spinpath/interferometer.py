@@ -15,15 +15,19 @@ average over shots reproduces the continuous decoherence channels of
 inputs some coherences decay at other rates.
 
 ``ensemble_average_analytic`` evaluates the Gaussian average in closed
-form for arbitrary input states; ``ensemble_average_monte_carlo`` does
-the same by sampling.  It builds no shot states: a shot's deviation from
-the input is linear in a few real numbers per shot (36 in mode B, of
-which mode A, a mode-B shot with no x-rotation, needs 8), with
-coefficients that each element takes from its own entries of the input
-state, and one kernel serves both modes.  Monte Carlo results depend
-only on (seed, samples): sampling is organized in fixed-size blocks
-with per-block child seeds, so the outcome is bitwise independent of
-how the work would be scheduled.
+form for arbitrary input states, as the product of one map per angle;
+``ensemble_average_monte_carlo`` does the same by sampling.  It builds no
+shot states.  Each rotation's harmonics expand a shot's superoperator as
+sum_q exp(i q.theta/2) C_q, and the layout table ``_LAYOUTS`` alone fixes
+which C_q are nonzero.  So a shot's deviation from the input is linear in
+two real columns, cos(q.theta/2) - 1 and sin(q.theta/2), per pair
+{q, -q}: 8, 4, 2 and 32 columns for the four layouts.  Each element
+takes its coefficients from its own entries of the input state, and the
+table's support splits them into independent blocks; one kernel serves
+every layout.  Monte Carlo results depend only on (seed, samples):
+sampling is organized in fixed-size blocks with per-block child seeds,
+so the outcome is bitwise independent of how the work would be
+scheduled.
 """
 
 from __future__ import annotations
@@ -50,10 +54,11 @@ _LAYOUTS = {
 VARIANTS = tuple(dict.fromkeys(variant for _, variant in _LAYOUTS))
 
 _BLOCK_SIZE = 8192
-# Shots per pass within a block, either mode.  A mode-B pass keeps its
-# (36, 2048) columns, the rows mapped from them and its cos/sin in about
-# 1.2 MB, inside one core's 2 MiB L2 on the 2-core Xeon measured; there
-# passes of 1024, 4096 and 8192 shots cost 16 %, 4 % and 13 % more per shot.
+# Shots per pass within a block, every layout.  A mode-B pass keeps its 35
+# complex phasor rows in about 1.1 MB, inside one core's 2 MiB L2 on the
+# 2-core Xeon measured, and its 32 centred columns and 28 mapped rows reuse
+# that buffer.  Passes of 4096 shots cost about 10 % less per shot there,
+# but they double the buffer.
 _PASS_SIZE = 2048
 _STDERR_FLOOR = 1e-15
 
@@ -156,209 +161,186 @@ def ensemble_average_analytic(rho0: np.ndarray, setup: FieldSetup) -> np.ndarray
 
 
 # --- Monte Carlo -------------------------------------------------------------
+#
+# With one angle per rotation, a shot's superoperator V (x) V^* is
+# sum_q exp(i q.theta/2) C_q, where C_q sums A_m (x) A_m'^* over the harmonic
+# sequences with m - m' = q and A_m = G_m1 ... G_mR.  The sum is 1 at zero
+# angles, so over one q of each pair {q, -q} a shot's deviation from rho0 is
+#
+#     sum_q [(cos(q.theta/2) - 1) (C_q + C_-q) + sin(q.theta/2) i (C_q - C_-q)] vec rho0:
+#
+# two columns per pair, each exactly 0 at zero angles.
 
 
-# The kernel angles (alpha, beta, gamma, delta) that each rotation turns.
-_KERNEL_ANGLES = {("z", "I"): [0], ("z", "II"): [1], ("z", "both"): [0, 1],
-                  ("x", "I"): [2], ("x", "II"): [3]}
+@dataclass(frozen=True, eq=False)
+class _ShotTable:
+    """Monte Carlo columns of one layout: ``phases`` holds one q per pair,
+    grouped by block (columns 2p, 2p + 1 are pair p's cos - 1 and sin);
+    ``table @ vec rho0`` is U, element-major; ``blocks`` lists the rows of
+    U and the columns of each connected block of the table's support.  The
+    rest is ``_phasor_plan``'s."""
+
+    phases: np.ndarray
+    table: np.ndarray
+    blocks: tuple
+    slopes: np.ndarray
+    steps: tuple
+    phasors: int
 
 
-def _sampled_angles(rng: np.random.Generator, setup: FieldSetup, count: int) -> tuple:
-    """Per-shot kernel angles of one block: (alpha, beta) in mode A,
-    (alpha, beta, gamma, delta) in mode B.  One draw per rotation of the
-    layout, in table order; an angle no rotation turns is 0."""
-    rotations, _ = _LAYOUTS[setup.mode, setup.variant]
-    angles = np.zeros((4 if setup.mode == "B" else 2, count))
+@cache
+def _shot_table(mode: str, variant: str) -> _ShotTable:
+    """The pairs of nonzero C_q of a layout and the blocks they form."""
+    rotations, _ = _LAYOUTS[mode, variant]
+    sequences = {(): np.eye(4)}  # A_m by harmonic sequence m, vanishing products dropped
     for rotation in rotations:
-        angles[_KERNEL_ANGLES[rotation]] = rng.normal(0.0, setup.sigma, count)
-    return tuple(angles)
-
-
-# Mode A multiplies rho0_jk by exp(i theta_jk), theta_jk = phi_j - phi_k
-# with the phases phi = (alpha, beta, -alpha, -beta) / 2.  Each theta_jk is
-# _PHASE_SIGN[j, k] times the difference d[_PHASE_INDEX[j, k]] of
-# d = ((alpha - beta) / 2, (alpha + beta) / 2, alpha, beta, 0); the last
-# one, theta = 0, sits on the diagonal.
-_PHASE_INDEX = np.array([[4, 0, 2, 1], [0, 4, 1, 3], [2, 1, 4, 0], [1, 3, 0, 4]])
-_PHASE_SIGN = np.array([[1, 1, 1, 1], [-1, 1, 1, 1], [-1, -1, 1, -1], [-1, -1, 1, 1]])
-
-
-def _phase_data(cos: np.ndarray, sin: np.ndarray, mixed: np.ndarray, single: np.ndarray) -> None:
-    """Write x = cos(d) - 1 and y = sin(d) of the four phase differences d,
-    from cos and sin, shape (2, N), of alpha/2 and beta/2 by the
-    angle-addition rules.  ``mixed`` receives [[x, x], [y, y]] of
-    d = (alpha - beta)/2, (alpha + beta)/2 and ``single`` those of
-    d = alpha, beta; both have shape (2, 2, N)."""
-    (cos_a, cos_b), (sin_a, sin_b) = cos, sin
-    cc, ss = cos_a * cos_b, sin_a * sin_b
-    np.add(cc, ss, out=mixed[0, 0])
-    np.subtract(cc, ss, out=mixed[0, 1])
-    mixed[0] -= 1.0
-    np.multiply(sin, sin, out=single[0])
-    single[0] *= -2.0
-    sc, cs = sin_a * cos_b, cos_a * sin_b
-    np.subtract(sc, cs, out=mixed[1, 0])
-    np.add(sc, cs, out=mixed[1, 1])
-    np.multiply(sin, cos, out=single[1])
-    single[1] *= 2.0
-
-
-# Mode B turns the spin on each path about x, by gamma on path I and delta
-# on path II, and then about z as in mode A.  With c_j and s_j the cos and
-# sin of half the x-angle on e_j's path (path j % 2) and F the opposite
-# spin on the same path (F e_j = e_{_SPIN_FLIP[j]}), a shot maps
-#
-#     rho_jk -> exp(i theta_jk) [c_j c_k rho_jk - i c_j s_k rho_{j,Fk}
-#                                + i s_j c_k rho_{Fj,k} + s_j s_k rho_{Fj,Fk}]
-#
-# with theta_jk as in mode A.  Its deviation from rho_jk is real-linear in
-# 36 per-shot columns, each exactly 0 at zero angles.  Columns 0-19 serve
-# the cross-path elements and 20-35 the others, so the coefficients form
-# two blocks:
-#   0-3    x = cos d - 1, then y = sin d, of d = (alpha -/+ beta)/2;
-#   4-19   cos d (4 + 8 D + q) and sin d (8 + 8 D + q) of those two
-#          differences D times the x-factor product q of
-#          (cg cd - 1, cg sd, sg cd, sg sd), g for gamma/2, d for delta/2;
-#   20-23  x, then y, of d = alpha and beta;
-#   24-27  s^2 of paths I and II, then s c of paths I and II;
-#   28-35  those four times cos (28-31) and sin (32-35) of alpha on
-#          path I or beta on path II.
-# Diagonal elements use two columns, same-path coherences six and
-# cross-path coherences ten.
-# A mode-A shot is a mode-B shot with gamma = delta = 0, where every column
-# outside _PHASE_COLUMNS (0-3 and 20-23) is exactly 0; mode A fills only
-# those eight, whose cross-path block ends at column 4.
-_SPIN_FLIP = np.array([2, 3, 0, 1])
-_SHOT_COLUMNS, _CROSS_COLUMNS = 36, 20
-_PHASE_COLUMNS = np.r_[0:4, 20:24]
-# Re (first 16) and Im rows of the cross-path elements, row-major.
-_CROSS_ROWS = np.tile((np.add.outer(range(4), range(4)) % 2 == 1).ravel(), 2)
-
-
-def _column_table() -> np.ndarray:
-    """Read-only (16 * 36, 16) complex table T of the mode-B deviations.
-
-    The deviation of element (j, k) in a shot with columns g is
-    sum_c g_c (T vec rho0)[36 (4 j + k) + c], vec row-major.  The row of
-    (j, k) reads rho0_jk, rho0_{j,Fk}, rho0_{Fj,k} and rho0_{Fj,Fk} only,
-    never the conjugate element: an input is Hermitian only within
-    tolerance.
-    """
-    table = np.zeros((4, 4, _SHOT_COLUMNS, 4, 4), dtype=complex)
-    for j, k in np.ndindex(4, 4):
-        d, phase = _PHASE_INDEX[j, k], 1j * _PHASE_SIGN[j, k]  # exp(i theta) = cos d + phase sin d
-        here = table[j, k]
-        if d != 4:  # (exp(i theta) - 1) rho_jk
-            x = 20 * (d // 2) + d % 2
-            here[x, j, k] += 1.0
-            here[x + 2, j, k] += phase
-        # The bracket minus rho_jk, term by term; sj and sk pick s (1) or c (0).
-        for sj, sk in np.ndindex(2, 2):
-            entry = (_SPIN_FLIP[j] if sj else j, _SPIN_FLIP[k] if sk else k)
-            weight = (1.0, -1j, 1j, 1.0)[2 * sj + sk]
-            if j % 2 == k % 2:  # one path: c^2 = 1 - s^2 and c s = s c
-                if not (sj or sk):
-                    sj = sk = 1
-                    weight = -weight
-                alone = 24 + 2 * (sj != sk) + j % 2
-                cos_col, sin_col = alone + 4, alone + 8
-            else:
-                q = 2 * (sj, sk)[j % 2] + (sk, sj)[j % 2]
-                alone, cos_col, sin_col = None, 4 + 8 * d + q, 8 + 8 * d + q
-            if d == 4:
-                here[alone][entry] += weight
-            else:
-                here[cos_col][entry] += weight
-                here[sin_col][entry] += phase * weight
-    table = table.reshape(16 * _SHOT_COLUMNS, 16)
+        sequences = {
+            m + (int(order),): product
+            for m, a in sequences.items()
+            for order, g in zip(_ORDERS, _harmonics(*rotation))
+            if np.any(product := a @ g)
+        }
+    c = {}
+    for m, a in sequences.items():
+        for n, b in sequences.items():
+            q = tuple(x - y for x, y in zip(m, n))
+            c[q] = c.get(q, 0.0) + superop.sandwich(a, b)
+    c = {q: term for q, term in c.items() if np.any(term)}
+    pairs = [q for q in c if q > tuple(-x for x in q)]
+    columns = np.array([(c[q] + c[neg], 1j * (c[q] - c[neg]))
+                        for q, neg in ((q, tuple(-x for x in q)) for q in pairs)])
+    support = np.any(columns != 0.0, axis=(1, 3)).T  # (element, pair)
+    linked = support.T @ support
+    while not np.array_equal(reach := linked @ linked, linked):
+        linked = reach
+    first = linked.argmax(axis=1)  # the lowest pair of each pair's block
+    order, sizes = np.argsort(first, kind="stable"), np.bincount(first)
+    blocks = []
+    for label in np.flatnonzero(sizes):
+        stop = int(sizes[:label + 1].sum())
+        elements = np.flatnonzero(support[:, first == label].any(axis=1))
+        blocks.append((np.r_[elements, elements + 16], slice(2 * (stop - int(sizes[label])), 2 * stop)))
+    table = columns[order].transpose(2, 0, 1, 3).reshape(-1, 16)
     table.flags.writeable = False
-    return table
+    phases = [pairs[i] for i in order]
+    return _ShotTable(np.array(phases), table, tuple(blocks), *_phasor_plan(phases))
 
 
-_COLUMN_TABLE = _column_table()
+def _phasor_plan(phases: list) -> tuple:
+    """How ``_shot_phasors`` builds exp(i q.theta/2): the tan slopes x/4,
+    the steps and the row count.  Rows hold the factors
+    exp(i x theta_r/2) of the entries x = q_r (x = +-2 squares x/2's where
+    that is a factor too, the rest come from tan), then shared prefixes,
+    then the pairs.  A step (row, a, b) multiplies rows a and b, or copies
+    row a when b is None."""
+    found = {(r, x) for q in phases for r, x in enumerate(q) if x}
+    factors = sorted(found, key=lambda f: (abs(f[1]) == 2 and (f[0], f[1] // 2) in found, f))
+    steps = [(i, factors.index((r, x // 2)), factors.index((r, x // 2)))
+             for i, (r, x) in enumerate(factors) if abs(x) == 2 and (r, x // 2) in found]
+    slopes = np.zeros((len(factors) - len(steps), len(phases[0])))
+    for i, (r, x) in enumerate(factors[:len(slopes)]):
+        slopes[i, r] = x / 4.0
+    built = {}  # prefix -> its (a, b): factor rows, or prefixes
+    for q in phases:
+        parent, prefix = None, [0] * len(q)
+        for r in np.flatnonzero(q):
+            prefix[r] = q[r]
+            key, factor = tuple(prefix), factors.index((r, q[r]))
+            if parent is None and key not in phases:
+                parent = factor
+                continue
+            built.setdefault(key, (factor, None) if parent is None else (parent, factor))
+            parent = key
+    order = [key for key in built if key not in phases] + phases
+    row = {key: len(factors) + i for i, key in enumerate(order)}
+    steps += [(row[key], row.get(a, a), row.get(b, b)) for key, (a, b) in built.items()]
+    return slopes, tuple(steps), len(factors) + len(order)
 
 
-def _shot_coefficients(rho0: np.ndarray) -> np.ndarray:
-    """Real (32, 36) U: a mode-B shot with columns g maps rho0 to rho0 + D
-    with Re D (rows 0-15) and Im D (rows 16-31), row-major, equal to U g."""
-    u = (_COLUMN_TABLE @ rho0.ravel()).reshape(16, _SHOT_COLUMNS)
+def _rotation_angles(rng: np.random.Generator, setup: FieldSetup, count: int) -> np.ndarray:
+    """Per-shot angles of one block, shape (rotations, count): one draw of
+    width sigma per rotation of the layout, in table order."""
+    rotations, _ = _LAYOUTS[setup.mode, setup.variant]
+    return rng.normal(0.0, setup.sigma, (len(rotations), count))
+
+
+def _shot_coefficients(table: _ShotTable, rho0: np.ndarray) -> np.ndarray:
+    """Real U, shape (32, columns): a shot with columns g maps rho0 to
+    rho0 + D with Re D (rows 0-15) and Im D (rows 16-31), row-major, equal
+    to U g.  Each element's row reads rho0 itself, never the conjugate
+    element: an input is Hermitian only within tolerance."""
+    u = (table.table @ rho0.ravel()).reshape(16, -1)
     return np.concatenate((u.real, u.imag))
 
 
-def _phase_columns(trig: np.ndarray, out: np.ndarray) -> None:
-    """Write the 8 columns of N mode-A shots, mode B's _PHASE_COLUMNS, into
-    out, shape (8, N), from trig, shape (2, 2, N): cos and sin of the half
-    angles (alpha, beta) / 2."""
-    cos, sin = trig
-    _phase_data(cos, sin, out[:4].reshape(2, 2, -1), out[4:].reshape(2, 2, -1))
+def _shot_phasors(table: _ShotTable, angles: np.ndarray, phasors: np.ndarray) -> np.ndarray:
+    """The pairs' phasors exp(i q.theta/2), shape (pairs, N), of N shots
+    with angles of shape (rotations, N), built in ``phasors``.  A factor's
+    t = tan(x theta_r/4) has an exact argument, and a pair's phasor is a
+    product of factors, so no phase is rounded as a sum of angles.  At zero
+    angles every phasor is exactly 1."""
+    bases = phasors[:len(table.slopes)]
+    t = table.slopes @ angles
+    np.tan(t, out=t)
+    d = t * t
+    d += 1.0
+    np.divide(2.0, d, out=d)
+    np.multiply(t, d, out=bases.imag)  # sin = 2t/(1 + t^2)
+    np.multiply(bases.imag, t, out=bases.real)
+    np.subtract(1.0, bases.real, out=bases.real)  # cos = 1 - t sin
+    for row, a, b in table.steps:
+        if b is None:
+            phasors[row] = phasors[a]
+        else:
+            np.multiply(phasors[a], phasors[b], out=phasors[row])
+    return phasors[table.phasors - len(table.phases):table.phasors]
 
 
-def _shot_columns(trig: np.ndarray, out: np.ndarray) -> None:
-    """Write the 36 columns of N mode-B shots into out, shape (36, N), from
-    trig, shape (2, 4, N): cos and sin of the half angles (alpha, beta,
-    gamma, delta) / 2."""
-    cos, sin = trig
-    _phase_data(cos[:2], sin[:2], out[:4].reshape(2, 2, -1), out[20:24].reshape(2, 2, -1))
-    cos_mixed, sin_mixed = out[:2] + 1.0, out[2:4]
-    cos_single, sin_single = out[20:22] + 1.0, out[22:24]
-    np.multiply(sin[2:], sin[2:], out=out[24:26])
-    np.multiply(sin[2:], cos[2:], out=out[26:28])
-    path = out[24:28].reshape(2, 2, -1)
-    np.multiply(path, cos_single, out=out[28:32].reshape(2, 2, -1))
-    np.multiply(path, sin_single, out=out[32:36].reshape(2, 2, -1))
-    products = (trig[:, None, 2] * trig[None, :, 3]).reshape(4, -1)
-    products[0] -= 1.0
-    cross = out[4:20].reshape(2, 2, 4, -1)
-    np.multiply(products, cos_mixed[:, None], out=cross[:, 0])
-    np.multiply(products, sin_mixed[:, None], out=cross[:, 1])
-
-
-def _shot_moments(rho0: np.ndarray, blocks, n: int, mode: str) -> tuple:
+def _shot_moments(rho0: np.ndarray, blocks, n: int, table: _ShotTable) -> tuple:
     """Mean state and per-element variances of Re and Im over the shots.
 
-    No shot state is built.  Mode B uses all 36 columns and U; mode A
-    its 8 phase columns and those columns of U.  Per pass of
-    ``_PASS_SIZE`` shots the kernel takes the column sums, centres the
-    columns on the pass mean and adds, for each row of U that is not all
-    zero, the squared norm of that row times the centred columns (one
-    product per block of U); an all-zero row has variance exactly 0.
-    Passes merge by Chan's update: each adds
+    No shot state is built.  Per pass of ``_PASS_SIZE`` shots the kernel
+    takes the column sums (a cos - 1 column sums to its phasors' real
+    parts minus the count), centres the columns on the pass mean and adds,
+    for each row of U that is not all zero, the squared norm of that row
+    times the centred columns (one product per block); an all-zero row has
+    variance exactly 0.  Passes merge by Chan's update: each adds
     count * (U (pass mean - overall mean))^2.  The mean state is
-    rho0 + U (overall column mean).  One set of pass buffers serves the
-    whole call.
+    rho0 + U (overall column mean).
     """
-    u = _shot_coefficients(rho0)
-    if mode == "A":
-        u, split, width, fill = u[:, _PHASE_COLUMNS], 4, 2, _phase_columns
-    else:
-        split, width, fill = _CROSS_COLUMNS, 4, _shot_columns
+    u = _shot_coefficients(table, rho0)
     nonzero = np.any(u != 0.0, axis=1)
-    cross, other = np.flatnonzero(nonzero & _CROSS_ROWS), np.flatnonzero(nonzero & ~_CROSS_ROWS)
-    u_cross, u_other = u[cross, :split], u[other, split:]
-    live = np.concatenate((cross, other))
-    trig = np.empty((2, width, _PASS_SIZE))
-    columns = np.empty((u.shape[1], _PASS_SIZE))
-    mapped = np.empty((len(live), _PASS_SIZE))
+    pieces = [(rows[nonzero[rows]], cols) for rows, cols in table.blocks]
+    pieces = [(rows, u[rows, cols], cols) for rows, cols in pieces if len(rows)]
+    live = np.concatenate([rows for rows, _, _ in pieces] or [np.zeros(0, dtype=int)])
+    # One buffer serves each pass: once the pair rows are centred into the
+    # columns, the columns take the factor and prefix rows ahead of them and
+    # the mapped rows take the pair rows.
+    pairs = len(table.phases)
+    front = table.phasors - pairs
+    phasors = np.empty((max(table.phasors, front + (len(live) + 1) // 2), _PASS_SIZE), dtype=complex)
+    free = phasors.view(float).reshape(-1, _PASS_SIZE)
+    columns = free[:2 * pairs] if front >= pairs else np.empty((2 * pairs, _PASS_SIZE))
+    mapped = free[2 * front:2 * front + len(live)]
     scatter = np.zeros(len(live))
-    counts, sums = [], []
+    counts, totals = [], []
     for angles in blocks:
-        half = np.stack(angles)
-        half *= 0.5
-        for start in range(0, half.shape[1], _PASS_SIZE):
-            count = min(_PASS_SIZE, half.shape[1] - start)
-            part, pass_trig = half[:, start:start + count], trig[:, :, :count]
-            np.cos(part, out=pass_trig[0])
-            np.sin(part, out=pass_trig[1])
+        for start in range(0, angles.shape[1], _PASS_SIZE):
+            count = min(_PASS_SIZE, angles.shape[1] - start)
             g, y = columns[:, :count], mapped[:, :count]
-            fill(pass_trig, g)
-            total = g.sum(axis=1)
-            g -= (total / count)[:, None]
-            np.matmul(u_cross, g[:split], out=y[:len(cross)])
-            np.matmul(u_other, g[split:], out=y[len(cross):])
+            z = _shot_phasors(table, angles[:, start:start + count], phasors[:, :count])
+            total = z.sum(axis=1)
+            np.subtract(z.real, (total.real / count)[:, None], out=g[0::2])
+            np.subtract(z.imag, (total.imag / count)[:, None], out=g[1::2])
+            at = 0
+            for rows, coefficients, cols in pieces:
+                np.matmul(coefficients, g[cols], out=y[at:at + len(rows)])
+                at += len(rows)
             scatter += np.einsum("rn,rn->r", y, y)
             counts.append(count)
-            sums.append(total)
-    counts, sums = np.array(counts, dtype=float), np.array(sums)
+            totals.append(total)
+    counts, totals = np.array(counts, dtype=float), np.array(totals)
+    sums = np.stack((totals.real - counts[:, None], totals.imag), axis=2).reshape(len(counts), -1)
     mean = sums.sum(axis=0) / n
     scatter += counts @ np.square((sums / counts[:, None] - mean) @ u[live].T)
     variance = np.zeros(2 * 16)
@@ -377,21 +359,13 @@ def ensemble_average_monte_carlo(
     seed SeedSequence((seed, i)) and blocks are merged in index order,
     so the estimate is a pure function of (rho0, setup, samples, seed).
 
-    Neither mode builds shot states.  In mode B a shot's deviation from
-    rho0 is U g: g holds 36 real numbers per shot built from the four
-    angles, and the real (32, 36) U holds Re and Im of each element's
-    coefficients, taken from that element's own four entries of rho0.
-    A mode-A shot is a mode-B shot with gamma = delta = 0, whose only
-    nonzero columns are the (cos d - 1, sin d) of the four phase
-    differences, so mode A fills just those 8 columns and uses those
-    columns of U.  Passes of shots reduce to column sums and, per row of
-    U, the squared norm of U times the centred columns
-    (``_shot_moments``, one kernel for both modes).
-
-    Both modes accumulate deviations from the input state (shifted
-    data).  At zero width every angle is exactly 0, so every column is
-    exactly zero: the input comes back bit-exactly, with zero standard
-    errors.
+    No shot state is built.  A shot's deviation from rho0 is U g: g holds
+    cos(q.theta/2) - 1 and sin(q.theta/2) for each pair {q, -q} of nonzero
+    C_q of the layout (``_shot_table``), and the real U holds Re and Im of
+    (C_q + C_-q) vec rho0 and i (C_q - C_-q) vec rho0 (``_shot_moments``,
+    one kernel for every layout).  The kernel accumulates these deviations
+    (shifted data).  At zero width every column is exactly 0, so the input
+    comes back bit-exactly, with zero standard errors.
     """
     rho0 = validate_density_matrix(rho0)
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 2:
@@ -400,14 +374,14 @@ def ensemble_average_monte_carlo(
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     n = int(samples)
     blocks = (
-        _sampled_angles(
+        _rotation_angles(
             np.random.default_rng(np.random.SeedSequence((int(seed), block_index))),
             setup,
             min(_BLOCK_SIZE, n - start),
         )
         for block_index, start in enumerate(range(0, n, _BLOCK_SIZE))
     )
-    mean, var_re, var_im = _shot_moments(rho0, blocks, n, setup.mode)
+    mean, var_re, var_im = _shot_moments(rho0, blocks, n, _shot_table(setup.mode, setup.variant))
     return EnsembleEstimate(
         mean=mean,
         stderr_re=np.sqrt(var_re / n),

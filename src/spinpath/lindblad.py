@@ -122,6 +122,17 @@ def projectors_for_mode(mode: str) -> ProjectorSet:
     return _PROJECTORS[mode]
 
 
+def _mode_of(projectors: ProjectorSet) -> str | None:
+    """The mode whose projectors these are, up to order (within 1e-12), or None."""
+    given = np.array(projectors.projectors)
+    for mode, expected in _PROJECTORS.items():
+        if len(given) == len(expected.projectors) and (
+            np.abs(given[:, None] - expected.projectors).max(axis=(2, 3)).min(axis=0).max() <= 1e-12
+        ):
+            return mode
+    return None
+
+
 def _times(t) -> np.ndarray:
     """Evaluation time(s) as a float array: a scalar or a 1-d array of finite t >= 0."""
     times = np.asarray(t, dtype=float)
@@ -244,7 +255,15 @@ def integrate_master(
     stability region) is rejected up front.  Hermiticity and trace drift
     are monitored (budget 1e-9 per unit time) and the result is
     re-Hermitized and trace-renormalized before validation.
+
+    Raises:
+        ValueError: when ``projectors`` are not ``projectors_for_mode(spec.mode)``
+            up to order, naming both modes.
     """
+    found = spec.mode if projectors is _PROJECTORS[spec.mode] else _mode_of(projectors)
+    if found != spec.mode:
+        named = f"mode {found}'s" if found else "neither mode A's nor mode B's"
+        raise ValueError(f"projectors are {named} projectors, but spec.mode is {spec.mode!r}")
     rho = np.array(validate_density_matrix(rho0))
     if not (np.isfinite(t) and t >= 0.0):
         raise ValueError(f"time must be finite and nonnegative, got {t!r}")

@@ -7,13 +7,11 @@ from spinpath.interferometer import (
     VARIANTS,
     _LAYOUTS,
     _BLOCK_SIZE,
-    _PHASE_COLUMNS,
-    _SHOT_COLUMNS,
     _STDERR_FLOOR,
-    _phase_columns,
-    _sampled_angles,
+    _rotation_angles,
     _shot_coefficients,
-    _shot_columns,
+    _shot_phasors,
+    _shot_table,
     FieldSetup,
     consistency_ratio,
     ensemble_average_analytic,
@@ -75,6 +73,28 @@ def reference_shot_unitaries(alpha, beta, gamma=None, delta=None):
     return uz @ ux
 
 
+# The angles reference_shot_unitaries takes: z on paths I and II, then x on paths I and II.
+KERNEL_SLOTS = (("z", "I"), ("z", "II"), ("x", "I"), ("x", "II"))
+
+
+def kernel_angles(layout, drawn):
+    """(alpha, beta) in mode A or (alpha, beta, gamma, delta) in mode B from
+    ``drawn``, one row of angles per rotation of the layout; a rotation on
+    both paths turns both of its angles, and an angle no rotation turns is 0."""
+    mode, _ = layout
+    drawn = np.asarray(drawn, dtype=float)
+    angles = np.zeros((2 if mode == "A" else 4, drawn.shape[1]))
+    for (axis, path), theta in zip(_LAYOUTS[layout][0], drawn):
+        for one in ("I", "II") if path == "both" else (path,):
+            angles[KERNEL_SLOTS.index((axis, one))] = theta
+    return tuple(angles)
+
+
+def _sampled_angles(rng, setup, count):
+    """Kernel angles of one block of the Monte Carlo's draws."""
+    return kernel_angles((setup.mode, setup.variant), _rotation_angles(rng, setup, count))
+
+
 def reference_monte_carlo(rho0, setup, samples, seed):
     """Block Monte Carlo through the batched products u @ rho0 @ u^dagger.
 
@@ -110,19 +130,22 @@ def reference_unitary(*angles):
     return reference_shot_unitaries(*(np.array([angle], dtype=float) for angle in angles))[0]
 
 
-def shot_states(rho0, *angles):
+def table_shot_states(layout, rho0, drawn):
     """(N, 4, 4) shot states rho0 + U g as the Monte Carlo kernel represents
-    them: U from rho0 alone, g the columns of each shot.  Takes length-N
-    angle arrays, (alpha, beta) for mode A, which is mode B with
-    gamma = delta = 0, or (alpha, beta, gamma, delta)."""
-    angles = np.array(angles, dtype=float).reshape(len(angles), -1)
-    if len(angles) == 2:
-        angles = np.concatenate((angles, np.zeros_like(angles)))
-    half = 0.5 * angles
-    columns = np.empty((_SHOT_COLUMNS, angles.shape[1]))
-    _shot_columns(np.stack((np.cos(half), np.sin(half))), columns)
-    re, im = (_shot_coefficients(np.asarray(rho0, dtype=complex)) @ columns).reshape(2, 4, 4, -1)
+    them: U from the layout's table and rho0 alone, g the table's columns of
+    each shot.  ``drawn`` holds one length-N row of angles per rotation."""
+    table = _shot_table(*layout)
+    drawn = np.asarray(drawn, dtype=float).reshape(table.phases.shape[1], -1)
+    z = _shot_phasors(table, drawn, np.empty((table.phasors, drawn.shape[1]), dtype=complex))
+    columns = np.stack((z.real - 1.0, z.imag), axis=1).reshape(2 * len(z), -1)
+    re, im = (_shot_coefficients(table, np.asarray(rho0, dtype=complex)) @ columns).reshape(2, 4, 4, -1)
     return rho0 + (re + 1j * im).transpose(2, 0, 1)
+
+
+def shot_states(rho0, *angles):
+    """Shot states of the layout whose rotations turn exactly these angles:
+    (alpha, beta) for mode A, (alpha, beta, gamma, delta) for mode B."""
+    return table_shot_states((("A", "B")[len(angles) == 4], "both_paths_independent"), rho0, angles)
 
 
 def shot_state(rho0, *angles):
@@ -449,36 +472,53 @@ ANGLES = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 @given(
     seed=st.integers(0, 2**32 - 1),
     rank=st.integers(1, 4),
-    mode=st.sampled_from(["A", "B"]),
+    layout=st.sampled_from(sorted(_LAYOUTS)),
     shot=st.lists(st.tuples(ANGLES, ANGLES, ANGLES, ANGLES), min_size=1, max_size=8),
 )
-def test_shot_states_match_matrix_products(seed, rank, mode, shot):
-    # The kernel's per-shot representation rho0 + U g against u rho0 u^dagger.
+def test_shot_states_match_matrix_products(seed, rank, layout, shot):
+    # The kernel's per-shot representation rho0 + U g, with g the columns of
+    # the layout's table, against u rho0 u^dagger.
     rho0 = random_rank_state(np.random.default_rng(seed), rank)
-    drawn = tuple(np.array(column) for column in zip(*shot))
-    drawn = drawn[:2] if mode == "A" else drawn
-    u = reference_shot_unitaries(*drawn)
+    drawn = np.array(shot).T[: len(_LAYOUTS[layout][0])]
+    u = reference_shot_unitaries(*kernel_angles(layout, drawn))
     expected = u @ rho0 @ u.conj().transpose(0, 2, 1)
-    assert np.abs(shot_states(rho0, *drawn) - expected).max() <= 1e-15
+    assert np.abs(table_shot_states(layout, rho0, drawn) - expected).max() <= 1e-15
+
+
+def test_table_columns_and_blocks():
+    # Two columns per pair of nonzero C_q; the blocks split U's products.
+    counts, products = {}, {}
+    for layout in _LAYOUTS:
+        table = _shot_table(*layout)
+        counts[layout] = 2 * len(table.phases)
+        products[layout] = sum(len(rows) * (cols.stop - cols.start) for rows, cols in table.blocks)
+        covered = np.concatenate([np.arange(cols.start, cols.stop) for _, cols in table.blocks])
+        assert np.array_equal(np.sort(covered), np.arange(counts[layout]))
+        rows = np.concatenate([rows for rows, _ in table.blocks])
+        assert len(set(rows.tolist())) == len(rows)
+    assert list(counts.values()) == [8, 4, 2, 32]
+    assert products[("B", "both_paths_independent")] == 192
+    assert [len(_shot_table(*layout).blocks) for layout in _LAYOUTS] == [4, 2, 1, 6]
 
 
 @settings(max_examples=200, deadline=None)
-@given(shot=st.lists(st.tuples(ANGLES, ANGLES), min_size=1, max_size=8))
-def test_mode_a_columns_are_the_mode_b_phase_columns_without_x_rotation(shot):
-    # The one Monte Carlo kernel rests on this: at gamma = delta = 0 every
-    # mode-B column outside _PHASE_COLUMNS is exactly 0, and those columns
-    # are bit for bit the 8 columns mode A fills.
-    alpha, beta = (np.array(column) for column in zip(*shot))
-    half = 0.5 * np.stack((alpha, beta, np.zeros_like(alpha), np.zeros_like(alpha)))
-    trig = np.stack((np.cos(half), np.sin(half)))
-    full = np.empty((_SHOT_COLUMNS, len(alpha)))
-    _shot_columns(trig, full)
-    phase = np.empty((len(_PHASE_COLUMNS), len(alpha)))
-    _phase_columns(np.ascontiguousarray(trig[:, :2]), phase)
-    rest = np.ones(_SHOT_COLUMNS, dtype=bool)
-    rest[_PHASE_COLUMNS] = False
-    assert np.all(full[rest] == 0.0)
-    assert full[_PHASE_COLUMNS].tobytes() == phase.tobytes()
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, 4),
+    layout=st.sampled_from(sorted(_LAYOUTS)),
+    sigma=st.floats(min_value=0.0, max_value=3.0),
+)
+def test_table_gaussian_average_matches_analytic(seed, rank, layout, sigma):
+    # A Gaussian angle averages exp(i q theta/2) to exp(-q^2 sigma^2/8), so the
+    # table's columns average to exp(-|q|^2 sigma^2/8) - 1 and 0; the analytic
+    # route composes per-angle maps instead.
+    rho0 = random_rank_state(np.random.default_rng(seed), rank)
+    table = _shot_table(*layout)
+    columns = np.zeros((len(table.phases), 2))
+    columns[:, 0] = np.expm1(-np.sum(table.phases**2, axis=1) * sigma**2 / 8.0)
+    re, im = (_shot_coefficients(table, rho0) @ columns.ravel()).reshape(2, 4, 4)
+    setup = FieldSetup(mode=layout[0], sigma=sigma, variant=layout[1])
+    assert np.abs(rho0 + re + 1j * im - ensemble_average_analytic(rho0, setup)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("mode,variant", FIELD_SETUPS)

@@ -439,6 +439,34 @@ def test_integrator_rejects_unstable_step(mode):
         integrate_master(experiment_initial(), projectors_for_mode(mode), spec, 1.0, dt=1e-3)
 
 
+@pytest.mark.parametrize("mode,other", [("A", "B"), ("B", "A")])
+def test_integrator_rejects_projectors_of_the_other_mode(mode, other):
+    # Run with the other mode's projectors, the singlet at lam*t = 1 would
+    # end 0.158 away from evolve.
+    spec = DecoherenceSpec(mode=mode, lam=1.0)
+    with pytest.raises(ValueError, match=rf"mode {other}'s projectors, but spec.mode is '{mode}'"):
+        integrate_master(experiment_initial(), projectors_for_mode(other), spec, 1.0)
+
+
+def test_integrator_rejects_projectors_of_neither_mode():
+    # A complete set of orthogonal projectors, but onto a basis of neither mode.
+    basis = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))[0]
+    projectors = ProjectorSet(tuple(np.outer(v, v) for v in basis.T))
+    spec = DecoherenceSpec(mode="B", lam=1.0)
+    with pytest.raises(ValueError, match=r"neither mode A's nor mode B's projectors, but spec.mode is 'B'"):
+        integrate_master(experiment_initial(), projectors, spec, 1.0)
+
+
+@pytest.mark.parametrize("mode", ["A", "B"])
+def test_integrator_accepts_its_mode_projectors_in_any_order(mode):
+    spec = DecoherenceSpec(mode=mode, lam=1.0)
+    shuffled = ProjectorSet(projectors_for_mode(mode).projectors[::-1])
+    numeric = integrate_master(experiment_initial(), shuffled, spec, 1.0, dt=1e-3)
+    expected = integrate_master(experiment_initial(), projectors_for_mode(mode), spec, 1.0, dt=1e-3)
+    assert np.abs(numeric - expected).max() < 1e-14
+    assert np.abs(numeric - evolve(experiment_initial(), spec, 1.0)).max() < 1e-8
+
+
 def test_integrator_lands_exactly_on_t():
     # t is not a multiple of dt: the shortened final step must still match.
     spec = DecoherenceSpec(mode="B", lam=1.0)
