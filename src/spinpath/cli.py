@@ -159,8 +159,8 @@ def cmd_kraus_compare(args) -> str:
         "max_error_half_steps": None,
         "convergence_order": None,
     }
-    if args.steps >= 2:
-        half = args.steps // 2
+    half = args.steps // 2
+    if half and args.lam * args.time / half <= kraus.MAX_WEIGHT:
         approx_half = kraus.trotter_evolve(rho0, args.mode, args.lam, args.time, half)
         error_half = float(np.abs(approx_half - analytic).max())
         payload["max_error_half_steps"] = error_half

@@ -54,11 +54,10 @@ _LAYOUTS = {
 VARIANTS = tuple(dict.fromkeys(variant for _, variant in _LAYOUTS))
 
 _BLOCK_SIZE = 8192
-# Shots per pass within a block, every layout.  A mode-B pass keeps its 35
-# complex phasor rows in about 1.1 MB, inside one core's 2 MiB L2 on the
-# 2-core Xeon measured, and its 32 centred columns and 28 mapped rows reuse
-# that buffer.  Passes of 4096 shots cost about 10 % less per shot there,
-# but they double the buffer.
+# Shots per pass within a block, every layout.  A mode-B pass keeps its 32
+# complex phasor rows, reused by its 32 centred columns and 28 mapped rows,
+# in about 1.0 MB, inside one core's 2 MiB L2 on the 2-core Xeon measured.
+# Passes of 4096 shots cost about 10 % less per shot there, but double it.
 _PASS_SIZE = 2048
 _STDERR_FLOOR = 1e-15
 
@@ -227,34 +226,35 @@ def _shot_table(mode: str, variant: str) -> _ShotTable:
 
 
 def _phasor_plan(phases: list) -> tuple:
-    """How ``_shot_phasors`` builds exp(i q.theta/2): the tan slopes x/4,
-    the steps and the row count.  Rows hold the factors
-    exp(i x theta_r/2) of the entries x = q_r (x = +-2 squares x/2's where
-    that is a factor too, the rest come from tan), then shared prefixes,
-    then the pairs.  A step (row, a, b) multiplies rows a and b, or copies
-    row a when b is None."""
-    found = {(r, x) for q in phases for r, x in enumerate(q) if x}
-    factors = sorted(found, key=lambda f: (abs(f[1]) == 2 and (f[0], f[1] // 2) in found, f))
-    steps = [(i, factors.index((r, x // 2)), factors.index((r, x // 2)))
-             for i, (r, x) in enumerate(factors) if abs(x) == 2 and (r, x // 2) in found]
-    slopes = np.zeros((len(factors) - len(steps), len(phases[0])))
-    for i, (r, x) in enumerate(factors[:len(slopes)]):
-        slopes[i, r] = x / 4.0
-    built = {}  # prefix -> its (a, b): factor rows, or prefixes
-    for q in phases:
-        parent, prefix = None, [0] * len(q)
-        for r in np.flatnonzero(q):
-            prefix[r] = q[r]
-            key, factor = tuple(prefix), factors.index((r, q[r]))
-            if parent is None and key not in phases:
-                parent = factor
-                continue
-            built.setdefault(key, (factor, None) if parent is None else (parent, factor))
-            parent = key
-    order = [key for key in built if key not in phases] + phases
-    row = {key: len(factors) + i for i, key in enumerate(order)}
-    steps += [(row[key], row.get(a, a), row.get(b, b)) for key, (a, b) in built.items()]
-    return slopes, tuple(steps), len(factors) + len(order)
+    """How ``_shot_phasors`` builds exp(i q.theta/2): the tan slopes b/4, the
+    steps (ufunc, row, a, b), each writing ufunc(row a[, row b]) to the row
+    or, with ufunc None, copying row a, and the row count.  Row r is rotation
+    r's base exp(i b theta_r/2), b = 1 if some pair has |q_r| = 1, else 2;
+    x = 2b squares it, and a negative factor conjugates its positive partner
+    (given a row even if unused).  The pairs, products of their factors in
+    rotation order, start at row max(rows ahead, pairs)."""
+    found = {(r, int(x)) for q in phases for r, x in enumerate(q) if x}
+    base = [1 if {(r, 1), (r, -1)} & found else 2 for r in range(len(phases[0]))]
+    row = {(r, b): r for r, b in enumerate(base)}
+    steps = []
+    for r, x in sorted(found):
+        if (r, abs(x)) not in row:
+            steps.append((np.multiply, len(row), r, r))
+            row[r, abs(x)] = len(row)
+        if x < 0:  # tan is odd to the bit (16.8 M values checked), cos = 1 - t sin even
+            steps.append((np.conjugate, len(row), row[r, -x], None))
+            row[r, x] = len(row)
+    # No step writes a row it reads: NumPy's in-place product of one element skips the fused multiply-add.
+    front = max(len(row) + any(np.count_nonzero(q) > 2 for q in phases), len(phases))
+    for p, q in enumerate(phases, front):
+        first, *rest = (row[r, x] for r, x in enumerate(q) if x)
+        if not rest:
+            steps.append((None, p, first, None))  # a copy
+        for i, f in enumerate(rest):
+            out = p if (len(rest) - i) % 2 else front - 1  # alternating, ending in p
+            steps.append((np.multiply, out, first, f))
+            first = out
+    return np.array(base) / 4.0, tuple(steps), front + len(phases)
 
 
 def _rotation_angles(rng: np.random.Generator, setup: FieldSetup, count: int) -> np.ndarray:
@@ -274,13 +274,12 @@ def _shot_coefficients(table: _ShotTable, rho0: np.ndarray) -> np.ndarray:
 
 
 def _shot_phasors(table: _ShotTable, angles: np.ndarray, phasors: np.ndarray) -> np.ndarray:
-    """The pairs' phasors exp(i q.theta/2), shape (pairs, N), of N shots
-    with angles of shape (rotations, N), built in ``phasors``.  A factor's
-    t = tan(x theta_r/4) has an exact argument, and a pair's phasor is a
-    product of factors, so no phase is rounded as a sum of angles.  At zero
-    angles every phasor is exactly 1."""
+    """The pairs' phasors exp(i q.theta/2), shape (pairs, N), of N shots with
+    angles of shape (rotations, N), built in ``phasors`` from one tan of an
+    exact argument per rotation, squares, conjugates and products, so no phase
+    is rounded as a sum of angles.  At zero angles every phasor is exactly 1."""
     bases = phasors[:len(table.slopes)]
-    t = table.slopes @ angles
+    t = table.slopes[:, None] * angles
     np.tan(t, out=t)
     d = t * t
     d += 1.0
@@ -288,11 +287,13 @@ def _shot_phasors(table: _ShotTable, angles: np.ndarray, phasors: np.ndarray) ->
     np.multiply(t, d, out=bases.imag)  # sin = 2t/(1 + t^2)
     np.multiply(bases.imag, t, out=bases.real)
     np.subtract(1.0, bases.real, out=bases.real)  # cos = 1 - t sin
-    for row, a, b in table.steps:
-        if b is None:
+    for ufunc, row, a, b in table.steps:
+        if ufunc is None:  # a copy, three times faster than np.positive
             phasors[row] = phasors[a]
+        elif b is None:
+            ufunc(phasors[a], out=phasors[row])
         else:
-            np.multiply(phasors[a], phasors[b], out=phasors[row])
+            ufunc(phasors[a], phasors[b], out=phasors[row])
     return phasors[table.phasors - len(table.phases):table.phasors]
 
 
@@ -313,14 +314,12 @@ def _shot_moments(rho0: np.ndarray, blocks, n: int, table: _ShotTable) -> tuple:
     pieces = [(rows[nonzero[rows]], cols) for rows, cols in table.blocks]
     pieces = [(rows, u[rows, cols], cols) for rows, cols in pieces if len(rows)]
     live = np.concatenate([rows for rows, _, _ in pieces] or [np.zeros(0, dtype=int)])
-    # One buffer serves each pass: once the pair rows are centred into the
-    # columns, the columns take the factor and prefix rows ahead of them and
-    # the mapped rows take the pair rows.
-    pairs = len(table.phases)
-    front = table.phasors - pairs
+    # One buffer serves each pass: the centred columns take the rows ahead of
+    # the pairs (no fewer than the pairs), the mapped rows the pair rows.
+    front = table.phasors - len(table.phases)
     phasors = np.empty((max(table.phasors, front + (len(live) + 1) // 2), _PASS_SIZE), dtype=complex)
     free = phasors.view(float).reshape(-1, _PASS_SIZE)
-    columns = free[:2 * pairs] if front >= pairs else np.empty((2 * pairs, _PASS_SIZE))
+    columns = free[:2 * len(table.phases)]
     mapped = free[2 * front:2 * front + len(live)]
     scatter = np.zeros(len(live))
     counts, totals = [], []

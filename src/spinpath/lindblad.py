@@ -150,24 +150,24 @@ _SPIN_FLIP = [2, 3, 0, 1]
 
 def _damped_cosh_sinh(lam: float, gap: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(-lam*t/2)*cosh(mu*t/2) and exp(-lam*t/2)*sinh(mu*t/2)/mu with
-    mu = sqrt(lam^2 - gap^2), in real arithmetic.
+    mu = sqrt(lam^2 - 4 gap^2), in real arithmetic.
 
-    With h = lam/2 and k = |gap|/2, the overdamped regime k < h takes
+    With h = lam/2 and k = |gap|, the overdamped regime k < h takes
     m = mu/2 = sqrt(h - k) sqrt(h + k) (h exactly at k = 0) and
     m - h = -k^2 / (m + h), which does not cancel when lam >> |gap|, and
     sinh through expm1.  The critical and underdamped regime k >= h has
     mu = 2iw with w = sqrt(k - h) sqrt(k + h): cos(w*t) and sin(w*t)/(2w),
-    or t/2 at w = 0.  No sum exceeds lam or |gap|, so with lam*t and
-    |gap|*t finite nothing overflows; |sin x| <= |x| and -expm1(-x) <= x
-    keep a division by a subnormal m or w finite.
+    or t/2 at w = 0.  Where k + h overflows, w takes it as 4 (k/4 + h/4);
+    so with lam*t and |gap|*t finite nothing overflows, and |sin x| <= |x|
+    and -expm1(-x) <= x keep a division by a subnormal m or w finite.
     """
-    h, k = 0.5 * lam, 0.5 * abs(gap)
+    h, k = 0.5 * float(lam), abs(float(gap))  # Python floats: k + h overflows without a warning
     if k < h:
         m = h if k == 0.0 else min(h, math.sqrt(h - k) * math.sqrt(h + k))  # m <= h despite rounding
         slow = np.exp(-k * (k / (m + h)) * t)
         ch = 0.5 * (slow + np.exp(-(m + h) * t))
         return ch, 0.5 * slow * (-0.5 * np.expm1(-2.0 * m * t) / m)
-    w = math.sqrt(k - h) * math.sqrt(k + h)
+    w = math.sqrt(k - h) * (math.sqrt(k + h) if k + h < math.inf else 2.0 * math.sqrt(0.25 * k + 0.25 * h))
     envelope = np.exp(-h * t)
     sinc = t if w == 0.0 else np.sin(w * t) / w
     return envelope * np.cos(w * t), 0.5 * envelope * sinc
@@ -182,7 +182,7 @@ def _closed_form(rho0: np.ndarray, spec: DecoherenceSpec, t: np.ndarray) -> np.n
     Mode B overwrites the entries of its two spin pairs (e_j, e_Fj):
     populations relax to the pair's mean, 1/2 (1 -/+ exp(-lam*t)) in D
     and E; the coherences rho_{j,Fj} take ch -/+ 2i dE sh in D and
-    lam * sh in E, from ``_damped_cosh_sinh`` at gap 2 dE.
+    lam * sh in E, from ``_damped_cosh_sinh`` at gap dE.
     """
     lam = spec.lam
     energies = np.array(spec.hamiltonian.energies)
@@ -196,9 +196,9 @@ def _closed_form(rho0: np.ndarray, spec: DecoherenceSpec, t: np.ndarray) -> np.n
     d[..., range(4), range(4)] = 0.5 * (1.0 + decay)
     e[..., range(4), range(4)] = 0.5 * (1.0 - decay)
     for j, f in ((0, 2), (1, 3)):
-        ch, sh = _damped_cosh_sinh(lam, 2.0 * gaps[j, f], t)
-        d[..., j, f] = ch - 2j * gaps[j, f] * sh
-        d[..., f, j] = ch + 2j * gaps[j, f] * sh
+        ch, sh = _damped_cosh_sinh(lam, gaps[j, f], t)
+        d[..., j, f] = ch - 2j * (gaps[j, f] * sh)
+        d[..., f, j] = ch + 2j * (gaps[j, f] * sh)
         e[..., j, f] = e[..., f, j] = lam * sh
     return d * rho0 + e * rho0[_SPIN_FLIP][:, _SPIN_FLIP]
 
@@ -207,15 +207,15 @@ def _check_phases(spec: DecoherenceSpec, times: np.ndarray) -> None:
     """Reject times at which an energy phase (E_k - E_j) * t or the
     coupling-time product lam * t is not finite.
 
-    Mode B's coupled coherence pairs turn at twice their gap.  The rates
-    are Python floats, whose overflow gives inf without a warning.
+    Mode B's coupled coherence pairs turn at 2 (|dE| t), not inf where that
+    phase is finite.  Python floats overflow to inf without a warning.
     """
     energies = spec.hamiltonian.energies
-    rate = max(energies) - min(energies)
-    if spec.mode == "B":
-        rate = max(rate, 2.0 * abs(energies[0] - energies[2]), 2.0 * abs(energies[1] - energies[3]))
     t_max = float(times.max()) if times.size else 0.0
-    if not math.isfinite(rate * t_max):
+    phases = [(max(energies) - min(energies)) * t_max]
+    if spec.mode == "B":
+        phases += [2.0 * (abs(energies[j] - energies[f]) * t_max) for j, f in ((0, 2), (1, 3))]
+    if not all(map(math.isfinite, phases)):
         raise ValueError(
             f"energy phase (E_k - E_j) * t is not finite for energies {energies} at time {t_max!r}"
         )

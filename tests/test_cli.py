@@ -18,7 +18,14 @@ from spinpath import interferometer, lindblad
 from spinpath.cli import main
 from spinpath.measures import measure_report
 from spinpath.pauli import SIGMA_X, SIGMA_Y, SIGMA_Z
-from spinpath.states import bell_state, experiment_initial, from_pure, matrix_from_json, matrix_to_json
+from spinpath.states import (
+    bell_state,
+    experiment_initial,
+    from_pure,
+    matrix_from_json,
+    matrix_to_json,
+    validate_density_matrix,
+)
 
 
 def run(capsys, argv):
@@ -329,6 +336,40 @@ def test_kraus_compare_at_65536_steps_exits_0(capsys, initial):
     assert payload["max_error"] < 3e-6
     if initial != "maximally-mixed":  # a fixed point: both errors are rounding
         assert abs(payload["convergence_order"] - 1.0) < 1e-3
+
+
+@pytest.mark.parametrize("lam, steps", [("4", "3"), ("2", "2")])
+def test_kraus_compare_reports_null_when_the_half_step_weight_exceeds_the_limit(capsys, lam, steps):
+    # The requested run has weight <= 4/3; only the n // 2 comparison run does not.
+    payload = run_json(
+        capsys, ["kraus-compare", "--mode", "B", "--lambda", lam, "--time", "1", "--steps", steps]
+    )
+    assert payload["max_error"] > 0.0
+    assert payload["max_error_half_steps"] is None
+    assert payload["convergence_order"] is None
+
+
+def test_kraus_compare_keeps_a_half_step_weight_of_exactly_four_thirds(capsys):
+    payload = run_json(capsys, ["kraus-compare", "--mode", "B", "--lambda", "4", "--time", "1", "--steps", "6"])
+    assert payload["max_error_half_steps"] > 0.0
+    assert payload["convergence_order"] is not None
+
+
+@pytest.mark.parametrize(
+    "lam, time, energies",
+    [("1", "0", "1e308"), ("1.7e308", "0", "1.7e308"), ("1.7e308", "1e-300", "1.7e308")],
+)
+def test_evolve_mode_b_accepts_a_gap_above_half_the_float_range(capsys, lam, time, energies):
+    # 2 * dE overflows, but the pair phase 2 (|dE| t) is finite.
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        payload = run_json(
+            capsys,
+            ["evolve", "--mode", "B", "--lambda", lam, "--time", time, "--energies", "0", energies, "0", "0"],
+        )
+    state = matrix_from_json(payload["state"])
+    validate_density_matrix(state)
+    if time == "0":
+        assert np.array_equal(state, experiment_initial())
 
 
 def test_tomography_exact_round_trip(capsys):

@@ -8,6 +8,8 @@ from spinpath.interferometer import (
     _LAYOUTS,
     _BLOCK_SIZE,
     _STDERR_FLOOR,
+    _ShotTable,
+    _phasor_plan,
     _rotation_angles,
     _shot_coefficients,
     _shot_phasors,
@@ -499,6 +501,48 @@ def test_table_columns_and_blocks():
     assert list(counts.values()) == [8, 4, 2, 32]
     assert products[("B", "both_paths_independent")] == 192
     assert [len(_shot_table(*layout).blocks) for layout in _LAYOUTS] == [4, 2, 1, 6]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    layout=st.sampled_from(sorted(_LAYOUTS)),
+    shot=st.lists(st.tuples(ANGLES, ANGLES, ANGLES, ANGLES), min_size=1, max_size=8),
+)
+def test_shot_phasors_match_extended_precision(layout, shot):
+    # One tan per rotation, squares, conjugates and products against
+    # exp(i q.theta/2) in long double; a last shot at zero angles gives 1.
+    table = _shot_table(*layout)
+    drawn = np.array(shot).T[: table.phases.shape[1]]
+    drawn = np.concatenate((drawn, np.zeros((len(drawn), 1))), axis=1)
+    z = _shot_phasors(table, drawn, np.empty((table.phasors, drawn.shape[1]), dtype=complex))
+    phase = table.phases.astype(np.longdouble) @ drawn.astype(np.longdouble) / 2
+    assert np.abs(z.real - np.cos(phase)).max() <= 4e-15
+    assert np.abs(z.imag - np.sin(phase)).max() <= 4e-15
+    assert np.all(z[:, -1] == 1.0)
+
+
+@pytest.mark.parametrize(
+    "phases, base",
+    [
+        ([(1, -1, 0), (2, 0, -2), (1, -1, 2)], [1, 1, 2]),  # (1, 1) and (2, 2) serve only conjugates
+        ([(2, 0), (0, 2), (2, 2), (2, -2)], [2, 2]),  # only even entries; more pairs than factors
+        ([(2,)], [2]),
+    ],
+)
+def test_phasor_plan_on_synthetic_phases(phases, base):
+    # One tan row per rotation at slope b/4; no step writes a row it reads;
+    # at least as many rows ahead of the pairs as pairs, so the centred
+    # columns fit there; the pairs come out as exp(i q.theta/2).
+    slopes, steps, rows = _phasor_plan(phases)
+    assert slopes.tolist() == [b / 4.0 for b in base]
+    assert all(row not in reads and len(slopes) <= row < rows for _, row, *reads in steps)
+    assert rows - len(phases) >= len(phases)
+    angles = np.random.default_rng(7).normal(0.0, 2.0, (len(base), 64))
+    table = _ShotTable(np.array(phases), None, (), slopes, steps, rows)
+    z = _shot_phasors(table, angles, np.empty((rows, angles.shape[1]), dtype=complex))
+    assert np.abs(z - np.exp(0.5j * (np.array(phases) @ angles))).max() <= 4e-15
+    mode_b = _shot_table("B", "both_paths_independent")
+    assert (len(mode_b.slopes), len(mode_b.steps), mode_b.phasors) == (4, 41, 32)
 
 
 @settings(max_examples=200, deadline=None)
