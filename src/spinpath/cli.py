@@ -199,10 +199,8 @@ def cmd_calibrate(args) -> str:
     points = []
     for i, sigma in enumerate(args.sigmas):
         setup = interferometer.FieldSetup(mode=args.mode, sigma=sigma, variant=variant)
-        estimate = interferometer.ensemble_average_monte_carlo(
-            rho0, setup, args.samples, args.seed + i
-        )
-        magnitude = float(np.abs(estimate.mean[1, 2]))
+        mean = interferometer.ensemble_mean_monte_carlo(rho0, setup, args.samples, args.seed + i)
+        magnitude = float(np.abs(mean[1, 2]))
         if magnitude <= 0.0:
             raise np.linalg.LinAlgError(
                 f"coherence lost entirely at sigma = {sigma}; cannot take log"
@@ -260,6 +258,29 @@ def _add_common(parser, *, initial=True):
     parser.add_argument("--out", default="-", help="output path, or - for stdout")
 
 
+class _Number:
+    """Matches a token that ``float`` reads, such as -1e3 or -5e-1."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every token that parses as a number as a
+    value, not as an option.  argparse's own test for a negative number
+    misses exponents, so it takes -1e3 for an unknown option.  Subparsers
+    are built by this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _Number
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The spinpath argument parser, built once per process.
@@ -268,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     mutates the parser, so every ``main`` call shares this one.  The
     handlers it binds look up their kernels at call time.
     """
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="spinpath",
         description="two-qubit spin-path decoherence simulator",
     )

@@ -16,10 +16,12 @@ inputs some coherences decay at other rates.
 
 ``ensemble_average_analytic`` evaluates the Gaussian average in closed
 form for arbitrary input states, as the product of one map per angle;
-``ensemble_average_monte_carlo`` does the same by sampling.  It builds no
-shot states.  Each rotation's harmonics expand a shot's superoperator as
-sum_q exp(i q.theta/2) C_q, and the layout table ``_LAYOUTS`` alone fixes
-which C_q are nonzero.  So a shot's deviation from the input is linear in
+``ensemble_average_monte_carlo`` does the same by sampling, with standard
+errors, and ``ensemble_mean_monte_carlo`` gives its mean alone, bit for
+bit, from the same per-pass phasor sums at less cost.  Neither builds
+shot states, and at sigma = 0 neither draws.  Each rotation's harmonics
+expand a shot's superoperator as sum_q exp(i q.theta/2) C_q, and the
+layout table ``_LAYOUTS`` alone fixes which C_q are nonzero.  So a shot's deviation from the input is linear in
 two real columns, cos(q.theta/2) - 1 and sin(q.theta/2), per pair
 {q, -q}: 8, 4, 2 and 32 columns for the four layouts.  Each element
 takes its coefficients from its own entries of the input state, and the
@@ -56,9 +58,11 @@ VARIANTS = tuple(dict.fromkeys(variant for _, variant in _LAYOUTS))
 _BLOCK_SIZE = 8192
 # Shots per pass within a block, every layout.  A mode-B pass keeps its 32
 # complex phasor rows, reused by its 32 centred columns and 28 mapped rows,
-# in about 1.0 MB, inside one core's 2 MiB L2 on the 2-core Xeon measured.
-# Passes of 4096 shots cost about 10 % less per shot there, but double it.
-_PASS_SIZE = 2048
+# in about 2.1 MB, past one core's 2 MiB L2 on the 2-core Xeon measured;
+# yet there passes of 4096 shots cost 10-12 % less per shot than passes of
+# 2048 in every layout, since each pass pays a fixed cost in NumPy calls.
+# It must divide _BLOCK_SIZE: at sigma = 0 one block spans all shots.
+_PASS_SIZE = 4096
 _STDERR_FLOOR = 1e-15
 
 _AXES = {"x": SIGMA_X, "z": SIGMA_Z}
@@ -144,17 +148,31 @@ def _harmonics(axis: str, path: str):
     return operators
 
 
-def _angle_map(harmonics: np.ndarray, sigma: float) -> np.ndarray:
-    """16x16 superoperator of the Gaussian average over one angle."""
-    gap = np.subtract.outer(_ORDERS, _ORDERS)
-    return superop.chi_map(harmonics, np.exp(-(gap ** 2) * (sigma * sigma / 8.0)))
+_GAPS = np.subtract.outer(_ORDERS, _ORDERS).ravel() ** 2
+
+
+@cache
+def _sandwiches(axis: str, path: str) -> np.ndarray:
+    """The (9, 256) stack of G_m (x) G_m'^* over (m, m') in _ORDERS x _ORDERS.
+
+    Cached, so the returned array is read-only.
+    """
+    g = _harmonics(axis, path)
+    stack = np.array([superop.sandwich(a, b) for a in g for b in g]).reshape(9, 256)
+    stack.flags.writeable = False
+    return stack
+
+
+def _angle_map(rotation: tuple, sigma: float) -> np.ndarray:
+    """16x16 superoperator of the Gaussian average over one rotation's angle."""
+    return (np.exp(-_GAPS * (sigma * sigma / 8.0)) @ _sandwiches(*rotation)).reshape(16, 16)
 
 
 def ensemble_average_analytic(rho0: np.ndarray, setup: FieldSetup) -> np.ndarray:
     """Exact Gaussian ensemble average of the shot states."""
     rho = validate_density_matrix(rho0)
     rotations, _ = _LAYOUTS[setup.mode, setup.variant]
-    maps = (_angle_map(_harmonics(*rotation), setup.sigma) for rotation in rotations)
+    maps = (_angle_map(rotation, setup.sigma) for rotation in rotations)
     average = reduce(np.matmul, maps)
     return validate_density_matrix(superop.apply(average, rho))
 
@@ -264,6 +282,21 @@ def _rotation_angles(rng: np.random.Generator, setup: FieldSetup, count: int) ->
     return rng.normal(0.0, setup.sigma, (len(rotations), count))
 
 
+def _angle_blocks(setup: FieldSetup, n: int, seed: int):
+    """The angles of each block of up to ``_BLOCK_SIZE`` shots, block i drawn
+    from the child seed SeedSequence((seed, i)).  At sigma = 0 nothing is
+    drawn: one block broadcasts a column of zero angles over all n shots,
+    which splits into the same passes, as ``_PASS_SIZE`` divides
+    ``_BLOCK_SIZE``."""
+    rotations = len(_LAYOUTS[setup.mode, setup.variant][0])
+    if setup.sigma == 0.0:
+        yield np.broadcast_to(np.zeros((rotations, 1)), (rotations, n))
+        return
+    for index, start in enumerate(range(0, n, _BLOCK_SIZE)):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
+        yield _rotation_angles(rng, setup, min(_BLOCK_SIZE, n - start))
+
+
 def _shot_coefficients(table: _ShotTable, rho0: np.ndarray) -> np.ndarray:
     """Real U, shape (32, columns): a shot with columns g maps rho0 to
     rho0 + D with Re D (rows 0-15) and Im D (rows 16-31), row-major, equal
@@ -297,17 +330,63 @@ def _shot_phasors(table: _ShotTable, angles: np.ndarray, phasors: np.ndarray) ->
     return phasors[table.phasors - len(table.phases):table.phasors]
 
 
+def _phasor_sums(table: _ShotTable, blocks, phasors: np.ndarray):
+    """Yield the phasors z, shape (pairs, count), of each pass of up to
+    ``_PASS_SIZE`` shots of each block of angles, and their sums over the
+    pass's shots.  z is a view of ``phasors`` (rows, _PASS_SIZE), valid until
+    the caller writes there.  A block that broadcasts one column of angles
+    over its shots (stride 0, as at sigma = 0) has its phasors evaluated
+    once, for one shot, and summed once per pass length."""
+    for angles in blocks:
+        shared = angles.strides[1] == 0
+        if shared:
+            one = _shot_phasors(table, angles[:, :1], np.empty((table.phasors, 1), dtype=complex))
+            one, sums = np.broadcast_to(one, (len(one), _PASS_SIZE)), {}
+        for start in range(0, angles.shape[1], _PASS_SIZE):
+            count = min(_PASS_SIZE, angles.shape[1] - start)
+            if shared:
+                z = one[:, :count]
+                if count not in sums:
+                    sums[count] = z.sum(axis=1)
+                yield z, sums[count]
+            else:
+                z = _shot_phasors(table, angles[:, start:start + count], phasors[:, :count])
+                yield z, z.sum(axis=1)
+
+
+def _column_mean(counts: list, totals: list, n: int) -> tuple:
+    """The passes' counts, their column sums, shape (passes, columns), and the
+    overall column mean, from each pass's count and phasor sums: a cos - 1
+    column sums to its phasors' real parts minus the count."""
+    counts, totals = np.array(counts, dtype=float), np.array(totals)
+    sums = np.stack((totals.real - counts[:, None], totals.imag), axis=2).reshape(len(counts), -1)
+    return counts, sums, sums.sum(axis=0) / n
+
+
+def _mean_state(rho0: np.ndarray, u: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """rho0 + U (overall column mean), Re and Im apart."""
+    re, im = (u @ mean).reshape(2, 4, 4)
+    return (rho0.real + re) + 1j * (rho0.imag + im)
+
+
+def _shot_mean(rho0: np.ndarray, blocks, n: int, table: _ShotTable) -> np.ndarray:
+    """Mean state over the shots.  A pass costs only its phasors and their
+    sums: nothing is centred, mapped by U or squared."""
+    phasors = np.empty((table.phasors, _PASS_SIZE), dtype=complex)
+    counts, totals = zip(*((z.shape[1], total) for z, total in _phasor_sums(table, blocks, phasors)))
+    return _mean_state(rho0, _shot_coefficients(table, rho0), _column_mean(counts, totals, n)[2])
+
+
 def _shot_moments(rho0: np.ndarray, blocks, n: int, table: _ShotTable) -> tuple:
     """Mean state and per-element variances of Re and Im over the shots.
 
     No shot state is built.  Per pass of ``_PASS_SIZE`` shots the kernel
-    takes the column sums (a cos - 1 column sums to its phasors' real
-    parts minus the count), centres the columns on the pass mean and adds,
+    takes the column sums, centres the columns on the pass mean and adds,
     for each row of U that is not all zero, the squared norm of that row
     times the centred columns (one product per block); an all-zero row has
     variance exactly 0.  Passes merge by Chan's update: each adds
-    count * (U (pass mean - overall mean))^2.  The mean state is
-    rho0 + U (overall column mean).
+    count * (U (pass mean - overall mean))^2.  The mean state is the one
+    ``_shot_mean`` gives, bit for bit.
     """
     u = _shot_coefficients(table, rho0)
     nonzero = np.any(u != 0.0, axis=1)
@@ -323,30 +402,42 @@ def _shot_moments(rho0: np.ndarray, blocks, n: int, table: _ShotTable) -> tuple:
     mapped = free[2 * front:2 * front + len(live)]
     scatter = np.zeros(len(live))
     counts, totals = [], []
-    for angles in blocks:
-        for start in range(0, angles.shape[1], _PASS_SIZE):
-            count = min(_PASS_SIZE, angles.shape[1] - start)
-            g, y = columns[:, :count], mapped[:, :count]
-            z = _shot_phasors(table, angles[:, start:start + count], phasors[:, :count])
-            total = z.sum(axis=1)
-            np.subtract(z.real, (total.real / count)[:, None], out=g[0::2])
-            np.subtract(z.imag, (total.imag / count)[:, None], out=g[1::2])
-            at = 0
-            for rows, coefficients, cols in pieces:
-                np.matmul(coefficients, g[cols], out=y[at:at + len(rows)])
-                at += len(rows)
-            scatter += np.einsum("rn,rn->r", y, y)
-            counts.append(count)
-            totals.append(total)
-    counts, totals = np.array(counts, dtype=float), np.array(totals)
-    sums = np.stack((totals.real - counts[:, None], totals.imag), axis=2).reshape(len(counts), -1)
-    mean = sums.sum(axis=0) / n
+    for z, total in _phasor_sums(table, blocks, phasors):
+        count = z.shape[1]
+        g, y = columns[:, :count], mapped[:, :count]
+        np.subtract(z.real, (total.real / count)[:, None], out=g[0::2])
+        np.subtract(z.imag, (total.imag / count)[:, None], out=g[1::2])
+        at = 0
+        for rows, coefficients, cols in pieces:
+            np.matmul(coefficients, g[cols], out=y[at:at + len(rows)])
+            at += len(rows)
+        scatter += np.einsum("rn,rn->r", y, y)
+        counts.append(count)
+        totals.append(total)
+    counts, sums, mean = _column_mean(counts, totals, n)
     scatter += counts @ np.square((sums / counts[:, None] - mean) @ u[live].T)
     variance = np.zeros(2 * 16)
     variance[live] = scatter / (n - 1)
-    re, im = (u @ mean).reshape(2, 4, 4)
     var_re, var_im = variance.reshape(2, 4, 4)
-    return (rho0.real + re) + 1j * (rho0.imag + im), var_re, var_im
+    return _mean_state(rho0, u, mean), var_re, var_im
+
+
+def _sampling(rho0: np.ndarray, setup: FieldSetup, samples: int, seed: int) -> tuple:
+    """The validated input, angle blocks, shot count and table of a Monte Carlo call."""
+    rho0 = validate_density_matrix(rho0)
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    n = int(samples)
+    return rho0, _angle_blocks(setup, n, int(seed)), n, _shot_table(setup.mode, setup.variant)
+
+
+def ensemble_mean_monte_carlo(rho0: np.ndarray, setup: FieldSetup, samples: int, seed: int) -> np.ndarray:
+    """The mean state of ``ensemble_average_monte_carlo`` with the same
+    arguments, bit for bit, without its standard errors: the same checks,
+    blocks, child seeds and passes, but per pass only the phasor sums."""
+    return _shot_mean(*_sampling(rho0, setup, samples, seed))
 
 
 def ensemble_average_monte_carlo(
@@ -363,24 +454,15 @@ def ensemble_average_monte_carlo(
     C_q of the layout (``_shot_table``), and the real U holds Re and Im of
     (C_q + C_-q) vec rho0 and i (C_q - C_-q) vec rho0 (``_shot_moments``,
     one kernel for every layout).  The kernel accumulates these deviations
-    (shifted data).  At zero width every column is exactly 0, so the input
-    comes back bit-exactly, with zero standard errors.
+    (shifted data).  At zero width nothing is drawn: every column is
+    exactly 0, so the input comes back bit-exactly (``_shot_mean``), with
+    zero standard errors.
     """
-    rho0 = validate_density_matrix(rho0)
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples!r}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    n = int(samples)
-    blocks = (
-        _rotation_angles(
-            np.random.default_rng(np.random.SeedSequence((int(seed), block_index))),
-            setup,
-            min(_BLOCK_SIZE, n - start),
-        )
-        for block_index, start in enumerate(range(0, n, _BLOCK_SIZE))
-    )
-    mean, var_re, var_im = _shot_moments(rho0, blocks, n, _shot_table(setup.mode, setup.variant))
+    rho0, blocks, n, table = _sampling(rho0, setup, samples, seed)
+    if setup.sigma == 0.0:  # every shot is rho0
+        mean, var_re, var_im = _shot_mean(rho0, blocks, n, table), np.zeros((4, 4)), np.zeros((4, 4))
+    else:
+        mean, var_re, var_im = _shot_moments(rho0, blocks, n, table)
     return EnsembleEstimate(
         mean=mean,
         stderr_re=np.sqrt(var_re / n),

@@ -204,15 +204,20 @@ def _closed_form(rho0: np.ndarray, spec: DecoherenceSpec, t: np.ndarray) -> np.n
 
 
 def _check_phases(spec: DecoherenceSpec, times: np.ndarray) -> None:
-    """Reject times at which an energy phase (E_k - E_j) * t or the
-    coupling-time product lam * t is not finite.
+    """Reject an energy difference that is not finite, and times at which an
+    energy phase (E_k - E_j) * t or the coupling-time product lam * t is not.
 
     Mode B's coupled coherence pairs turn at 2 (|dE| t), not inf where that
-    phase is finite.  Python floats overflow to inf without a warning.
+    phase is finite.  Their gaps |E_j - E_Fj| are finite where the spread
+    max(E) - min(E) is, since rounding is monotone.  Python floats overflow
+    to inf without a warning.
     """
     energies = spec.hamiltonian.energies
     t_max = float(times.max()) if times.size else 0.0
-    phases = [(max(energies) - min(energies)) * t_max]
+    spread = max(energies) - min(energies)
+    if not math.isfinite(spread):
+        raise ValueError(f"energy difference max(E) - min(E) is not finite for energies {energies}")
+    phases = [spread * t_max]
     if spec.mode == "B":
         phases += [2.0 * (abs(energies[j] - energies[f]) * t_max) for j, f in ((0, 2), (1, 3))]
     if not all(map(math.isfinite, phases)):

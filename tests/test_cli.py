@@ -199,6 +199,7 @@ def _forbid_sampling(monkeypatch):
         raise AssertionError("sampling started")
 
     monkeypatch.setattr(interferometer, "ensemble_average_monte_carlo", sample)
+    monkeypatch.setattr(interferometer, "ensemble_mean_monte_carlo", sample)
 
 
 def test_ensemble_and_calibrate_reject_more_than_ten_million_samples(capsys, monkeypatch):
@@ -647,6 +648,72 @@ def test_energy_phase_overflow_exits_2_naming_energies_and_time(capsys, mode, co
         "error: energy phase (E_k - E_j) * t is not finite for energies "
         "(0.0, 0.0, 10000000000.0, 0.0) at time 1e+300\n"
     )
+
+
+@pytest.mark.parametrize("mode", ["A", "B"])
+@pytest.mark.parametrize("command", [["evolve"], ["sweep", "--steps", "5"]], ids=["evolve", "sweep"])
+def test_energy_difference_overflow_exits_2_naming_the_difference(capsys, mode, command):
+    # Every phase is 0 at time 0, but max(E) - min(E) itself overflows.
+    argv = [*command, "--mode", mode, "--lambda", "0", "--time", "0",
+            "--energies", "-1e308", "1e308", "0", "0"]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: energy difference max(E) - min(E) is not finite for energies "
+        "(-1e+308, 1e+308, 0.0, 0.0)\n"
+    )
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, exponent, plain",
+    [
+        (["evolve", "--mode", "A", "--lambda", "1", "--time", "0.1", "--energies", "0", "{}", "0", "0"],
+         "-1e3", "-1000"),
+        (["evolve", "--mode", "B", "--lambda", "1", "--time", "0.1", "--energies", "0", "{}", "0", "0"],
+         "-5e-1", "-0.5"),
+        (["sweep", "--mode", "B", "--lambda", "1", "--time", "1", "--steps", "7",
+          "--energies", "{}", "0", "1", "0"], "-2.5E+0", "-2.5"),
+        (["evolve", "--mode", "A", "--lambda", "{}", "--time", "1"], "-1e0", "-1"),
+        (["ensemble", "--mode", "A", "--sigma", "{}", "--samples", "10"], "-5e-1", "-0.5"),
+        (["calibrate", "--mode", "A", "--sigmas", "0.5", "{}", "--samples", "10"], "-1e-1", "-0.1"),
+    ],
+    ids=["evolve-A", "evolve-B", "sweep", "lambda", "sigma", "sigmas"],
+)
+def test_negative_numbers_in_exponent_form_read_as_numbers(capsys, argv, exponent, plain):
+    # argparse took -1e3 for an unknown option; it must read as -1000 does.
+    spelled = [exponent if a == "{}" else a for a in argv]
+    expected = _outcome(capsys, [plain if a == "{}" else a for a in argv])
+    assert _outcome(capsys, spelled) == expected
+    assert "expected" not in expected[2]
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("-1e", "argument --energies: expected 4 arguments"),
+        ("-x", "argument --energies: expected 4 arguments"),
+        ("-inf", "error: energies must be finite"),
+    ],
+    ids=["bare-exponent", "letter", "minus-inf"],
+)
+def test_tokens_that_are_not_finite_numbers_still_fail(capsys, token, message):
+    argv = ["evolve", "--mode", "A", "--lambda", "1", "--time", "0.1", "--energies", "0", token, "0", "0"]
+    code, out, err = _outcome(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_tomography_shots_beyond_int64_exit_2(capsys):

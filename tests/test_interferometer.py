@@ -1,23 +1,27 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinpath.interferometer import (
     VARIANTS,
     _LAYOUTS,
     _BLOCK_SIZE,
+    _PASS_SIZE,
     _STDERR_FLOOR,
     _ShotTable,
     _phasor_plan,
     _rotation_angles,
     _shot_coefficients,
+    _shot_mean,
+    _shot_moments,
     _shot_phasors,
     _shot_table,
     FieldSetup,
     consistency_ratio,
     ensemble_average_analytic,
     ensemble_average_monte_carlo,
+    ensemble_mean_monte_carlo,
     lambda_from_sigma,
 )
 from spinpath.lindblad import DecoherenceSpec, evolve
@@ -311,12 +315,12 @@ def test_analytic_average_rejects_mode_b_variants():
 def test_mode_b_average_order_independent_for_singlet():
     # Swapping the per-path x/z application order must not change the
     # averaged singlet state.
-    from spinpath.interferometer import _angle_map, _harmonics
+    from spinpath.interferometer import _angle_map
     from spinpath.superop import apply
 
     sigma = 0.9
     x_ii, z_ii, x_i, z_i = (
-        _angle_map(_harmonics(axis, path), sigma)
+        _angle_map((axis, path), sigma)
         for axis, path in (("x", "II"), ("z", "II"), ("x", "I"), ("z", "I"))
     )
     rho_xz = apply(z_i @ x_i @ z_ii @ x_ii, experiment_initial())
@@ -667,3 +671,55 @@ def test_mode_b_stderr_is_zero_exactly_where_no_shot_moves_an_element():
     assert np.all(estimate.stderr_re[frozen] == 0.0) and np.all(estimate.stderr_im[frozen] == 0.0)
     assert np.all(estimate.mean[frozen] == 0.0)
     assert estimate.stderr_re[path_i].min() > 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    layout=st.sampled_from(sorted(_LAYOUTS)),
+    sigma=st.just(0.0) | st.floats(min_value=0.0, max_value=3.0),
+    samples=st.sampled_from([2, 4095, 4096, 4097, 8192, 8193]) | st.integers(2, 20000),
+    rank=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(layout=("B", "both_paths_independent"), sigma=0.0, samples=8193, rank=2, seed=1)
+@example(layout=("A", "single_field_one_path"), sigma=1.1, samples=4097, rank=4, seed=2)
+def test_mean_only_monte_carlo_is_the_full_estimates_mean(layout, sigma, samples, rank, seed):
+    rho0 = random_rank_state(np.random.default_rng(seed), rank)
+    setup = FieldSetup(mode=layout[0], sigma=sigma, variant=layout[1])
+    mean = ensemble_mean_monte_carlo(rho0, setup, samples, seed)
+    assert mean.tobytes() == ensemble_average_monte_carlo(rho0, setup, samples, seed).mean.tobytes()
+
+
+def signed_zero_state():
+    """A rank-2 state whose last row and column are zeros of both signs."""
+    rho0 = random_rank_state(np.random.default_rng(71), 2)
+    rho0[3, :] = rho0[:, 3] = 0.0
+    rho0 = rho0 / np.trace(rho0).real
+    rho0[0, 3], rho0[3, 0], rho0[3, 3] = complex(-0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0)
+    return rho0
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize("samples", [2, _PASS_SIZE - 1, _PASS_SIZE + 1, _BLOCK_SIZE, 3 * _BLOCK_SIZE + 5])
+def test_monte_carlo_at_sigma_zero_draws_nothing(monkeypatch, layout, samples):
+    # The mean is the pass kernel's on explicit zero-angle blocks, byte for
+    # byte (signed zeros included), and every standard error is 0.0.
+    table = _shot_table(*layout)
+    blocks = [np.zeros((table.phases.shape[1], min(_BLOCK_SIZE, samples - start)))
+              for start in range(0, samples, _BLOCK_SIZE)]
+    states = [experiment_initial(), signed_zero_state()]
+    kernel = [_shot_moments(rho0, iter(blocks), samples, table) for rho0 in states]
+
+    def draw(*args, **kwargs):
+        raise AssertionError("a draw at sigma = 0")
+
+    monkeypatch.setattr(np.random, "default_rng", draw)
+    monkeypatch.setattr(np.random, "SeedSequence", draw)
+    setup = FieldSetup(mode=layout[0], sigma=0.0, variant=layout[1])
+    for rho0, (mean, var_re, var_im) in zip(states, kernel):
+        assert not var_re.any() and not var_im.any()
+        assert _shot_mean(rho0, iter(blocks), samples, table).tobytes() == mean.tobytes()
+        assert ensemble_mean_monte_carlo(rho0, setup, samples, 5).tobytes() == mean.tobytes()
+        estimate = ensemble_average_monte_carlo(rho0, setup, samples, 5)
+        assert estimate.mean.tobytes() == mean.tobytes()
+        assert estimate.stderr_re.tobytes() == estimate.stderr_im.tobytes() == np.zeros((4, 4)).tobytes()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -324,24 +325,28 @@ def test_evolve_rejects_negative_time():
                 evolve(experiment_initial(), spec, t)
 
 
+PHASE = r"energy phase \(E_k - E_j\) \* t is not finite for energies {energies} at time {t}"
+DIFFERENCE = r"energy difference max\(E\) - min\(E\) is not finite for energies {energies}$"
+
+
 @pytest.mark.parametrize("mode", ["A", "B"])
 @pytest.mark.parametrize(
-    "energies,t",
+    "energies,t,message",
     [
-        ((0.0, 0.0, 1e10, 0.0), 1e300),
-        ((1e308, -1e308, 0.0, 0.0), 1.0),
-        ((1e308, -1e308, 0.0, 0.0), 0.0),
-        ((0.0, 0.0, 1e10, 0.0), np.array([0.0, 1.0, 1e300])),
+        ((0.0, 0.0, 1e10, 0.0), 1e300, PHASE),
+        ((1e308, -1e308, 0.0, 0.0), 1.0, DIFFERENCE),
+        ((1e308, -1e308, 0.0, 0.0), 0.0, DIFFERENCE),
+        ((0.0, 0.0, 1e10, 0.0), np.array([0.0, 1.0, 1e300]), PHASE),
     ],
     ids=["phase-overflows", "gap-overflows", "gap-overflows-at-t0", "stack"],
 )
-def test_evolve_rejects_an_energy_phase_that_is_not_finite(mode, energies, t):
+def test_evolve_rejects_an_energy_phase_that_is_not_finite(mode, energies, t, message):
+    # A difference of energies that overflows is named as such, at every time.
     spec = DecoherenceSpec(mode=mode, lam=0.0, hamiltonian=SystemHamiltonian(energies))
-    with pytest.raises(ValueError, match=r"energy phase \(E_k - E_j\) \* t is not finite") as info:
+    expected = message.format(energies=re.escape(str(tuple(energies))), t=re.escape(repr(float(np.max(t)))))
+    with pytest.raises(ValueError, match=expected) as info:
         evolve(experiment_initial(), spec, t)
     assert not isinstance(info.value, StateValidationError)
-    assert f"energies {tuple(energies)}" in str(info.value)
-    assert f"at time {float(np.max(t))!r}" in str(info.value)
 
 
 @pytest.mark.parametrize("mode", ["A", "B"])
