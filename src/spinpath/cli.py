@@ -4,6 +4,13 @@ Subcommands: evolve, sweep, ensemble, kraus-compare, tomography,
 calibrate.  All outputs are deterministic functions of the flags; JSON
 is written with sorted keys and CSV numbers with 12 significant digits.
 
+JSON output is byte for byte ``json.dumps(payload, indent=2,
+sort_keys=True) + "\n"``: floats as ``float.__repr__`` (NaN, Infinity
+and -Infinity where not finite), strings and keys ASCII-escaped by
+``json.encoder.encode_basestring_ascii``, empty containers as ``{}`` and
+``[]``.  ``_dumps`` writes it directly, as ``json.dumps`` runs its
+pure-Python encoder whenever ``indent`` is set.
+
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical
 failure, 4 produced-state validation failure.
 """
@@ -15,6 +22,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 
 import numpy as np
 
@@ -81,8 +89,54 @@ def _write_output(target: str, text: str) -> None:
             raise ValueError(f"cannot write output file {target!r}: {exc}") from exc
 
 
+_FLOAT_REPR = float.__repr__
+_INT_REPR = int.__repr__
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = _FLOAT_REPR(x)
+    return _NON_FINITE.get(text, text)
+
+
+def _encode(o, newline: str) -> str:
+    """JSON text of ``o`` as ``json.dumps(o, indent=2, sort_keys=True)``
+    writes it, with ``newline`` ("\\n" and the current indent) opening
+    each line.  Dict keys must be strings."""
+    if isinstance(o, float):
+        return _float_text(o)
+    if isinstance(o, str):
+        return _escape(o)
+    if isinstance(o, int):
+        return "true" if o is True else "false" if o is False else _INT_REPR(o)
+    if o is None:
+        return "null"
+    inner = newline + "  "
+    separator = "," + inner
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [_escape(key) + ": " + _encode(o[key], inner) for key in sorted(o)]
+        return "{" + inner + separator.join(items) + newline + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if isinstance(o[0], float):
+            # A row of floats takes one repr per entry and no call; "n" marks nan or inf.
+            try:
+                text = separator.join(map(_FLOAT_REPR, o))
+            except TypeError:
+                pass
+            else:
+                if "n" in text:
+                    text = separator.join(map(_float_text, o))
+                return "[" + inner + text + newline + "]"
+        return "[" + inner + separator.join([_encode(v, inner) for v in o]) + newline + "]"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _encode(payload, "\n") + "\n"
 
 
 def _decoherence_spec(args) -> lindblad.DecoherenceSpec:

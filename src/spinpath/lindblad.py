@@ -144,8 +144,10 @@ def _times(t) -> np.ndarray:
     return times
 
 
-# Spin flip on each path: e1 <-> e3, e2 <-> e4.
-_SPIN_FLIP = [2, 3, 0, 1]
+# Spin flip on each path: e1 <-> e3, e2 <-> e4, as one gather rho0[_FLIP_GATHER] = rho0[F][:, F].
+_FLIP_GATHER = np.ix_([2, 3, 0, 1], [2, 3, 0, 1])
+# Index of the diagonal of a (..., 4, 4) array.
+_DIAGONAL = (Ellipsis, np.arange(4), np.arange(4))
 
 
 def _damped_cosh_sinh(lam: float, gap: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,19 +190,20 @@ def _closed_form(rho0: np.ndarray, spec: DecoherenceSpec, t: np.ndarray) -> np.n
     energies = np.array(spec.hamiltonian.energies)
     gaps = np.subtract.outer(energies, energies)
     d = np.exp((-1j * gaps - lam) * t[..., None, None])
-    d[..., range(4), range(4)] = 1.0
     if spec.mode == "A":
+        d[_DIAGONAL] = 1.0
         return rho0 * d
     e = np.zeros(d.shape)
     decay = np.exp(-lam * t)[..., None]
-    d[..., range(4), range(4)] = 0.5 * (1.0 + decay)
-    e[..., range(4), range(4)] = 0.5 * (1.0 - decay)
+    d[_DIAGONAL] = 0.5 * (1.0 + decay)
+    e[_DIAGONAL] = 0.5 * (1.0 - decay)
     for j, f in ((0, 2), (1, 3)):
         ch, sh = _damped_cosh_sinh(lam, gaps[j, f], t)
-        d[..., j, f] = ch - 2j * (gaps[j, f] * sh)
-        d[..., f, j] = ch + 2j * (gaps[j, f] * sh)
+        turn = 2j * (gaps[j, f] * sh)
+        d[..., j, f] = ch - turn
+        d[..., f, j] = ch + turn
         e[..., j, f] = e[..., f, j] = lam * sh
-    return d * rho0 + e * rho0[_SPIN_FLIP][:, _SPIN_FLIP]
+    return d * rho0 + e * rho0[_FLIP_GATHER]
 
 
 def _check_phases(spec: DecoherenceSpec, times: np.ndarray) -> None:

@@ -136,7 +136,9 @@ def validate_density_matrix(m) -> np.ndarray:
     Checks, in order and each over the whole stack: finiteness,
     Hermiticity within ``HERMITICITY_TOL``, unit trace within
     ``TRACE_TOL``, and positive semidefiniteness with eigenvalue floor
-    ``EIGENVALUE_FLOOR``.
+    ``EIGENVALUE_FLOOR``.  Each of the first three is tested over the
+    whole input at once, and checked state by state only to name the
+    first offending state.
 
     Positivity is first certified by a Cholesky factorization of
     ``(rho + rho^dagger)/2 + c*1`` with shift ``c = -EIGENVALUE_FLOOR/2
@@ -155,14 +157,21 @@ def validate_density_matrix(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
         raise StateValidationError(f"shape violation: expected (4, 4) or (N, 4, 4), got {m.shape}")
-    finite = np.isfinite(m).all(axis=(-2, -1))
-    _check(~finite, finite, "finiteness violation: matrix contains nan or inf")
+    # Each invariant is tested over the whole input at once; the per-state
+    # check that names the first offending state runs only when that fails.
+    finite = np.isfinite(m)
+    if not finite.all():
+        finite = finite.all(axis=(-2, -1))
+        _check(~finite, finite, "finiteness violation: matrix contains nan or inf")
     adjoint = m.conj().swapaxes(-2, -1)
-    herm_defect = np.abs(m - adjoint).max(axis=(-2, -1))
-    _check(herm_defect > HERMITICITY_TOL, herm_defect,
-           "hermiticity violation: max|rho - rho^dagger| = {:.3e}")
-    trace_defect = np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0)
-    _check(trace_defect > TRACE_TOL, trace_defect, "trace violation: |Tr rho - 1| = {:.3e}")
+    herm_defect = np.abs(m - adjoint)
+    if not herm_defect.max(initial=0.0) <= HERMITICITY_TOL:
+        herm_defect = herm_defect.max(axis=(-2, -1))
+        _check(herm_defect > HERMITICITY_TOL, herm_defect,
+               "hermiticity violation: max|rho - rho^dagger| = {:.3e}")
+    trace_defect = np.abs(m.trace(axis1=-2, axis2=-1).real - 1.0)
+    if not (trace_defect <= TRACE_TOL).all():
+        _check(trace_defect > TRACE_TOL, trace_defect, "trace violation: |Tr rho - 1| = {:.3e}")
     hermitian = (m + adjoint) / 2.0
     try:
         np.linalg.cholesky(hermitian + _CHOLESKY_SHIFT)

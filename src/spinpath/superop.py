@@ -30,12 +30,6 @@ def sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return (np.asarray(left)[:, None, :, None] * np.conj(right)[None, :, None, :]).reshape(16, 16)
 
 
-def chi_map(operators, chi: np.ndarray) -> np.ndarray:
-    """Superoperator of X -> sum_jk chi[j, k] G_j X G_k^dagger."""
-    g = np.asarray(operators, dtype=complex)
-    return np.einsum("jk,jac,kbd->abcd", chi, g, g.conj()).reshape(16, 16)
-
-
 def kraus_map(operators) -> np.ndarray:
     """Superoperator of X -> sum_k M_k X M_k^dagger, i.e. sum_k M_k (x) M_k^*."""
     g = np.asarray(operators, dtype=complex)

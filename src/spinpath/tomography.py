@@ -69,7 +69,7 @@ def _born_probabilities(rho: np.ndarray) -> np.ndarray:
     probs = (_BORN @ rho.reshape(16)).real.reshape(9, 4)
     if probs.min() < -1e-9:
         raise np.linalg.LinAlgError(f"negative outcome probability: {probs.min():.3e}")
-    probs = np.clip(probs, 0.0, None)
+    probs = np.maximum(probs, 0.0)
     return probs / probs.sum(axis=1, keepdims=True)
 
 
@@ -119,7 +119,7 @@ def _frequencies(counts) -> np.ndarray:
     off = int(np.abs(totals - 1.0).argmax())
     if abs(totals[off] - 1.0) <= 1e-9:
         return data
-    fractional = np.flatnonzero(data != np.round(data))
+    fractional = np.flatnonzero(data != np.rint(data))
     if fractional.size:
         i, k = divmod(int(fractional[0]), 4)
         raise ValueError(
@@ -153,14 +153,14 @@ def project_psd(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains nan or inf")
-    herm_defect = float(np.abs(m - m.conj().T).max())
+    adjoint = m.conj().T
+    herm_defect = float(np.abs(m - adjoint).max())
     if herm_defect > 1e-9:
         raise ValueError(f"matrix not Hermitian: max|m - m^dagger| = {herm_defect:.3e}")
-    hermitian = (m + m.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(hermitian)
-    vals = np.clip(vals, 0.0, None)
+    vals, vecs = np.linalg.eigh((m + adjoint) / 2.0)
+    vals = np.maximum(vals, 0.0)
     total = vals.sum()
     if total <= 0.0:
         raise ValueError("cannot project: all eigenvalues nonpositive")

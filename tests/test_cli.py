@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinpath import interferometer, lindblad
-from spinpath.cli import main
+from spinpath.cli import _dumps, main
 from spinpath.measures import measure_report
 from spinpath.pauli import SIGMA_X, SIGMA_Y, SIGMA_Z
 from spinpath.states import (
@@ -856,3 +856,38 @@ def test_module_entry_point_matches_in_process_main(capsys):
     run(capsys, ["tomography", "--shots", "100", "--seed", "3"])
     run(capsys, EVOLVE_A + ["--energies", "1", "2", "3", "4"])
     assert run(capsys, argv) == (0, fresh.stdout)
+
+
+JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.floats(allow_subnormal=True, min_value=-1e-307, max_value=1e-307),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e308, -1e308,
+                     1.7976931348623157e308, 1e16, 1e-5]),
+)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(min_value=-2**200, max_value=-2**64),
+    JSON_FLOATS,
+    JSON_FLOATS.map(np.float64),
+    st.text(st.characters(exclude_categories=())),
+)
+JSON_KEYS = st.text(st.characters(exclude_categories=()), max_size=8)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.lists(JSON_FLOATS, min_size=1, max_size=6),
+        st.dictionaries(JSON_KEYS, children, max_size=6),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.dictionaries(JSON_KEYS, JSON_VALUES), st.lists(JSON_VALUES), JSON_VALUES))
+def test_dumps_writes_the_bytes_of_json_dumps_with_indent_2_and_sorted_keys(payload):
+    assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinpath.lindblad import DecoherenceSpec, evolve
+from spinpath.measures import measure_report
 from spinpath.states import (
     EIGENVALUE_FLOOR,
     HERMITICITY_TOL,
@@ -259,6 +261,63 @@ def test_validate_stack_decides_positivity_as_the_eigvalsh_oracle(seed, size, da
     assert _outcome(validate_density_matrix, stack) == expected
     if expected != "accepted":
         assert expected.startswith("state ")
+
+
+INDEX = st.integers(0, 3)
+PART = st.sampled_from(["real", "imag"])
+# Sizes just inside and just outside the tolerances and the eigenvalue floor.
+HERM_EDGES = [HERMITICITY_TOL * (1.0 - 1e-3), HERMITICITY_TOL * (1.0 + 1e-3)]
+TRACE_EDGES = [sign * TRACE_TOL * (1.0 + e) for sign in (1.0, -1.0) for e in (-1e-3, 1e-3)]
+LEAST_EDGES = [EIGENVALUE_FLOOR * (1.0 + e) for e in (-1e-3, 1e-3)] + [-2e-9, -7e-10, -0.5]
+DEFECTS = st.one_of(
+    st.tuples(st.just("value"), st.sampled_from([np.nan, np.inf, -np.inf]), PART, INDEX, INDEX),
+    st.tuples(st.just("hermiticity"), st.sampled_from(HERM_EDGES), PART, INDEX, INDEX),
+    st.tuples(st.just("trace"), st.sampled_from(TRACE_EDGES), st.just("real"), INDEX, INDEX),
+    st.tuples(st.just("least"), st.sampled_from(LEAST_EDGES), st.just("real"), INDEX, INDEX),
+)
+
+
+def _with_defect(rho, defect, seed):
+    """rho with one defect: a non-finite real or imaginary part at (i, j), an
+    entry moved by a Hermiticity-sized amount, a diagonal entry moved by a
+    trace-sized amount, or the state replaced by one with a negative least
+    eigenvalue."""
+    kind, size, part, i, j = defect
+    m = rho.copy()
+    if kind == "value":
+        m[i, j] = complex(size, m[i, j].imag) if part == "real" else complex(m[i, j].real, size)
+    elif kind == "hermiticity":
+        m[i, j] += size if part == "real" else 1j * size
+    elif kind == "trace":
+        m[i, i] += size
+    else:
+        m = _state_with_least_eigenvalue(seed, 1 + i, size)
+    return m
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 6), defects=st.lists(DEFECTS, min_size=1, max_size=2),
+       data=st.data())
+def test_validate_decides_and_words_every_defect_as_the_eigvalsh_oracle(seed, size, defects, data):
+    # size 0 is one (4, 4) state; otherwise a stack of that many states.
+    m = np.array([_state_with_least_eigenvalue(seed + k, 1 + k % 4, 0.0) for k in range(max(size, 1))])
+    for n, defect in enumerate(defects):
+        k = data.draw(st.integers(0, len(m) - 1))
+        m[k] = _with_defect(m[k], defect, seed + len(m) + n)
+    if size == 0:
+        m = m[0]
+    assert _outcome(validate_density_matrix, m) == _outcome(_eigvalsh_validator, m)
+
+
+def test_empty_stack_passes_validation_evolve_and_measure_report():
+    empty = np.zeros((0, 4, 4), dtype=complex)
+    assert validate_density_matrix(empty).shape == (0, 4, 4)
+    for mode in ("A", "B"):
+        evolved = evolve(experiment_initial(), DecoherenceSpec(mode, 1.0), np.array([]))
+        assert evolved.shape == (0, 4, 4)
+        report = measure_report(evolved)
+        assert report.mixedness.shape == report.concurrence.shape == (0,)
+        assert report.wootters_roots.shape == (0, 4)
 
 
 def test_validate_spares_eigvalsh_when_the_certificate_holds(monkeypatch):

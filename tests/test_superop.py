@@ -31,15 +31,12 @@ def test_sandwich_and_spin_path_equal_np_kron_exactly():
         assert np.array_equal(spin_path(spin, path), np.kron(spin, path))
 
 
-def test_kraus_and_chi_maps_match_operator_loops():
+def test_kraus_map_matches_operator_loop():
     rng = np.random.default_rng(52)
     ops = [random_matrix(rng) for _ in range(3)]
-    chi = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     x = random_matrix(rng)
     kraus_loop = sum(m @ x @ m.conj().T for m in ops)
-    chi_loop = sum(chi[j, k] * ops[j] @ x @ ops[k].conj().T for j in range(3) for k in range(3))
     assert np.abs(superop.apply(superop.kraus_map(ops), x) - kraus_loop).max() < 1e-12
-    assert np.abs(superop.apply(superop.chi_map(ops, chi), x) - chi_loop).max() < 1e-12
 
 
 def test_liouvillian_matches_master_equation_rhs():
