@@ -60,22 +60,21 @@ def _matrix_from_any_json(obj) -> np.ndarray:
 def _initial_state(name: str) -> np.ndarray:
     if name in _NAMED_INITIALS:
         return _NAMED_INITIALS[name]()
-    path = name[5:] if name.startswith("file:") else name
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(name, "r", encoding="utf-8") as handle:
             obj = json.load(handle)
     except OSError as exc:
-        raise ValueError(f"cannot read state file {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read state file {name!r}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"state file {path!r} is not valid json: {exc}") from exc
+        raise ValueError(f"state file {name!r} is not valid json: {exc}") from exc
     except RecursionError as exc:
-        raise ValueError(f"state file {path!r} is nested too deeply to read") from exc
+        raise ValueError(f"state file {name!r} is nested too deeply to read") from exc
     try:
         return states.validate_density_matrix(_matrix_from_any_json(obj))
     except ValueError as exc:
         # Bad input is a configuration problem, not a produced-state failure,
         # so a StateValidationError leaves here as a plain ValueError.
-        raise ValueError(f"state file {path!r}: {exc}") from exc
+        raise ValueError(f"state file {name!r}: {exc}") from exc
 
 
 def _write_output(target: str, text: str) -> None:
@@ -163,6 +162,8 @@ def cmd_sweep(args) -> str:
         raise ValueError(f"sweep needs at least 2 grid points, got {args.steps}")
     if args.steps > _MAX_SWEEP_POINTS:
         raise ValueError(f"--steps {args.steps} exceeds the limit of {_MAX_SWEEP_POINTS} grid points")
+    if not (math.isfinite(args.time) and args.time >= 0.0):
+        raise ValueError(f"time must be finite and nonnegative, got {args.time!r}")
     rho0 = _initial_state(args.initial)
     spec = _decoherence_spec(args)
     times = np.linspace(0.0, args.time, args.steps)
@@ -226,6 +227,8 @@ def cmd_kraus_compare(args) -> str:
 
 
 def cmd_tomography(args) -> str:
+    if args.seed < 0:  # simulate_counts checks it too, but --shots 0 never calls it
+        raise ValueError(f"seed must be a nonnegative integer, got {args.seed!r}")
     rho0 = _initial_state(args.initial)
     if args.shots == 0:
         counts = tomography.exact_records(rho0)

@@ -61,7 +61,6 @@ _BLOCK_SIZE = 8192
 # in about 2.1 MB, past one core's 2 MiB L2 on the 2-core Xeon measured;
 # yet there passes of 4096 shots cost 10-12 % less per shot than passes of
 # 2048 in every layout, since each pass pays a fixed cost in NumPy calls.
-# It must divide _BLOCK_SIZE: at sigma = 0 one block spans all shots.
 _PASS_SIZE = 4096
 _STDERR_FLOOR = 1e-15
 
@@ -285,12 +284,9 @@ def _rotation_angles(rng: np.random.Generator, setup: FieldSetup, count: int) ->
 def _angle_blocks(setup: FieldSetup, n: int, seed: int):
     """The angles of each block of up to ``_BLOCK_SIZE`` shots, block i drawn
     from the child seed SeedSequence((seed, i)).  At sigma = 0 nothing is
-    drawn: one block broadcasts a column of zero angles over all n shots,
-    which splits into the same passes, as ``_PASS_SIZE`` divides
-    ``_BLOCK_SIZE``."""
-    rotations = len(_LAYOUTS[setup.mode, setup.variant][0])
-    if setup.sigma == 0.0:
-        yield np.broadcast_to(np.zeros((rotations, 1)), (rotations, n))
+    drawn: the one block is a single shot at zero angles."""
+    if setup.sigma == 0.0:  # every column is exactly 0: one shot's sums over n are all n shots'
+        yield np.zeros((len(_LAYOUTS[setup.mode, setup.variant][0]), 1))
         return
     for index, start in enumerate(range(0, n, _BLOCK_SIZE)):
         rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
@@ -334,24 +330,12 @@ def _phasor_sums(table: _ShotTable, blocks, phasors: np.ndarray):
     """Yield the phasors z, shape (pairs, count), of each pass of up to
     ``_PASS_SIZE`` shots of each block of angles, and their sums over the
     pass's shots.  z is a view of ``phasors`` (rows, _PASS_SIZE), valid until
-    the caller writes there.  A block that broadcasts one column of angles
-    over its shots (stride 0, as at sigma = 0) has its phasors evaluated
-    once, for one shot, and summed once per pass length."""
+    the caller writes there."""
     for angles in blocks:
-        shared = angles.strides[1] == 0
-        if shared:
-            one = _shot_phasors(table, angles[:, :1], np.empty((table.phasors, 1), dtype=complex))
-            one, sums = np.broadcast_to(one, (len(one), _PASS_SIZE)), {}
         for start in range(0, angles.shape[1], _PASS_SIZE):
             count = min(_PASS_SIZE, angles.shape[1] - start)
-            if shared:
-                z = one[:, :count]
-                if count not in sums:
-                    sums[count] = z.sum(axis=1)
-                yield z, sums[count]
-            else:
-                z = _shot_phasors(table, angles[:, start:start + count], phasors[:, :count])
-                yield z, z.sum(axis=1)
+            z = _shot_phasors(table, angles[:, start:start + count], phasors[:, :count])
+            yield z, z.sum(axis=1)
 
 
 def _column_mean(counts: list, totals: list, n: int) -> tuple:
@@ -454,15 +438,12 @@ def ensemble_average_monte_carlo(
     C_q of the layout (``_shot_table``), and the real U holds Re and Im of
     (C_q + C_-q) vec rho0 and i (C_q - C_-q) vec rho0 (``_shot_moments``,
     one kernel for every layout).  The kernel accumulates these deviations
-    (shifted data).  At zero width nothing is drawn: every column is
-    exactly 0, so the input comes back bit-exactly (``_shot_mean``), with
-    zero standard errors.
+    (shifted data).  At zero width nothing is drawn: the same passes run on
+    one shot at zero angles, where every column is exactly 0, so the input
+    comes back bit-exactly, with zero standard errors.
     """
     rho0, blocks, n, table = _sampling(rho0, setup, samples, seed)
-    if setup.sigma == 0.0:  # every shot is rho0
-        mean, var_re, var_im = _shot_mean(rho0, blocks, n, table), np.zeros((4, 4)), np.zeros((4, 4))
-    else:
-        mean, var_re, var_im = _shot_moments(rho0, blocks, n, table)
+    mean, var_re, var_im = _shot_moments(rho0, blocks, n, table)
     return EnsembleEstimate(
         mean=mean,
         stderr_re=np.sqrt(var_re / n),

@@ -194,6 +194,21 @@ def test_sweep_rejects_more_than_a_million_points(capsys):
     assert "--steps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("time", ["-1", "inf", "nan"])
+def test_sweep_rejects_its_time_flag_before_building_the_grid(capsys, time):
+    # The message names the flag's value, not a grid point, and np.linspace
+    # never sees a non-finite end.
+    argv = ["sweep", "--mode", "A", "--lambda", "1", "--time", time, "--steps", "3"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: time must be finite and nonnegative, got {float(time)!r}\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def _forbid_sampling(monkeypatch):
     def sample(*args, **kwargs):
         raise AssertionError("sampling started")
@@ -724,6 +739,25 @@ def test_tomography_shots_beyond_int64_exit_2(capsys):
     assert f"shots {limit + 1} exceeds the limit of {limit}" in captured.err
     assert main(["tomography", "--shots", str(limit)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("shots", ["0", "5"])
+def test_tomography_negative_seed_exits_2_at_any_shot_count(capsys, shots):
+    assert main(["tomography", "--shots", shots, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
+
+
+def test_initial_with_a_file_prefix_is_read_as_a_path(tmp_path, capsys):
+    source = tmp_path / "initial.json"
+    source.write_text(json.dumps(matrix_to_json(experiment_initial())))
+    name = f"file:{source}"
+    code = main(["evolve", "--mode", "A", "--lambda", "1", "--time", "0", "--initial", name])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read state file {name!r}: ")
 
 
 def test_missing_initial_file_exits_2(tmp_path, capsys):

@@ -723,3 +723,27 @@ def test_monte_carlo_at_sigma_zero_draws_nothing(monkeypatch, layout, samples):
         estimate = ensemble_average_monte_carlo(rho0, setup, samples, 5)
         assert estimate.mean.tobytes() == mean.tobytes()
         assert estimate.stderr_re.tobytes() == estimate.stderr_im.tobytes() == np.zeros((4, 4)).tobytes()
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize("samples", [2, _PASS_SIZE + 1, 3 * _BLOCK_SIZE + 5])
+def test_monte_carlo_at_sigma_zero_evaluates_one_shot(monkeypatch, layout, samples):
+    # At zero width both estimators run the ordinary passes on a single shot
+    # at zero angles, whatever the sample count.
+    shots = []
+
+    def recording(table, angles, phasors):
+        shots.append(angles.shape[1])
+        return _shot_phasors(table, angles, phasors)
+
+    def draw(*args, **kwargs):
+        raise AssertionError("a draw at sigma = 0")
+
+    monkeypatch.setattr("spinpath.interferometer._shot_phasors", recording)
+    monkeypatch.setattr(np.random, "default_rng", draw)
+    monkeypatch.setattr(np.random, "SeedSequence", draw)
+    setup = FieldSetup(mode=layout[0], sigma=0.0, variant=layout[1])
+    for estimator in (ensemble_average_monte_carlo, ensemble_mean_monte_carlo):
+        shots.clear()
+        estimator(experiment_initial(), setup, samples, 5)
+        assert shots == [1]
