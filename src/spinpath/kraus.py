@@ -7,16 +7,21 @@ w = lam * t (valid for 0 <= w <= 4/3):
     mode B: sqrt(1 - 3w/4) * 1,  sqrt(w/4) * {1 (x) sz, sx (x) 1, sx (x) sz}
 
 With J_0 = 1 and J_1..J_3 the jump operators, the step map is
-(1 - w) * 1 + w * T with T = 1/4 sum_k J_k (x) J_k^*.  The J_k form a
-Klein group up to sign, so T is a projector and weights compose as
+(1 - w) * 1 + w * T with T = 1/4 sum_k J_k (x) J_k^*, the 16x16 twirl
+that ``_TWIRL`` holds for each mode, built once.  The J_k form a Klein
+group up to sign, so T is a projector and weights compose as
 1 - W = (1 - w_1)(1 - w_2): n steps of weight w are one step of weight
-W = 1 - (1 - w)^n.  The n-fold composition with per-step weight lam*t/n
-converges to the continuous-time solution at first order in 1/n, which
-``trotter_evolve`` exploits and the test suite cross-checks.
+W = 1 - (1 - w)^n, which ``trotter_evolve`` applies as (1 - W) * 1 + W * T.
+The n-fold composition with per-step weight lam*t/n converges to the
+continuous-time solution at first order in 1/n, which the test suite
+cross-checks.  T is also the projector dephasing sum_k P_k (x) P_k^* of
+the master equation's mode, which :mod:`spinpath.lindblad` builds from
+its own projectors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,11 +64,29 @@ def completeness_defect(kraus_set: KrausSet) -> float:
     return float(np.abs(total - ID4).max())
 
 
+def _weight_ok(weight: float) -> bool:
+    return 0.0 <= weight <= MAX_WEIGHT  # False at nan and at +-inf
+
+
 def _check_weight(weight: float) -> float:
     weight = float(weight)
-    if not np.isfinite(weight) or weight < 0.0 or weight > MAX_WEIGHT:
+    if not _weight_ok(weight):
         raise ValueError(f"step weight must lie in [0, 4/3], got {weight!r}")
     return weight
+
+
+def _fewest_steps(lam_t: float) -> int:
+    """Smallest step count n whose weight lam_t / n passes ``_check_weight``, for finite lam_t >= 0.
+
+    Counts are stepped as floats, so past 2**53 only counts that are floats
+    are tried, and each search takes a few steps at any lam_t.
+    """
+    n = max(1.0, float(math.ceil(lam_t / MAX_WEIGHT)))
+    while not _weight_ok(lam_t / n):
+        n = max(n + 1.0, math.nextafter(n, math.inf))
+    while n > 1.0 and _weight_ok(lam_t / (fewer := min(n - 1.0, math.nextafter(n, 0.0)))):
+        n = fewer
+    return int(n)
 
 
 def _jumps(*factors) -> np.ndarray:
@@ -79,6 +102,10 @@ _JUMPS = {
     "B": _jumps((ID2, SIGMA_Z), (SIGMA_X, ID2), (SIGMA_X, SIGMA_Z)),
 }
 
+# Each mode's twirl T = 1/4 sum_k J_k (x) J_k^* over {1, J_1, J_2, J_3}, the
+# step map of weight 1, as the read-only Kraus map of those operators / 2.
+_TWIRL = {mode: superop.kraus_map(np.concatenate(([ID4], jumps)) / 2.0) for mode, jumps in _JUMPS.items()}
+
 
 def kraus_set_for_mode(mode: str, weight: float) -> KrausSet:
     """Step map of ``mode`` with weight w: sqrt(1 - 3w/4) * 1 and sqrt(w/4) * each jump operator."""
@@ -92,15 +119,19 @@ def kraus_set_for_mode(mode: str, weight: float) -> KrausSet:
 def trotter_evolve(rho0: np.ndarray, mode: str, lam: float, t: float, n: int) -> np.ndarray:
     """n-fold composition of the per-step map with weight w = lam*t/n.
 
-    The weight is checked per step as in ``kraus_set_for_mode``.  The n
-    steps are then applied as the one step of weight W = 1 - (1 - w)^n
-    (see the module docstring), computed as -expm1(n * log1p(-w)) for
-    w < 1 and by the power for w >= 1, so rounding does not grow with n.
-    Hermiticity and trace drift are checked against a fixed budget of
+    The weight is checked per step as in ``kraus_set_for_mode``; a weight
+    above 4/3 is rejected naming n and the fewest steps whose weight
+    passes.  The n steps are then applied as the one step of weight
+    W = 1 - (1 - w)^n (see the module docstring), (1 - W) * rho + W * T rho
+    with the mode's twirl T, where W is computed as -expm1(n * log1p(-w))
+    for w < 1 and by the power for w >= 1, so rounding does not grow with
+    n.  Hermiticity and trace drift are checked against a fixed budget of
     1e-9; within it the result is re-Hermitized and renormalized to the
     input's trace (the map preserves it) before validation.
 
     Raises:
+        ValueError: for a bad state, step count, coupling, time or mode,
+            or when lam * t is not finite.
         numpy.linalg.LinAlgError: when the drift exceeds the budget,
             naming n.
     """
@@ -111,9 +142,19 @@ def trotter_evolve(rho0: np.ndarray, mode: str, lam: float, t: float, n: int) ->
         raise ValueError(f"coupling strength must be finite and nonnegative, got {lam!r}")
     if not (np.isfinite(t) and t >= 0.0):
         raise ValueError(f"time must be finite and nonnegative, got {t!r}")
-    w = _check_weight(lam * t / n)
+    lam_t = float(lam) * float(t)  # Python floats overflow to inf without a warning
+    if not math.isfinite(lam_t):
+        raise ValueError(f"lam * t is not finite for lam {lam!r} at time {t!r}")
+    w = lam_t / n
+    if not _weight_ok(w):
+        raise ValueError(
+            f"step weight lam * t / n = {w!r} exceeds 4/3 at n = {n}; "
+            f"the fewest steps whose weight passes is n = {_fewest_steps(lam_t)}"
+        )
+    if mode not in _TWIRL:
+        raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
     total = -np.expm1(n * np.log1p(-w)) if w < 1.0 else 1.0 - (1.0 - w) ** n
-    out = superop.apply(superop.kraus_map(kraus_set_for_mode(mode, total).operators), rho)
+    out = (1.0 - total) * rho + total * superop.apply(_TWIRL[mode], rho)
     trace = float(np.trace(rho).real)
     return validate_density_matrix(superop.settle(out, 1e-9, f"Trotter composition (n={n})", trace))
 

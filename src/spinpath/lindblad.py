@@ -122,15 +122,9 @@ def projectors_for_mode(mode: str) -> ProjectorSet:
     return _PROJECTORS[mode]
 
 
-def _mode_of(projectors: ProjectorSet) -> str | None:
-    """The mode whose projectors these are, up to order (within 1e-12), or None."""
-    given = np.array(projectors.projectors)
-    for mode, expected in _PROJECTORS.items():
-        if len(given) == len(expected.projectors) and (
-            np.abs(given[:, None] - expected.projectors).max(axis=(2, 3)).min(axis=0).max() <= 1e-12
-        ):
-            return mode
-    return None
+# Each mode's read-only dephasing map D = sum_k P_k (x) P_k^*, which names the
+# mode of a caller's projectors whatever their order.
+_DEPHASING = {mode: superop.kraus_map(projectors.projectors) for mode, projectors in _PROJECTORS.items()}
 
 
 def _times(t) -> np.ndarray:
@@ -264,11 +258,18 @@ def integrate_master(
     are monitored (budget 1e-9 per unit time) and the result is
     re-Hermitized and trace-renormalized before validation.
 
+    The caller's projectors are identified by their dephasing map
+    D = sum_k P_k (x) P_k^*, computed once: it must match ``spec.mode``'s
+    within 1e-12 elementwise, which holds for that mode's projectors in
+    any order and for no coarser or rotated family.  The same D enters
+    the Liouvillian.
+
     Raises:
-        ValueError: when ``projectors`` are not ``projectors_for_mode(spec.mode)``
-            up to order, naming both modes.
+        ValueError: when the projectors' dephasing map is not
+            ``spec.mode``'s, naming both modes.
     """
-    found = spec.mode if projectors is _PROJECTORS[spec.mode] else _mode_of(projectors)
+    dephasing = superop.kraus_map(projectors.projectors)
+    found = next((mode for mode, d in _DEPHASING.items() if np.abs(dephasing - d).max() <= 1e-12), None)
     if found != spec.mode:
         named = f"mode {found}'s" if found else "neither mode A's nor mode B's"
         raise ValueError(f"projectors are {named} projectors, but spec.mode is {spec.mode!r}")
@@ -279,7 +280,7 @@ def integrate_master(
         raise ValueError(f"step size dt must be finite and positive, got {dt!r}")
     if t == 0.0:
         return rho
-    generator = superop.liouvillian(spec.hamiltonian.diagonal(), projectors.projectors, spec.lam)
+    generator = superop.liouvillian(spec.hamiltonian.diagonal(), dephasing, spec.lam)
     step_map = superop.rk4_step(generator, dt)
     radius = float(np.abs(np.linalg.eigvals(step_map)).max())
     if radius > 1.0 + 1e-12:

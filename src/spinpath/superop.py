@@ -31,18 +31,22 @@ def sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def kraus_map(operators) -> np.ndarray:
-    """Superoperator of X -> sum_k M_k X M_k^dagger, i.e. sum_k M_k (x) M_k^*."""
+    """Read-only superoperator of X -> sum_k M_k X M_k^dagger, i.e. sum_k M_k (x) M_k^*."""
     g = np.asarray(operators, dtype=complex)
-    return np.einsum("kac,kbd->abcd", g, g.conj()).reshape(16, 16)
+    superop = np.einsum("kac,kbd->abcd", g, g.conj()).reshape(16, 16)
+    superop.flags.writeable = False
+    return superop
 
 
-def liouvillian(hamiltonian: np.ndarray, projectors, lam: float) -> np.ndarray:
-    """Generator -i(H (x) 1 - 1 (x) H^T) - lam (1 - sum_k P_k (x) P_k^*).
+def liouvillian(hamiltonian: np.ndarray, dephasing: np.ndarray, lam: float) -> np.ndarray:
+    """Generator -i(H (x) 1 - 1 (x) H^T) - lam (1 - D).
 
-    ``hamiltonian`` must be Hermitian, so that rho H = rho H^dagger.
+    ``dephasing`` is the 16x16 map D, for the master equation's projectors
+    kraus_map(projectors) = sum_k P_k (x) P_k^*.  ``hamiltonian`` must be
+    Hermitian, so that rho H = rho H^dagger.
     """
     commutator = sandwich(hamiltonian, ID4) - sandwich(ID4, hamiltonian)
-    return -1j * commutator - lam * (ID16 - kraus_map(projectors))
+    return -1j * commutator - lam * (ID16 - dephasing)
 
 
 def rk4_step(generator: np.ndarray, step: float) -> np.ndarray:

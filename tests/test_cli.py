@@ -371,6 +371,14 @@ def test_kraus_compare_keeps_a_half_step_weight_of_exactly_four_thirds(capsys):
     assert payload["convergence_order"] is not None
 
 
+def test_kraus_compare_with_too_few_steps_exits_2_naming_the_fewest(capsys):
+    code = main(["kraus-compare", "--mode", "B", "--lambda", "3", "--time", "1", "--steps", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "step weight lam * t / n = 1.5 exceeds 4/3 at n = 2; the fewest steps whose weight passes is n = 3" in captured.err
+
+
 @pytest.mark.parametrize(
     "lam, time, energies",
     [("1", "0", "1e308"), ("1.7e308", "0", "1.7e308"), ("1.7e308", "1e-300", "1.7e308")],

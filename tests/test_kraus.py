@@ -1,9 +1,12 @@
+import re
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinpath import superop
+from spinpath import kraus, lindblad, superop
 from spinpath.kraus import (
     MAX_WEIGHT,
     KrausSet,
@@ -164,7 +167,7 @@ def test_trotter_rejects_bad_parameters():
     rho = experiment_initial()
     with pytest.raises(ValueError):
         trotter_evolve(rho, "A", 1.0, 1.0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeds 4/3"):
         trotter_evolve(rho, "A", 3.0, 1.0, 2)  # w = 1.5 > 4/3
     for lam in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="coupling strength must be finite and nonnegative"):
@@ -288,12 +291,14 @@ def test_trotter_stays_valid_at_large_step_counts(rho, n):
 
 
 def test_trotter_drift_beyond_its_budget_is_a_numerical_failure(monkeypatch):
-    # A composed map that gains 2e-9 of trace is past the fixed 1e-9 budget at
-    # any n; one that gains 5e-10 is within it and is renormalized.
-    monkeypatch.setattr(superop, "kraus_map", lambda operators: (1.0 + 2e-9) * superop.ID16)
+    # The composed map is (1 - W) 1 + W T with W = 1 - e^{-1.53} = 0.78 here.
+    # A twirl image that gains 2e-9 of trace puts the state past the fixed 1e-9
+    # budget; one that gains 5e-10 keeps it within and is renormalized.
+    apply = superop.apply
+    monkeypatch.setattr(superop, "apply", lambda twirl, rho: (1.0 + 2e-9) * apply(twirl, rho))
     with pytest.raises(np.linalg.LinAlgError, match=r"Trotter composition \(n=1048576\) drift exceeded budget 1\.0e-09"):
         trotter_evolve(experiment_initial(), "B", 1.7, 0.9, 2**20)
-    monkeypatch.setattr(superop, "kraus_map", lambda operators: (1.0 + 5e-10) * superop.ID16)
+    monkeypatch.setattr(superop, "apply", lambda twirl, rho: (1.0 + 5e-10) * apply(twirl, rho))
     assert abs(trotter_evolve(experiment_initial(), "B", 1.7, 0.9, 2**20).trace().real - 1.0) <= 1e-15
 
 
@@ -376,3 +381,87 @@ def test_trotter_matches_its_oracle_in_extended_precision(seed, rank, mode, lam,
     survival = (1 - np.longdouble(lam * t / n)) ** n
     oracle = dephased + survival * (wide - dephased)
     assert np.abs(trotter_evolve(rho, mode, lam, t, n) - oracle).max() <= 1e-15
+
+
+@pytest.mark.parametrize("mode", ["A", "B"])
+def test_twirl_and_dephasing_are_one_read_only_channel(mode):
+    # The Kraus decomposition and the master equation's projectors define one
+    # H = 0 channel per mode; each route builds it once, from its own definition.
+    twirl, dephasing = kraus._TWIRL[mode], lindblad._DEPHASING[mode]
+    assert np.abs(twirl - dephasing).max() <= 1e-14
+    assert np.abs(twirl @ twirl - twirl).max() <= 1e-14
+    assert np.array_equal(twirl, (superop.ID16 + superop.kraus_map(kraus._JUMPS[mode])) / 4.0)
+    for channel in (twirl, dephasing):
+        with pytest.raises(ValueError):
+            channel[0, 0] = 2.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(mode=st.sampled_from(["A", "B"]), weight=st.floats(min_value=0.0, max_value=MAX_WEIGHT))
+@example(mode="A", weight=MAX_WEIGHT)
+@example(mode="B", weight=1.0)
+def test_step_map_is_the_identity_mixed_with_the_twirl(mode, weight):
+    mixed = (1.0 - weight) * superop.ID16 + weight * kraus._TWIRL[mode]
+    assert np.abs(mixed - step_map(mode, weight)).max() <= 1e-14
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, 4),
+    mode=st.sampled_from(["A", "B"]),
+    lam_t=st.floats(min_value=0.0, max_value=3.0),
+)
+def test_twirl_at_weight_one_minus_exp_is_the_closed_form(seed, rank, mode, lam_t):
+    rho = random_rank_state(np.random.default_rng(seed), rank)
+    w = -np.expm1(-lam_t)
+    mixed = (1.0 - w) * rho + w * superop.apply(kraus._TWIRL[mode], rho)
+    assert np.abs(mixed - evolve(rho, DecoherenceSpec(mode=mode, lam=lam_t), 1.0)).max() <= 1e-14
+
+
+def test_trotter_builds_no_kraus_set(monkeypatch):
+    expected = trotter_evolve(experiment_initial(), "B", 1.0, 1.0, 8)
+
+    def forbidden(*args):
+        raise AssertionError("trotter_evolve built a Kraus set or map")
+
+    monkeypatch.setattr(kraus, "kraus_set_for_mode", forbidden)
+    monkeypatch.setattr(superop, "kraus_map", forbidden)
+    assert np.array_equal(trotter_evolve(experiment_initial(), "B", 1.0, 1.0, 8), expected)
+
+
+@pytest.mark.parametrize(
+    "lam, t, n, fewest",
+    [(3.0, 1.0, 2, 3), (3.0, 1.0, 1, 3), (4.0, 1.0, 2, 3), (4.0 + 1e-15, 1.0, 3, 4), (1e3, 1.0, 7, 750), (2.5, 1.0, 1, 2)],
+)
+def test_trotter_with_too_few_steps_names_the_fewest_that_pass(lam, t, n, fewest):
+    with pytest.raises(ValueError) as caught:
+        trotter_evolve(experiment_initial(), "A", lam, t, n)
+    message = str(caught.value)
+    assert message == (
+        f"step weight lam * t / n = {lam * t / n!r} exceeds 4/3 at n = {n}; "
+        f"the fewest steps whose weight passes is n = {fewest}"
+    )
+    # The count named is the least one that _check_weight accepts.
+    kraus._check_weight(lam * t / fewest)
+    with pytest.raises(ValueError, match="step weight must lie in"):
+        kraus._check_weight(lam * t / (fewest - 1))
+    trotter_evolve(experiment_initial(), "A", lam, t, fewest)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam_t=st.floats(min_value=0.0, max_value=1e300) | st.floats(min_value=0.0, max_value=1e4))
+def test_fewest_steps_is_the_least_count_check_weight_accepts(lam_t):
+    fewest = kraus._fewest_steps(lam_t)
+    assert kraus._check_weight(lam_t / fewest) <= MAX_WEIGHT
+    if fewest > 1 and fewest < 2**53:
+        with pytest.raises(ValueError):
+            kraus._check_weight(lam_t / (fewest - 1))
+
+
+@pytest.mark.parametrize("lam, t", [(1e200, 1e200), (sys.float_info.max, 2.0)])
+def test_trotter_rejects_a_coupling_time_product_that_is_not_finite(lam, t):
+    # evolve's wording; no step count is derived from an infinite lam * t.
+    with pytest.raises(ValueError, match=re.escape(f"lam * t is not finite for lam {lam!r} at time {t!r}")):
+        trotter_evolve(experiment_initial(), "B", lam, t, 2)
+

@@ -21,7 +21,7 @@ from spinpath.states import (
     maximally_mixed,
     validate_density_matrix,
 )
-from spinpath.superop import apply, liouvillian
+from spinpath.superop import apply, kraus_map, liouvillian
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -57,7 +57,7 @@ def exact_evolution(rho, spec, times):
     """The states exp(L t) rho of the 16x16 Liouvillian L, one per time."""
     generator = liouvillian(
         np.diag(np.array(spec.hamiltonian.energies, dtype=complex)),
-        projectors_for_mode(spec.mode).projectors,
+        kraus_map(projectors_for_mode(spec.mode).projectors),
         spec.lam,
     )
     return np.stack([(taylor_expm(generator * t) @ rho.reshape(16)).reshape(4, 4) for t in times])
@@ -65,7 +65,7 @@ def exact_evolution(rho, spec, times):
 
 def damping(rho, mode, lam):
     """The Liouvillian's damping term at H = 0: -lam (rho - sum_k P_k rho P_k)."""
-    generator = liouvillian(np.zeros((4, 4)), projectors_for_mode(mode).projectors, lam)
+    generator = liouvillian(np.zeros((4, 4)), kraus_map(projectors_for_mode(mode).projectors), lam)
     return apply(generator, rho)
 
 
@@ -470,6 +470,38 @@ def test_integrator_accepts_its_mode_projectors_in_any_order(mode):
     expected = integrate_master(experiment_initial(), projectors_for_mode(mode), spec, 1.0, dt=1e-3)
     assert np.abs(numeric - expected).max() < 1e-14
     assert np.abs(numeric - evolve(experiment_initial(), spec, 1.0)).max() < 1e-8
+
+
+def rotated_projectors(mode, angle):
+    """The mode's projectors conjugated by exp(i angle G), with G a fixed random state scaled to norm 1."""
+    eigenvalues, vectors = np.linalg.eigh(random_state(np.random.default_rng(17)))
+    u = (vectors * np.exp(1j * angle * eigenvalues / eigenvalues.max())) @ vectors.conj().T
+    return ProjectorSet(tuple(u @ p @ u.conj().T for p in projectors_for_mode(mode).projectors))
+
+
+@pytest.mark.parametrize("mode", ["A", "B"])
+def test_integrator_accepts_its_mode_projectors_rotated_by_1e_14(mode):
+    # The projectors are identified by their dephasing map within 1e-12.
+    spec = DecoherenceSpec(mode=mode, lam=1.0)
+    numeric = integrate_master(experiment_initial(), rotated_projectors(mode, 1e-14), spec, 1.0, dt=1e-3)
+    expected = integrate_master(experiment_initial(), projectors_for_mode(mode), spec, 1.0, dt=1e-3)
+    assert np.abs(numeric - expected).max() < 1e-13
+
+
+def coarser_projectors(mode):
+    """{P1 + P2, P3, P4}: a valid complete family, but not the mode's."""
+    p = projectors_for_mode(mode).projectors
+    return ProjectorSet((p[0] + p[1], p[2], p[3]))
+
+
+@pytest.mark.parametrize("mode", ["A", "B"])
+@pytest.mark.parametrize(
+    "family", [lambda mode: rotated_projectors(mode, 1e-9), coarser_projectors], ids=["rotated-1e-9", "coarser"]
+)
+def test_integrator_rejects_a_family_close_to_its_modes(mode, family):
+    spec = DecoherenceSpec(mode=mode, lam=1.0)
+    with pytest.raises(ValueError, match=rf"neither mode A's nor mode B's projectors, but spec.mode is '{mode}'"):
+        integrate_master(experiment_initial(), family(mode), spec, 1.0)
 
 
 def test_integrator_lands_exactly_on_t():

@@ -46,7 +46,7 @@ def test_liouvillian_matches_master_equation_rhs():
     lam = 0.7
     pinched = sum(p @ rho @ p for p in projectors)
     expected = -1j * (h @ rho - rho @ h) - lam * (rho - pinched)
-    generator = superop.liouvillian(h, projectors, lam)
+    generator = superop.liouvillian(h, superop.kraus_map(projectors), lam)
     assert np.abs(superop.apply(generator, rho) - expected).max() < 1e-13
 
 
@@ -54,7 +54,7 @@ def test_rk4_step_matches_four_stage_update():
     rng = np.random.default_rng(54)
     h, rho = random_hermitian(rng), random_hermitian(rng)
     projectors = projectors_for_mode("B").projectors
-    generator = superop.liouvillian(h, projectors, 1.3)
+    generator = superop.liouvillian(h, superop.kraus_map(projectors), 1.3)
 
     def rhs(x):
         return superop.apply(generator, x)
