@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Subcommands: evolve, sweep, ensemble, kraus-compare, tomography,
-calibrate.  All outputs are deterministic functions of the flags; JSON
-is written with sorted keys and CSV numbers with 12 significant digits.
+calibrate.  ``_FLAGS`` declares every flag once, so a flag parses the
+same in every subcommand; ``_SUBCOMMANDS`` gives each subcommand's handler,
+help and flags in registration order.  All outputs are deterministic
+functions of the flags; JSON is written with sorted keys and CSV numbers
+with 12 significant digits.
 
 JSON output is byte for byte ``json.dumps(payload, indent=2,
 sort_keys=True) + "\n"``: floats as ``float.__repr__`` (NaN, Infinity
@@ -176,6 +179,16 @@ def cmd_sweep(args) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _field_setup(args, sigma: float) -> interferometer.FieldSetup:
+    try:
+        return interferometer.FieldSetup(
+            mode=args.mode, sigma=sigma, variant=args.variant.replace("-", "_")
+        )
+    except ValueError as exc:
+        # FieldSetup names variants as the API spells them; --variant spells them with hyphens.
+        raise ValueError(str(exc).replace("_", "-")) from None
+
+
 def _check_samples(samples: int) -> None:
     if samples > _MAX_SAMPLES:
         raise ValueError(f"--samples {samples} exceeds the limit of {_MAX_SAMPLES} shots")
@@ -184,9 +197,7 @@ def _check_samples(samples: int) -> None:
 def cmd_ensemble(args) -> str:
     _check_samples(args.samples)
     rho0 = _initial_state(args.initial)
-    setup = interferometer.FieldSetup(
-        mode=args.mode, sigma=args.sigma, variant=args.variant.replace("-", "_")
-    )
+    setup = _field_setup(args, args.sigma)
     estimate = interferometer.ensemble_average_monte_carlo(
         rho0, setup, args.samples, args.seed
     )
@@ -252,10 +263,9 @@ def cmd_calibrate(args) -> str:
         raise ValueError(f"--sigmas takes at most {_MAX_SIGMAS} values, got {len(args.sigmas)}")
     rho0 = states.experiment_initial()
     initial_magnitude = float(np.abs(rho0[1, 2]))
-    variant = args.variant.replace("-", "_")
     points = []
     for i, sigma in enumerate(args.sigmas):
-        setup = interferometer.FieldSetup(mode=args.mode, sigma=sigma, variant=variant)
+        setup = _field_setup(args, sigma)
         mean = interferometer.ensemble_mean_monte_carlo(rho0, setup, args.samples, args.seed + i)
         magnitude = float(np.abs(mean[1, 2]))
         if magnitude <= 0.0:
@@ -266,18 +276,13 @@ def cmd_calibrate(args) -> str:
         # the input bit-exactly) reports lambda_t = 0 exactly.
         lambda_t = float(-np.log(magnitude / initial_magnitude)) + 0.0
         points.append({"sigma": float(sigma), "lambda_t": lambda_t})
-    # Fit against sigma^2 / 2^e, with 2^e the binade of the largest sigma^2,
-    # so that sigma^4 neither overflows nor, for tiny sigmas, underflows to
-    # 0 (a term that underflows is negligible next to the largest, about 1).
-    # Where the largest sigma^2 would be subnormal or 0, sigma is scaled
-    # before squaring.  Scaling by a power of two is exact, so the fit keeps
-    # its digits; ldexp undoes it at the end.
-    largest = max(p["sigma"] for p in points)
-    shift = 0 if largest ** 2 >= sys.float_info.min else -math.frexp(largest)[1]
-    sq = np.array([math.ldexp(p["sigma"], shift) ** 2 for p in points])
-    binade = int(np.frexp(sq.max())[1])
-    sq = np.ldexp(sq, -binade)
-    exponent = binade - 2 * shift
+    # Fit against (sigma / 2^e)^2, with 2^e the binade of the largest sigma,
+    # so that the largest term is about 1 and sigma^4 neither overflows nor,
+    # for tiny sigmas, underflows to 0 (a term that underflows is negligible
+    # next to the largest).  Scaling by a power of two is exact, so the fit
+    # keeps its digits; ldexp by -2e undoes it at the end.
+    exponent = math.frexp(max(p["sigma"] for p in points))[1]
+    sq = np.array([math.ldexp(p["sigma"], -exponent) ** 2 for p in points])
     lt = np.array([p["lambda_t"] for p in points])
     denom = float((sq ** 2).sum())
     if denom == 0.0:
@@ -289,12 +294,12 @@ def cmd_calibrate(args) -> str:
         coefficient_stderr = float(np.sqrt(spread / denom))
     else:
         coefficient_stderr = 0.0
-    coefficient = float(np.ldexp(coefficient, -exponent))
-    coefficient_stderr = float(np.ldexp(coefficient_stderr, -exponent))
-    setup = interferometer.FieldSetup(mode=args.mode, sigma=1.0, variant=variant)
+    coefficient = float(np.ldexp(coefficient, -2 * exponent))
+    coefficient_stderr = float(np.ldexp(coefficient_stderr, -2 * exponent))
+    setup = _field_setup(args, 1.0)
     payload = {
         "mode": args.mode,
-        "variant": variant,
+        "variant": setup.variant,
         "samples": args.samples,
         "seed": args.seed,
         "points": points,
@@ -303,16 +308,6 @@ def cmd_calibrate(args) -> str:
         "expected_coefficient": interferometer.lambda_from_sigma(setup, 1.0),
     }
     return _dumps(payload)
-
-
-def _add_common(parser, *, initial=True):
-    if initial:
-        parser.add_argument(
-            "--initial",
-            default="singlet",
-            help="named state (singlet, bell1..bell4, maximally-mixed) or a json state file path",
-        )
-    parser.add_argument("--out", default="-", help="output path, or - for stdout")
 
 
 class _Number:
@@ -338,6 +333,47 @@ class _ArgumentParser(argparse.ArgumentParser):
         self._negative_number_matcher = _Number
 
 
+# Every flag's add_argument keywords, shared by each subcommand that takes the flag.
+_FLAGS = {
+    "--mode": dict(required=True, choices=("A", "B")),
+    "--lambda": dict(dest="lam", type=float, required=True),
+    "--time": dict(type=float, required=True),
+    "--steps": dict(type=int, required=True),
+    "--energies": dict(type=float, nargs=4, default=(0.0, 0.0, 0.0, 0.0)),
+    "--sigma": dict(type=float, required=True),
+    "--sigmas": dict(type=float, nargs="+", required=True),
+    "--samples": dict(type=int, required=True),
+    "--shots": dict(type=int, required=True, help="0 means exact probabilities"),
+    "--seed": dict(type=int, default=0),
+    # --variant spells the field-layout variants with hyphens.
+    "--variant": dict(
+        default="both-paths-independent",
+        choices=sorted(variant.replace("_", "-") for variant in interferometer.VARIANTS),
+    ),
+    "--initial": dict(
+        default="singlet",
+        help="named state (singlet, bell1..bell4, maximally-mixed) or a json state file path",
+    ),
+    "--out": dict(default="-", help="output path, or - for stdout"),
+}
+
+# One row per subcommand: name, handler, help and its flags in registration order.
+_SUBCOMMANDS = (
+    ("evolve", cmd_evolve, "closed-form evolution plus measures",
+     "--mode --lambda --time --energies --initial --out"),
+    ("sweep", cmd_sweep, "mixedness and concurrence at --steps grid points from 0 to --time (csv)",
+     "--mode --lambda --time --steps --energies --initial --out"),
+    ("ensemble", cmd_ensemble, "monte carlo vs analytic gaussian average",
+     "--mode --sigma --samples --seed --variant --initial --out"),
+    ("kraus-compare", cmd_kraus_compare, "trotterized kraus map vs closed form",
+     "--mode --lambda --time --steps --initial --out"),
+    ("tomography", cmd_tomography, "simulated measurement and reconstruction",
+     "--shots --seed --initial --out"),
+    ("calibrate", cmd_calibrate, "fit lambda*t against sigma^2 from monte carlo",
+     "--mode --sigmas --samples --seed --variant --out"),
+)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The spinpath argument parser, built once per process.
@@ -351,58 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="two-qubit spin-path decoherence simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # --variant spells the field-layout variants with hyphens.
-    variants = sorted(variant.replace("_", "-") for variant in interferometer.VARIANTS)
-
-    p = sub.add_parser("evolve", help="closed-form evolution plus measures")
-    p.add_argument("--mode", required=True, choices=("A", "B"))
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--time", type=float, required=True)
-    p.add_argument("--energies", type=float, nargs=4, default=(0.0, 0.0, 0.0, 0.0))
-    _add_common(p)
-    p.set_defaults(handler=cmd_evolve)
-
-    p = sub.add_parser("sweep", help="mixedness and concurrence on a time grid (csv)")
-    p.add_argument("--mode", required=True, choices=("A", "B"))
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--time", type=float, required=True, help="end of the grid")
-    p.add_argument("--steps", type=int, required=True, help="number of grid points")
-    p.add_argument("--energies", type=float, nargs=4, default=(0.0, 0.0, 0.0, 0.0))
-    _add_common(p)
-    p.set_defaults(handler=cmd_sweep)
-
-    p = sub.add_parser("ensemble", help="monte carlo vs analytic gaussian average")
-    p.add_argument("--mode", required=True, choices=("A", "B"))
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--variant", default="both-paths-independent", choices=variants)
-    _add_common(p)
-    p.set_defaults(handler=cmd_ensemble)
-
-    p = sub.add_parser("kraus-compare", help="trotterized kraus map vs closed form")
-    p.add_argument("--mode", required=True, choices=("A", "B"))
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--time", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_kraus_compare)
-
-    p = sub.add_parser("tomography", help="simulated measurement and reconstruction")
-    p.add_argument("--shots", type=int, required=True, help="0 means exact probabilities")
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(handler=cmd_tomography)
-
-    p = sub.add_parser("calibrate", help="fit lambda*t against sigma^2 from monte carlo")
-    p.add_argument("--mode", required=True, choices=("A", "B"))
-    p.add_argument("--sigmas", type=float, nargs="+", required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--variant", default="both-paths-independent", choices=variants)
-    _add_common(p, initial=False)
-    p.set_defaults(handler=cmd_calibrate)
-
+    for name, handler, help_text, flags in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(handler=handler)
     return parser
 
 

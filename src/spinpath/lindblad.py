@@ -50,7 +50,7 @@ class SystemHamiltonian:
         if len(energies) != 4:
             raise ValueError(f"expected 4 energies, got {len(energies)}")
         if not all(np.isfinite(energies)):
-            raise ValueError("energies must be finite")
+            raise ValueError(f"energies must be finite, got {energies}")
         object.__setattr__(self, "energies", energies)
 
     @classmethod

@@ -79,7 +79,7 @@ class BellWeights:
         if len(nu) != 4:
             raise ValueError(f"expected 4 weights, got {len(nu)}")
         if not all(np.isfinite(nu)):
-            raise ValueError("weights must be finite")
+            raise ValueError(f"weights must be finite, got {nu}")
         if min(nu) < -1e-12:
             raise ValueError(f"weights must be nonnegative, got min = {min(nu):.3e}")
         total = sum(nu)

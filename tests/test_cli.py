@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinpath import interferometer, lindblad
+from spinpath import cli, interferometer, lindblad, superop
 from spinpath.cli import _dumps, main
 from spinpath.measures import measure_report
 from spinpath.pauli import SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -83,6 +83,26 @@ def test_evolve_accepts_initial_file(tmp_path, capsys):
     )
     state = matrix_from_json(payload["state"])
     assert np.abs(state - experiment_initial()).max() < 1e-14
+
+
+@pytest.mark.parametrize(
+    "producer, key",
+    [
+        (["evolve", "--mode", "B", "--lambda", "0.7", "--time", "0.9", "--energies", "1", "0.5", "0", "-0.5",
+          "--initial", "bell2"], "state"),
+        (["tomography", "--shots", "1000", "--seed", "3", "--initial", "bell3"], "estimate"),
+    ],
+    ids=["evolve", "tomography"],
+)
+def test_one_commands_output_is_the_next_ones_initial(tmp_path, capsys, producer, key):
+    source = tmp_path / "produced.json"
+    assert run(capsys, [*producer, "--out", str(source)]) == (0, "")
+    written = matrix_from_json(json.loads(source.read_text())[key])
+    payload = run_json(
+        capsys,
+        ["evolve", "--mode", "A", "--lambda", "1", "--time", "0", "--initial", str(source)],
+    )
+    assert np.array_equal(matrix_from_json(payload["state"]), written)
 
 
 def parse_csv(text):
@@ -246,6 +266,18 @@ def test_mode_b_single_field_variants_fail_before_sampling(capsys, monkeypatch):
     ):
         assert main(argv) == 2
         assert "not supported for mode B" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["ensemble", "--sigma"], ["calibrate", "--sigmas"]])
+def test_unsupported_variant_errors_use_the_hyphenated_spellings(capsys, monkeypatch, command):
+    _forbid_sampling(monkeypatch)
+    argv = [command[0], "--mode", "B", command[1], "1", "--samples", "10", "--variant", "single-field-one-path"]
+    assert _outcome(capsys, argv) == (
+        2,
+        "",
+        "error: variant 'single-field-one-path' is not supported for mode B; "
+        "only 'both-paths-independent' is\n",
+    )
 
 
 def test_ensemble_sigma_zero_exact(capsys):
@@ -933,3 +965,74 @@ JSON_VALUES = st.recursive(
 @given(st.one_of(st.dictionaries(JSON_KEYS, JSON_VALUES), st.lists(JSON_VALUES), JSON_VALUES))
 def test_dumps_writes_the_bytes_of_json_dumps_with_indent_2_and_sorted_keys(payload):
     assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# Each subcommand's actions as (option strings, dest, type, nargs, default,
+# required, choices), in registration order: the parser's contract.
+_HELP = (("-h", "--help"), "help", None, 0, argparse.SUPPRESS, False, None)
+_MODE = (("--mode",), "mode", None, None, None, True, ("A", "B"))
+_LAMBDA = (("--lambda",), "lam", float, None, None, True, None)
+_TIME = (("--time",), "time", float, None, None, True, None)
+_STEPS = (("--steps",), "steps", int, None, None, True, None)
+_ENERGIES = (("--energies",), "energies", float, 4, (0.0, 0.0, 0.0, 0.0), False, None)
+_SAMPLES = (("--samples",), "samples", int, None, None, True, None)
+_SEED = (("--seed",), "seed", int, None, 0, False, None)
+_VARIANT = (("--variant",), "variant", None, None, "both-paths-independent", False,
+            ["both-paths-independent", "single-field-both-paths", "single-field-one-path"])
+_INITIAL = (("--initial",), "initial", None, None, "singlet", False, None)
+_OUT = (("--out",), "out", None, None, "-", False, None)
+PARSER_CONTRACT = {
+    "evolve": [_HELP, _MODE, _LAMBDA, _TIME, _ENERGIES, _INITIAL, _OUT],
+    "sweep": [_HELP, _MODE, _LAMBDA, _TIME, _STEPS, _ENERGIES, _INITIAL, _OUT],
+    "ensemble": [_HELP, _MODE, (("--sigma",), "sigma", float, None, None, True, None),
+                 _SAMPLES, _SEED, _VARIANT, _INITIAL, _OUT],
+    "kraus-compare": [_HELP, _MODE, _LAMBDA, _TIME, _STEPS, _INITIAL, _OUT],
+    "tomography": [_HELP, (("--shots",), "shots", int, None, None, True, None), _SEED, _INITIAL, _OUT],
+    "calibrate": [_HELP, _MODE, (("--sigmas",), "sigmas", float, "+", None, True, None),
+                  _SAMPLES, _SEED, _VARIANT, _OUT],
+}
+
+
+def test_every_subcommand_registers_the_contracted_actions():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(PARSER_CONTRACT)
+    for name, expected in PARSER_CONTRACT.items():
+        subparser = sub.choices[name]
+        actions = [
+            (tuple(a.option_strings), a.dest, a.type, a.nargs, a.default, a.required, a.choices)
+            for a in subparser._actions
+        ]
+        assert actions == expected, name
+        assert subparser.get_default("handler") is getattr(cli, "cmd_" + name.replace("-", "_"))
+
+
+@pytest.mark.parametrize("command", [[], *([name] for name in PARSER_CONTRACT)], ids=["spinpath", *PARSER_CONTRACT])
+def test_help_exits_0(capsys, command):
+    code, out, err = _outcome(capsys, [*command, "--help"])
+    assert code == 0
+    assert out.startswith("usage: spinpath") and err == ""
+
+
+def test_trotter_drift_beyond_its_budget_exits_3(capsys, monkeypatch):
+    # As in the kraus test: a twirl image that gains 2e-9 of trace puts the
+    # composed state past the fixed 1e-9 budget.
+    apply = superop.apply
+    monkeypatch.setattr(superop, "apply", lambda twirl, rho: (1.0 + 2e-9) * apply(twirl, rho))
+    argv = ["kraus-compare", "--mode", "B", "--lambda", "1.7", "--time", "0.9", "--steps", str(2**20)]
+    code, out, err = _outcome(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: numerical failure: Trotter composition (n=")
+
+
+def test_invalid_produced_state_exits_4(capsys, monkeypatch):
+    closed_form = lindblad._closed_form
+    monkeypatch.setattr(lindblad, "_closed_form", lambda *args: 1.1 * closed_form(*args))
+    code, out, err = _outcome(capsys, ["evolve", "--mode", "A", "--lambda", "1", "--time", "0.5"])
+    assert (code, out) == (4, "")
+    assert err.startswith("error: produced state invalid: trace violation")
+
+
+def test_energies_that_are_not_finite_are_named(capsys):
+    argv = ["evolve", "--mode", "A", "--lambda", "1", "--time", "0.1", "--energies", "0", "0", "0", "nan"]
+    assert _outcome(capsys, argv) == (2, "", "error: energies must be finite, got (0.0, 0.0, 0.0, nan)\n")

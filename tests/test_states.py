@@ -95,6 +95,11 @@ def test_bell_weights_reject_negative_and_unnormalized():
         BellWeights((0.5, 0.5, 0.5, 0.5))
 
 
+def test_bell_weights_that_are_not_finite_are_named():
+    with pytest.raises(ValueError, match=r"^weights must be finite, got \(0\.5, nan, 0\.5, 0\.0\)$"):
+        BellWeights((0.5, float("nan"), 0.5, 0.0))
+
+
 def test_from_pure_basis_vector():
     rho = from_pure(np.array([1.0, 0.0, 0.0, 0.0]))
     assert np.abs(rho - np.diag([1.0, 0.0, 0.0, 0.0])).max() < 1e-15
