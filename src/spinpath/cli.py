@@ -15,7 +15,10 @@ and -Infinity where not finite), strings and keys ASCII-escaped by
 pure-Python encoder whenever ``indent`` is set.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical
-failure, 4 produced-state validation failure.
+failure, 4 produced-state validation failure.  A state file that fails
+validation is exit 2: the first kernel that reads the state validates
+it, and ``main`` checks the file state again only when a validation
+error escapes, to tell bad input from a bad produced state.
 """
 
 from __future__ import annotations
@@ -60,7 +63,12 @@ def _matrix_from_any_json(obj) -> np.ndarray:
     raise ValueError("no 4x4 matrix found in state file")
 
 
-def _initial_state(name: str) -> np.ndarray:
+def _initial_state(args) -> np.ndarray:
+    """The ``--initial`` state: a named state, or a file state read and
+    shape-checked here.  A file state is validated by the first kernel
+    that reads it; ``main`` names the file when that check fails, so
+    ``args.file_state`` keeps the matrix the handler used."""
+    name = args.initial
     if name in _NAMED_INITIALS:
         return _NAMED_INITIALS[name]()
     try:
@@ -73,11 +81,10 @@ def _initial_state(name: str) -> np.ndarray:
     except RecursionError as exc:
         raise ValueError(f"state file {name!r} is nested too deeply to read") from exc
     try:
-        return states.validate_density_matrix(_matrix_from_any_json(obj))
+        args.file_state = _matrix_from_any_json(obj)
     except ValueError as exc:
-        # Bad input is a configuration problem, not a produced-state failure,
-        # so a StateValidationError leaves here as a plain ValueError.
         raise ValueError(f"state file {name!r}: {exc}") from exc
+    return args.file_state
 
 
 def _write_output(target: str, text: str) -> None:
@@ -150,7 +157,7 @@ def _decoherence_spec(args) -> lindblad.DecoherenceSpec:
 
 
 def cmd_evolve(args) -> str:
-    rho0 = _initial_state(args.initial)
+    rho0 = _initial_state(args)
     spec = _decoherence_spec(args)
     state = lindblad.evolve(rho0, spec, args.time)
     payload = {
@@ -167,7 +174,7 @@ def cmd_sweep(args) -> str:
         raise ValueError(f"--steps {args.steps} exceeds the limit of {_MAX_SWEEP_POINTS} grid points")
     if not (math.isfinite(args.time) and args.time >= 0.0):
         raise ValueError(f"time must be finite and nonnegative, got {args.time!r}")
-    rho0 = _initial_state(args.initial)
+    rho0 = _initial_state(args)
     spec = _decoherence_spec(args)
     times = np.linspace(0.0, args.time, args.steps)
     lines = ["lambda_t,mixedness,concurrence"]
@@ -196,7 +203,7 @@ def _check_samples(samples: int) -> None:
 
 def cmd_ensemble(args) -> str:
     _check_samples(args.samples)
-    rho0 = _initial_state(args.initial)
+    rho0 = _initial_state(args)
     setup = _field_setup(args, args.sigma)
     estimate = interferometer.ensemble_average_monte_carlo(
         rho0, setup, args.samples, args.seed
@@ -211,7 +218,7 @@ def cmd_ensemble(args) -> str:
 
 
 def cmd_kraus_compare(args) -> str:
-    rho0 = _initial_state(args.initial)
+    rho0 = _initial_state(args)
     spec = lindblad.DecoherenceSpec(mode=args.mode, lam=args.lam)
     analytic = lindblad.evolve(rho0, spec, args.time)
     approx = kraus.trotter_evolve(rho0, args.mode, args.lam, args.time, args.steps)
@@ -240,7 +247,7 @@ def cmd_kraus_compare(args) -> str:
 def cmd_tomography(args) -> str:
     if args.seed < 0:  # simulate_counts checks it too, but --shots 0 never calls it
         raise ValueError(f"seed must be a nonnegative integer, got {args.seed!r}")
-    rho0 = _initial_state(args.initial)
+    rho0 = _initial_state(args)
     if args.shots == 0:
         counts = tomography.exact_records(rho0)
     else:
@@ -261,32 +268,34 @@ def cmd_calibrate(args) -> str:
     _check_samples(args.samples)
     if len(args.sigmas) > _MAX_SIGMAS:
         raise ValueError(f"--sigmas takes at most {_MAX_SIGMAS} values, got {len(args.sigmas)}")
+    # Every setup is built, and the fit's need checked, before any sampling.
+    setups = [_field_setup(args, sigma) for sigma in args.sigmas]
+    if not any(setup.sigma for setup in setups):
+        raise ValueError("calibration needs at least one nonzero sigma")
     rho0 = states.experiment_initial()
     initial_magnitude = float(np.abs(rho0[1, 2]))
     points = []
-    for i, sigma in enumerate(args.sigmas):
-        setup = _field_setup(args, sigma)
+    for i, setup in enumerate(setups):
         mean = interferometer.ensemble_mean_monte_carlo(rho0, setup, args.samples, args.seed + i)
         magnitude = float(np.abs(mean[1, 2]))
         if magnitude <= 0.0:
             raise np.linalg.LinAlgError(
-                f"coherence lost entirely at sigma = {sigma}; cannot take log"
+                f"coherence lost entirely at sigma = {setup.sigma}; cannot take log"
             )
         # Decay relative to the initial coherence, so sigma=0 (mean equals
         # the input bit-exactly) reports lambda_t = 0 exactly.
         lambda_t = float(-np.log(magnitude / initial_magnitude)) + 0.0
-        points.append({"sigma": float(sigma), "lambda_t": lambda_t})
+        points.append({"sigma": float(setup.sigma), "lambda_t": lambda_t})
     # Fit against (sigma / 2^e)^2, with 2^e the binade of the largest sigma,
     # so that the largest term is about 1 and sigma^4 neither overflows nor,
     # for tiny sigmas, underflows to 0 (a term that underflows is negligible
     # next to the largest).  Scaling by a power of two is exact, so the fit
-    # keeps its digits; ldexp by -2e undoes it at the end.
+    # keeps its digits; ldexp by -2e undoes it at the end.  The largest
+    # sigma is nonzero, so its term is at least 1/16 and denom is positive.
     exponent = math.frexp(max(p["sigma"] for p in points))[1]
     sq = np.array([math.ldexp(p["sigma"], -exponent) ** 2 for p in points])
     lt = np.array([p["lambda_t"] for p in points])
     denom = float((sq ** 2).sum())
-    if denom == 0.0:
-        raise ValueError("calibration needs at least one nonzero sigma")
     coefficient = float((lt * sq).sum() / denom)
     residuals = lt - coefficient * sq
     if len(points) > 1:
@@ -401,6 +410,14 @@ def main(argv=None) -> int:
     try:
         _write_output(args.out, args.handler(args))
     except states.StateValidationError as exc:
+        # Bad input is a configuration problem, not a produced-state failure.
+        file_state = getattr(args, "file_state", None)
+        if file_state is not None:
+            try:
+                states.validate_density_matrix(file_state)
+            except states.StateValidationError as bad:
+                print(f"error: state file {args.initial!r}: {bad}", file=sys.stderr)
+                return 2
         print(f"error: produced state invalid: {exc}", file=sys.stderr)
         return 4
     except (np.linalg.LinAlgError, ArithmeticError) as exc:

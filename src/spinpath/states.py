@@ -141,13 +141,20 @@ def validate_density_matrix(m) -> np.ndarray:
     first offending state.
 
     Positivity is first certified by a Cholesky factorization of
-    ``(rho + rho^dagger)/2 + c*1`` with shift ``c = -EIGENVALUE_FLOOR/2
-    = 5e-10``: it succeeds only when the least eigenvalue exceeds
-    ``-c - O(eps)``, well above the floor, so every state of a stack that
+    ``rho + c*1`` with shift ``c = -EIGENVALUE_FLOOR/2 = 5e-10``.  LAPACK
+    reads only its lower triangle (and the real part of its diagonal),
+    that is, the Hermitian matrix whose lower triangle is rho's.  That
+    matrix differs from ``(rho + rho^dagger)/2`` by at most
+    ``HERMITICITY_TOL/2`` per off-diagonal entry, so by at most 1.5e-12
+    in norm (three entries a row), and its eigenvalues by no more.  A
+    factorization succeeds only when the least eigenvalue exceeds
+    ``-c - O(eps)``; a shift of 1.5e-12 cannot carry a state across the
+    5e-10 margin down to the floor, so every state of a stack that
     factors passes.  When any state fails to factor, the exact check
-    decides alone: ``eigvalsh`` of every state, its least eigenvalue
-    compared with the floor.  Accept/reject decisions and messages are
-    therefore those of the exact check.
+    decides alone: ``eigvalsh`` of every ``(rho + rho^dagger)/2``, which
+    only this fallback forms, its least eigenvalue compared with the
+    floor.  Accept/reject decisions and messages are therefore those of
+    the exact check.
 
     Raises:
         StateValidationError: naming the violated invariant and its size;
@@ -172,11 +179,10 @@ def validate_density_matrix(m) -> np.ndarray:
     trace_defect = np.abs(m.trace(axis1=-2, axis2=-1).real - 1.0)
     if not (trace_defect <= TRACE_TOL).all():
         _check(trace_defect > TRACE_TOL, trace_defect, "trace violation: |Tr rho - 1| = {:.3e}")
-    hermitian = (m + adjoint) / 2.0
     try:
-        np.linalg.cholesky(hermitian + _CHOLESKY_SHIFT)
+        np.linalg.cholesky(m + _CHOLESKY_SHIFT)
     except np.linalg.LinAlgError:
-        min_eig = np.linalg.eigvalsh(hermitian)[..., 0]
+        min_eig = np.linalg.eigvalsh((m + adjoint) / 2.0)[..., 0]
         _check(min_eig < EIGENVALUE_FLOOR, min_eig,
                f"positivity violation: min eigenvalue = {{:.3e}} < {EIGENVALUE_FLOOR:.1e}")
     return m

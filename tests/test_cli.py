@@ -19,6 +19,7 @@ from spinpath.cli import _dumps, main
 from spinpath.measures import measure_report
 from spinpath.pauli import SIGMA_X, SIGMA_Y, SIGMA_Z
 from spinpath.states import (
+    StateValidationError,
     bell_state,
     experiment_initial,
     from_pure,
@@ -266,6 +267,18 @@ def test_mode_b_single_field_variants_fail_before_sampling(capsys, monkeypatch):
     ):
         assert main(argv) == 2
         assert "not supported for mode B" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sigmas, message",
+    [(["0.5", "1", "nan"], "sigma must be finite and nonnegative, got nan"),
+     (["0", "0"], "calibration needs at least one nonzero sigma")],
+    ids=["nan-last", "all-zero"],
+)
+def test_calibrate_rejects_its_sigmas_before_sampling(capsys, monkeypatch, sigmas, message):
+    _forbid_sampling(monkeypatch)
+    argv = ["calibrate", "--mode", "A", "--sigmas", *sigmas, "--samples", "100"]
+    assert _outcome(capsys, argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", [["ensemble", "--sigma"], ["calibrate", "--sigmas"]])
@@ -818,26 +831,64 @@ def test_missing_initial_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_invalid_initial_matrix_exits_2(tmp_path, capsys):
-    # Every rejection of a state file names the file, and is a usage error.
+# Every subcommand that reads --initial, with flags that are valid on their own.
+READS_INITIAL = {
+    "evolve": ["evolve", "--mode", "A", "--lambda", "1", "--time", "1"],
+    "sweep": ["sweep", "--mode", "B", "--lambda", "1", "--time", "1", "--steps", "3"],
+    "ensemble": ["ensemble", "--mode", "A", "--sigma", "0.5", "--samples", "100"],
+    "kraus-compare": ["kraus-compare", "--mode", "A", "--lambda", "1", "--time", "1", "--steps", "4"],
+    "tomography-exact": ["tomography", "--shots", "0"],
+    "tomography-counts": ["tomography", "--shots", "5"],
+}
+
+
+def _invalid_state(invariant):
+    m = experiment_initial()
+    if invariant == "trace":
+        m = 2.0 * m
+    elif invariant == "hermiticity":
+        m[0, 1] = 1e-6
+    elif invariant == "positivity":
+        m = np.diag([0.5, 0.6, -0.1, 0.0]).astype(complex)
+    else:
+        m[2, 2] = np.nan
+    return m
+
+
+@pytest.mark.parametrize("command", sorted(READS_INITIAL))
+def test_invalid_initial_matrix_exits_2(tmp_path, capsys, command):
+    # Every rejection of a state file names the file, and is a usage error,
+    # also when the kernel the subcommand calls first is what validates it.
     cases = [
-        (matrix_to_json(np.eye(4, dtype=complex)), "trace"),
+        (matrix_to_json(np.eye(4, dtype=complex)), "trace violation: |Tr rho - 1| = 3.000e+00"),
         ({"dim": 3, "re": [[1.0]], "im": [[0.0]]}, "unsupported dim: 3"),
         ({"shots": 0}, "no 4x4 matrix found in state file"),
         ({"dim": 4, "re": [[1.0]], "im": [[0.0]]},
          "matrix json parts must be 4x4, got (1, 1) and (1, 1)"),
     ]
+    for invariant in ("trace", "hermiticity", "positivity", "finiteness"):
+        m = _invalid_state(invariant)
+        with pytest.raises(StateValidationError) as caught:
+            validate_density_matrix(m)
+        assert str(caught.value).startswith(invariant)
+        cases.append((matrix_to_json(m), str(caught.value)))
     for index, (content, message) in enumerate(cases):
         bad = tmp_path / f"bad{index}.json"
         bad.write_text(json.dumps(content))
-        code = main(
-            ["evolve", "--mode", "A", "--lambda", "1", "--time", "1", "--initial", str(bad)]
+        assert _outcome(capsys, READS_INITIAL[command] + ["--initial", str(bad)]) == (
+            2, "", f"error: state file {str(bad)!r}: {message}\n"
         )
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: state file {str(bad)!r}: ")
-        assert message in captured.err
+
+
+def test_valid_file_state_with_an_invalid_produced_state_exits_4(tmp_path, capsys, monkeypatch):
+    # The file state passes its check again, so the failure is the produced state's.
+    source = tmp_path / "initial.json"
+    source.write_text(json.dumps(matrix_to_json(experiment_initial())))
+    closed_form = lindblad._closed_form
+    monkeypatch.setattr(lindblad, "_closed_form", lambda *args: 1.1 * closed_form(*args))
+    code, out, err = _outcome(capsys, READS_INITIAL["evolve"] + ["--initial", str(source)])
+    assert (code, out) == (4, "")
+    assert err.startswith("error: produced state invalid: trace violation")
 
 
 def test_argparse_usage_error_is_exit_2():

@@ -314,6 +314,53 @@ def test_validate_decides_and_words_every_defect_as_the_eigvalsh_oracle(seed, si
     assert _outcome(validate_density_matrix, m) == _outcome(_eigvalsh_validator, m)
 
 
+# Hermiticity defects just under the tolerance, in the upper triangle (which
+# the Cholesky certificate never reads) or the lower one (which it reads), on
+# states whose least eigenvalue is within 1e-11 of the certificate's margin
+# -5e-10 or of the floor.
+NEAR_EDGES = st.one_of(
+    st.floats(-5e-10 - 1e-11, -5e-10 + 1e-11),
+    st.floats(EIGENVALUE_FLOOR - 1e-11, EIGENVALUE_FLOOR + 1e-11),
+)
+SKEWS = st.tuples(
+    st.floats(0.9 * HERMITICITY_TOL, 0.999 * HERMITICITY_TOL),
+    st.sampled_from([1.0, -1.0]),
+    st.sampled_from(["upper", "lower"]),
+    PART,
+    st.tuples(INDEX, INDEX).filter(lambda pair: pair[0] != pair[1]),
+)
+
+
+def _skewed_state(seed, rank, least, skew):
+    """A state with least eigenvalue ``least`` and one off-diagonal entry,
+    in the named triangle, moved by a Hermiticity defect."""
+    size, sign, triangle, part, pair = skew
+    i, j = sorted(pair) if triangle == "upper" else sorted(pair, reverse=True)
+    m = _state_with_least_eigenvalue(seed, rank, least)
+    m[i, j] += sign * size if part == "real" else 1j * sign * size
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4), least=NEAR_EDGES, skew=SKEWS)
+def test_validate_decides_skewed_states_near_the_margins_as_the_eigvalsh_oracle(seed, rank, least, skew):
+    m = _skewed_state(seed, rank, least, skew)
+    assert np.abs(m - m.conj().T).max() <= HERMITICITY_TOL
+    assert _outcome(validate_density_matrix, m) == _outcome(_eigvalsh_validator, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 8), data=st.data())
+def test_validate_stack_decides_skewed_states_near_the_margins_as_the_eigvalsh_oracle(seed, size, data):
+    stack = np.array([_state_with_least_eigenvalue(seed + k, 1 + k % 4, 0.0) for k in range(size)])
+    for n in range(data.draw(st.integers(1, 2))):
+        k = data.draw(st.integers(0, size - 1))
+        stack[k] = _skewed_state(seed + size + n, data.draw(st.integers(1, 4)),
+                                 data.draw(NEAR_EDGES), data.draw(SKEWS))
+    expected = _outcome(_eigvalsh_validator, stack)
+    assert _outcome(validate_density_matrix, stack) == expected
+
+
 def test_empty_stack_passes_validation_evolve_and_measure_report():
     empty = np.zeros((0, 4, 4), dtype=complex)
     assert validate_density_matrix(empty).shape == (0, 4, 4)
