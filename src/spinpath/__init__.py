@@ -16,13 +16,11 @@ from .interferometer import (
     lambda_from_sigma,
 )
 from .kraus import (
-    KrausSet,
     lindblad_generators_from_kraus,
     trotter_evolve,
 )
 from .lindblad import (
     DecoherenceSpec,
-    ProjectorSet,
     SystemHamiltonian,
     evolve,
     integrate_master,

@@ -22,7 +22,6 @@ its own projectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,33 +33,10 @@ MAX_WEIGHT = 4.0 / 3.0
 _COMPLETENESS_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class KrausSet:
-    """Operators of a completely positive trace-preserving map.
-
-    The operators are stored as read-only copies, so the completeness
-    checked here holds for the life of the set.
-    """
-
-    operators: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        operators = tuple(np.array(op, dtype=complex) for op in self.operators)
-        if not operators:
-            raise ValueError("kraus set must contain at least one operator")
-        for i, op in enumerate(operators):
-            if op.shape != (4, 4):
-                raise ValueError(f"operator {i} has shape {op.shape}, expected (4, 4)")
-            op.flags.writeable = False
-        object.__setattr__(self, "operators", operators)
-        defect = completeness_defect(self)
-        if defect > _COMPLETENESS_TOL:
-            raise ValueError(f"kraus completeness violated: max|sum M^t M - 1| = {defect:.3e}")
-
-
-def completeness_defect(kraus_set: KrausSet) -> float:
-    """Max elementwise deviation of sum M^dagger M from the identity."""
-    total = np.einsum("kba,kbc->ac", np.conj(kraus_set.operators), kraus_set.operators)
+def completeness_defect(operators) -> float:
+    """Max elementwise deviation of sum M^dagger M from the identity, over a (k, 4, 4) stack of operators M."""
+    operators = np.asarray(operators, dtype=complex)
+    total = np.einsum("kba,kbc->ac", operators.conj(), operators)
     return float(np.abs(total - ID4).max())
 
 
@@ -107,13 +83,13 @@ _JUMPS = {
 _TWIRL = {mode: superop.kraus_map(np.concatenate(([ID4], jumps)) / 2.0) for mode, jumps in _JUMPS.items()}
 
 
-def kraus_set_for_mode(mode: str, weight: float) -> KrausSet:
-    """Step map of ``mode`` with weight w: sqrt(1 - 3w/4) * 1 and sqrt(w/4) * each jump operator."""
+def kraus_set_for_mode(mode: str, weight: float) -> np.ndarray:
+    """Step map of ``mode`` with weight w, as a fresh (4, 4, 4) stack of Kraus
+    operators [sqrt(1 - 3w/4) * 1, sqrt(w/4) * J_1, sqrt(w/4) * J_2, sqrt(w/4) * J_3]."""
     if mode not in _JUMPS:
         raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
     w = _check_weight(weight)
-    jumps = tuple(np.sqrt(w / 4.0) * _JUMPS[mode])
-    return KrausSet(operators=(np.sqrt(1.0 - 3.0 * w / 4.0) * ID4,) + jumps)
+    return np.concatenate(([np.sqrt(1.0 - 3.0 * w / 4.0) * ID4], np.sqrt(w / 4.0) * _JUMPS[mode]))
 
 
 def trotter_evolve(rho0: np.ndarray, mode: str, lam: float, t: float, n: int) -> np.ndarray:
@@ -159,7 +135,7 @@ def trotter_evolve(rho0: np.ndarray, mode: str, lam: float, t: float, n: int) ->
     return validate_density_matrix(superop.settle(out, 1e-9, f"Trotter composition (n={n})", trace))
 
 
-def lindblad_generators_from_kraus(kraus_set: KrausSet, dt: float) -> tuple[list[np.ndarray], float]:
+def lindblad_generators_from_kraus(operators: np.ndarray, dt: float) -> tuple[list[np.ndarray], float]:
     """Recover continuous-time jump operators from a small-weight step map.
 
     For a step map with weight w = lam*dt the non-identity operators
@@ -168,14 +144,23 @@ def lindblad_generators_from_kraus(kraus_set: KrausSet, dt: float) -> tuple[list
     and the residual max|M_0 - (1 - dt/2 * sum A_k^dagger A_k)|, which
     is O(dt^2) for these maps.
 
-    Only the four-operator structure above (identity leader plus
-    unitary-proportional companions) is supported.
+    ``operators`` is a (4, 4, 4) stack of Kraus operators, as
+    ``kraus_set_for_mode`` returns; its completeness sum M^dagger M = 1 is
+    checked here to 1e-12.  Only the four-operator structure above
+    (identity leader plus unitary-proportional companions) is supported.
+
+    Raises:
+        ValueError: for a bad dt, a stack of another shape, an incomplete
+            stack, or one of another structure.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"step duration dt must be finite and positive, got {dt!r}")
-    operators = kraus_set.operators
-    if len(operators) != 4:
-        raise ValueError(f"unsupported kraus set: expected 4 operators, got {len(operators)}")
+    operators = np.asarray(operators, dtype=complex)
+    if operators.shape != (4, 4, 4):
+        raise ValueError(f"unsupported kraus set: expected a (4, 4, 4) stack, got shape {operators.shape}")
+    defect = completeness_defect(operators)
+    if not defect <= _COMPLETENESS_TOL:  # also when an entry is nan
+        raise ValueError(f"kraus completeness violated: max|sum M^t M - 1| = {defect:.3e}")
     leader = operators[0]
     scale = leader[0, 0]
     if abs(scale.imag) > 1e-12 or scale.real <= 0.0 or np.abs(leader - scale * ID4).max() > 1e-12:

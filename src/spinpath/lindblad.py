@@ -76,47 +76,23 @@ class DecoherenceSpec:
             raise ValueError(f"coupling strength must be finite and nonnegative, got {self.lam!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectorSet:
-    """Complete family of orthogonal projectors defining the damping term.
-
-    The projectors are stored as read-only copies, so the checks made
-    here hold for the life of the set.
-    """
-
-    projectors: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        projectors = tuple(np.array(p, dtype=complex) for p in self.projectors)
-        total = np.zeros((4, 4), dtype=complex)
-        for i, p in enumerate(projectors):
-            if p.shape != (4, 4):
-                raise ValueError(f"projector {i} has shape {p.shape}, expected (4, 4)")
-            p.flags.writeable = False
-            if np.abs(p - p.conj().T).max() > 1e-12:
-                raise ValueError(f"projector {i} is not Hermitian")
-            if np.abs(p @ p - p).max() > 1e-12:
-                raise ValueError(f"projector {i} is not idempotent")
-            total += p
-        if np.abs(total - np.eye(4)).max() > 1e-12:
-            raise ValueError("projectors do not sum to the identity")
-        object.__setattr__(self, "projectors", projectors)
+def _projectors(vectors) -> np.ndarray:
+    """Read-only (4, 4, 4) stack of the rank-1 projectors onto the rows of ``vectors``."""
+    projectors = np.einsum("ki,kj->kij", vectors, vectors).astype(complex)
+    projectors.flags.writeable = False
+    return projectors
 
 
-# Rows: the unit vectors whose rank-1 projectors define each mode.
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_PROJECTOR_VECTORS = {
-    "A": np.eye(4),
-    "B": _INV_SQRT2 * np.array([[1, 0, 1, 0], [1, 0, -1, 0], [0, 1, 0, 1], [0, 1, 0, -1]]),
-}
 _PROJECTORS = {
-    mode: ProjectorSet(tuple(np.outer(v, v) for v in vectors)) for mode, vectors in _PROJECTOR_VECTORS.items()
+    "A": _projectors(np.eye(4)),
+    "B": _projectors(_INV_SQRT2 * np.array([[1, 0, 1, 0], [1, 0, -1, 0], [0, 1, 0, 1], [0, 1, 0, -1]])),
 }
 
 
-def projectors_for_mode(mode: str) -> ProjectorSet:
-    """Projectors onto the product basis (mode A), or onto (e1 +/- e3)/sqrt(2)
-    and (e2 +/- e4)/sqrt(2) (mode B)."""
+def projectors_for_mode(mode: str) -> np.ndarray:
+    """The mode's shared read-only (4, 4, 4) projector stack: onto the product
+    basis (mode A), or onto (e1 +/- e3)/sqrt(2) and (e2 +/- e4)/sqrt(2) (mode B)."""
     if mode not in _PROJECTORS:
         raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
     return _PROJECTORS[mode]
@@ -124,7 +100,7 @@ def projectors_for_mode(mode: str) -> ProjectorSet:
 
 # Each mode's read-only dephasing map D = sum_k P_k (x) P_k^*, which names the
 # mode of a caller's projectors whatever their order.
-_DEPHASING = {mode: superop.kraus_map(projectors.projectors) for mode, projectors in _PROJECTORS.items()}
+_DEPHASING = {mode: superop.kraus_map(projectors) for mode, projectors in _PROJECTORS.items()}
 
 
 def _times(t) -> np.ndarray:
@@ -243,7 +219,7 @@ def evolve(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
 
 def integrate_master(
     rho0: np.ndarray,
-    projectors: ProjectorSet,
+    projectors: np.ndarray,
     spec: DecoherenceSpec,
     t: float,
     dt: float = 1e-3,
@@ -258,17 +234,23 @@ def integrate_master(
     are monitored (budget 1e-9 per unit time) and the result is
     re-Hermitized and trace-renormalized before validation.
 
-    The caller's projectors are identified by their dephasing map
-    D = sum_k P_k (x) P_k^*, computed once: it must match ``spec.mode``'s
-    within 1e-12 elementwise, which holds for that mode's projectors in
-    any order and for no coarser or rotated family.  The same D enters
-    the Liouvillian.
+    The caller's projectors are any (k, 4, 4) stack, identified by their
+    dephasing map D = sum_k P_k (x) P_k^*, computed once: it must match
+    ``spec.mode``'s within 1e-12 elementwise, which holds for that mode's
+    projectors in any order and for no coarser, incomplete, rescaled or
+    rotated family.  The same D enters the Liouvillian, which reads
+    nothing else of the projectors, so this one check stands in for
+    testing that they are Hermitian, idempotent and sum to the identity.
 
     Raises:
-        ValueError: when the projectors' dephasing map is not
-            ``spec.mode``'s, naming both modes.
+        ValueError: when the projectors are not a (k, 4, 4) stack, naming
+            its shape, or when their dephasing map is not ``spec.mode``'s,
+            naming both modes.
     """
-    dephasing = superop.kraus_map(projectors.projectors)
+    projectors = np.asarray(projectors, dtype=complex)
+    if projectors.ndim != 3 or projectors.shape[1:] != (4, 4):
+        raise ValueError(f"projectors must be a (k, 4, 4) stack, got shape {projectors.shape}")
+    dephasing = superop.kraus_map(projectors)
     found = next((mode for mode, d in _DEPHASING.items() if np.abs(dephasing - d).max() <= 1e-12), None)
     if found != spec.mode:
         named = f"mode {found}'s" if found else "neither mode A's nor mode B's"

@@ -62,6 +62,8 @@ def from_pure(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (4,):
         raise ValueError(f"pure state must be a length-4 vector, got shape {psi.shape}")
+    if not np.isfinite(psi).all():
+        raise ValueError("pure state must be finite")
     norm_sq = float(np.vdot(psi, psi).real)
     if abs(norm_sq - 1.0) > NORM_TOL:
         raise ValueError(f"pure state not normalized: |<psi|psi> - 1| = {abs(norm_sq - 1.0):.3e}")

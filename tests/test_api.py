@@ -13,9 +13,7 @@ PUBLIC_NAMES = {
     "DecoherenceSpec",
     "EnsembleEstimate",
     "FieldSetup",
-    "KrausSet",
     "MeasureReport",
-    "ProjectorSet",
     "Reconstruction",
     "StateValidationError",
     "SystemHamiltonian",

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from spinpath import kraus, lindblad, superop
 from spinpath.kraus import (
     MAX_WEIGHT,
-    KrausSet,
     completeness_defect,
     kraus_set_for_mode,
     lindblad_generators_from_kraus,
@@ -39,14 +38,14 @@ def one_step(rho, mode, weight):
 
 def test_weight_zero_is_identity_channel():
     for mode in ("A", "B"):
-        ops = kraus_set_for_mode(mode, 0.0).operators
+        ops = kraus_set_for_mode(mode, 0.0)
         assert np.abs(ops[0] - np.eye(4)).max() < 1e-15
         for op in ops[1:]:
             assert np.abs(op).max() < 1e-15
 
 
 def test_mode_a_leader_coefficient_at_unit_weight():
-    leader = kraus_set_for_mode("A", 1.0).operators[0]
+    leader = kraus_set_for_mode("A", 1.0)[0]
     assert np.abs(leader - 0.5 * np.eye(4)).max() < 1e-15
 
 
@@ -66,7 +65,7 @@ def test_weight_range_enforced(w):
 
 
 def test_mode_b_second_operator_flips_spin():
-    flip = kraus_set_for_mode("B", 1.0).operators[2]
+    flip = kraus_set_for_mode("B", 1.0)[2]
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
     image = flip @ e1
     assert abs(image[2]) > 0.0
@@ -194,7 +193,7 @@ def test_trotter_first_order_exact_oracle(seed, rank, mode, lam, t, data):
     # D + (1 - w)^n (rho - D); the closed form at H = 0 is D + e^{-lam t} (rho - D).
     n = data.draw(st.integers(max(1, int(np.ceil(3.0 * lam * t / 4.0))), 2048), label="n")
     rho = random_rank_state(np.random.default_rng(seed), rank)
-    dephased = sum(p @ rho @ p for p in projectors_for_mode(mode).projectors)
+    dephased = sum(p @ rho @ p for p in projectors_for_mode(mode))
     trotter_oracle = dephased + (1.0 - lam * t / n) ** n * (rho - dephased)
     assert np.abs(trotter_evolve(rho, mode, lam, t, n) - trotter_oracle).max() <= 2e-12
     closed_oracle = dephased + np.exp(-lam * t) * (rho - dephased)
@@ -224,25 +223,39 @@ def test_generator_residual_scales_quadratically():
 
 def test_generator_recovery_rejects_foreign_sets():
     swap = np.eye(4, dtype=complex)[[1, 0, 2, 3]]
-    with pytest.raises(ValueError):
-        lindblad_generators_from_kraus(KrausSet(operators=(swap,)), 1e-3)
+    with pytest.raises(ValueError, match=re.escape("expected a (4, 4, 4) stack, got shape (1, 4, 4)")):
+        lindblad_generators_from_kraus(swap[None], 1e-3)
     for dt in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="step duration dt"):
             lindblad_generators_from_kraus(kraus_set_for_mode("A", 1e-3), dt)
 
 
-def test_kraus_set_rejects_incomplete_operators():
-    with pytest.raises(ValueError):
-        KrausSet(operators=(0.5 * np.eye(4, dtype=complex),))
+def test_generator_recovery_rejects_incomplete_operators():
+    incomplete = np.zeros((4, 4, 4), dtype=complex)
+    incomplete[0] = 0.5 * np.eye(4)
+    with pytest.raises(ValueError, match=r"kraus completeness violated: max\|sum M\^t M - 1\| = 7\.500e-01"):
+        lindblad_generators_from_kraus(incomplete, 1e-3)
+    with pytest.raises(ValueError, match=re.escape("expected a (4, 4, 4) stack, got shape (1, 4, 4)")):
+        lindblad_generators_from_kraus(0.5 * np.eye(4)[None], 1e-3)
+    not_finite = kraus_set_for_mode("A", 1e-3)
+    not_finite[1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match=r"kraus completeness violated: max\|sum M\^t M - 1\| = nan"):
+        lindblad_generators_from_kraus(not_finite, 1e-3)
 
 
-def test_kraus_set_operators_are_read_only_copies():
-    source = np.eye(4, dtype=complex)
-    kraus_set = KrausSet(operators=(source,))
-    with pytest.raises(ValueError):
-        kraus_set.operators[0][0, 0] = 2.0
-    source[0, 0] = 2.0
-    assert completeness_defect(kraus_set) == 0.0
+def test_completeness_defect_takes_any_stack():
+    assert completeness_defect(np.eye(4)[None]) == 0.0
+    assert completeness_defect(0.5 * np.eye(4)[None]) == 0.75
+    for mode in ("A", "B"):
+        stack = kraus_set_for_mode(mode, 0.5)
+        assert stack.shape == (4, 4, 4) and stack.dtype == complex
+        assert completeness_defect(stack) == completeness_defect(list(stack))
+
+
+def test_kraus_set_for_mode_returns_a_fresh_stack():
+    first = kraus_set_for_mode("B", 0.5)
+    first[:] = 0.0
+    assert completeness_defect(kraus_set_for_mode("B", 0.5)) < 1e-15
 
 
 def test_trotter_matches_sequential_channel_applications():
@@ -253,7 +266,7 @@ def test_trotter_matches_sequential_channel_applications():
         lam, t = float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, 0.4))
         n = int(rng.integers(1, 65))
         # Reference: n explicit applications of sum_k M_k rho M_k^dagger.
-        operators = kraus_set_for_mode(mode, lam * t / n).operators
+        operators = kraus_set_for_mode(mode, lam * t / n)
         stepped = rho
         for _ in range(n):
             stepped = sum(m @ stepped @ m.conj().T for m in operators)
@@ -303,7 +316,7 @@ def test_trotter_drift_beyond_its_budget_is_a_numerical_failure(monkeypatch):
 
 
 def step_map(mode, weight):
-    return superop.kraus_map(kraus_set_for_mode(mode, weight).operators)
+    return superop.kraus_map(kraus_set_for_mode(mode, weight))
 
 
 @settings(max_examples=300, deadline=None)
@@ -358,7 +371,7 @@ def test_trotter_matches_the_matrix_power_of_the_step_map(seed, rank, mode, weig
 def test_one_step_of_weight_one_minus_exp_is_the_closed_form(seed, rank, mode, lam, t):
     # With H = 0 the channel at time t is exactly one Kraus step of weight 1 - e^{-lam t}.
     rho = random_rank_state(np.random.default_rng(seed), rank)
-    operators = kraus_set_for_mode(mode, -np.expm1(-lam * t)).operators
+    operators = kraus_set_for_mode(mode, -np.expm1(-lam * t))
     stepped = sum(m @ rho @ m.conj().T for m in operators)
     assert np.abs(stepped - evolve(rho, DecoherenceSpec(mode=mode, lam=lam), t)).max() <= 1e-14
 
@@ -377,7 +390,7 @@ def test_trotter_matches_its_oracle_in_extended_precision(seed, rank, mode, lam,
     n = data.draw(st.integers(max(1, int(np.ceil(3.0 * lam * t / 4.0))), 2048), label="n")
     rho = random_rank_state(np.random.default_rng(seed), rank)
     wide = rho.astype(np.clongdouble)
-    dephased = sum(p.astype(np.clongdouble) @ wide @ p for p in projectors_for_mode(mode).projectors)
+    dephased = sum(p.astype(np.clongdouble) @ wide @ p for p in projectors_for_mode(mode))
     survival = (1 - np.longdouble(lam * t / n)) ** n
     oracle = dephased + survival * (wide - dephased)
     assert np.abs(trotter_evolve(rho, mode, lam, t, n) - oracle).max() <= 1e-15

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from spinpath.lindblad import (
     DecoherenceSpec,
-    ProjectorSet,
     SystemHamiltonian,
     evolve,
     integrate_master,
@@ -57,7 +56,7 @@ def exact_evolution(rho, spec, times):
     """The states exp(L t) rho of the 16x16 Liouvillian L, one per time."""
     generator = liouvillian(
         np.diag(np.array(spec.hamiltonian.energies, dtype=complex)),
-        kraus_map(projectors_for_mode(spec.mode).projectors),
+        kraus_map(projectors_for_mode(spec.mode)),
         spec.lam,
     )
     return np.stack([(taylor_expm(generator * t) @ rho.reshape(16)).reshape(4, 4) for t in times])
@@ -65,12 +64,12 @@ def exact_evolution(rho, spec, times):
 
 def damping(rho, mode, lam):
     """The Liouvillian's damping term at H = 0: -lam (rho - sum_k P_k rho P_k)."""
-    generator = liouvillian(np.zeros((4, 4)), kraus_map(projectors_for_mode(mode).projectors), lam)
+    generator = liouvillian(np.zeros((4, 4)), kraus_map(projectors_for_mode(mode)), lam)
     return apply(generator, rho)
 
 
 def test_projectors_mode_a_are_basis_projectors():
-    ps = projectors_for_mode("A").projectors
+    ps = projectors_for_mode("A")
     for i, p in enumerate(ps):
         expected = np.zeros((4, 4), dtype=complex)
         expected[i, i] = 1.0
@@ -78,7 +77,7 @@ def test_projectors_mode_a_are_basis_projectors():
 
 
 def test_projectors_mode_b_entries():
-    p1 = projectors_for_mode("B").projectors[0]
+    p1 = projectors_for_mode("B")[0]
     expected = np.zeros((4, 4), dtype=complex)
     for i in (0, 2):
         for j in (0, 2):
@@ -88,7 +87,7 @@ def test_projectors_mode_b_entries():
 
 def test_projectors_complete_and_idempotent():
     for mode in ("A", "B"):
-        ps = projectors_for_mode(mode).projectors
+        ps = projectors_for_mode(mode)
         total = sum(ps)
         assert np.abs(total - np.eye(4)).max() < 1e-12
         for p in ps:
@@ -98,28 +97,22 @@ def test_projectors_complete_and_idempotent():
         projectors_for_mode("C")
 
 
-def test_projector_set_projectors_are_read_only_copies():
-    source = [np.diag(row).astype(complex) for row in np.eye(4)]
-    projector_set = ProjectorSet(tuple(source))
-    with pytest.raises(ValueError):
-        projector_set.projectors[0][0, 0] = 2.0
-    source[0][0, 0] = 2.0
-    assert np.array_equal(sum(projector_set.projectors), np.eye(4))
-
-
 def test_projectors_for_mode_share_one_read_only_set():
     for mode in ("A", "B"):
         shared = projectors_for_mode(mode)
         assert projectors_for_mode(mode) is shared
-        for p in shared.projectors:
+        assert shared.shape == (4, 4, 4) and shared.dtype == complex
+        with pytest.raises(ValueError):
+            shared[0, 0, 0] = 2.0
+        for p in shared:
             with pytest.raises(ValueError):
                 p[0, 0] = 2.0
 
 
 def test_projectors_mode_b_is_spin_hadamard_rotation_of_mode_a():
     rotation = np.kron(HADAMARD, np.eye(2, dtype=complex))
-    rotated = [rotation @ p @ rotation.conj().T for p in projectors_for_mode("A").projectors]
-    actual = projectors_for_mode("B").projectors
+    rotated = [rotation @ p @ rotation.conj().T for p in projectors_for_mode("A")]
+    actual = projectors_for_mode("B")
     # The rotated family equals the mode-B family as a set.
     for r in rotated:
         assert min(np.abs(r - a).max() for a in actual) < 1e-12
@@ -456,7 +449,7 @@ def test_integrator_rejects_projectors_of_the_other_mode(mode, other):
 def test_integrator_rejects_projectors_of_neither_mode():
     # A complete set of orthogonal projectors, but onto a basis of neither mode.
     basis = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))[0]
-    projectors = ProjectorSet(tuple(np.outer(v, v) for v in basis.T))
+    projectors = np.array([np.outer(v, v) for v in basis.T])
     spec = DecoherenceSpec(mode="B", lam=1.0)
     with pytest.raises(ValueError, match=r"neither mode A's nor mode B's projectors, but spec.mode is 'B'"):
         integrate_master(experiment_initial(), projectors, spec, 1.0)
@@ -465,7 +458,7 @@ def test_integrator_rejects_projectors_of_neither_mode():
 @pytest.mark.parametrize("mode", ["A", "B"])
 def test_integrator_accepts_its_mode_projectors_in_any_order(mode):
     spec = DecoherenceSpec(mode=mode, lam=1.0)
-    shuffled = ProjectorSet(projectors_for_mode(mode).projectors[::-1])
+    shuffled = projectors_for_mode(mode)[::-1]
     numeric = integrate_master(experiment_initial(), shuffled, spec, 1.0, dt=1e-3)
     expected = integrate_master(experiment_initial(), projectors_for_mode(mode), spec, 1.0, dt=1e-3)
     assert np.abs(numeric - expected).max() < 1e-14
@@ -476,7 +469,7 @@ def rotated_projectors(mode, angle):
     """The mode's projectors conjugated by exp(i angle G), with G a fixed random state scaled to norm 1."""
     eigenvalues, vectors = np.linalg.eigh(random_state(np.random.default_rng(17)))
     u = (vectors * np.exp(1j * angle * eigenvalues / eigenvalues.max())) @ vectors.conj().T
-    return ProjectorSet(tuple(u @ p @ u.conj().T for p in projectors_for_mode(mode).projectors))
+    return np.array([u @ p @ u.conj().T for p in projectors_for_mode(mode)])
 
 
 @pytest.mark.parametrize("mode", ["A", "B"])
@@ -490,18 +483,49 @@ def test_integrator_accepts_its_mode_projectors_rotated_by_1e_14(mode):
 
 def coarser_projectors(mode):
     """{P1 + P2, P3, P4}: a valid complete family, but not the mode's."""
-    p = projectors_for_mode(mode).projectors
-    return ProjectorSet((p[0] + p[1], p[2], p[3]))
+    p = projectors_for_mode(mode)
+    return np.array([p[0] + p[1], p[2], p[3]])
+
+
+def non_hermitian_projectors(mode):
+    """The mode's projectors with |e1><e2| added to the first."""
+    p = projectors_for_mode(mode)
+    return np.concatenate(([p[0] + np.outer(np.eye(4)[0], np.eye(4)[1])], p[1:]))
+
+
+# Families that are not the mode's projector set, each with a dephasing map more than 1e-12 from the mode's.
+NOT_ITS_MODES = {
+    "rotated-1e-9": lambda mode: rotated_projectors(mode, 1e-9),
+    "coarser": coarser_projectors,
+    "halved": lambda mode: 0.5 * projectors_for_mode(mode),
+    "one-dropped": lambda mode: projectors_for_mode(mode)[1:],
+    "non-hermitian": non_hermitian_projectors,
+    "empty": lambda mode: projectors_for_mode(mode)[:0],
+}
 
 
 @pytest.mark.parametrize("mode", ["A", "B"])
-@pytest.mark.parametrize(
-    "family", [lambda mode: rotated_projectors(mode, 1e-9), coarser_projectors], ids=["rotated-1e-9", "coarser"]
-)
+@pytest.mark.parametrize("family", NOT_ITS_MODES.values(), ids=NOT_ITS_MODES.keys())
 def test_integrator_rejects_a_family_close_to_its_modes(mode, family):
     spec = DecoherenceSpec(mode=mode, lam=1.0)
     with pytest.raises(ValueError, match=rf"neither mode A's nor mode B's projectors, but spec.mode is '{mode}'"):
         integrate_master(experiment_initial(), family(mode), spec, 1.0)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (4, 3, 3), (2, 4, 4, 4)])
+def test_integrator_rejects_a_stack_of_the_wrong_shape(shape):
+    spec = DecoherenceSpec(mode="A", lam=1.0)
+    with pytest.raises(ValueError, match=re.escape(f"projectors must be a (k, 4, 4) stack, got shape {shape}")):
+        integrate_master(experiment_initial(), np.zeros(shape), spec, 1.0)
+
+
+@pytest.mark.parametrize("mode", ["A", "B"])
+def test_integrator_accepts_a_family_with_its_modes_dephasing_map(mode):
+    # e^{i phi} P_k is not a projector, but gives the same D and so the same Liouvillian.
+    spec = DecoherenceSpec(mode=mode, lam=1.0)
+    phased = np.exp(1j * np.array([0.3, -1.1, 2.0, 0.7]))[:, None, None] * projectors_for_mode(mode)
+    expected = integrate_master(experiment_initial(), projectors_for_mode(mode), spec, 1.0, dt=1e-3)
+    assert np.abs(integrate_master(experiment_initial(), phased, spec, 1.0, dt=1e-3) - expected).max() < 1e-14
 
 
 def test_integrator_lands_exactly_on_t():

@@ -123,6 +123,13 @@ def test_from_pure_rejects_unnormalized():
         from_pure(np.array([1.0, 1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "imag-nan"])
+def test_from_pure_rejects_non_finite_entries(bad):
+    # |nan - 1| > tol is False, so the norm test alone would let NaN through.
+    with pytest.raises(ValueError, match="pure state must be finite"):
+        from_pure(np.array([bad, 0.0, 0.0, 0.0]))
+
+
 def test_experiment_initial_matches_singlet_and_bell_diagonal():
     rho = experiment_initial()
     assert np.abs(rho - SINGLET_MATRIX).max() < 1e-15

@@ -42,7 +42,7 @@ def test_kraus_map_matches_operator_loop():
 def test_liouvillian_matches_master_equation_rhs():
     rng = np.random.default_rng(53)
     h, rho = random_hermitian(rng), random_hermitian(rng)
-    projectors = projectors_for_mode("B").projectors
+    projectors = projectors_for_mode("B")
     lam = 0.7
     pinched = sum(p @ rho @ p for p in projectors)
     expected = -1j * (h @ rho - rho @ h) - lam * (rho - pinched)
@@ -53,7 +53,7 @@ def test_liouvillian_matches_master_equation_rhs():
 def test_rk4_step_matches_four_stage_update():
     rng = np.random.default_rng(54)
     h, rho = random_hermitian(rng), random_hermitian(rng)
-    projectors = projectors_for_mode("B").projectors
+    projectors = projectors_for_mode("B")
     generator = superop.liouvillian(h, superop.kraus_map(projectors), 1.3)
 
     def rhs(x):
