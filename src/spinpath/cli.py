@@ -140,6 +140,9 @@ def _encode(o, newline: str) -> str:
                 if "n" in text:
                     text = separator.join(map(_float_text, o))
                 return "[" + inner + text + newline + "]"
+        elif type(o[0]) is int and set(map(type, o)) == {int}:
+            # So does a row of plain ints; a bool, whose int repr is 1, takes the call.
+            return "[" + inner + separator.join(map(_INT_REPR, o)) + newline + "]"
         return "[" + inner + separator.join([_encode(v, inner) for v in o]) + newline + "]"
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
@@ -387,9 +390,10 @@ _SUBCOMMANDS = (
 def build_parser() -> argparse.ArgumentParser:
     """The spinpath argument parser, built once per process.
 
-    ``parse_args`` returns a fresh namespace on every call and nothing
-    mutates the parser, so every ``main`` call shares this one.  The
-    handlers it binds look up their kernels at call time.
+    Every parse fills a fresh namespace and nothing mutates the parser,
+    so every ``main`` call shares this one, and parses a subcommand's
+    flags with that subcommand's parser within it.  The handlers it binds
+    look up their kernels at call time.
     """
     parser = _ArgumentParser(
         prog="spinpath",
@@ -406,7 +410,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # The top-level parser would hand every token after a subcommand's name
+    # on to that subcommand's parser unchanged, so a known name goes there
+    # directly, and leftovers fail with the top-level usage as they would.
+    (commands,) = parser._get_positional_actions()
+    subparser = commands.choices.get(argv[0]) if argv else None
+    if subparser is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
     try:
         _write_output(args.out, args.handler(args))
     except states.StateValidationError as exc:

@@ -40,8 +40,10 @@ class MeasureReport:
         if bad.any():
             raise ValueError(f"concurrence out of range [0, 1]: {float(concurrence[bad][0])!r}")
         roots = np.asarray(self.wootters_roots, dtype=float)
-        # Decreasing with the last one >= 0 means all are >= 0; a nan fails a difference.
-        if roots.shape[-1:] != (4,) or not ((np.diff(roots) <= 0).all() and (roots[..., 3] >= 0).all()):
+        # Decreasing with the last one >= 0 means all are >= 0; a nan fails a comparison.
+        if roots.shape[-1:] != (4,) or not (
+            (roots[..., 1:] <= roots[..., :-1]).all() and (roots[..., 3] >= 0).all()
+        ):
             raise ValueError("wootters_roots must be 4 nonnegative reals in decreasing order")
         if roots.ndim == 1:
             object.__setattr__(self, "wootters_roots", tuple(roots.tolist()))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinpath import cli, interferometer, lindblad, superop
@@ -983,6 +983,76 @@ def test_module_entry_point_matches_in_process_main(capsys):
     assert run(capsys, argv) == (0, fresh.stdout)
 
 
+# Argvs whose parse is easy to get wrong, then one valid argv per subcommand.
+PARSE_EDGES = {
+    "abbreviated-flag": ["evolve", "--lam", "1", "--mode", "A", "--time", "1"],
+    "flag-equals-value": ["evolve", "--mode=A", "--lambda", "1", "--time", "1"],
+    "exponent-number": ["evolve", "--mode", "B", "--lambda", "1", "--time", "0.1",
+                        "--energies", "0", "-1e3", "0", "0"],
+    "double-dash": EVOLVE_A + ["--", "x"],
+    "double-dash-first": ["evolve", "--", "--mode", "A"],
+    "unknown-flag": EVOLVE_A + ["--bogus"],
+    "unknown-flag-value": ["tomography", "--bogus=1", "--shots", "0", "--zap"],
+    "stray-positional": ["tomography", "--shots", "0", "extra"],
+    "missing-required": ["evolve", "--mode", "A"],
+    "bad-choice": ["evolve", "--mode", "Q", "--lambda", "1", "--time", "1"],
+    "bad-type": ["sweep", "--mode", "A", "--lambda", "1", "--time", "1", "--steps", "x"],
+    "empty": [],
+    "unknown-command": ["evolve2", "--mode", "A"],
+    "flag-before-command": ["--bogus", *EVOLVE_A],
+    "top-help": ["-h"],
+    "subcommand-help": ["sweep", "-h"],
+    "evolve": EVOLVE_A,
+    "sweep": ["sweep", "--mode", "B", "--lambda", "1", "--time", "1", "--steps", "5"],
+    "ensemble": ["ensemble", "--mode", "A", "--sigma", "0.5", "--samples", "100", "--seed", "2"],
+    "kraus-compare": ["kraus-compare", "--mode", "B", "--lambda", "1", "--time", "1", "--steps", "8"],
+    "tomography": ["tomography", "--shots", "100", "--seed", "3", "--initial", "bell2"],
+    "calibrate": ["calibrate", "--mode", "B", "--sigmas", "0", "0.5", "--samples", "100"],
+}
+
+
+@pytest.mark.parametrize("argv", PARSE_EDGES.values(), ids=PARSE_EDGES.keys())
+def test_main_parses_as_the_whole_argv_route_does(capsys, monkeypatch, argv):
+    # main hands a subcommand's flags straight to its parser; the whole-argv
+    # route parses them with the top-level parser first.  Both must agree.
+    seen = []
+    (commands,) = cli.build_parser()._get_positional_actions()
+    for subparser in commands.choices.values():
+        handler = subparser.get_default("handler")
+        spy = lambda args, handler=handler: seen.append(args) or handler(args)
+        monkeypatch.setitem(subparser._defaults, "handler", spy)
+
+    def whole_argv_route():
+        args = cli.build_parser().parse_args(argv)
+        sys.stdout.write(args.handler(args))
+        return 0
+
+    try:
+        expected = whole_argv_route()
+    except SystemExit as exc:
+        expected = exc.code
+    expected = (expected, *capsys.readouterr())
+    assert _outcome(capsys, argv) == expected
+    assert len(seen) in (0, 2)
+    if seen:
+        assert expected[0] == 0
+        assert vars(seen[1]) == vars(seen[0])
+        assert seen[1].command == argv[0]
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(EVOLVE_A, 0), (EVOLVE_A + ["--bogus"], 2)], ids=["valid", "unknown-flag"]
+)
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch, argv, code):
+    expected = _outcome(capsys, argv)
+    monkeypatch.setattr(sys, "argv", ["spinpath", *argv])
+    assert _outcome(capsys, None) == expected
+    assert expected[0] == code
+    if code:
+        assert expected[2].startswith("usage: spinpath [-h]\n")
+        assert expected[2].endswith("spinpath: error: unrecognized arguments: --bogus\n")
+
+
 JSON_FLOATS = st.one_of(
     st.floats(),
     st.floats(allow_subnormal=True, min_value=-1e-307, max_value=1e-307),
@@ -1006,6 +1076,7 @@ JSON_VALUES = st.recursive(
         st.lists(children, max_size=6),
         st.lists(children, max_size=6).map(tuple),
         st.lists(JSON_FLOATS, min_size=1, max_size=6),
+        st.lists(st.integers() | st.booleans(), min_size=1),
         st.dictionaries(JSON_KEYS, children, max_size=6),
     ),
     max_leaves=20,
@@ -1014,6 +1085,7 @@ JSON_VALUES = st.recursive(
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(st.dictionaries(JSON_KEYS, JSON_VALUES), st.lists(JSON_VALUES), JSON_VALUES))
+@example([1, True, 2])
 def test_dumps_writes_the_bytes_of_json_dumps_with_indent_2_and_sorted_keys(payload):
     assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

@@ -154,6 +154,8 @@ def test_measure_report_range_checks_cover_every_state():
         ("mixedness", 2, 0.2, "mixedness"),
         ("concurrence", 1, 1.1, "concurrence"),
         ("wootters_roots", 2, [0.0, 1.0, 0.0, 0.0], "wootters_roots"),
+        ("wootters_roots", 2, [1.0, np.nan, 0.0, 0.0], "wootters_roots"),
+        ("wootters_roots", 2, [1.0, 0.0, 0.0, -1e-3], "wootters_roots"),
     ):
         fields = {name: array.copy() for name, array in good.items()}
         fields[field][index] = value
@@ -161,6 +163,9 @@ def test_measure_report_range_checks_cover_every_state():
             MeasureReport(**fields)
         with pytest.raises(ValueError, match=message):
             MeasureReport(**{name: array[index] for name, array in fields.items()})
+    for roots in (0.5, [1.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="wootters_roots"):
+            MeasureReport(mixedness=1.0, concurrence=1.0, wootters_roots=roots)
 
 
 def ginibre_state(rng, rank):
