@@ -202,6 +202,19 @@ def _check_phases(spec: DecoherenceSpec, times: np.ndarray) -> None:
         raise ValueError(f"lam * t is not finite for lam {lam!r} at time {t_max!r}")
 
 
+def _evolve(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
+    """``evolve`` without the check of its output, for a caller whose next
+    kernel validates the state(s) it reads, as ``measure_report`` does.
+
+    The input state, the time(s) and the energy phases are checked here,
+    with ``evolve``'s messages, before the closed form runs.
+    """
+    rho0 = validate_density_matrix(rho0)
+    times = _times(t)
+    _check_phases(spec, times)
+    return _closed_form(rho0, spec, times)
+
+
 def evolve(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
     """Closed-form state(s) of the mode ``spec.mode``.
 
@@ -209,12 +222,10 @@ def evolve(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
     times, giving the (N, 4, 4) stack of states at those times.  The
     input and the output are validated here, once each; a time at which
     an energy phase or lam * t overflows is rejected before the closed
-    form runs.
+    form runs.  The CLI's ``evolve`` and ``sweep`` call ``_evolve`` and
+    leave the output's check to ``measure_report``.
     """
-    rho0 = validate_density_matrix(rho0)
-    times = _times(t)
-    _check_phases(spec, times)
-    return validate_density_matrix(_closed_form(rho0, spec, times))
+    return validate_density_matrix(_evolve(rho0, spec, t))
 
 
 def integrate_master(

@@ -9,7 +9,8 @@ import numpy as np
 from .pauli import SIGMA_Y
 from .states import BellWeights, validate_density_matrix
 
-_YY = np.kron(SIGMA_Y, SIGMA_Y)
+# sy (x) sy is anti-diagonal; its entry in row i, (-1, 1, 1, -1), as a column.
+_YY_SIGNS = np.fliplr(np.kron(SIGMA_Y, SIGMA_Y)).diagonal().real[:, None]
 _EYE = np.eye(4, dtype=complex)
 # A validated state has trace 1 and no eigenvalue below -1e-9, so det > 1e-12
 # leaves none negative and, as the other three multiply to at most 1/27, puts
@@ -75,10 +76,14 @@ def wootters_roots(rho: np.ndarray) -> np.ndarray:
     takes W = V sqrt(lambda) from ``eigh`` with negative eigenvalues clipped
     to 0, which keeps full precision on pure states.  Which route a state
     takes depends on that state alone.
+
+    sy (x) sy is anti-diagonal with entries (-1, 1, 1, -1), so W^T (sy (x) sy)
+    is the row-reversed W scaled by those signs and transposed: one product
+    fewer, and the same terms paired as (W^T (sy (x) sy)) W, bit for bit.
     """
     rho = validate_density_matrix(rho)
     w = _factor(rho)
-    tau = w.swapaxes(-2, -1) @ _YY @ w
+    tau = (_YY_SIGNS * w[..., ::-1, :]).swapaxes(-2, -1) @ w
     return np.linalg.svd(tau, compute_uv=False)
 
 
@@ -114,7 +119,8 @@ def measure_report(rho: np.ndarray) -> MeasureReport:
 
     A (4, 4) state gives a :class:`MeasureReport` of floats; an (N, 4, 4)
     stack gives one report of arrays over the stack.  The state is
-    validated once, by :func:`wootters_roots`.
+    validated once, by :func:`wootters_roots`; that is the only check the
+    CLI's ``evolve`` and ``sweep`` make of the states they produce.
     """
     rho = np.asarray(rho, dtype=complex)
     mu = wootters_roots(rho)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinpath import cli, interferometer, lindblad, superop
+from spinpath import cli, interferometer, lindblad, measures, superop
 from spinpath.cli import _dumps, main
 from spinpath.measures import measure_report
 from spinpath.pauli import SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -152,14 +152,14 @@ def test_sweep_zero_lambda_constant_rows(capsys):
 
 
 def test_sweep_evaluates_blocks_of_256_points(capsys, monkeypatch):
-    closed_form = lindblad.evolve
+    closed_form = lindblad._evolve
     sizes = []
 
     def counting_evolve(rho0, spec, t):
         sizes.append(np.size(t))
         return closed_form(rho0, spec, t)
 
-    monkeypatch.setattr(lindblad, "evolve", counting_evolve)
+    monkeypatch.setattr(lindblad, "_evolve", counting_evolve)
     energies = ["0", "0.3", "1", "0.2"]
     code, out = run(
         capsys,
@@ -176,6 +176,26 @@ def test_sweep_evaluates_blocks_of_256_points(capsys, monkeypatch):
         report = measure_report(closed_form(experiment_initial(), spec, float(t)))
         assert abs(row[1] - report.mixedness) <= 1e-11
         assert abs(row[2] - report.concurrence) <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "argv, blocks",
+    [(["evolve", "--mode", "B", "--lambda", "1", "--time", "0.5"], 1),
+     (["sweep", "--mode", "B", "--lambda", "1", "--time", "3", "--steps", "600"], 3)],
+    ids=["evolve", "sweep"],
+)
+def test_each_produced_state_is_validated_once_by_measure_report(capsys, monkeypatch, argv, blocks):
+    # lindblad checks the input once per closed-form call; measures checks what it produced.
+    calls = {"lindblad": 0, "measures": 0}
+    for module in (lindblad, measures):
+        def counting(rho, name=module.__name__.split(".")[-1], check=module.validate_density_matrix):
+            calls[name] += 1
+            return check(rho)
+
+        monkeypatch.setattr(module, "validate_density_matrix", counting)
+    code, _ = run(capsys, argv)
+    assert code == 0
+    assert calls == {"lindblad": blocks, "measures": blocks}
 
 
 @settings(max_examples=30, deadline=None)
@@ -880,15 +900,20 @@ def test_invalid_initial_matrix_exits_2(tmp_path, capsys, command):
         )
 
 
-def test_valid_file_state_with_an_invalid_produced_state_exits_4(tmp_path, capsys, monkeypatch):
+# A sweep produces stacks, so its message names the first bad state of the block.
+PRODUCED_VIOLATION = {"evolve": "trace violation", "sweep": "state 0: trace violation"}
+
+
+@pytest.mark.parametrize("command", sorted(PRODUCED_VIOLATION))
+def test_valid_file_state_with_an_invalid_produced_state_exits_4(tmp_path, capsys, monkeypatch, command):
     # The file state passes its check again, so the failure is the produced state's.
     source = tmp_path / "initial.json"
     source.write_text(json.dumps(matrix_to_json(experiment_initial())))
     closed_form = lindblad._closed_form
     monkeypatch.setattr(lindblad, "_closed_form", lambda *args: 1.1 * closed_form(*args))
-    code, out, err = _outcome(capsys, READS_INITIAL["evolve"] + ["--initial", str(source)])
+    code, out, err = _outcome(capsys, READS_INITIAL[command] + ["--initial", str(source)])
     assert (code, out) == (4, "")
-    assert err.startswith("error: produced state invalid: trace violation")
+    assert err.startswith("error: produced state invalid: " + PRODUCED_VIOLATION[command])
 
 
 def test_argparse_usage_error_is_exit_2():
@@ -1148,12 +1173,18 @@ def test_trotter_drift_beyond_its_budget_exits_3(capsys, monkeypatch):
     assert err.startswith("error: numerical failure: Trotter composition (n=")
 
 
-def test_invalid_produced_state_exits_4(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "command, argv",
+    [("evolve", ["evolve", "--mode", "A", "--lambda", "1", "--time", "0.5"]), ("sweep", READS_INITIAL["sweep"])],
+    ids=["evolve", "sweep"],
+)
+def test_invalid_produced_state_exits_4(capsys, monkeypatch, command, argv):
+    # measure_report is the one check of the produced states; its failure is exit 4.
     closed_form = lindblad._closed_form
     monkeypatch.setattr(lindblad, "_closed_form", lambda *args: 1.1 * closed_form(*args))
-    code, out, err = _outcome(capsys, ["evolve", "--mode", "A", "--lambda", "1", "--time", "0.5"])
+    code, out, err = _outcome(capsys, argv)
     assert (code, out) == (4, "")
-    assert err.startswith("error: produced state invalid: trace violation")
+    assert err.startswith("error: produced state invalid: " + PRODUCED_VIOLATION[command])
 
 
 def test_energies_that_are_not_finite_are_named(capsys):

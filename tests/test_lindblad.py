@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from spinpath.lindblad import (
     DecoherenceSpec,
     SystemHamiltonian,
+    _evolve,
     evolve,
     integrate_master,
     projectors_for_mode,
@@ -384,6 +385,43 @@ def test_evolve_time_stack_equals_per_time_calls(mode, lam, energies):
     assert stacked.shape == (times.size, 4, 4)
     per_time = np.stack([evolve(rho0, spec, float(t)) for t in times])
     assert np.abs(stacked - per_time).max() <= 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, 4),
+    spec=closed_form_specs(),
+    t=st.floats(min_value=0.0, max_value=3.0)
+    | st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=1, max_size=8).map(np.array),
+)
+def test_evolve_is_the_validated_private_closed_form(seed, rank, spec, t):
+    # The CLI hands _evolve's output to measure_report, which validates it as evolve would.
+    rho = random_rank_state(np.random.default_rng(seed), rank)
+    out = evolve(rho, spec, t)
+    private = validate_density_matrix(_evolve(rho, spec, t))
+    assert out.shape == private.shape == np.shape(t) + (4, 4)
+    assert out.tobytes() == private.tobytes()
+
+
+BAD_EVOLVE_CALLS = {
+    "state": (2.0 * experiment_initial(), DecoherenceSpec("A", 1.0), 0.5),
+    "negative-time": (experiment_initial(), DecoherenceSpec("B", 1.0), np.array([0.0, -0.1])),
+    "nan-time": (experiment_initial(), DecoherenceSpec("A", 1.0), np.nan),
+    "time-shape": (experiment_initial(), DecoherenceSpec("A", 1.0), np.zeros((2, 2))),
+    "energy-phase": (
+        experiment_initial(), DecoherenceSpec("B", 0.0, SystemHamiltonian((0.0, 0.0, 1e10, 0.0))), 1e300
+    ),
+    "coupling-time": (experiment_initial(), DecoherenceSpec("A", 1e307), 1e100),
+}
+
+
+@pytest.mark.parametrize("call", BAD_EVOLVE_CALLS.values(), ids=BAD_EVOLVE_CALLS.keys())
+def test_private_evolve_rejects_a_bad_input_with_evolves_message(call):
+    with pytest.raises(ValueError) as public:
+        evolve(*call)
+    with pytest.raises(type(public.value), match=f"^{re.escape(str(public.value))}$"):
+        _evolve(*call)
 
 
 def test_decoherence_spec_rejects_bad_inputs():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spinpath.measures import (
     MeasureReport,
+    _factor,
     concurrence,
     concurrence_bell_diagonal,
     measure_report,
@@ -20,6 +21,7 @@ from spinpath.states import (
     experiment_initial,
     from_pure,
     maximally_mixed,
+    validate_density_matrix,
 )
 
 
@@ -235,6 +237,25 @@ PROPERTY_STATES = st.one_of(
 @given(rho=PROPERTY_STATES)
 def test_wootters_roots_match_the_eigh_factor_route(rho):
     assert np.abs(wootters_roots(rho) - eigh_factor_roots(rho)).max() <= 1e-14
+
+
+def yy_product_roots(rho):
+    """The singular values of W^T @ kron(sy, sy) @ W, two products, for the factor W wootters_roots takes."""
+    w = _factor(validate_density_matrix(rho))
+    return np.linalg.svd(w.swapaxes(-2, -1) @ np.kron(SIGMA_Y, SIGMA_Y) @ w, compute_uv=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rho=PROPERTY_STATES
+    | st.builds(lambda seed, count: random_states(np.random.default_rng(seed), count), SEEDS, st.integers(1, 300))
+    | st.just(np.zeros((0, 4, 4), dtype=complex))
+)
+def test_wootters_roots_take_tau_bit_for_bit_as_the_sy_sy_product(rho):
+    # The anti-diagonal sy (x) sy enters as a signed row reversal of W.
+    roots = wootters_roots(rho)
+    assert roots.shape == rho.shape[:-2] + (4,)
+    assert roots.tobytes() == yy_product_roots(rho).tobytes()
 
 
 def test_wootters_roots_run_eigh_only_below_the_det_floor(monkeypatch):
