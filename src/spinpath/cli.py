@@ -224,11 +224,23 @@ def cmd_ensemble(args) -> str:
 
 
 def cmd_kraus_compare(args) -> str:
+    """Closed form against the Trotter composition at --steps n and, when
+    its weight passes, at n // 2, with the fitted convergence order.
+
+    ``lindblad._evolve`` checks the input state once; ``kraus._trotter_evolve``
+    runs on that state, and one check of the stack of produced states
+    follows, so a bad one is named ``state 0`` (closed form), ``state 1``
+    (n steps) or ``state 2`` (n // 2 steps) before anything is written.
+    """
     rho0 = _initial_state(args)
     spec = lindblad.DecoherenceSpec(mode=args.mode, lam=args.lam)
-    analytic = lindblad.evolve(rho0, spec, args.time)
-    approx = kraus.trotter_evolve(rho0, args.mode, args.lam, args.time, args.steps)
-    error = float(np.abs(approx - analytic).max())
+    analytic = lindblad._evolve(rho0, spec, args.time)
+    produced = [analytic, kraus._trotter_evolve(rho0, args.mode, args.lam, args.time, args.steps)]
+    half = args.steps // 2
+    if half and args.lam * args.time / half <= kraus.MAX_WEIGHT:
+        produced.append(kraus._trotter_evolve(rho0, args.mode, args.lam, args.time, half))
+    states.validate_density_matrix(np.stack(produced))
+    error = float(np.abs(produced[1] - analytic).max())
     payload = {
         "mode": args.mode,
         "lambda": args.lam,
@@ -238,10 +250,8 @@ def cmd_kraus_compare(args) -> str:
         "max_error_half_steps": None,
         "convergence_order": None,
     }
-    half = args.steps // 2
-    if half and args.lam * args.time / half <= kraus.MAX_WEIGHT:
-        approx_half = kraus.trotter_evolve(rho0, args.mode, args.lam, args.time, half)
-        error_half = float(np.abs(approx_half - analytic).max())
+    if len(produced) == 3:
+        error_half = float(np.abs(produced[2] - analytic).max())
         payload["max_error_half_steps"] = error_half
         if error > 0.0 and error_half > 0.0:
             payload["convergence_order"] = float(

@@ -31,6 +31,8 @@ from .states import validate_density_matrix
 
 MAX_WEIGHT = 4.0 / 3.0
 _COMPLETENESS_TOL = 1e-12
+# Least normal float, the least step duration lindblad_generators_from_kraus takes.
+_MIN_DT = float(np.finfo(float).tiny)
 
 
 def completeness_defect(operators) -> float:
@@ -92,26 +94,16 @@ def kraus_set_for_mode(mode: str, weight: float) -> np.ndarray:
     return np.concatenate(([np.sqrt(1.0 - 3.0 * w / 4.0) * ID4], np.sqrt(w / 4.0) * _JUMPS[mode]))
 
 
-def trotter_evolve(rho0: np.ndarray, mode: str, lam: float, t: float, n: int) -> np.ndarray:
-    """n-fold composition of the per-step map with weight w = lam*t/n.
+def _trotter_evolve(rho: np.ndarray, mode: str, lam: float, t: float, n: int) -> np.ndarray:
+    """``trotter_evolve`` of a state already validated, without the check of
+    its output, for a caller that validates what it produced in one stack,
+    as the CLI's ``kraus-compare`` does.
 
-    The weight is checked per step as in ``kraus_set_for_mode``; a weight
-    above 4/3 is rejected naming n and the fewest steps whose weight
-    passes.  The n steps are then applied as the one step of weight
-    W = 1 - (1 - w)^n (see the module docstring), (1 - W) * rho + W * T rho
-    with the mode's twirl T, where W is computed as -expm1(n * log1p(-w))
-    for w < 1 and by the power for w >= 1, so rounding does not grow with
-    n.  Hermiticity and trace drift are checked against a fixed budget of
-    1e-9; within it the result is re-Hermitized and renormalized to the
-    input's trace (the map preserves it) before validation.
-
-    Raises:
-        ValueError: for a bad state, step count, coupling, time or mode,
-            or when lam * t is not finite.
-        numpy.linalg.LinAlgError: when the drift exceeds the budget,
-            naming n.
+    ``rho`` must be a state as ``validate_density_matrix`` returns it.  The
+    step count, coupling, time, their product, the step weight and the
+    mode are checked here with ``trotter_evolve``'s messages, and the drift
+    against its 1e-9 budget; the settled state is returned unchecked.
     """
-    rho = validate_density_matrix(rho0)
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"step count must be a positive integer, got {n!r}")
     if not (np.isfinite(lam) and lam >= 0.0):
@@ -132,7 +124,32 @@ def trotter_evolve(rho0: np.ndarray, mode: str, lam: float, t: float, n: int) ->
     total = -np.expm1(n * np.log1p(-w)) if w < 1.0 else 1.0 - (1.0 - w) ** n
     out = (1.0 - total) * rho + total * superop.apply(_TWIRL[mode], rho)
     trace = float(np.trace(rho).real)
-    return validate_density_matrix(superop.settle(out, 1e-9, f"Trotter composition (n={n})", trace))
+    return superop.settle(out, 1e-9, f"Trotter composition (n={n})", trace)
+
+
+def trotter_evolve(rho0: np.ndarray, mode: str, lam: float, t: float, n: int) -> np.ndarray:
+    """n-fold composition of the per-step map with weight w = lam*t/n.
+
+    The weight is checked per step as in ``kraus_set_for_mode``; a weight
+    above 4/3 is rejected naming n and the fewest steps whose weight
+    passes.  The n steps are then applied as the one step of weight
+    W = 1 - (1 - w)^n (see the module docstring), (1 - W) * rho + W * T rho
+    with the mode's twirl T, where W is computed as -expm1(n * log1p(-w))
+    for w < 1 and by the power for w >= 1, so rounding does not grow with
+    n.  Hermiticity and trace drift are checked against a fixed budget of
+    1e-9; within it the result is re-Hermitized and renormalized to the
+    input's trace (the map preserves it).  The input and the output are
+    validated here, once each, around ``_trotter_evolve``; the CLI's
+    ``kraus-compare`` calls that directly and checks its produced states
+    together.
+
+    Raises:
+        ValueError: for a bad state, step count, coupling, time or mode,
+            or when lam * t is not finite.
+        numpy.linalg.LinAlgError: when the drift exceeds the budget,
+            naming n.
+    """
+    return validate_density_matrix(_trotter_evolve(validate_density_matrix(rho0), mode, lam, t, n))
 
 
 def lindblad_generators_from_kraus(operators: np.ndarray, dt: float) -> tuple[list[np.ndarray], float]:
@@ -148,13 +165,19 @@ def lindblad_generators_from_kraus(operators: np.ndarray, dt: float) -> tuple[li
     ``kraus_set_for_mode`` returns; its completeness sum M^dagger M = 1 is
     checked here to 1e-12.  Only the four-operator structure above
     (identity leader plus unitary-proportional companions) is supported.
+    The three Gram matrices A_k^dagger A_k are formed as one stacked
+    product and tested together, and their sum is taken in the order
+    A_1, A_2, A_3.  Completeness bounds each Gram matrix by about 1/dt, so
+    a normal dt keeps them finite; a subnormal dt, which would overflow
+    them, is rejected.
 
     Raises:
-        ValueError: for a bad dt, a stack of another shape, an incomplete
-            stack, or one of another structure.
+        ValueError: for a dt that is not finite or is below the least
+            normal float, a stack of another shape, an incomplete stack,
+            or one of another structure.
     """
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"step duration dt must be finite and positive, got {dt!r}")
+    if not (np.isfinite(dt) and dt >= _MIN_DT):  # a subnormal dt would overflow the Gram matrices
+        raise ValueError(f"step duration dt must be finite and normal (at least {_MIN_DT!r}), got {dt!r}")
     operators = np.asarray(operators, dtype=complex)
     if operators.shape != (4, 4, 4):
         raise ValueError(f"unsupported kraus set: expected a (4, 4, 4) stack, got shape {operators.shape}")
@@ -165,16 +188,12 @@ def lindblad_generators_from_kraus(operators: np.ndarray, dt: float) -> tuple[li
     scale = leader[0, 0]
     if abs(scale.imag) > 1e-12 or scale.real <= 0.0 or np.abs(leader - scale * ID4).max() > 1e-12:
         raise ValueError("unsupported kraus set: leading operator is not a positive multiple of the identity")
-    generators = []
-    correction = np.zeros((4, 4), dtype=complex)
-    for op in operators[1:]:
-        gen = op / np.sqrt(dt)
-        gram = gen.conj().T @ gen
-        g = gram[0, 0]
-        if np.abs(gram - g * ID4).max() > 1e-12 * max(1.0, abs(g)):
-            raise ValueError("unsupported kraus set: jump operator is not unitary-proportional")
-        generators.append(gen)
-        correction += gram
+    generators = operators[1:] / np.sqrt(dt)
+    grams = generators.conj().swapaxes(-2, -1) @ generators
+    g = grams[:, 0, 0]
+    defect = np.abs(grams - g[:, None, None] * ID4).max(axis=(1, 2))
+    if not (defect <= 1e-12 * np.maximum(1.0, np.abs(g))).all():  # also when an entry is nan
+        raise ValueError("unsupported kraus set: jump operator is not unitary-proportional")
+    correction = grams.sum(axis=0)
     residual = float(np.abs(leader - (ID4 - 0.5 * dt * correction)).max())
-    return generators, residual
-
+    return list(generators), residual

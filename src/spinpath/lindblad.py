@@ -49,7 +49,7 @@ class SystemHamiltonian:
         energies = tuple(float(e) for e in self.energies)
         if len(energies) != 4:
             raise ValueError(f"expected 4 energies, got {len(energies)}")
-        if not all(np.isfinite(energies)):
+        if not all(map(math.isfinite, energies)):
             raise ValueError(f"energies must be finite, got {energies}")
         object.__setattr__(self, "energies", energies)
 
@@ -203,8 +203,9 @@ def _check_phases(spec: DecoherenceSpec, times: np.ndarray) -> None:
 
 
 def _evolve(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
-    """``evolve`` without the check of its output, for a caller whose next
-    kernel validates the state(s) it reads, as ``measure_report`` does.
+    """``evolve`` without the check of its output, for a caller that
+    validates the state(s) later, as ``measure_report`` does, or in one
+    stack with other produced states, as the CLI's ``kraus-compare`` does.
 
     The input state, the time(s) and the energy phases are checked here,
     with ``evolve``'s messages, before the closed form runs.
@@ -223,7 +224,8 @@ def evolve(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
     input and the output are validated here, once each; a time at which
     an energy phase or lam * t overflows is rejected before the closed
     form runs.  The CLI's ``evolve`` and ``sweep`` call ``_evolve`` and
-    leave the output's check to ``measure_report``.
+    leave the output's check to ``measure_report``; ``kraus-compare``
+    checks it in one stack with its Trotter states.
     """
     return validate_density_matrix(_evolve(rho0, spec, t))
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinpath import cli, interferometer, lindblad, measures, superop
+from spinpath import cli, interferometer, kraus, lindblad, measures, states, superop
 from spinpath.cli import _dumps, main
 from spinpath.measures import measure_report
 from spinpath.pauli import SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -901,7 +901,11 @@ def test_invalid_initial_matrix_exits_2(tmp_path, capsys, command):
 
 
 # A sweep produces stacks, so its message names the first bad state of the block.
-PRODUCED_VIOLATION = {"evolve": "trace violation", "sweep": "state 0: trace violation"}
+PRODUCED_VIOLATION = {
+    "evolve": "trace violation",
+    "sweep": "state 0: trace violation",
+    "kraus-compare": "state 0: trace violation",
+}
 
 
 @pytest.mark.parametrize("command", sorted(PRODUCED_VIOLATION))
@@ -914,6 +918,93 @@ def test_valid_file_state_with_an_invalid_produced_state_exits_4(tmp_path, capsy
     code, out, err = _outcome(capsys, READS_INITIAL[command] + ["--initial", str(source)])
     assert (code, out) == (4, "")
     assert err.startswith("error: produced state invalid: " + PRODUCED_VIOLATION[command])
+
+
+@pytest.mark.parametrize("bad_steps, index", [(4, 1), (2, 2)], ids=["n", "half"])
+def test_kraus_compare_names_a_bad_trotter_state_by_its_index(tmp_path, capsys, monkeypatch, bad_steps, index):
+    # The closed form is state 0 of the checked stack, n steps state 1 and n // 2 steps state 2.
+    source = tmp_path / "initial.json"
+    source.write_text(json.dumps(matrix_to_json(experiment_initial())))
+    trotter = kraus._trotter_evolve
+    monkeypatch.setattr(
+        kraus, "_trotter_evolve",
+        lambda rho, mode, lam, t, n: (1.1 if n == bad_steps else 1.0) * trotter(rho, mode, lam, t, n),
+    )
+    code, out, err = _outcome(capsys, READS_INITIAL["kraus-compare"] + ["--initial", str(source)])
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error: produced state invalid: state {index}: trace violation")
+
+
+@pytest.mark.parametrize(
+    "steps, shapes", [("64", [(4, 4), (3, 4, 4)]), ("1", [(4, 4), (2, 4, 4)])], ids=["n-and-half", "n-only"]
+)
+def test_kraus_compare_checks_its_input_once_and_its_produced_states_in_one_stack(
+    capsys, monkeypatch, steps, shapes
+):
+    seen = []
+    for module in (states, lindblad, kraus):
+        def spy(m, check=module.validate_density_matrix):
+            seen.append(np.shape(m))
+            return check(m)
+
+        monkeypatch.setattr(module, "validate_density_matrix", spy)
+    argv = ["kraus-compare", "--mode", "B", "--lambda", "1", "--time", "0.5", "--steps", steps]
+    code, _ = run(capsys, argv)
+    assert code == 0
+    assert seen == shapes
+
+
+def _random_rank_state(seed, rank):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = g @ g.conj().T
+    rho = rho / np.trace(rho).real
+    return (rho + rho.conj().T) / 2.0
+
+
+def _kraus_compare_recipe(rho0, mode, lam, t, n):
+    """kraus-compare's stdout as public evolve plus two public trotter_evolve calls make it."""
+    analytic = lindblad.evolve(rho0, lindblad.DecoherenceSpec(mode=mode, lam=lam), t)
+    approx = kraus.trotter_evolve(rho0, mode, lam, t, n)
+    error = float(np.abs(approx - analytic).max())
+    payload = {"mode": mode, "lambda": lam, "time": t, "steps": n, "max_error": error,
+               "max_error_half_steps": None, "convergence_order": None}
+    half = n // 2
+    if half and lam * t / half <= kraus.MAX_WEIGHT:
+        error_half = float(np.abs(kraus.trotter_evolve(rho0, mode, lam, t, half) - analytic).max())
+        payload["max_error_half_steps"] = error_half
+        if error > 0.0 and error_half > 0.0:
+            payload["convergence_order"] = float(np.log(error_half / error) / np.log(n / half))
+    return _dumps(payload)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, 4),
+    mode=st.sampled_from(["A", "B"]),
+    n=st.one_of(st.integers(1, 4096), st.sampled_from([1, 2, 3, 5, 4095, 4096])),
+    weight=st.one_of(st.floats(0.0, 4.0 / 3.0), st.sampled_from([0.0, 2.0 / 3.0, 1.0, 4.0 / 3.0])),
+    lam=st.one_of(st.floats(0.01, 10.0), st.sampled_from([0.0, 1.0])),
+)
+@example(seed=0, rank=1, mode="B", n=1, weight=0.5, lam=1.0)  # no n // 2 run
+@example(seed=1, rank=2, mode="B", n=3, weight=1.0, lam=2.0)  # the n // 2 weight exceeds 4/3
+@example(seed=2, rank=4, mode="A", n=8, weight=0.25, lam=0.0)  # both errors 0: no order
+def test_kraus_compare_is_the_public_recipe_bit_for_bit(tmp_path_factory, seed, rank, mode, n, weight, lam):
+    source = tmp_path_factory.getbasetemp() / "kraus-compare-initial.json"
+    source.write_text(json.dumps(matrix_to_json(_random_rank_state(seed, rank))))
+    t = weight * n / lam if lam else 1.0
+    argv = ["kraus-compare", "--mode", mode, "--lambda", repr(lam), "--time", repr(t),
+            "--steps", str(n), "--initial", str(source)]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    rho0 = matrix_from_json(json.loads(source.read_text()))
+    try:
+        expected = (0, _kraus_compare_recipe(rho0, mode, lam, t, n))
+    except ValueError:  # lam * t / n rounded past 4/3
+        expected = (2, "")
+    assert (code, out.getvalue()) == expected
 
 
 def test_argparse_usage_error_is_exit_2():

@@ -1,5 +1,7 @@
+import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from spinpath.kraus import (
     trotter_evolve,
 )
 from spinpath.lindblad import DecoherenceSpec, evolve, projectors_for_mode
-from spinpath.states import bell_state, experiment_initial, from_pure, maximally_mixed
+from spinpath.pauli import ID4
+from spinpath.states import bell_state, experiment_initial, from_pure, maximally_mixed, validate_density_matrix
 
 
 def random_state(rng):
@@ -228,6 +231,105 @@ def test_generator_recovery_rejects_foreign_sets():
     for dt in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="step duration dt"):
             lindblad_generators_from_kraus(kraus_set_for_mode("A", 1e-3), dt)
+
+
+def test_generator_recovery_rejects_a_subnormal_dt():
+    # At a subnormal dt the Gram matrices (w/4)/dt overflow; dt is rejected
+    # before any of them is formed, and no RuntimeWarning is raised.
+    operators = kraus_set_for_mode("A", 0.5)
+    message = r"step duration dt must be finite and normal \(at least 2\.2250738585072014e-308\), got "
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dt in (1e-310, 5e-324):
+            with pytest.raises(ValueError, match=message + re.escape(repr(dt))):
+                lindblad_generators_from_kraus(operators, dt)
+        for dt in (1e-300, np.finfo(float).tiny):
+            generators, residual = lindblad_generators_from_kraus(operators, dt)
+            assert all(np.isfinite(gen).all() for gen in generators)
+            assert math.isfinite(residual) and abs(residual - 0.0219) < 1e-4
+
+
+def _generators_one_jump_at_a_time(operators, dt):
+    """The extraction as a loop over the three jumps: the reference the batched form must match."""
+    operators = np.asarray(operators, dtype=complex)
+    leader = operators[0]
+    scale = leader[0, 0]
+    if abs(scale.imag) > 1e-12 or scale.real <= 0.0 or np.abs(leader - scale * ID4).max() > 1e-12:
+        raise ValueError("unsupported kraus set: leading operator is not a positive multiple of the identity")
+    generators = []
+    correction = np.zeros((4, 4), dtype=complex)
+    for op in operators[1:]:
+        gen = op / np.sqrt(dt)
+        gram = gen.conj().T @ gen
+        g = gram[0, 0]
+        if not np.abs(gram - g * ID4).max() <= 1e-12 * max(1.0, abs(g)):
+            raise ValueError("unsupported kraus set: jump operator is not unitary-proportional")
+        generators.append(gen)
+        correction += gram
+    return generators, float(np.abs(leader - (ID4 - 0.5 * dt * correction)).max())
+
+
+def _random_unitary(rng):
+    q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["A", "B"]),
+    weight=st.one_of(st.floats(0.0, 4.0 / 3.0), st.sampled_from([0.0, 1e-12, 4.0 / 3.0])),
+    dt=st.one_of(st.floats(np.finfo(float).tiny, 10.0), st.sampled_from([np.finfo(float).tiny, 1e-300, 1e-3])),
+    rotate=st.booleans(),
+    skew=st.sampled_from([0.0, 1e-13, 5e-12, 1e-9]),
+)
+def test_batched_extraction_is_the_one_jump_loop_bit_for_bit(seed, mode, weight, dt, rotate, skew):
+    # A unitary U_k on the left of each jump keeps its Gram matrix and the
+    # stack's completeness; a skew of the last jump makes it not unitary-proportional.
+    rng = np.random.default_rng(seed)
+    operators = kraus_set_for_mode(mode, weight)
+    if rotate:
+        operators[1:] = np.array([_random_unitary(rng) for _ in range(3)]) @ operators[1:]
+    operators[3, 0, 1] += skew * operators[3, 0, 0]
+    try:
+        expected = _generators_one_jump_at_a_time(operators, dt)
+    except ValueError as exc:
+        expected = str(exc)
+    try:
+        got = lindblad_generators_from_kraus(operators, dt)
+    except ValueError as exc:
+        if "completeness" in str(exc):  # a skew large enough to break completeness first
+            assert skew > 0.0
+            return
+        got = str(exc)
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected
+        return
+    assert len(got[0]) == 3
+    for gen, ref in zip(got[0], expected[0]):
+        assert gen.tobytes() == ref.tobytes()
+    assert repr(got[1]) == repr(expected[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, 4),
+    mode=st.sampled_from(["A", "B"]),
+    n=st.one_of(st.integers(1, 4096), st.sampled_from([1, 3, 4095, 4096])),
+    weight=st.one_of(st.floats(0.0, 4.0 / 3.0), st.sampled_from([0.0, 1.0, 4.0 / 3.0])),
+    lam=st.floats(0.01, 10.0),
+)
+def test_trotter_evolve_is_the_private_core_between_two_checks(seed, rank, mode, n, weight, lam):
+    rho = random_rank_state(np.random.default_rng(seed), rank)
+    t = weight * n / lam
+    try:
+        expected = validate_density_matrix(kraus._trotter_evolve(validate_density_matrix(rho), mode, lam, t, n))
+    except ValueError as exc:  # lam * t / n rounded past 4/3
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            trotter_evolve(rho, mode, lam, t, n)
+        return
+    assert trotter_evolve(rho, mode, lam, t, n).tobytes() == expected.tobytes()
 
 
 def test_generator_recovery_rejects_incomplete_operators():
