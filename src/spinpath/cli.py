@@ -34,6 +34,7 @@ import numpy as np
 
 from . import interferometer, kraus, lindblad, states, tomography
 from .measures import measure_report
+from .pauli import MODE_AXES
 
 _NAMED_INITIALS = {
     "singlet": states.experiment_initial,
@@ -360,7 +361,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 # Every flag's add_argument keywords, shared by each subcommand that takes the flag.
 _FLAGS = {
-    "--mode": dict(required=True, choices=("A", "B")),
+    "--mode": dict(required=True, choices=tuple(MODE_AXES)),
     "--lambda": dict(dest="lam", type=float, required=True),
     "--time": dict(type=float, required=True),
     "--steps": dict(type=int, required=True),

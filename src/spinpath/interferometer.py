@@ -40,7 +40,7 @@ from functools import cache, reduce
 import numpy as np
 
 from . import superop
-from .pauli import ID2, SIGMA_X, SIGMA_Z, spin_path
+from .pauli import ID2, PATH_I, PATH_II, SIGMA_X, SIGMA_Z, check_mode, spin_path_stack
 from .states import matrix_to_json, validate_density_matrix
 
 # Every field layout: (mode, variant) -> (rotations, lambda t / sigma^2).
@@ -76,8 +76,7 @@ class FieldSetup:
     variant: str = "both_paths_independent"
 
     def __post_init__(self):
-        if self.mode not in ("A", "B"):
-            raise ValueError(f"mode must be 'A' or 'B', got {self.mode!r}")
+        check_mode(self.mode)
         if not (np.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
         if not np.isfinite(self.sigma * self.sigma):
@@ -127,7 +126,7 @@ class EnsembleEstimate:
 # A rotation about spin axis s on the paths selected by projector P has
 # G_{+1} = (1 + s)/2 (x) P, G_{-1} = (1 - s)/2 (x) P and G_0 = 1 (x) (1 - P).
 
-_PATHS = {"I": np.diag([1.0, 0.0]), "II": np.diag([0.0, 1.0]), "both": ID2}
+_PATHS = {"I": PATH_I, "II": PATH_II, "both": ID2}
 _ORDERS = np.array([1, -1, 0])
 
 
@@ -138,13 +137,11 @@ def _harmonics(axis: str, path: str):
     Cached, so the returned array is read-only.
     """
     here, spin = _PATHS[path], _AXES[axis]
-    operators = np.array([
-        spin_path((ID2 + spin) / 2.0, here),
-        spin_path((ID2 - spin) / 2.0, here),
-        spin_path(ID2, ID2 - here),
+    return spin_path_stack([
+        ((ID2 + spin) / 2.0, here),
+        ((ID2 - spin) / 2.0, here),
+        (ID2, ID2 - here),
     ])
-    operators.flags.writeable = False
-    return operators
 
 
 _GAPS = np.subtract.outer(_ORDERS, _ORDERS).ravel() ** 2

@@ -1,10 +1,10 @@
 """Discrete Kraus maps matching the two decoherence modes.
 
 Each mode has a four-operator set parametrized by a step weight
-w = lam * t (valid for 0 <= w <= 4/3):
+w = lam * t (valid for 0 <= w <= 4/3) and built from the mode's spin
+axis s (``pauli.MODE_AXES``: sz for mode A, sx for mode B):
 
-    mode A: sqrt(1 - 3w/4) * 1,  sqrt(w/4) * {1 (x) sz, sz (x) 1, sz (x) sz}
-    mode B: sqrt(1 - 3w/4) * 1,  sqrt(w/4) * {1 (x) sz, sx (x) 1, sx (x) sz}
+    sqrt(1 - 3w/4) * 1,  sqrt(w/4) * {1 (x) sz, s (x) 1, s (x) sz}
 
 With J_0 = 1 and J_1..J_3 the jump operators, the step map is
 (1 - w) * 1 + w * T with T = 1/4 sum_k J_k (x) J_k^*, the 16x16 twirl
@@ -14,9 +14,9 @@ group up to sign, so T is a projector and weights compose as
 W = 1 - (1 - w)^n, which ``trotter_evolve`` applies as (1 - W) * 1 + W * T.
 The n-fold composition with per-step weight lam*t/n converges to the
 continuous-time solution at first order in 1/n, which the test suite
-cross-checks.  T is also the projector dephasing sum_k P_k (x) P_k^* of
-the master equation's mode, which :mod:`spinpath.lindblad` builds from
-its own projectors.
+cross-checks.  T is also, bit for bit, the projector dephasing
+sum_k P_k (x) P_k^* of the master equation's mode, which
+:mod:`spinpath.lindblad` builds from its own projectors.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from . import superop
-from .pauli import ID2, ID4, SIGMA_X, SIGMA_Z, spin_path
+from .pauli import ID2, ID4, MODE_AXES, SIGMA_Z, check_mode, spin_path_stack
 from .states import validate_density_matrix
 
 MAX_WEIGHT = 4.0 / 3.0
@@ -67,18 +67,8 @@ def _fewest_steps(lam_t: float) -> int:
     return int(n)
 
 
-def _jumps(*factors) -> np.ndarray:
-    """Read-only (3, 4, 4) stack of the jump operators spin (x) path."""
-    jumps = np.array([spin_path(spin, path) for spin, path in factors])
-    jumps.flags.writeable = False
-    return jumps
-
-
-# Each mode's three jump operators, the companions of the identity.
-_JUMPS = {
-    "A": _jumps((ID2, SIGMA_Z), (SIGMA_Z, ID2), (SIGMA_Z, SIGMA_Z)),
-    "B": _jumps((ID2, SIGMA_Z), (SIGMA_X, ID2), (SIGMA_X, SIGMA_Z)),
-}
+# Each mode's three jump operators 1 (x) sz, s (x) 1 and s (x) sz, the companions of the identity.
+_JUMPS = {mode: spin_path_stack([(ID2, SIGMA_Z), (s, ID2), (s, SIGMA_Z)]) for mode, s in MODE_AXES.items()}
 
 # Each mode's twirl T = 1/4 sum_k J_k (x) J_k^* over {1, J_1, J_2, J_3}, the
 # step map of weight 1, as the read-only Kraus map of those operators / 2.
@@ -88,8 +78,7 @@ _TWIRL = {mode: superop.kraus_map(np.concatenate(([ID4], jumps)) / 2.0) for mode
 def kraus_set_for_mode(mode: str, weight: float) -> np.ndarray:
     """Step map of ``mode`` with weight w, as a fresh (4, 4, 4) stack of Kraus
     operators [sqrt(1 - 3w/4) * 1, sqrt(w/4) * J_1, sqrt(w/4) * J_2, sqrt(w/4) * J_3]."""
-    if mode not in _JUMPS:
-        raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
+    check_mode(mode)
     w = _check_weight(weight)
     return np.concatenate(([np.sqrt(1.0 - 3.0 * w / 4.0) * ID4], np.sqrt(w / 4.0) * _JUMPS[mode]))
 
@@ -119,8 +108,7 @@ def _trotter_evolve(rho: np.ndarray, mode: str, lam: float, t: float, n: int) ->
             f"step weight lam * t / n = {w!r} exceeds 4/3 at n = {n}; "
             f"the fewest steps whose weight passes is n = {_fewest_steps(lam_t)}"
         )
-    if mode not in _TWIRL:
-        raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
+    check_mode(mode)
     total = -np.expm1(n * np.log1p(-w)) if w < 1.0 else 1.0 - (1.0 - w) ** n
     out = (1.0 - total) * rho + total * superop.apply(_TWIRL[mode], rho)
     trace = float(np.trace(rho).real)

@@ -6,12 +6,13 @@ The equation of motion is
     -- rho = -i [H, rho] - lam * (rho - sum_k P_k rho P_k)
     dt
 
-with H diagonal in the product basis and {P_k} a complete family of
-orthogonal rank-1 projectors.  Two families are supported:
+with H diagonal in the product basis and {P_k} the four rank-1
+projectors (1 +/- s)/2 (x) |p><p| of a mode's spin axis s
+(``pauli.MODE_AXES``) on the paths p = I, II:
 
-* mode A: projectors onto the product basis vectors themselves, which
-  purely dephases off-diagonal elements;
-* mode B: projectors onto the states (e1 +/- e3)/sqrt(2) and
+* mode A, s = sz: projectors onto the product basis vectors themselves,
+  which purely dephases off-diagonal elements;
+* mode B, s = sx: projectors onto the states (e1 +/- e3)/sqrt(2) and
   (e2 +/- e4)/sqrt(2), i.e. the product basis rotated by a Hadamard on
   the spin factor.  This additionally mixes populations pairwise.
 
@@ -34,9 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import superop
+from .pauli import ID2, MODE_AXES, PATH_I, PATH_II, check_mode, spin_path_stack
 from .states import validate_density_matrix
-
-_MODES = ("A", "B")
 
 
 @dataclass(frozen=True)
@@ -70,31 +70,23 @@ class DecoherenceSpec:
     hamiltonian: SystemHamiltonian = field(default_factory=SystemHamiltonian.degenerate)
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be 'A' or 'B', got {self.mode!r}")
+        check_mode(self.mode)
         if not (np.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError(f"coupling strength must be finite and nonnegative, got {self.lam!r}")
 
 
-def _projectors(vectors) -> np.ndarray:
-    """Read-only (4, 4, 4) stack of the rank-1 projectors onto the rows of ``vectors``."""
-    projectors = np.einsum("ki,kj->kij", vectors, vectors).astype(complex)
-    projectors.flags.writeable = False
-    return projectors
+def _projectors(axis: np.ndarray) -> np.ndarray:
+    """Read-only (4, 4, 4) stack of the rank-1 projectors (1 +/- axis)/2 (x) |p><p|."""
+    halves = ((ID2 + axis) / 2.0, (ID2 - axis) / 2.0)
+    return spin_path_stack((half, path) for half in halves for path in (PATH_I, PATH_II))
 
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_PROJECTORS = {
-    "A": _projectors(np.eye(4)),
-    "B": _projectors(_INV_SQRT2 * np.array([[1, 0, 1, 0], [1, 0, -1, 0], [0, 1, 0, 1], [0, 1, 0, -1]])),
-}
+_PROJECTORS = {mode: _projectors(axis) for mode, axis in MODE_AXES.items()}
 
 
 def projectors_for_mode(mode: str) -> np.ndarray:
-    """The mode's shared read-only (4, 4, 4) projector stack: onto the product
-    basis (mode A), or onto (e1 +/- e3)/sqrt(2) and (e2 +/- e4)/sqrt(2) (mode B)."""
-    if mode not in _PROJECTORS:
-        raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
+    """The mode's shared read-only (4, 4, 4) stack of projectors (1 +/- s)/2 (x) |p><p|."""
+    check_mode(mode)
     return _PROJECTORS[mode]
 
 

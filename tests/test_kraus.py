@@ -498,12 +498,21 @@ def test_trotter_matches_its_oracle_in_extended_precision(seed, rank, mode, lam,
     assert np.abs(trotter_evolve(rho, mode, lam, t, n) - oracle).max() <= 1e-15
 
 
+@pytest.mark.parametrize("mode, axis", [("A", np.diag([1.0, -1.0])), ("B", np.array([[0.0, 1.0], [1.0, 0.0]]))])
+def test_jumps_are_built_from_the_mode_axis(mode, axis):
+    # {1 (x) sz, s (x) 1, s (x) sz} for the mode's spin axis s, in that order.
+    sz, one = np.diag([1.0, -1.0]), np.eye(2)
+    expected = np.array([np.kron(one, sz), np.kron(axis, one), np.kron(axis, sz)])
+    assert np.array_equal(kraus._JUMPS[mode], expected)
+
+
 @pytest.mark.parametrize("mode", ["A", "B"])
 def test_twirl_and_dephasing_are_one_read_only_channel(mode):
     # The Kraus decomposition and the master equation's projectors define one
     # H = 0 channel per mode; each route builds it once, from its own definition.
+    # Every entry of both is a dyadic rational, so the two agree bit for bit.
     twirl, dephasing = kraus._TWIRL[mode], lindblad._DEPHASING[mode]
-    assert np.abs(twirl - dephasing).max() <= 1e-14
+    assert np.array_equal(twirl, dephasing)
     assert np.abs(twirl @ twirl - twirl).max() <= 1e-14
     assert np.array_equal(twirl, (superop.ID16 + superop.kraus_map(kraus._JUMPS[mode])) / 4.0)
     for channel in (twirl, dephasing):

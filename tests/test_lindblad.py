@@ -24,6 +24,9 @@ from spinpath.states import (
 from spinpath.superop import apply, kraus_map, liouvillian
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+# Each mode's spin axis, written out here so that the projectors are checked
+# against the paper's definition rather than against the package's table.
+SPIN_AXES = {"A": np.diag([1.0, -1.0]), "B": np.array([[0.0, 1.0], [1.0, 0.0]])}
 
 
 def random_state(rng):
@@ -108,6 +111,18 @@ def test_projectors_for_mode_share_one_read_only_set():
         for p in shared:
             with pytest.raises(ValueError):
                 p[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("mode", ["A", "B"])
+def test_projectors_are_the_axis_eigenprojectors_on_each_path(mode):
+    # (1 +/- s)/2 (x) |p><p| for the mode's spin axis s and p = I, II; every
+    # entry is 0, +-1/2 or 1, so the match is exact, in any order.
+    s, paths = SPIN_AXES[mode], (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    expected = [np.kron((np.eye(2) + sign * s) / 2.0, p) for sign in (1.0, -1.0) for p in paths]
+    actual = projectors_for_mode(mode)
+    assert len(actual) == len(expected)
+    for e in expected:
+        assert sum(np.array_equal(a, e) for a in actual) == 1
 
 
 def test_projectors_mode_b_is_spin_hadamard_rotation_of_mode_a():
