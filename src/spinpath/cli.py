@@ -33,7 +33,7 @@ from json.encoder import encode_basestring_ascii as _escape
 import numpy as np
 
 from . import interferometer, kraus, lindblad, states, tomography
-from .measures import measure_report
+from .measures import _mixedness_concurrence, measure_report
 from .pauli import MODE_AXES
 
 _NAMED_INITIALS = {
@@ -45,9 +45,9 @@ _NAMED_INITIALS = {
     "maximally-mixed": states.maximally_mixed,
 }
 
-# One _evolve and one measure_report call per block of grid points bounds the
-# working set; measure_report validates each block's states, once, and one
-# format writes the block's rows.
+# One _evolve and one _mixedness_concurrence call per block of grid points bounds
+# the working set; the latter validates the block's states once and takes roots
+# only of those not certified separable, and one format writes the block's rows.
 _SWEEP_BLOCK = 256
 _MAX_SWEEP_POINTS = 1_000_000
 # Monte Carlo work is samples per sigma; these bound it before any sampling starts.
@@ -187,8 +187,8 @@ def cmd_sweep(args) -> str:
     chunks = ["lambda_t,mixedness,concurrence\n"]
     for start in range(0, args.steps, _SWEEP_BLOCK):
         block = times[start:start + _SWEEP_BLOCK]
-        report = measure_report(lindblad._evolve(rho0, spec, block))
-        rows = np.column_stack((spec.lam * block, report.mixedness, report.concurrence))
+        purity, entanglement = _mixedness_concurrence(lindblad._evolve(rho0, spec, block))
+        rows = np.column_stack((spec.lam * block, purity, entanglement))
         chunks.append(("%.12g,%.12g,%.12g\n" * len(block)) % tuple(rows.ravel().tolist()))
     return "".join(chunks)
 

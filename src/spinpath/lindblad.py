@@ -196,8 +196,9 @@ def _check_phases(spec: DecoherenceSpec, times: np.ndarray) -> None:
 
 def _evolve(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
     """``evolve`` without the check of its output, for a caller that
-    validates the state(s) later, as ``measure_report`` does, or in one
-    stack with other produced states, as the CLI's ``kraus-compare`` does.
+    validates the state(s) where it reads them (the CLI's ``evolve`` in
+    ``measure_report``, ``sweep`` in ``measures._mixedness_concurrence``)
+    or in one stack with other produced states (``kraus-compare``).
 
     The input state, the time(s) and the energy phases are checked here,
     with ``evolve``'s messages, before the closed form runs.
@@ -215,9 +216,8 @@ def evolve(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:
     times, giving the (N, 4, 4) stack of states at those times.  The
     input and the output are validated here, once each; a time at which
     an energy phase or lam * t overflows is rejected before the closed
-    form runs.  The CLI's ``evolve`` and ``sweep`` call ``_evolve`` and
-    leave the output's check to ``measure_report``; ``kraus-compare``
-    checks it in one stack with its Trotter states.
+    form runs.  The CLI calls ``_evolve`` and leaves the output's check
+    to the kernel that reads it, as ``_evolve`` lists.
     """
     return validate_density_matrix(_evolve(rho0, spec, t))
 

@@ -1,4 +1,4 @@
-"""Mixedness and entanglement measures for two-qubit states."""
+"""Mixedness and entanglement measures; det(rho^Gamma) > 1e-12 certifies concurrence 0."""
 
 from __future__ import annotations
 
@@ -17,6 +17,16 @@ _EYE = np.eye(4, dtype=complex)
 # the least above 2.7e-11: far above the Hermiticity slack (< 2e-12) of the
 # lower triangle that Cholesky reads, and above where LAPACK Cholesky fails.
 _DET_FLOOR = 1e-12
+# rho^Gamma, the partial transpose on the path factor: (s, p), (s', p') gathers (s, p'), (s', p).
+_PATH_TRANSPOSE = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).ravel()
+
+
+def _check_ranges(mixedness: np.ndarray, concurrence: np.ndarray) -> None:
+    bounds = (("mixedness", mixedness, 0.25 - 1e-9, "1/4"), ("concurrence", concurrence, -1e-12, "0"))
+    for name, values, low, text in bounds:
+        bad = ~((low <= values) & (values <= 1.0 + 1e-9))
+        if bad.any():
+            raise ValueError(f"{name} out of range [{text}, 1]: {float(values[bad][0])!r}")
 
 
 @dataclass(frozen=True)
@@ -33,13 +43,7 @@ class MeasureReport:
     wootters_roots: tuple[float, float, float, float] | np.ndarray
 
     def __post_init__(self):
-        mixedness, concurrence = np.asarray(self.mixedness), np.asarray(self.concurrence)
-        bad = ~((0.25 - 1e-9 <= mixedness) & (mixedness <= 1.0 + 1e-9))
-        if bad.any():
-            raise ValueError(f"mixedness out of range [1/4, 1]: {float(mixedness[bad][0])!r}")
-        bad = ~((-1e-12 <= concurrence) & (concurrence <= 1.0 + 1e-9))
-        if bad.any():
-            raise ValueError(f"concurrence out of range [0, 1]: {float(concurrence[bad][0])!r}")
+        _check_ranges(np.asarray(self.mixedness), np.asarray(self.concurrence))
         roots = np.asarray(self.wootters_roots, dtype=float)
         # Decreasing with the last one >= 0 means all are >= 0; a nan fails a comparison.
         if roots.shape[-1:] != (4,) or not (
@@ -63,7 +67,7 @@ def mixedness(rho: np.ndarray) -> float | np.ndarray:
 
     A float for one state, an (N,) array for an (N, 4, 4) stack.
     """
-    return measure_report(rho).mixedness
+    return _mixedness_concurrence(rho)[0]
 
 
 def wootters_roots(rho: np.ndarray) -> np.ndarray:
@@ -81,7 +85,10 @@ def wootters_roots(rho: np.ndarray) -> np.ndarray:
     is the row-reversed W scaled by those signs and transposed: one product
     fewer, and the same terms paired as (W^T (sy (x) sy)) W, bit for bit.
     """
-    rho = validate_density_matrix(rho)
+    return _roots(validate_density_matrix(rho))
+
+
+def _roots(rho: np.ndarray) -> np.ndarray:
     w = _factor(rho)
     tau = (_YY_SIGNS * w[..., ::-1, :]).swapaxes(-2, -1) @ w
     return np.linalg.svd(tau, compute_uv=False)
@@ -97,6 +104,27 @@ def _factor(rho: np.ndarray) -> np.ndarray:
     return w
 
 
+def _separable(rho: np.ndarray) -> np.ndarray:
+    """det(rho^Gamma) > 1e-12 certifies a validated state separable: a two-qubit rho^Gamma has
+    at most one negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)), and none
+    iff the state is separable (Horodecki, PLA 223, 1 (1996)).  As rho + 1e-9 >= 0, a second
+    one lies in [-1e-9, 0) and comes with lambda < 0 < eps < 1e-9 in (rho + 1e-9)^Gamma, where
+    lambda^2 <= eps (equal on pure states: p1, p2, +-sqrt(p1 p2)); such a pair has |det| < 1e-14."""
+    gamma = rho.reshape(rho.shape[:-2] + (16,))[..., _PATH_TRANSPOSE].reshape(rho.shape)
+    return np.linalg.det(gamma).real > _DET_FLOOR
+
+
+def _mixedness_concurrence(rho: np.ndarray):
+    """``measure_report``'s mixedness and concurrence, bit for bit, with roots only of uncertified states."""
+    rho = validate_density_matrix(rho)
+    purity, entanglement = np.einsum("...ij,...ji->...", rho, rho).real, np.zeros(rho.shape[:-2])
+    if (open_ := ~_separable(rho)).any():
+        mu = _roots(rho[open_])
+        entanglement[open_] = np.maximum(0.0, mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3])
+    _check_ranges(purity, entanglement)
+    return (purity, entanglement) if rho.ndim == 3 else (float(purity), float(entanglement))
+
+
 def concurrence(rho: np.ndarray) -> float | np.ndarray:
     """Entanglement monotone max{0, mu1 - mu2 - mu3 - mu4}.
 
@@ -104,7 +132,7 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     Returns 0 for separable states and 1 for maximally entangled ones:
     a float for one state, an (N,) array for an (N, 4, 4) stack.
     """
-    return measure_report(rho).concurrence
+    return _mixedness_concurrence(rho)[1]
 
 
 def concurrence_bell_diagonal(weights) -> float:
@@ -119,13 +147,15 @@ def measure_report(rho: np.ndarray) -> MeasureReport:
 
     A (4, 4) state gives a :class:`MeasureReport` of floats; an (N, 4, 4)
     stack gives one report of arrays over the stack.  The state is
-    validated once, by :func:`wootters_roots`; that is the only check the
-    CLI's ``evolve`` and ``sweep`` make of the states they produce.
+    validated once, here, as the CLI's ``evolve`` relies on; a state
+    certified separable (:func:`_separable`) takes concurrence 0.0.
     """
-    rho = np.asarray(rho, dtype=complex)
-    mu = wootters_roots(rho)
+    rho = validate_density_matrix(rho)
+    mu = _roots(rho)
     purity = np.einsum("...ij,...ji->...", rho, rho).real
     entanglement = np.maximum(0.0, mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3])
-    if rho.ndim == 3:
-        return MeasureReport(mixedness=purity, concurrence=entanglement, wootters_roots=mu)
-    return MeasureReport(mixedness=float(purity), concurrence=float(entanglement), wootters_roots=mu)
+    if np.count_nonzero(entanglement):  # zeros stay; a certified state's nonzero value becomes 0.0
+        entanglement = np.where(_separable(rho), 0.0, entanglement)
+    if rho.ndim == 2:
+        purity, entanglement = float(purity), float(entanglement)
+    return MeasureReport(mixedness=purity, concurrence=entanglement, wootters_roots=mu)

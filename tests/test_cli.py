@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from fractions import Fraction
 from contextlib import redirect_stdout
@@ -198,6 +199,18 @@ def test_each_produced_state_is_validated_once_by_measure_report(capsys, monkeyp
     assert calls == {"lindblad": blocks, "measures": blocks}
 
 
+NAMED_INITIALS = {"singlet": experiment_initial(), "bell1": from_pure(bell_state(1)),
+                  "bell3": from_pure(bell_state(3)), "maximally-mixed": np.eye(4) / 4.0}
+
+
+def ginibre_state(seed, rank):
+    """A random density matrix of the given rank from a seeded Ginibre draw."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     mode=st.sampled_from(["A", "B"]),
@@ -206,17 +219,25 @@ def test_each_produced_state_is_validated_once_by_measure_report(capsys, monkeyp
     steps=st.one_of(st.integers(2, 255), st.integers(257, 700), st.sampled_from([256, 512, 513])),
     # Hundredths, so a negative energy never reads as an option ("-1e-05" would).
     energies=st.lists(st.integers(-300, 300).map(lambda k: k / 100.0), min_size=4, max_size=4),
-    initial=st.sampled_from(["singlet", "bell1", "bell3", "maximally-mixed"]),
+    # A random rank 1-4 file state (a Ginibre draw) crosses the separability
+    # boundary at a random time, so a block mixes certified and open states.
+    initial=st.sampled_from(["singlet", "bell1", "bell3", "maximally-mixed"])
+    | st.builds(ginibre_state, st.integers(0, 2**32 - 1), st.integers(1, 4)),
 )
 def test_sweep_csv_is_the_12_digit_format_of_each_value(mode, lam, end, steps, energies, initial):
-    argv = ["sweep", "--mode", mode, "--lambda", repr(lam), "--time", repr(end),
-            "--steps", str(steps), "--energies", *map(repr, energies), "--initial", initial]
-    out = io.StringIO()
-    with redirect_stdout(out):
-        assert main(argv) == 0
+    with tempfile.TemporaryDirectory() as directory:
+        if isinstance(initial, str):
+            rho0, path = NAMED_INITIALS[initial], initial
+        else:
+            rho0, path = initial, os.path.join(directory, "initial.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(matrix_to_json(rho0), handle)
+        argv = ["sweep", "--mode", mode, "--lambda", repr(lam), "--time", repr(end),
+                "--steps", str(steps), "--energies", *map(repr, energies), "--initial", path]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(argv) == 0
     spec = lindblad.DecoherenceSpec(mode, lam, lindblad.SystemHamiltonian(tuple(energies)))
-    rho0 = {"singlet": experiment_initial(), "bell1": from_pure(bell_state(1)),
-            "bell3": from_pure(bell_state(3)), "maximally-mixed": np.eye(4) / 4.0}[initial]
     times = np.linspace(0.0, end, steps)
     expected = ["lambda_t,mixedness,concurrence"]
     for start in range(0, steps, 256):

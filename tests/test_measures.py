@@ -1,13 +1,17 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinpath import cli, lindblad
 from spinpath.measures import (
+    _PATH_TRANSPOSE,
     MeasureReport,
     _factor,
+    _separable,
     concurrence,
     concurrence_bell_diagonal,
     measure_report,
@@ -291,3 +295,82 @@ def test_measure_report_stack_equals_per_state_reports():
         assert abs(report.concurrence[i] - single.concurrence) <= 1e-15
         assert np.abs(report.wootters_roots[i] - single.wootters_roots).max() <= 1e-15
     assert np.abs(wootters_roots(rho) - report.wootters_roots).max() == 0.0
+
+
+def pure_plus_noise_across_the_boundary(seed, exponent):
+    """p |psi><psi| + (1 - p) sigma for a random pure psi and a separable noise
+    sigma (a mixture of six random product states), at 201 weights p spaced
+    10**exponent around the weight where det(rho^Gamma) changes sign (found
+    by bisection)."""
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    products = [np.kron(*(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))) for _ in range(6)]
+    noise = sum(np.outer(v, v.conj()) * rng.uniform(0.1, 1.0) for v in products)
+    pure, noise = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real, noise / np.trace(noise).real
+
+    def mix(p):
+        rho = p[:, None, None] * pure + (1.0 - p[:, None, None]) * noise
+        return (rho + rho.conj().swapaxes(-2, -1)) / 2.0
+
+    def det_gamma(p):
+        return np.linalg.det(explicit_partial_transpose(mix(np.array([p]))))[0].real
+
+    low, high = 0.0, 1.0
+    if det_gamma(low) <= 0.0 or det_gamma(high) >= 0.0:
+        return mix(np.linspace(0.0, 1.0, 201))
+    for _ in range(60):
+        middle = (low + high) / 2.0
+        low, high = (middle, high) if det_gamma(middle) > 0.0 else (low, middle)
+    return mix(np.clip(low + 10.0**exponent * np.arange(-100, 101), 0.0, 1.0))
+
+
+def explicit_partial_transpose(rho):
+    """rho^Gamma with the path indices p, p' of rho[(s, p), (s', p')] swapped."""
+    rho = np.asarray(rho, dtype=complex)
+    return rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(rho.shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rho=PROPERTY_STATES
+    | st.builds(lambda seed, count: random_states(np.random.default_rng(seed), count), SEEDS, st.integers(1, 300))
+    | st.builds(pure_plus_noise_across_the_boundary, SEEDS, st.floats(-15.0, -3.0))
+)
+def test_a_certified_state_has_concurrence_zero_on_both_routes(rho):
+    # det(rho^Gamma) > 1e-12 certifies separability; the Wootters roots agree
+    # exactly, and the roots-free kernel matches measure_report bit for bit.
+    rho = validate_density_matrix(rho)
+    gathered = rho.reshape(rho.shape[:-2] + (16,))[..., _PATH_TRANSPOSE].reshape(rho.shape)
+    assert np.array_equal(gathered, explicit_partial_transpose(rho))
+    certified = _separable(rho)
+    mu = wootters_roots(rho)
+    excess = np.maximum(0.0, mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3])
+    assert (excess[certified] == 0.0).all()
+    try:
+        report = measure_report(rho)
+    except ValueError as exc:  # a range check, which both routes make alike
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            concurrence(rho)
+        return
+    assert np.asarray(concurrence(rho)).tobytes() == np.asarray(report.concurrence).tobytes()
+    assert np.asarray(mixedness(rho)).tobytes() == np.asarray(report.mixedness).tobytes()
+
+
+def test_sweep_runs_the_svd_only_on_states_left_uncertified(monkeypatch):
+    svd, seen = np.linalg.svd, []
+
+    def counting_svd(a, *args, **kwargs):
+        seen.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    argv = ["sweep", "--mode", "B", "--lambda", "1", "--time", "3", "--steps", "600"]
+    assert cli.main([*argv, "--initial", "maximally-mixed"]) == 0
+    assert seen == []
+    assert cli.main(argv) == 0
+    times = np.linspace(0.0, 3.0, 600)
+    spec = lindblad.DecoherenceSpec("B", 1.0)
+    open_ = ~_separable(lindblad.evolve(experiment_initial(), spec, times))
+    per_block = [int(open_[start:start + 256].sum()) for start in range(0, 600, 256)]
+    assert seen == [count for count in per_block if count]
+    assert 0 < open_.sum() < 600 and (times[open_] <= np.log(3.0)).all()
