@@ -179,8 +179,7 @@ def cmd_sweep(args) -> str:
         raise ValueError(f"sweep needs at least 2 grid points, got {args.steps}")
     if args.steps > _MAX_SWEEP_POINTS:
         raise ValueError(f"--steps {args.steps} exceeds the limit of {_MAX_SWEEP_POINTS} grid points")
-    if not (math.isfinite(args.time) and args.time >= 0.0):
-        raise ValueError(f"time must be finite and nonnegative, got {args.time!r}")
+    states.check_real(args.time, "time")
     rho0 = _initial_state(args)
     spec = _decoherence_spec(args)
     times = np.linspace(0.0, args.time, args.steps)
@@ -262,8 +261,7 @@ def cmd_kraus_compare(args) -> str:
 
 
 def cmd_tomography(args) -> str:
-    if args.seed < 0:  # simulate_counts checks it too, but --shots 0 never calls it
-        raise ValueError(f"seed must be a nonnegative integer, got {args.seed!r}")
+    states.check_count(args.seed, "seed")  # simulate_counts checks it too, but --shots 0 never calls it
     rho0 = _initial_state(args)
     if args.shots == 0:
         counts = tomography.exact_records(rho0)

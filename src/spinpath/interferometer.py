@@ -41,7 +41,7 @@ import numpy as np
 
 from . import superop
 from .pauli import ID2, PATH_I, PATH_II, SIGMA_X, SIGMA_Z, check_mode, spin_path_stack
-from .states import matrix_to_json, validate_density_matrix
+from .states import check_count, check_real, matrix_to_json, validate_density_matrix
 
 # Every field layout: (mode, variant) -> (rotations, lambda t / sigma^2).
 # A rotation is a (spin axis, path) pair with its own Gaussian angle.  The
@@ -77,8 +77,7 @@ class FieldSetup:
 
     def __post_init__(self):
         check_mode(self.mode)
-        if not (np.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
+        check_real(self.sigma, "sigma")
         if not np.isfinite(self.sigma * self.sigma):
             raise ValueError(f"sigma {self.sigma!r} is too large: its square overflows")
         if self.variant not in VARIANTS:
@@ -406,10 +405,8 @@ def _shot_moments(rho0: np.ndarray, blocks, n: int, table: _ShotTable) -> tuple:
 def _sampling(rho0: np.ndarray, setup: FieldSetup, samples: int, seed: int) -> tuple:
     """The validated input, angle blocks, shot count and table of a Monte Carlo call."""
     rho0 = validate_density_matrix(rho0)
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples!r}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    check_count(samples, "samples", 2)
+    check_count(seed, "seed")
     n = int(samples)
     return rho0, _angle_blocks(setup, n, int(seed)), n, _shot_table(setup.mode, setup.variant)
 
@@ -473,6 +470,5 @@ def lambda_from_sigma(setup: FieldSetup, dwell_time: float) -> float:
     The product lam * dwell_time equals c * sigma^2, with c the layout's
     coefficient in ``_LAYOUTS``.
     """
-    if not (np.isfinite(dwell_time) and dwell_time > 0.0):
-        raise ValueError(f"dwell_time must be positive and finite, got {dwell_time!r}")
+    check_real(dwell_time, "dwell_time", positive=True)
     return _LAYOUTS[setup.mode, setup.variant][1] * setup.sigma ** 2 / dwell_time

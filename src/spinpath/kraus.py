@@ -27,7 +27,7 @@ import numpy as np
 
 from . import superop
 from .pauli import ID2, ID4, MODE_AXES, SIGMA_Z, check_mode, spin_path_stack
-from .states import validate_density_matrix
+from .states import check_count, check_real, validate_density_matrix
 
 MAX_WEIGHT = 4.0 / 3.0
 _COMPLETENESS_TOL = 1e-12
@@ -93,12 +93,9 @@ def _trotter_evolve(rho: np.ndarray, mode: str, lam: float, t: float, n: int) ->
     mode are checked here with ``trotter_evolve``'s messages, and the drift
     against its 1e-9 budget; the settled state is returned unchecked.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"step count must be a positive integer, got {n!r}")
-    if not (np.isfinite(lam) and lam >= 0.0):
-        raise ValueError(f"coupling strength must be finite and nonnegative, got {lam!r}")
-    if not (np.isfinite(t) and t >= 0.0):
-        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
+    check_count(n, "step count", 1)
+    check_real(lam, "coupling strength")
+    check_real(t, "time")
     lam_t = float(lam) * float(t)  # Python floats overflow to inf without a warning
     if not math.isfinite(lam_t):
         raise ValueError(f"lam * t is not finite for lam {lam!r} at time {t!r}")

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import superop
 from .pauli import ID2, MODE_AXES, PATH_I, PATH_II, check_mode, spin_path_stack
-from .states import validate_density_matrix
+from .states import check_real, validate_density_matrix
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,7 @@ class DecoherenceSpec:
 
     def __post_init__(self):
         check_mode(self.mode)
-        if not (np.isfinite(self.lam) and self.lam >= 0.0):
-            raise ValueError(f"coupling strength must be finite and nonnegative, got {self.lam!r}")
+        check_real(self.lam, "coupling strength")
 
 
 def _projectors(axis: np.ndarray) -> np.ndarray:
@@ -96,14 +95,16 @@ _DEPHASING = {mode: superop.kraus_map(projectors) for mode, projectors in _PROJE
 
 
 def _times(t) -> np.ndarray:
-    """Evaluation time(s) as a float array: a scalar or a 1-d array of finite t >= 0."""
-    times = np.asarray(t, dtype=float)
+    """Evaluation time(s) as a float array: a scalar or 1-d array of times as ``check_real`` takes them."""
+    times = np.asarray(t)
     if times.ndim > 1:
         raise ValueError(f"time must be a scalar or a 1-d array, got shape {times.shape}")
+    if times.dtype.kind not in "iuf":
+        check_real(t, "time")  # raises: a bool, str, complex or object time is not a real number
     bad = ~(np.isfinite(times) & (times >= 0.0))
     if bad.any():
-        raise ValueError(f"time must be finite and nonnegative, got {float(times[bad][0])!r}")
-    return times
+        check_real(float(times[bad][0]), "time")  # raises, naming the first bad time
+    return times.astype(float, copy=False)
 
 
 # Spin flip on each path: e1 <-> e3, e2 <-> e4, as one gather rho0[_FLIP_GATHER] = rho0[F][:, F].
@@ -261,10 +262,8 @@ def integrate_master(
         named = f"mode {found}'s" if found else "neither mode A's nor mode B's"
         raise ValueError(f"projectors are {named} projectors, but spec.mode is {spec.mode!r}")
     rho = np.array(validate_density_matrix(rho0))
-    if not (np.isfinite(t) and t >= 0.0):
-        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"step size dt must be finite and positive, got {dt!r}")
+    check_real(t, "time")
+    check_real(dt, "step size dt", positive=True)
     if t == 0.0:
         return rho
     generator = superop.liouvillian(spec.hamiltonian.diagonal(), dephasing, spec.lam)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import SIGMA_Y
-from .states import BellWeights, validate_density_matrix
+from .states import EIGENVALUE_FLOOR, HERMITICITY_TOL, TRACE_TOL, BellWeights, validate_density_matrix
 
 # sy (x) sy is anti-diagonal; its entry in row i, (-1, 1, 1, -1), as a column.
 _YY_SIGNS = np.fliplr(np.kron(SIGMA_Y, SIGMA_Y)).diagonal().real[:, None]
@@ -21,10 +21,21 @@ _DET_FLOOR = 1e-12
 _PATH_TRANSPOSE = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).ravel()
 
 
+# The upper bounds of a validated state's measures, plus 16 ulps for rounding.  Its
+# eigenvalues are >= EIGENVALUE_FLOOR = f and sum to at most 1 + TRACE_TOL, so Tr rho^2
+# peaks with three at f: (1 + TRACE_TOL - 3f)^2 + 3f^2, about 1 + 6e-9.  C <= mu_1 <=
+# Tr rho_+ <= 1 + TRACE_TOL + 3|f|, about 1 + 3e-9, with 1.5 HERMITICITY_TOL more per
+# eigenvalue for the lower triangle that Cholesky and eigh read.
+_ROUNDING = 16 * 2.0**-52
+_MIXEDNESS_MAX = (1.0 + TRACE_TOL - 3.0 * EIGENVALUE_FLOOR) ** 2 + 3.0 * EIGENVALUE_FLOOR**2 + _ROUNDING
+_CONCURRENCE_MAX = 1.0 + TRACE_TOL + 3.0 * (1.5 * HERMITICITY_TOL - EIGENVALUE_FLOOR) + _ROUNDING
+
+
 def _check_ranges(mixedness: np.ndarray, concurrence: np.ndarray) -> None:
-    bounds = (("mixedness", mixedness, 0.25 - 1e-9, "1/4"), ("concurrence", concurrence, -1e-12, "0"))
-    for name, values, low, text in bounds:
-        bad = ~((low <= values) & (values <= 1.0 + 1e-9))
+    bounds = (("mixedness", mixedness, 0.25 - 1e-9, _MIXEDNESS_MAX, "1/4"),
+              ("concurrence", concurrence, -1e-12, _CONCURRENCE_MAX, "0"))
+    for name, values, low, high, text in bounds:
+        bad = ~((low <= values) & (values <= high))
         if bad.any():
             raise ValueError(f"{name} out of range [{text}, 1]: {float(values[bad][0])!r}")
 

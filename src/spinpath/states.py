@@ -1,4 +1,5 @@
-"""Construction, validation and serialization of two-qubit states.
+"""Construction, validation and serialization of two-qubit states, and the one
+check of each count and real argument bound (``check_count``, ``check_real``).
 
 States are 4x4 complex density matrices in the product basis
 e1=|up,I>, e2=|up,II>, e3=|down,I>, e4=|down,II> (see :mod:`spinpath.pauli`).
@@ -13,6 +14,7 @@ initial condition throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +27,8 @@ NORM_TOL = 1e-12
 # only if min eig(rho) > -c - O(eps), a bound far above the floor.
 _CHOLESKY_SHIFT = -EIGENVALUE_FLOOR / 2.0 * np.eye(4)
 
-_SQRT2 = np.sqrt(2.0)
+# psi1..psi4 of the module docstring.
+_BELL = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex) / np.sqrt(2.0)
 
 
 class StateValidationError(ValueError):
@@ -44,17 +47,9 @@ def bell_state(index: int) -> np.ndarray:
     Returns:
         Unit-norm complex vector of length 4.
     """
-    if index == 1:
-        v = [1.0, 0.0, 0.0, 1.0]
-    elif index == 2:
-        v = [1.0, 0.0, 0.0, -1.0]
-    elif index == 3:
-        v = [0.0, 1.0, 1.0, 0.0]
-    elif index == 4:
-        v = [0.0, 1.0, -1.0, 0.0]
-    else:
+    if index not in (1, 2, 3, 4):
         raise ValueError(f"bell state index must be in 1..4, got {index!r}")
-    return np.array(v, dtype=complex) / _SQRT2
+    return _BELL[int(index) - 1].copy()
 
 
 def from_pure(psi: np.ndarray) -> np.ndarray:
@@ -119,6 +114,22 @@ def experiment_initial() -> np.ndarray:
 def maximally_mixed() -> np.ndarray:
     """The maximally mixed state (identity / 4)."""
     return np.eye(4, dtype=complex) / 4.0
+
+
+def check_count(value, name: str, least: int = 0) -> None:
+    """Raise ValueError unless ``value`` is an int or np.integer, never a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        bound = {0: "a nonnegative integer", 1: "a positive integer"}.get(least, f"an integer of at least {least}")
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
+def check_real(value, name: str, positive: bool = False) -> None:
+    """Raise ValueError unless ``value`` is a finite real scalar >= 0 (> 0 if ``positive``):
+    an int, a float or a 0-d array of one, never a bool, str, complex or sequence."""
+    array = np.asarray(value)
+    x = float(array) if array.ndim == 0 and array.dtype.kind in "iuf" else math.nan
+    if not (math.isfinite(x) and (x > 0.0 if positive else x >= 0.0)):
+        raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}, got {value!r}")
 
 
 def _check(bad, defect, message: str) -> None:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, spin_path
-from .states import validate_density_matrix
+from .states import check_count, validate_density_matrix
 
 _OBSERVABLES = {"X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
@@ -87,12 +87,10 @@ def simulate_counts(rho: np.ndarray, shots: int, seed: int) -> np.ndarray:
     multinomial draw.
     """
     rho = validate_density_matrix(rho)
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
-        raise ValueError(f"shots must be a positive integer, got {shots!r}")
+    check_count(shots, "shots", 1)
     if shots > _MAX_SHOTS:
         raise ValueError(f"shots {shots} exceeds the limit of {_MAX_SHOTS}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    check_count(seed, "seed")
     return np.array([
         np.random.default_rng(np.random.SeedSequence((int(seed), i))).multinomial(int(shots), probs)
         for i, probs in enumerate(_born_probabilities(rho))

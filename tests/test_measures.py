@@ -1,13 +1,14 @@
 import json
-import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinpath import cli, lindblad
 from spinpath.measures import (
+    _CONCURRENCE_MAX,
+    _MIXEDNESS_MAX,
     _PATH_TRANSPOSE,
     MeasureReport,
     _factor,
@@ -20,8 +21,11 @@ from spinpath.measures import (
 )
 from spinpath.pauli import SIGMA_Y
 from spinpath.states import (
+    EIGENVALUE_FLOOR,
+    TRACE_TOL,
     StateValidationError,
     bell_diagonal,
+    bell_state,
     experiment_initial,
     from_pure,
     maximally_mixed,
@@ -346,14 +350,50 @@ def test_a_certified_state_has_concurrence_zero_on_both_routes(rho):
     mu = wootters_roots(rho)
     excess = np.maximum(0.0, mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3])
     assert (excess[certified] == 0.0).all()
-    try:
-        report = measure_report(rho)
-    except ValueError as exc:  # a range check, which both routes make alike
-        with pytest.raises(ValueError, match=re.escape(str(exc))):
-            concurrence(rho)
-        return
+    report = measure_report(rho)
     assert np.asarray(concurrence(rho)).tobytes() == np.asarray(report.concurrence).tobytes()
     assert np.asarray(mixedness(rho)).tobytes() == np.asarray(report.mixedness).tobytes()
+
+
+# Valid states whose measures exceed 1 + 1e-9: eigenvalues 1 + 1.968e-9, 0, -0.978e-9 and
+# -0.99e-9 (mixedness 1 + 3.9e-9), and the Bell-diagonal state with singlet weight 1 + 2.97e-9
+# and -0.99e-9 on each other Bell state (mixedness 1 + 5.94e-9, concurrence 1 + 2.97e-9).
+BOUND_REPROS = (
+    spectral_state(np.random.default_rng(0), np.array([1.0 + 1.968e-9, 0.0, -9.78e-10, -9.9e-10])),
+    sum(nu * from_pure(bell_state(i)) for i, nu in ((1, -0.99e-9), (2, -0.99e-9), (3, -0.99e-9), (4, 1.0 + 2.97e-9))),
+)
+
+
+def floor_state(seed, others, trace):
+    """A state of trace ``trace`` with three eigenvalues ``others``, each in [floor, 0) or [0, 1/3]."""
+    return spectral_state(np.random.default_rng(seed), np.array([trace - sum(others), *others]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rho=st.builds(lambda seed, rank: ginibre_state(np.random.default_rng(seed), rank), SEEDS, st.integers(1, 4))
+    | st.builds(
+        floor_state,
+        SEEDS,
+        st.tuples(*[st.floats(EIGENVALUE_FLOOR, 0.0, exclude_max=True) | st.floats(0.0, 1.0 / 3.0)] * 3),
+        st.floats(1.0 - TRACE_TOL, 1.0 + TRACE_TOL),
+    )
+)
+@example(rho=BOUND_REPROS[0])
+@example(rho=BOUND_REPROS[1])
+def test_every_valid_state_has_measures_within_the_derived_bounds(rho):
+    # The upper bounds follow from the eigenvalue floor and the trace tolerance,
+    # so no state that validation accepts fails the measures' range checks.
+    try:
+        rho = validate_density_matrix(rho)
+    except StateValidationError:
+        assume(False)
+    report = measure_report(rho)
+    for value in (report.mixedness, mixedness(rho)):
+        assert 0.25 - 1e-9 <= value <= _MIXEDNESS_MAX
+    for value in (report.concurrence, concurrence(rho)):
+        assert -1e-12 <= value <= _CONCURRENCE_MAX
+    assert 6.0e-9 < _MIXEDNESS_MAX - 1.0 < 6.01e-9 and 3.0e-9 < _CONCURRENCE_MAX - 1.0 < 3.01e-9
 
 
 def test_sweep_runs_the_svd_only_on_states_left_uncertified(monkeypatch):

@@ -3,9 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinpath.interferometer import FieldSetup, ensemble_average_monte_carlo
+from spinpath.interferometer import (
+    FieldSetup,
+    ensemble_average_monte_carlo,
+    ensemble_mean_monte_carlo,
+    lambda_from_sigma,
+)
 from spinpath.kraus import trotter_evolve
-from spinpath.lindblad import DecoherenceSpec, evolve
+from spinpath.lindblad import DecoherenceSpec, evolve, integrate_master, projectors_for_mode
 from spinpath.pauli import ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z, spin_path
 from spinpath.states import StateValidationError, from_pure, maximally_mixed
 from spinpath.tomography import (
@@ -92,23 +97,64 @@ def test_simulate_counts_rejects_bad_shots():
     assert (simulate_counts(SINGLET, limit, 1).sum(axis=1) == limit).all()
 
 
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        (lambda: simulate_counts(SINGLET, True, 1), "shots must be a positive integer"),
-        (lambda: simulate_counts(SINGLET, 10, False), "seed must be a nonnegative integer"),
-        (lambda: trotter_evolve(SINGLET, "A", 1.0, 1.0, True), "step count must be a positive integer"),
-        (lambda: ensemble_average_monte_carlo(SINGLET, FieldSetup("A", 1.0), True, 0),
-         "need at least 2 samples"),
-        (lambda: ensemble_average_monte_carlo(SINGLET, FieldSetup("A", 1.0), 10, False),
-         "seed must be a nonnegative integer"),
-    ],
-    ids=["shots", "counts-seed", "trotter-n", "samples", "monte-carlo-seed"],
-)
-def test_integer_counts_and_seeds_reject_bool(call, message):
-    # bool is an int subclass; True must not pass as one shot, one step or seed 1.
-    with pytest.raises(ValueError, match=message):
-        call()
+COUNT_VALUES = (4, np.int64(4))
+REAL_VALUES = (1, np.int64(1), np.float64(0.5), np.array(0.5))
+SPEC, SETUP = DecoherenceSpec("A", 1.0), FieldSetup("A", 1.0)
+# Every argument bound an entry point checks, each as one call taking the value:
+# (call, the bound's message up to ", got", an out-of-range value, values it accepts).
+ARGUMENT_BOUNDS = {
+    "shots": (lambda v: simulate_counts(SINGLET, v, 1),
+              "shots must be a positive integer", 0, COUNT_VALUES),
+    "counts-seed": (lambda v: simulate_counts(SINGLET, 10, v),
+                    "seed must be a nonnegative integer", -1, COUNT_VALUES),
+    "trotter-n": (lambda v: trotter_evolve(SINGLET, "A", 1.0, 1.0, v),
+                  "step count must be a positive integer", 0, COUNT_VALUES),
+    "samples": (lambda v: ensemble_average_monte_carlo(SINGLET, SETUP, v, 0),
+                "samples must be an integer of at least 2", 1, COUNT_VALUES),
+    "monte-carlo-seed": (lambda v: ensemble_average_monte_carlo(SINGLET, SETUP, 10, v),
+                         "seed must be a nonnegative integer", -1, COUNT_VALUES),
+    "mean-samples": (lambda v: ensemble_mean_monte_carlo(SINGLET, SETUP, v, 0),
+                     "samples must be an integer of at least 2", 1, COUNT_VALUES),
+    "mean-seed": (lambda v: ensemble_mean_monte_carlo(SINGLET, SETUP, 10, v),
+                  "seed must be a nonnegative integer", -1, COUNT_VALUES),
+    "spec-lam": (lambda v: DecoherenceSpec("A", v),
+                 "coupling strength must be finite and nonnegative", -1.0, REAL_VALUES),
+    "sigma": (lambda v: FieldSetup("A", v),
+              "sigma must be finite and nonnegative", -1.0, REAL_VALUES),
+    "evolve-t": (lambda v: evolve(SINGLET, SPEC, v),
+                 "time must be finite and nonnegative", -1.0, REAL_VALUES),
+    "master-t": (lambda v: integrate_master(SINGLET, projectors_for_mode("A"), SPEC, v),
+                 "time must be finite and nonnegative", -1.0, REAL_VALUES),
+    "master-dt": (lambda v: integrate_master(SINGLET, projectors_for_mode("A"), SPEC, 0.01, v),
+                  "step size dt must be finite and positive", 0.0, REAL_VALUES),
+    "trotter-lam": (lambda v: trotter_evolve(SINGLET, "A", v, 1.0, 4),
+                    "coupling strength must be finite and nonnegative", -1.0, REAL_VALUES),
+    "trotter-t": (lambda v: trotter_evolve(SINGLET, "A", 1.0, v, 4),
+                  "time must be finite and nonnegative", -1.0, REAL_VALUES),
+    "dwell-time": (lambda v: lambda_from_sigma(SETUP, v),
+                   "dwell_time must be finite and positive", 0.0, REAL_VALUES),
+}
+
+
+@pytest.mark.parametrize("call, bound, outside, good", ARGUMENT_BOUNDS.values(), ids=ARGUMENT_BOUNDS.keys())
+def test_integer_counts_and_seeds_reject_bool(call, bound, outside, good):
+    # One check per bound: True must not pass as one shot, one step, seed 1 or
+    # lam = 1, and no bool, str, complex, sequence, nan or inf passes either; each
+    # fails with the bound's own message.  evolve takes a 1-d array of times, so
+    # its sequences are ones of bool and of complex.
+    sequences = ([True], np.array([1j])) if call is ARGUMENT_BOUNDS["evolve-t"][0] else ([1.0], np.array([1.0]))
+    bad = (True, np.True_, "1", 1j, *sequences, np.nan, np.inf, outside)
+    messages = []
+    for value in bad:
+        try:
+            call(value)
+        except ValueError as exc:
+            messages.append(str(exc))
+        else:
+            messages.append(None)
+    assert messages == [f"{bound}, got {value!r}" for value in bad]
+    for value in good:
+        call(value)
 
 
 def test_exact_records_carry_probabilities():
