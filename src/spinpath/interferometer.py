@@ -14,28 +14,29 @@ average over shots reproduces the continuous decoherence channels of
 (:func:`lambda_from_sigma`) on Bell-diagonal input states; on other
 inputs some coherences decay at other rates.
 
-``ensemble_average_analytic`` evaluates the Gaussian average in closed
-form for arbitrary input states, as the product of one map per angle;
-``ensemble_average_monte_carlo`` does the same by sampling, with standard
-errors, and ``ensemble_mean_monte_carlo`` gives its mean alone, bit for
-bit, from the same per-pass phasor sums at less cost.  Neither builds
-shot states, and at sigma = 0 neither draws.  Each rotation's harmonics
-expand a shot's superoperator as sum_q exp(i q.theta/2) C_q, and the
-layout table ``_LAYOUTS`` alone fixes which C_q are nonzero.  So a shot's deviation from the input is linear in
-two real columns, cos(q.theta/2) - 1 and sin(q.theta/2), per pair
-{q, -q}: 8, 4, 2 and 32 columns for the four layouts.  Each element
-takes its coefficients from its own entries of the input state, and the
-table's support splits them into independent blocks; one kernel serves
-every layout.  Monte Carlo results depend only on (seed, samples):
-sampling is organized in fixed-size blocks with per-block child seeds,
-so the outcome is bitwise independent of how the work would be
-scheduled.
+Every average reads one table, ``_shot_table``.  Each rotation's
+harmonics expand a shot's superoperator as sum_q exp(i q.theta/2) C_q, and
+the layout table ``_LAYOUTS`` alone fixes which C_q are nonzero.  So a
+shot's deviation from the input is U g, linear in two real columns g,
+cos(q.theta/2) - 1 and sin(q.theta/2), per pair {q, -q}: 8, 4, 2 and 32
+columns for the four layouts.  An average is the input plus U times the
+columns' mean.  ``ensemble_average_analytic`` takes their exact Gaussian
+means, so it is exact for arbitrary input states;
+``ensemble_average_monte_carlo`` takes their sample mean, with standard
+errors, and ``ensemble_mean_monte_carlo`` gives that mean alone, bit for
+bit, from the same per-pass phasor sums at less cost.  No route builds
+shot states, and at sigma = 0 none draws.  Each element takes its
+coefficients from its own entries of the input state, and the table's
+support splits them into independent blocks; one kernel serves every
+layout.  Monte Carlo results depend only on (seed, samples): sampling is
+organized in fixed-size blocks with per-block child seeds, so the outcome
+is bitwise independent of how the work would be scheduled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 
 import numpy as np
 
@@ -45,8 +46,8 @@ from .states import check_count, check_real, matrix_to_json, validate_density_ma
 
 # Every field layout: (mode, variant) -> (rotations, lambda t / sigma^2).
 # A rotation is a (spin axis, path) pair with its own Gaussian angle.  The
-# Monte Carlo draws the angles in table order; the analytic average
-# applies the last rotation first (x before z on each path in mode B).
+# Monte Carlo draws the angles in table order; a shot applies the last
+# rotation first (x before z on each path in mode B).
 _LAYOUTS = {
     ("A", "both_paths_independent"): ((("z", "I"), ("z", "II")), 0.25),
     ("A", "single_field_one_path"): ((("z", "II"),), 0.125),
@@ -113,28 +114,31 @@ class EnsembleEstimate:
         }
 
 
-# --- closed-form Gaussian averaging -----------------------------------------
+# --- the shot table ----------------------------------------------------------
 #
 # Every conditioned rotation in a single Gaussian angle theta decomposes
 # into harmonics V(theta) = sum_m exp(i*m*theta/2) G_m with m in
-# {-1, 0, +1}.  Averaging V rho V^dagger over theta ~ N(0, sigma) gives
+# {-1, 0, +1}.  A rotation about spin axis s on the paths selected by
+# projector P has G_{+1} = (1 + s)/2 (x) P, G_{-1} = (1 - s)/2 (x) P and
+# G_0 = 1 (x) (1 - P).  With one angle per rotation, a shot's superoperator
+# V (x) V^* is sum_q exp(i q.theta/2) C_q, where C_q sums A_m (x) A_m'^* over
+# the harmonic sequences with m - m' = q and A_m = G_m1 ... G_mR.  The sum is
+# 1 at zero angles, so over one q of each pair {q, -q} a shot's deviation
+# from rho0 is
 #
-#     Phi(rho) = sum_{m,m'} exp(-(m - m')^2 sigma^2 / 8) G_m rho G_m'^dagger
+#     sum_q [(cos(q.theta/2) - 1) (C_q + C_-q) + sin(q.theta/2) i (C_q - C_-q)] vec rho0 = U g:
 #
-# and independent angles average as the composition of their channels.
-# A rotation about spin axis s on the paths selected by projector P has
-# G_{+1} = (1 + s)/2 (x) P, G_{-1} = (1 - s)/2 (x) P and G_0 = 1 (x) (1 - P).
+# two columns per pair, each exactly 0 at zero angles.  Every average is
+# rho0 + U E[g].  The Monte Carlo takes E[g] as the sample mean of the
+# shots' columns; independent Gaussian angles of width sigma give it
+# exactly, exp(-|q|^2 sigma^2/8) - 1 for a cos column and 0 for a sin column.
 
 _PATHS = {"I": PATH_I, "II": PATH_II, "both": ID2}
 _ORDERS = np.array([1, -1, 0])
 
 
-@cache
 def _harmonics(axis: str, path: str):
-    """Stacked harmonics G_m, m in _ORDERS, of a spin rotation on ``path``.
-
-    Cached, so the returned array is read-only.
-    """
+    """Read-only stacked harmonics G_m, m in _ORDERS, of a spin rotation on ``path``."""
     here, spin = _PATHS[path], _AXES[axis]
     return spin_path_stack([
         ((ID2 + spin) / 2.0, here),
@@ -143,50 +147,9 @@ def _harmonics(axis: str, path: str):
     ])
 
 
-_GAPS = np.subtract.outer(_ORDERS, _ORDERS).ravel() ** 2
-
-
-@cache
-def _sandwiches(axis: str, path: str) -> np.ndarray:
-    """The (9, 256) stack of G_m (x) G_m'^* over (m, m') in _ORDERS x _ORDERS.
-
-    Cached, so the returned array is read-only.
-    """
-    g = _harmonics(axis, path)
-    stack = np.array([superop.sandwich(a, b) for a in g for b in g]).reshape(9, 256)
-    stack.flags.writeable = False
-    return stack
-
-
-def _angle_map(rotation: tuple, sigma: float) -> np.ndarray:
-    """16x16 superoperator of the Gaussian average over one rotation's angle."""
-    return (np.exp(-_GAPS * (sigma * sigma / 8.0)) @ _sandwiches(*rotation)).reshape(16, 16)
-
-
-def ensemble_average_analytic(rho0: np.ndarray, setup: FieldSetup) -> np.ndarray:
-    """Exact Gaussian ensemble average of the shot states."""
-    rho = validate_density_matrix(rho0)
-    rotations, _ = _LAYOUTS[setup.mode, setup.variant]
-    maps = (_angle_map(rotation, setup.sigma) for rotation in rotations)
-    average = reduce(np.matmul, maps)
-    return validate_density_matrix(superop.apply(average, rho))
-
-
-# --- Monte Carlo -------------------------------------------------------------
-#
-# With one angle per rotation, a shot's superoperator V (x) V^* is
-# sum_q exp(i q.theta/2) C_q, where C_q sums A_m (x) A_m'^* over the harmonic
-# sequences with m - m' = q and A_m = G_m1 ... G_mR.  The sum is 1 at zero
-# angles, so over one q of each pair {q, -q} a shot's deviation from rho0 is
-#
-#     sum_q [(cos(q.theta/2) - 1) (C_q + C_-q) + sin(q.theta/2) i (C_q - C_-q)] vec rho0:
-#
-# two columns per pair, each exactly 0 at zero angles.
-
-
 @dataclass(frozen=True, eq=False)
 class _ShotTable:
-    """Monte Carlo columns of one layout: ``phases`` holds one q per pair,
+    """The columns of one layout: ``phases`` holds one q per pair,
     grouped by block (columns 2p, 2p + 1 are pair p's cos - 1 and sin);
     ``table @ vec rho0`` is U, element-major; ``blocks`` lists the rows of
     U and the columns of each connected block of the table's support.  The
@@ -270,6 +233,34 @@ def _phasor_plan(phases: list) -> tuple:
     return np.array(base) / 4.0, tuple(steps), front + len(phases)
 
 
+def _shot_coefficients(table: _ShotTable, rho0: np.ndarray) -> np.ndarray:
+    """Real U, shape (32, columns): a shot with columns g maps rho0 to
+    rho0 + D with Re D (rows 0-15) and Im D (rows 16-31), row-major, equal
+    to U g.  Each element's row reads rho0 itself, never the conjugate
+    element: an input is Hermitian only within tolerance."""
+    u = (table.table @ rho0.ravel()).reshape(16, -1)
+    return np.concatenate((u.real, u.imag))
+
+
+def _mean_state(rho0: np.ndarray, u: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """rho0 + U (column mean), Re and Im apart."""
+    re, im = (u @ mean).reshape(2, 4, 4)
+    return (rho0.real + re) + 1j * (rho0.imag + im)
+
+
+def ensemble_average_analytic(rho0: np.ndarray, setup: FieldSetup) -> np.ndarray:
+    """Exact Gaussian ensemble average of the shot states, rho0 + U E[g] with
+    the columns' exact means: at sigma = 0 the input comes back bit for bit."""
+    rho = validate_density_matrix(rho0)
+    table = _shot_table(setup.mode, setup.variant)
+    mean = np.zeros((len(table.phases), 2))
+    mean[:, 0] = np.expm1(np.square(table.phases).sum(axis=1) * (-setup.sigma * setup.sigma / 8.0))
+    return validate_density_matrix(_mean_state(rho, _shot_coefficients(table, rho), mean.ravel()))
+
+
+# --- Monte Carlo -------------------------------------------------------------
+
+
 def _rotation_angles(rng: np.random.Generator, setup: FieldSetup, count: int) -> np.ndarray:
     """Per-shot angles of one block, shape (rotations, count): one draw of
     width sigma per rotation of the layout, in table order."""
@@ -287,15 +278,6 @@ def _angle_blocks(setup: FieldSetup, n: int, seed: int):
     for index, start in enumerate(range(0, n, _BLOCK_SIZE)):
         rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
         yield _rotation_angles(rng, setup, min(_BLOCK_SIZE, n - start))
-
-
-def _shot_coefficients(table: _ShotTable, rho0: np.ndarray) -> np.ndarray:
-    """Real U, shape (32, columns): a shot with columns g maps rho0 to
-    rho0 + D with Re D (rows 0-15) and Im D (rows 16-31), row-major, equal
-    to U g.  Each element's row reads rho0 itself, never the conjugate
-    element: an input is Hermitian only within tolerance."""
-    u = (table.table @ rho0.ravel()).reshape(16, -1)
-    return np.concatenate((u.real, u.imag))
 
 
 def _shot_phasors(table: _ShotTable, angles: np.ndarray, phasors: np.ndarray) -> np.ndarray:
@@ -341,12 +323,6 @@ def _column_mean(counts: list, totals: list, n: int) -> tuple:
     counts, totals = np.array(counts, dtype=float), np.array(totals)
     sums = np.stack((totals.real - counts[:, None], totals.imag), axis=2).reshape(len(counts), -1)
     return counts, sums, sums.sum(axis=0) / n
-
-
-def _mean_state(rho0: np.ndarray, u: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """rho0 + U (overall column mean), Re and Im apart."""
-    re, im = (u @ mean).reshape(2, 4, 4)
-    return (rho0.real + re) + 1j * (rho0.imag + im)
 
 
 def _shot_mean(rho0: np.ndarray, blocks, n: int, table: _ShotTable) -> np.ndarray:

@@ -47,6 +47,7 @@ def _weight_ok(weight: float) -> bool:
 
 
 def _check_weight(weight: float) -> float:
+    check_real(weight, "step weight")
     weight = float(weight)
     if not _weight_ok(weight):
         raise ValueError(f"step weight must lie in [0, 4/3], got {weight!r}")
@@ -157,11 +158,12 @@ def lindblad_generators_from_kraus(operators: np.ndarray, dt: float) -> tuple[li
     them, is rejected.
 
     Raises:
-        ValueError: for a dt that is not finite or is below the least
-            normal float, a stack of another shape, an incomplete stack,
-            or one of another structure.
+        ValueError: for a dt that is not a finite positive real or is
+            below the least normal float, a stack of another shape, an
+            incomplete stack, or one of another structure.
     """
-    if not (np.isfinite(dt) and dt >= _MIN_DT):  # a subnormal dt would overflow the Gram matrices
+    check_real(dt, "step duration dt", positive=True)
+    if not dt >= _MIN_DT:  # a subnormal dt would overflow the Gram matrices
         raise ValueError(f"step duration dt must be finite and normal (at least {_MIN_DT!r}), got {dt!r}")
     operators = np.asarray(operators, dtype=complex)
     if operators.shape != (4, 4, 4):

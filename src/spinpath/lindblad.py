@@ -96,7 +96,10 @@ _DEPHASING = {mode: superop.kraus_map(projectors) for mode, projectors in _PROJE
 
 def _times(t) -> np.ndarray:
     """Evaluation time(s) as a float array: a scalar or 1-d array of times as ``check_real`` takes them."""
-    times = np.asarray(t)
+    try:
+        times = np.asarray(t)
+    except ValueError:  # a ragged sequence
+        check_real(t, "time")  # raises: a sequence is not a real number
     if times.ndim > 1:
         raise ValueError(f"time must be a scalar or a 1-d array, got shape {times.shape}")
     if times.dtype.kind not in "iuf":

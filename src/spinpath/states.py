@@ -126,7 +126,7 @@ def check_count(value, name: str, least: int = 0) -> None:
 def check_real(value, name: str, positive: bool = False) -> None:
     """Raise ValueError unless ``value`` is a finite real scalar >= 0 (> 0 if ``positive``):
     an int, a float or a 0-d array of one, never a bool, str, complex or sequence."""
-    array = np.asarray(value)
+    array = np.asarray(None if isinstance(value, (list, tuple)) else value)  # a ragged list would fail in asarray
     x = float(array) if array.ndim == 0 and array.dtype.kind in "iuf" else math.nan
     if not (math.isfinite(x) and (x > 0.0 if positive else x >= 0.0)):
         raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}, got {value!r}")

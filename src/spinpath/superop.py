@@ -7,9 +7,9 @@ Matrices are vectorized row-major, vec(X) = X.reshape(16), so that
 and the sandwich X -> L X R^dagger is the matrix kron(L, conj(R)).
 Composing maps is matrix multiplication: n RK4 steps are the n-th
 matrix power of the step map, while n Kraus steps of weight w are one
-step of weight 1 - (1 - w)^n (see :mod:`spinpath.kraus`).  The
-numerical routes (RK4 integration, Kraus composition, Gaussian angle
-averaging) all build their maps here; the closed forms in
+step of weight 1 - (1 - w)^n (see :mod:`spinpath.kraus`).  RK4
+integration and Kraus composition build their maps here, and the
+interferometer's shot table its terms C_q; the closed forms in
 :mod:`spinpath.lindblad` do not, so they stay an independent check.
 
 See Havel, J. Math. Phys. 44, 534 (2003) and Wood, Biamonte & Cory,

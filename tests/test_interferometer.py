@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -59,6 +60,28 @@ def random_rank_state(rng, rank):
     rho = g @ g.conj().T
     rho = rho / np.trace(rho).real
     return (rho + rho.conj().T) / 2.0
+
+
+QUADRATURE_AXES = {"z": np.diag([1.0, -1.0]), "x": np.array([[0.0, 1.0], [1.0, 0.0]])}
+QUADRATURE_PATHS = {"I": np.diag([1.0, 0.0]), "II": np.diag([0.0, 1.0]), "both": np.eye(2)}
+
+
+def quadrature_average(rho0, rotations, sigma):
+    """Gaussian average of the shot states by quadrature: per rotation (spin
+    axis s, path projector P), an 80-node Gauss-Hermite average of
+    rho -> U rho U^dagger with U(theta) = exp(i theta s/2) (x) P + 1 (x) (1 - P),
+    theta = sigma x; the averages composed in draw order, so a shot's last
+    rotation acts first."""
+    nodes, weights = hermegauss(80)
+    weights = weights / weights.sum()
+    rho = rho0
+    for axis, path in reversed(rotations):
+        s, here = QUADRATURE_AXES[axis], QUADRATURE_PATHS[path]
+        half = 0.5 * sigma * nodes[:, None, None]
+        spin = np.cos(half) * np.eye(2) + 1j * np.sin(half) * s  # exp(i theta s/2), as s^2 = 1
+        u = np.array([np.kron(r, here) for r in spin]) + np.kron(np.eye(2), np.eye(2) - here)
+        rho = np.einsum("k,kab,bc,kdc->ad", weights, u, rho, u.conj())
+    return rho
 
 
 def reference_shot_unitaries(alpha, beta, gamma=None, delta=None):
@@ -235,10 +258,12 @@ def test_single_shot_preserves_purity():
 
 
 def test_analytic_average_sigma_zero_is_identity():
-    for mode in ("A", "B"):
-        setup = FieldSetup(mode=mode, sigma=0.0)
-        out = ensemble_average_analytic(experiment_initial(), setup)
-        assert np.abs(out - experiment_initial()).max() < 1e-14
+    # Every column's exact mean is expm1(-0) = -0: the input comes back bit for bit.
+    rng = np.random.default_rng(61)
+    for mode, variant in sorted(_LAYOUTS):
+        setup = FieldSetup(mode=mode, sigma=0.0, variant=variant)
+        for rho0 in [experiment_initial()] + [random_rank_state(rng, rank) for rank in (1, 2, 3, 4)]:
+            assert np.array_equal(ensemble_average_analytic(rho0, setup), rho0)
 
 
 def test_analytic_average_mode_a_half_coherence():
@@ -315,17 +340,11 @@ def test_analytic_average_rejects_mode_b_variants():
 def test_mode_b_average_order_independent_for_singlet():
     # Swapping the per-path x/z application order must not change the
     # averaged singlet state.
-    from spinpath.interferometer import _angle_map
-    from spinpath.superop import apply
-
-    sigma = 0.9
-    x_ii, z_ii, x_i, z_i = (
-        _angle_map((axis, path), sigma)
-        for axis, path in (("x", "II"), ("z", "II"), ("x", "I"), ("z", "I"))
-    )
-    rho_xz = apply(z_i @ x_i @ z_ii @ x_ii, experiment_initial())
-    rho_zx = apply(x_i @ z_i @ x_ii @ z_ii, experiment_initial())
-    assert np.abs(rho_xz - rho_zx).max() < 1e-12
+    z_last = quadrature_average(experiment_initial(), (("z", "I"), ("z", "II"), ("x", "I"), ("x", "II")), 0.9)
+    x_last = quadrature_average(experiment_initial(), (("x", "I"), ("x", "II"), ("z", "I"), ("z", "II")), 0.9)
+    assert np.abs(z_last - x_last).max() < 1e-12
+    setup = FieldSetup(mode="B", sigma=0.9)
+    assert np.abs(ensemble_average_analytic(experiment_initial(), setup) - z_last).max() <= 1e-14
 
 
 def test_constant_angle_offset_preserves_coherence_modulus():
@@ -557,16 +576,12 @@ def test_phasor_plan_on_synthetic_phases(phases, base):
     sigma=st.floats(min_value=0.0, max_value=3.0),
 )
 def test_table_gaussian_average_matches_analytic(seed, rank, layout, sigma):
-    # A Gaussian angle averages exp(i q theta/2) to exp(-q^2 sigma^2/8), so the
-    # table's columns average to exp(-|q|^2 sigma^2/8) - 1 and 0; the analytic
-    # route composes per-angle maps instead.
+    # The table's exact column means against a reference that never reads
+    # the table: one Gauss-Hermite average per rotation, composed in draw order.
     rho0 = random_rank_state(np.random.default_rng(seed), rank)
-    table = _shot_table(*layout)
-    columns = np.zeros((len(table.phases), 2))
-    columns[:, 0] = np.expm1(-np.sum(table.phases**2, axis=1) * sigma**2 / 8.0)
-    re, im = (_shot_coefficients(table, rho0) @ columns.ravel()).reshape(2, 4, 4)
     setup = FieldSetup(mode=layout[0], sigma=sigma, variant=layout[1])
-    assert np.abs(rho0 + re + 1j * im - ensemble_average_analytic(rho0, setup)).max() <= 1e-14
+    reference = quadrature_average(rho0, _LAYOUTS[layout][0], sigma)
+    assert np.abs(ensemble_average_analytic(rho0, setup) - reference).max() <= 1e-14
 
 
 @pytest.mark.parametrize("mode,variant", FIELD_SETUPS)

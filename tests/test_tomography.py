@@ -9,7 +9,7 @@ from spinpath.interferometer import (
     ensemble_mean_monte_carlo,
     lambda_from_sigma,
 )
-from spinpath.kraus import trotter_evolve
+from spinpath.kraus import kraus_set_for_mode, lindblad_generators_from_kraus, trotter_evolve
 from spinpath.lindblad import DecoherenceSpec, evolve, integrate_master, projectors_for_mode
 from spinpath.pauli import ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z, spin_path
 from spinpath.states import StateValidationError, from_pure, maximally_mixed
@@ -133,6 +133,10 @@ ARGUMENT_BOUNDS = {
                   "time must be finite and nonnegative", -1.0, REAL_VALUES),
     "dwell-time": (lambda v: lambda_from_sigma(SETUP, v),
                    "dwell_time must be finite and positive", 0.0, REAL_VALUES),
+    "kraus-weight": (lambda v: kraus_set_for_mode("A", v),
+                     "step weight must be finite and nonnegative", -1.0, REAL_VALUES),
+    "generator-dt": (lambda v: lindblad_generators_from_kraus(kraus_set_for_mode("A", 0.01), v),
+                     "step duration dt must be finite and positive", 0.0, REAL_VALUES),
 }
 
 
@@ -140,10 +144,10 @@ ARGUMENT_BOUNDS = {
 def test_integer_counts_and_seeds_reject_bool(call, bound, outside, good):
     # One check per bound: True must not pass as one shot, one step, seed 1 or
     # lam = 1, and no bool, str, complex, sequence, nan or inf passes either; each
-    # fails with the bound's own message.  evolve takes a 1-d array of times, so
-    # its sequences are ones of bool and of complex.
+    # fails with the bound's own message, a ragged sequence too.  evolve takes a
+    # 1-d array of times, so its sequences are ones of bool and of complex.
     sequences = ([True], np.array([1j])) if call is ARGUMENT_BOUNDS["evolve-t"][0] else ([1.0], np.array([1.0]))
-    bad = (True, np.True_, "1", 1j, *sequences, np.nan, np.inf, outside)
+    bad = (True, np.True_, "1", 1j, *sequences, [1.0, [2.0]], np.nan, np.inf, outside)
     messages = []
     for value in bad:
         try:
