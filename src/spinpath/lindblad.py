@@ -46,7 +46,7 @@ class SystemHamiltonian:
     energies: tuple[float, float, float, float]
 
     def __post_init__(self):
-        energies = tuple(float(e) for e in self.energies)
+        energies = tuple(check_real(e, "energy", signed=True) for e in self.energies)
         if len(energies) != 4:
             raise ValueError(f"expected 4 energies, got {len(energies)}")
         if not all(map(math.isfinite, energies)):

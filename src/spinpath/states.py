@@ -14,6 +14,7 @@ initial condition throughout.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,9 @@ NORM_TOL = 1e-12
 # c*1 with c = -EIGENVALUE_FLOOR/2: a Cholesky factorization of rho + c*1 exists
 # only if min eig(rho) > -c - O(eps), a bound far above the floor.
 _CHOLESKY_SHIFT = -EIGENVALUE_FLOOR / 2.0 * np.eye(4)
+
+# Entry types a parsed JSON number has.
+_JSON_NUMBERS = {int, float}
 
 # psi1..psi4 of the module docstring.
 _BELL = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex) / np.sqrt(2.0)
@@ -72,7 +76,7 @@ class BellWeights:
     nu: tuple[float, float, float, float]
 
     def __post_init__(self):
-        nu = tuple(float(x) for x in self.nu)
+        nu = tuple(check_real(x, "weight", signed=True) for x in self.nu)
         if len(nu) != 4:
             raise ValueError(f"expected 4 weights, got {len(nu)}")
         if not all(np.isfinite(nu)):
@@ -123,13 +127,19 @@ def check_count(value, name: str, least: int = 0) -> None:
         raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
-def check_real(value, name: str, positive: bool = False) -> None:
-    """Raise ValueError unless ``value`` is a finite real scalar >= 0 (> 0 if ``positive``):
-    an int, a float or a 0-d array of one, never a bool, str, complex or sequence."""
+def check_real(value, name: str, positive: bool = False, signed: bool = False) -> float:
+    """Return ``value`` as a float, raising ValueError unless it is a real scalar: an int,
+    a float or a 0-d array of one, never a bool, str, complex or sequence.  It must also be
+    finite and >= 0 (> 0 if ``positive``) unless ``signed``, whose range its caller checks."""
     array = np.asarray(None if isinstance(value, (list, tuple)) else value)  # a ragged list would fail in asarray
-    x = float(array) if array.ndim == 0 and array.dtype.kind in "iuf" else math.nan
-    if not (math.isfinite(x) and (x > 0.0 if positive else x >= 0.0)):
+    real = array.ndim == 0 and array.dtype.kind in "iuf"
+    x = float(array) if real else math.nan
+    if signed:
+        if not real:
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+    elif not (math.isfinite(x) and (x > 0.0 if positive else x >= 0.0)):
         raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}, got {value!r}")
+    return x
 
 
 def _check(bad, defect, message: str) -> None:
@@ -210,7 +220,8 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`.  Performs shape checks only."""
+    """Inverse of :func:`matrix_to_json`.  Performs shape and type checks only:
+    every entry must be an int or float (a JSON number), never a bool or str."""
     if not isinstance(obj, dict):
         raise ValueError("matrix json must be an object")
     if obj.get("dim") != 4:
@@ -222,4 +233,9 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(f"malformed matrix json: {exc}") from exc
     if re.shape != (4, 4) or im.shape != (4, 4):
         raise ValueError(f"matrix json parts must be 4x4, got {re.shape} and {im.shape}")
+    for part in ("re", "im"):
+        for k, x in enumerate(itertools.chain.from_iterable(obj[part])):
+            # The type lookup is the fast test; isinstance lets float subclasses such as np.float64 pass.
+            if type(x) not in _JSON_NUMBERS and (isinstance(x, bool) or not isinstance(x, (int, float))):
+                raise ValueError(f"malformed matrix json: {part}[{k // 4}][{k % 4}] = {x!r} is not a number")
     return re + 1j * im

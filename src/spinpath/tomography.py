@@ -3,7 +3,8 @@
 Measurement model: for each of the nine settings (spin observable,
 path observable) in {X, Y, Z} x {X, Y, Z}, both qubits are projected
 onto the +/-1 eigenspaces of their observables.  Outcome probabilities
-follow the Born rule; finite-shot data are multinomial draws.
+follow the Born rule; finite-shot data are multinomial draws, all nine
+settings from one seeded generator.
 
 Data are (9, 4) arrays: row i is setting ``ALL_SETTINGS[i]``, column k
 is outcome k in the order (+,+), (+,-), (-,+), (-,-).  Exact data hold
@@ -81,20 +82,17 @@ def exact_records(rho: np.ndarray) -> np.ndarray:
 def simulate_counts(rho: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """(9, 4) integer multinomial counts, ``shots`` per setting.
 
-    Setting i draws from a generator seeded with SeedSequence((seed, i)),
-    so counts are a pure function of (rho, shots, seed), independent of
-    scheduling.  ``shots`` is at most 2**63 - 1, the int64 limit of the
-    multinomial draw.
+    One ``default_rng(seed)`` draws the whole Born table in one
+    ``multinomial`` call, row by row in ALL_SETTINGS order, so counts are
+    a pure function of (rho, shots, seed).  ``shots`` is at most
+    2**63 - 1, the int64 limit of the multinomial draw.
     """
     rho = validate_density_matrix(rho)
     check_count(shots, "shots", 1)
     if shots > _MAX_SHOTS:
         raise ValueError(f"shots {shots} exceeds the limit of {_MAX_SHOTS}")
     check_count(seed, "seed")
-    return np.array([
-        np.random.default_rng(np.random.SeedSequence((int(seed), i))).multinomial(int(shots), probs)
-        for i, probs in enumerate(_born_probabilities(rho))
-    ])
+    return np.random.default_rng(int(seed)).multinomial(int(shots), _born_probabilities(rho))
 
 
 def _frequencies(counts) -> np.ndarray:

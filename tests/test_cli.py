@@ -906,6 +906,10 @@ def test_invalid_initial_matrix_exits_2(tmp_path, capsys, command):
         ({"shots": 0}, "no 4x4 matrix found in state file"),
         ({"dim": 4, "re": [[1.0]], "im": [[0.0]]},
          "matrix json parts must be 4x4, got (1, 1) and (1, 1)"),
+        # A diagonal of bools and a numeric string would read as a state of trace 1.
+        ({"dim": 4, "re": [[True, 0, 0, 0], [0, False, 0, 0], [0, 0, "0", 0], [0, 0, 0, False]],
+          "im": [[0] * 4] * 4},
+         "malformed matrix json: re[0][0] = True is not a number"),
     ]
     for invariant in ("trace", "hermiticity", "positivity", "finiteness"):
         m = _invalid_state(invariant)

@@ -411,3 +411,14 @@ def test_matrix_from_json_rejects_malformed():
         matrix_from_json({"dim": 3, "re": [], "im": []})
     with pytest.raises(ValueError):
         matrix_from_json({"dim": 4, "re": [[0.0] * 4] * 3, "im": [[0.0] * 4] * 4})
+    # Only JSON numbers are entries: a bool, a numeric string or null is named, part and index.
+    for part, (i, j), bad in (("re", (0, 0), True), ("re", (1, 1), False), ("re", (2, 2), "0"),
+                              ("im", (3, 1), "0.5"), ("im", (0, 3), None)):
+        obj = matrix_to_json(maximally_mixed())
+        obj[part][i][j] = bad
+        with pytest.raises(ValueError) as caught:
+            matrix_from_json(obj)
+        assert str(caught.value) == f"malformed matrix json: {part}[{i}][{j}] = {bad!r} is not a number"
+    # Ints, floats and float subclasses such as np.float64 are numbers.
+    assert np.array_equal(matrix_from_json({"dim": 4, "re": np.eye(4) / 4, "im": [[0] * 4] * 4}),
+                          maximally_mixed())

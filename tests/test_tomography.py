@@ -10,9 +10,9 @@ from spinpath.interferometer import (
     lambda_from_sigma,
 )
 from spinpath.kraus import kraus_set_for_mode, lindblad_generators_from_kraus, trotter_evolve
-from spinpath.lindblad import DecoherenceSpec, evolve, integrate_master, projectors_for_mode
+from spinpath.lindblad import DecoherenceSpec, SystemHamiltonian, evolve, integrate_master, projectors_for_mode
 from spinpath.pauli import ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z, spin_path
-from spinpath.states import StateValidationError, from_pure, maximally_mixed
+from spinpath.states import StateValidationError, bell_diagonal, from_pure, maximally_mixed
 from spinpath.tomography import (
     ALL_SETTINGS,
     counts_to_json,
@@ -69,6 +69,15 @@ def test_simulate_counts_deterministic():
     assert first.shape == (9, 4)
     assert np.issubdtype(first.dtype, np.integer)
     assert np.array_equal(first, second)
+    # The counts law: one generator seeded with the seed draws the whole Born
+    # table in one multinomial call, row by row in ALL_SETTINGS order.
+    rng = np.random.default_rng(29)
+    for rank in (1, 2, 3, 4):
+        rho = random_rank_state(rng, rank)
+        for seed in (0, 7, 2**32 + 5):
+            for shots in (1, 100, 10**6, 2**63 - 1):
+                expected = np.random.default_rng(seed).multinomial(shots, exact_records(rho))
+                assert np.array_equal(simulate_counts(rho, shots, seed), expected)
 
 
 def test_simulate_counts_singlet_zz_anticorrelation():
@@ -102,6 +111,7 @@ REAL_VALUES = (1, np.int64(1), np.float64(0.5), np.array(0.5))
 SPEC, SETUP = DecoherenceSpec("A", 1.0), FieldSetup("A", 1.0)
 # Every argument bound an entry point checks, each as one call taking the value:
 # (call, the bound's message up to ", got", an out-of-range value, values it accepts).
+# A signed bound (out-of-range value None) checks the type only; its caller checks the range.
 ARGUMENT_BOUNDS = {
     "shots": (lambda v: simulate_counts(SINGLET, v, 1),
               "shots must be a positive integer", 0, COUNT_VALUES),
@@ -137,6 +147,10 @@ ARGUMENT_BOUNDS = {
                      "step weight must be finite and nonnegative", -1.0, REAL_VALUES),
     "generator-dt": (lambda v: lindblad_generators_from_kraus(kraus_set_for_mode("A", 0.01), v),
                      "step duration dt must be finite and positive", 0.0, REAL_VALUES),
+    "energy": (lambda v: SystemHamiltonian((0.0, v, 0.0, 0.0)),
+               "energy must be a real number", None, (-1, np.int64(-1), np.float64(-0.5), np.array(0.5))),
+    "bell-weight": (lambda v: bell_diagonal((0.5, 0.5, v, 0.0)),
+                    "weight must be a real number", None, (0, np.int64(0), -1e-13, np.array(0.0))),
 }
 
 
@@ -147,7 +161,9 @@ def test_integer_counts_and_seeds_reject_bool(call, bound, outside, good):
     # fails with the bound's own message, a ragged sequence too.  evolve takes a
     # 1-d array of times, so its sequences are ones of bool and of complex.
     sequences = ([True], np.array([1j])) if call is ARGUMENT_BOUNDS["evolve-t"][0] else ([1.0], np.array([1.0]))
-    bad = (True, np.True_, "1", 1j, *sequences, [1.0, [2.0]], np.nan, np.inf, outside)
+    bad = (True, np.True_, "1", 1j, *sequences, [1.0, [2.0]])
+    if outside is not None:
+        bad += (np.nan, np.inf, outside)
     messages = []
     for value in bad:
         try:
