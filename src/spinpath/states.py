@@ -30,6 +30,8 @@ _CHOLESKY_SHIFT = -EIGENVALUE_FLOOR / 2.0 * np.eye(4)
 
 # Entry types a parsed JSON number has.
 _JSON_NUMBERS = {int, float}
+# The ints np.asarray reads as int64 or uint64; past them it gives an object array.
+_INT_LOW, _INT_HIGH = -2**63, 2**64
 
 # psi1..psi4 of the module docstring.
 _BELL = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex) / np.sqrt(2.0)
@@ -131,9 +133,12 @@ def check_real(value, name: str, positive: bool = False, signed: bool = False) -
     """Return ``value`` as a float, raising ValueError unless it is a real scalar: an int,
     a float or a 0-d array of one, never a bool, str, complex or sequence.  It must also be
     finite and >= 0 (> 0 if ``positive``) unless ``signed``, whose range its caller checks."""
-    array = np.asarray(None if isinstance(value, (list, tuple)) else value)  # a ragged list would fail in asarray
-    real = array.ndim == 0 and array.dtype.kind in "iuf"
-    x = float(array) if real else math.nan
+    if type(value) is float or (type(value) is int and _INT_LOW <= value < _INT_HIGH):
+        real, x = True, float(value)  # what asarray gives, without its cost
+    else:
+        array = np.asarray(None if isinstance(value, (list, tuple)) else value)  # a ragged list would fail in asarray
+        real = array.ndim == 0 and array.dtype.kind in "iuf"
+        x = float(array) if real else math.nan
     if signed:
         if not real:
             raise ValueError(f"{name} must be a real number, got {value!r}")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
@@ -124,23 +126,28 @@ def _sampled_angles(rng, setup, count):
     return kernel_angles((setup.mode, setup.variant), _rotation_angles(rng, setup, count))
 
 
-def reference_monte_carlo(rho0, setup, samples, seed):
-    """Block Monte Carlo through the batched products u @ rho0 @ u^dagger.
-
-    Same blocks, child seeds and draws as ensemble_average_monte_carlo.
-    The deviations from rho0 are averaged in extended precision and their
-    variance is taken in two passes (mean first, then squared distances
-    to it), so the reference carries neither summation roundoff nor the
-    cancellation of sum-of-squares formulas.  Returns (mean, stderr_re,
-    stderr_im).
-    """
+def reference_shots(rho0, setup, samples, seed):
+    """(samples, 4, 4) shot states u @ rho0 @ u^dagger, as batched products,
+    of the same blocks, child seeds and draws as ensemble_average_monte_carlo."""
     shots = []
     for block_index, start in enumerate(range(0, samples, _BLOCK_SIZE)):
         rng = np.random.default_rng(np.random.SeedSequence((seed, block_index)))
         count = min(_BLOCK_SIZE, samples - start)
         u = reference_shot_unitaries(*_sampled_angles(rng, setup, count))
         shots.append(u @ rho0 @ u.conj().transpose(0, 2, 1))
-    shots = np.concatenate(shots)
+    return np.concatenate(shots)
+
+
+def reference_monte_carlo(rho0, setup, samples, seed):
+    """Block Monte Carlo over ``reference_shots``.
+
+    The deviations from rho0 are averaged in extended precision and their
+    variance is taken in two passes (mean first, then squared distances
+    to it), so the reference carries neither summation roundoff nor the
+    cancellation of sum-of-squares formulas.  Returns (mean, stderr_re,
+    stderr_im).
+    """
+    shots = reference_shots(rho0, setup, samples, seed)
     dev_re = (shots.real - rho0.real).astype(np.longdouble)
     dev_im = (shots.imag - rho0.imag).astype(np.longdouble)
     mean_re, mean_im = dev_re.mean(axis=0), dev_im.mean(axis=0)
@@ -661,14 +668,103 @@ def test_mode_b_monte_carlo_matches_reference_over_random_specs(sigma, samples, 
     np.testing.assert_allclose(estimate.stderr_im, stderr_im, rtol=1e-12, atol=_STDERR_FLOOR)
 
 
+# --- the angle draw ------------------------------------------------------------
+
+
+def _block_angles(layout, sigma, count, seed):
+    return _rotation_angles(np.random.default_rng(seed), FieldSetup(layout[0], sigma, layout[1]), count)
+
+
+def test_rotation_angles_have_the_normal_moments():
+    # 2**21 angles of width 1: the mean, E[x^2] = 1 and E[x^4] = 3, each within
+    # five standard errors (Var x = 1, Var x^2 = 2, Var x^4 = 105 - 9).
+    x = _block_angles(("B", "both_paths_independent"), 1.0, 2**19, 31).ravel()
+    for power, moment, variance in ((1, 0.0, 1.0), (2, 1.0, 2.0), (4, 3.0, 96.0)):
+        assert abs(np.mean(x**power) - moment) <= 5.0 * np.sqrt(variance / x.size)
+
+
+def test_rotation_angles_pass_a_binned_chi_square_against_the_normal_law():
+    # 40 bins of width 0.2 on [-4, 4] and the two tails (at least 60 expected
+    # counts each) against Phi(x) = (1 + erf(x / sqrt 2)) / 2; the statistic
+    # must lie within five standard deviations, sqrt(2 dof), of its mean dof.
+    x = _block_angles(("A", "single_field_one_path"), 1.0, 2_000_001, 32)[0]
+    edges = np.concatenate(([-np.inf], np.linspace(-4.0, 4.0, 41), [np.inf]))
+    observed = np.histogram(x, edges)[0]
+    expected = x.size * np.diff([0.5 * (1.0 + math.erf(e / math.sqrt(2.0))) for e in edges])
+    assert expected.min() > 60.0
+    dof = len(observed) - 1
+    assert ((observed - expected) ** 2 / expected).sum() <= dof + 5.0 * np.sqrt(2.0 * dof)
+
+
+@pytest.mark.parametrize("layout", [FIELD_SETUPS[i] for i in (0, 2, 3)])  # 2, 1 and 4 rotations
+def test_rotation_angle_partners_are_independent(layout):
+    # One uniform pair gives a cosine and a sine partner: rows r and r + R/2
+    # of R rows, or shots k and k + half of one row.  Neither the partners
+    # nor their squares may correlate beyond five standard errors.
+    rows = len(_LAYOUTS[layout][0])
+    x = _block_angles(layout, 1.0, 2_000_000 // rows, 33 + rows)
+    if rows == 1:
+        first, second = x[0, :1_000_000], x[0, 1_000_000:]
+    else:
+        first, second = x[:rows // 2].ravel(), x[rows // 2:].ravel()
+    for f in (np.positive, np.square):
+        assert abs(np.corrcoef(f(first), f(second))[0, 1]) <= 5.0 / np.sqrt(first.size)
+
+
+@pytest.mark.parametrize(
+    "layout, count",
+    [(FIELD_SETUPS[1], 1), (FIELD_SETUPS[2], 8191), (FIELD_SETUPS[0], 4097), (FIELD_SETUPS[3], 3)],
+)
+def test_rotation_angles_are_box_muller_pairs_of_one_uniform_draw(layout, count):
+    # Odd sizes drop the last sine; the draw takes exactly one random((2, half)).
+    rows = len(_LAYOUTS[layout][0])
+    size = rows * count
+    rng, reference = np.random.default_rng(34), np.random.default_rng(34)
+    angles = _rotation_angles(rng, FieldSetup(layout[0], 0.7, layout[1]), count)
+    u, v = reference.random((2, (size + 1) // 2))
+    r, phi = np.sqrt(-2.0 * np.log1p(-u)), 2.0 * np.pi * (v - 0.5)
+    expected = 0.7 * np.concatenate((r * np.cos(phi), r * np.sin(phi)))[:size].reshape(rows, count)
+    assert angles.shape == (rows, count)
+    np.testing.assert_allclose(angles, expected, rtol=1e-12, atol=1e-14)
+    assert rng.random() == reference.random()
+
+
+@pytest.mark.parametrize("sigma", [0.37, 2.0, 1e-300, 5e-324, 1.3e154])
+def test_rotation_angles_at_sigma_are_sigma_times_those_at_1(sigma):
+    one = _block_angles(("B", "both_paths_independent"), 1.0, 1001, 35)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        angles = _block_angles(("B", "both_paths_independent"), sigma, 1001, 35)
+    assert np.array_equal(angles, one * sigma)
+
+
+def test_rotation_angles_stay_finite_at_the_ends_of_the_uniforms():
+    # u = 0 gives radius 0; v = 0 gives tan(-pi/2 rounded), about -1.6e16,
+    # whose square stays finite: its cosine is -1 and its sine -1.2e-16, pi
+    # rounded; v = 1 - 2^-53 has sine 7e-16.  Cosine partners fill rows 0-1
+    # and sine partners rows 2-3.
+    class Ends:
+        def random(self, shape):
+            assert shape == (2, 4)
+            return np.array([[0.0, 0.0, 1.0 - 2.0**-53, 0.5], [0.0, 0.5, 0.0, 1.0 - 2.0**-53]])
+
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        angles = _rotation_angles(Ends(), FieldSetup("B", 1.3e154), 2)
+    assert np.all(angles[0] == 0.0) and np.all(angles[2] == 0.0)
+    assert angles[1, 0] == -np.sqrt(-2.0 * np.log1p(-(1.0 - 2.0**-53))) * 1.3e154
+    assert np.all(np.abs(angles[3]) <= 1e-14 * np.abs(angles[1]))
+
+
 def test_mode_b_stderr_keeps_its_digits_at_two_samples():
-    # A spread that is small next to the deviation itself: a one-pass
-    # sum-of-squares variance gives stderr_re[1, 2] = 5.894913987866559e-05 here.
-    rho0 = random_rank_state(np.random.default_rng(20), 1)
+    # A spread 1/1580 of the deviation itself: a one-pass sum-of-squares
+    # variance gives stderr_re[1, 2] = 2.138659953913798e-05 here, 2e-10 off.
+    rho0 = random_rank_state(np.random.default_rng(1184), 1)
     setup = FieldSetup(mode="B", sigma=0.5)
-    estimate = ensemble_average_monte_carlo(rho0, setup, 2, 20)
-    mean, stderr_re, stderr_im = reference_monte_carlo(rho0, setup, 2, 20)
-    assert abs(stderr_re[1, 2] - 5.8949139882774615e-05) < 1e-18
+    estimate = ensemble_average_monte_carlo(rho0, setup, 2, 1184)
+    mean, stderr_re, stderr_im = reference_monte_carlo(rho0, setup, 2, 1184)
+    assert abs(stderr_re[1, 2] - 2.1386599534881784e-05) < 1e-18
+    x = reference_shots(rho0, setup, 2, 1184).real[:, 1, 2] - rho0.real[1, 2]
+    one_pass = np.sqrt(((x * x).sum() - x.sum() ** 2 / 2.0) / 2.0)
+    assert abs(one_pass - stderr_re[1, 2]) > 1e-15
     assert abs(estimate.stderr_re[1, 2] / stderr_re[1, 2] - 1.0) <= 1e-12
     assert np.abs(estimate.mean - mean).max() <= 1e-15
     np.testing.assert_allclose(estimate.stderr_re, stderr_re, rtol=1e-12, atol=_STDERR_FLOOR)

@@ -13,6 +13,7 @@ from spinpath.states import (
     StateValidationError,
     bell_diagonal,
     bell_state,
+    check_real,
     experiment_initial,
     from_pure,
     matrix_from_json,
@@ -422,3 +423,28 @@ def test_matrix_from_json_rejects_malformed():
     # Ints, floats and float subclasses such as np.float64 are numbers.
     assert np.array_equal(matrix_from_json({"dim": 4, "re": np.eye(4) / 4, "im": [[0] * 4] * 4}),
                           maximally_mixed())
+
+
+class _Real(float):
+    """A float subclass, which check_real reads through np.asarray."""
+
+
+@pytest.mark.parametrize("value", [
+    0, 1, -1, 2**53 + 1, 2**63 - 1, 2**63, 2**64 - 1, 2**64, -2**63, -2**63 - 1, 10**400,
+    0.5, -0.0, 5e-324, 1.7e308, np.nan, np.inf, -np.inf, -2.5,
+    np.float64(0.5), _Real(0.25), _Real(-1.0), np.array(0.5), np.array(3), np.array(2**64 - 1, dtype=np.uint64),
+])
+def test_check_real_reads_exact_ints_and_floats_as_asarray_does(value):
+    # An exact int or float skips np.asarray; every form must still get the
+    # float, or the message up to ", got", that the 0-d array of it gets.
+    def outcome(v, **kwargs):
+        try:
+            x = check_real(v, "x", **kwargs)
+        except ValueError as exc:
+            return str(exc).split(", got ")[0]
+        assert type(x) is float
+        return repr(x)
+
+    general = np.asarray(value)
+    for kwargs in ({}, {"positive": True}, {"signed": True}):
+        assert outcome(value, **kwargs) == outcome(general, **kwargs)
