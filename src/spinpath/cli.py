@@ -237,7 +237,7 @@ def cmd_kraus_compare(args) -> str:
     analytic = lindblad._evolve(rho0, spec, args.time)
     produced = [analytic, kraus._trotter_evolve(rho0, args.mode, args.lam, args.time, args.steps)]
     half = args.steps // 2
-    if half and args.lam * args.time / half <= kraus.MAX_WEIGHT:
+    if half and kraus._weight_ok(args.lam * args.time / half):
         produced.append(kraus._trotter_evolve(rho0, args.mode, args.lam, args.time, half))
     states.validate_density_matrix(np.stack(produced))
     error = float(np.abs(produced[1] - analytic).max())
@@ -300,7 +300,7 @@ def cmd_calibrate(args) -> str:
         # Decay relative to the initial coherence, so sigma=0 (mean equals
         # the input bit-exactly) reports lambda_t = 0 exactly.
         lambda_t = float(-np.log(magnitude / initial_magnitude)) + 0.0
-        points.append({"sigma": float(setup.sigma), "lambda_t": lambda_t})
+        points.append({"sigma": setup.sigma, "lambda_t": lambda_t})
     # Fit against (sigma / 2^e)^2, with 2^e the binade of the largest sigma,
     # so that the largest term is about 1 and sigma^4 neither overflows nor,
     # for tiny sigmas, underflows to 0 (a term that underflows is negligible

@@ -73,7 +73,7 @@ _AXES = {"x": SIGMA_X, "z": SIGMA_Z}
 
 @dataclass(frozen=True)
 class FieldSetup:
-    """Decoherence mode, fluctuation width and field-placement variant."""
+    """Decoherence mode, fluctuation width and field-placement variant; ``sigma`` is stored as a float."""
 
     mode: str
     sigma: float
@@ -81,7 +81,7 @@ class FieldSetup:
 
     def __post_init__(self):
         check_mode(self.mode)
-        check_real(self.sigma, "sigma")
+        object.__setattr__(self, "sigma", check_real(self.sigma, "sigma"))
         if not np.isfinite(self.sigma * self.sigma):
             raise ValueError(f"sigma {self.sigma!r} is too large: its square overflows")
         if self.variant not in VARIANTS:
@@ -478,5 +478,5 @@ def lambda_from_sigma(setup: FieldSetup, dwell_time: float) -> float:
     The product lam * dwell_time equals c * sigma^2, with c the layout's
     coefficient in ``_LAYOUTS``.
     """
-    check_real(dwell_time, "dwell_time", positive=True)
+    dwell_time = check_real(dwell_time, "dwell_time", positive=True)
     return _LAYOUTS[setup.mode, setup.variant][1] * setup.sigma ** 2 / dwell_time

@@ -47,8 +47,7 @@ def _weight_ok(weight: float) -> bool:
 
 
 def _check_weight(weight: float) -> float:
-    check_real(weight, "step weight")
-    weight = float(weight)
+    weight = check_real(weight, "step weight")
     if not _weight_ok(weight):
         raise ValueError(f"step weight must lie in [0, 4/3], got {weight!r}")
     return weight

@@ -30,7 +30,7 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,23 +55,27 @@ class SystemHamiltonian:
 
     @classmethod
     def degenerate(cls) -> "SystemHamiltonian":
-        return cls((0.0, 0.0, 0.0, 0.0))
+        """The one shared Hamiltonian of four zero energies; it is frozen, so every spec may hold it."""
+        return _DEGENERATE
 
     def diagonal(self) -> np.ndarray:
         return np.diag(np.array(self.energies, dtype=complex))
 
 
+_DEGENERATE = SystemHamiltonian((0.0, 0.0, 0.0, 0.0))
+
+
 @dataclass(frozen=True)
 class DecoherenceSpec:
-    """Mode label, coupling strength and Hamiltonian for one evolution."""
+    """Mode label, coupling strength and Hamiltonian for one evolution; ``lam`` is stored as a float."""
 
     mode: str
     lam: float
-    hamiltonian: SystemHamiltonian = field(default_factory=SystemHamiltonian.degenerate)
+    hamiltonian: SystemHamiltonian = _DEGENERATE
 
     def __post_init__(self):
         check_mode(self.mode)
-        check_real(self.lam, "coupling strength")
+        object.__setattr__(self, "lam", check_real(self.lam, "coupling strength"))
 
 
 def _projectors(axis: np.ndarray) -> np.ndarray:
@@ -193,9 +197,8 @@ def _check_phases(spec: DecoherenceSpec, times: np.ndarray) -> None:
         raise ValueError(
             f"energy phase (E_k - E_j) * t is not finite for energies {energies} at time {t_max!r}"
         )
-    lam = float(spec.lam)
-    if not math.isfinite(lam * t_max):
-        raise ValueError(f"lam * t is not finite for lam {lam!r} at time {t_max!r}")
+    if not math.isfinite(spec.lam * t_max):
+        raise ValueError(f"lam * t is not finite for lam {spec.lam!r} at time {t_max!r}")
 
 
 def _evolve(rho0: np.ndarray, spec: DecoherenceSpec, t) -> np.ndarray:

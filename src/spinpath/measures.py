@@ -1,4 +1,5 @@
-"""Mixedness and entanglement measures; det(rho^Gamma) > 1e-12 certifies concurrence 0."""
+"""Mixedness and entanglement measures; det(rho^Gamma) > 1e-12 certifies concurrence 0.
+``measure_report`` is the one entry for the Wootters roots of a state or of a stack."""
 
 from __future__ import annotations
 
@@ -6,12 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import SIGMA_Y
+from .pauli import ID4, SIGMA_Y
 from .states import EIGENVALUE_FLOOR, HERMITICITY_TOL, TRACE_TOL, BellWeights, validate_density_matrix
 
 # sy (x) sy is anti-diagonal; its entry in row i, (-1, 1, 1, -1), as a column.
 _YY_SIGNS = np.fliplr(np.kron(SIGMA_Y, SIGMA_Y)).diagonal().real[:, None]
-_EYE = np.eye(4, dtype=complex)
 # A validated state has trace 1 and no eigenvalue below -1e-9, so det > 1e-12
 # leaves none negative and, as the other three multiply to at most 1/27, puts
 # the least above 2.7e-11: far above the Hermiticity slack (< 2e-12) of the
@@ -81,8 +81,8 @@ def mixedness(rho: np.ndarray) -> float | np.ndarray:
     return _mixedness_concurrence(rho)[0]
 
 
-def wootters_roots(rho: np.ndarray) -> np.ndarray:
-    """Decreasing Wootters roots of one state (4,) or of a stack (N, 4).
+def _roots(rho: np.ndarray) -> np.ndarray:
+    """Decreasing Wootters roots of one validated state (4,) or of a stack (N, 4).
 
     They are the singular values of tau = W^T (sy (x) sy) W for any factor
     rho = W W^dagger (Wootters, PRL 80, 2245 (1998)): W -> W U leaves them
@@ -96,10 +96,6 @@ def wootters_roots(rho: np.ndarray) -> np.ndarray:
     is the row-reversed W scaled by those signs and transposed: one product
     fewer, and the same terms paired as (W^T (sy (x) sy)) W, bit for bit.
     """
-    return _roots(validate_density_matrix(rho))
-
-
-def _roots(rho: np.ndarray) -> np.ndarray:
     w = _factor(rho)
     tau = (_YY_SIGNS * w[..., ::-1, :]).swapaxes(-2, -1) @ w
     return np.linalg.svd(tau, compute_uv=False)
@@ -108,7 +104,7 @@ def _roots(rho: np.ndarray) -> np.ndarray:
 def _factor(rho: np.ndarray) -> np.ndarray:
     """A factor W with rho = W W^dagger of each validated state in rho."""
     clear = np.linalg.det(rho).real > _DET_FLOOR
-    w = np.linalg.cholesky(np.where(clear[..., None, None], rho, _EYE))
+    w = np.linalg.cholesky(np.where(clear[..., None, None], rho, ID4))
     if not clear.all():
         eigenvalues, vectors = np.linalg.eigh(rho[~clear])
         w[~clear] = vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))[..., None, :]
@@ -139,7 +135,7 @@ def _mixedness_concurrence(rho: np.ndarray):
 def concurrence(rho: np.ndarray) -> float | np.ndarray:
     """Entanglement monotone max{0, mu1 - mu2 - mu3 - mu4}.
 
-    The mu_i are the decreasing Wootters roots (:func:`wootters_roots`).
+    The mu_i are the decreasing Wootters roots (as :func:`measure_report` gives them).
     Returns 0 for separable states and 1 for maximally entangled ones:
     a float for one state, an (N,) array for an (N, 4, 4) stack.
     """

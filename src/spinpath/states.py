@@ -9,7 +9,9 @@ The Bell basis used by :func:`bell_state` is
     psi3 = (e2 + e3)/sqrt(2)      psi4 = (e2 - e3)/sqrt(2)
 
 so ``bell_state(4)`` is the singlet-like state used as the reference
-initial condition throughout.
+initial condition throughout.  The basis is held once, as the table of
+sqrt(2) psi_i: :func:`bell_state` reads its rows and :func:`bell_diagonal`
+forms ``sum_i nu_i |psi_i><psi_i|`` from it in one product.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ _JSON_NUMBERS = {int, float}
 # The ints np.asarray reads as int64 or uint64; past them it gives an object array.
 _INT_LOW, _INT_HIGH = -2**63, 2**64
 
-# psi1..psi4 of the module docstring.
-_BELL = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex) / np.sqrt(2.0)
+# sqrt(2) times psi1..psi4 of the module docstring, one per row.
+_BELL_TABLE = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex)
+_BELL = _BELL_TABLE / np.sqrt(2.0)
 
 
 class StateValidationError(ValueError):
@@ -98,18 +101,10 @@ def bell_diagonal(weights) -> np.ndarray:
     """
     if not isinstance(weights, BellWeights):
         weights = BellWeights(tuple(weights))
-    nu1, nu2, nu3, nu4 = weights.nu
-    s1, s2, d1, d2 = nu1 + nu2, nu3 + nu4, nu1 - nu2, nu3 - nu4
-    rho = 0.5 * np.array(
-        [
-            [s1, 0.0, 0.0, d1],
-            [0.0, s2, d2, 0.0],
-            [0.0, d2, s2, 0.0],
-            [d1, 0.0, 0.0, s1],
-        ],
-        dtype=complex,
-    )
-    return rho
+    # S^T diag(nu) S / 2 over the real table S of rows sqrt(2) psi_i is sum_i nu_i |psi_i><psi_i|.
+    # The product forms each entry's nu_i +- nu_j exactly; halving after it rounds each entry
+    # once, also where the weights are subnormal.
+    return 0.5 * ((_BELL_TABLE.T * weights.nu) @ _BELL_TABLE)
 
 
 def experiment_initial() -> np.ndarray:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ginibre import ginibre_state, hermitian_ginibre_state
 from spinpath import cli, interferometer, kraus, lindblad, measures, states, superop
 from spinpath.cli import _dumps, main
 from spinpath.measures import measure_report
@@ -203,14 +204,6 @@ NAMED_INITIALS = {"singlet": experiment_initial(), "bell1": from_pure(bell_state
                   "bell3": from_pure(bell_state(3)), "maximally-mixed": np.eye(4) / 4.0}
 
 
-def ginibre_state(seed, rank):
-    """A random density matrix of the given rank from a seeded Ginibre draw."""
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     mode=st.sampled_from(["A", "B"]),
@@ -222,7 +215,9 @@ def ginibre_state(seed, rank):
     # A random rank 1-4 file state (a Ginibre draw) crosses the separability
     # boundary at a random time, so a block mixes certified and open states.
     initial=st.sampled_from(["singlet", "bell1", "bell3", "maximally-mixed"])
-    | st.builds(ginibre_state, st.integers(0, 2**32 - 1), st.integers(1, 4)),
+    | st.builds(
+        lambda seed, rank: ginibre_state(np.random.default_rng(seed), rank), st.integers(0, 2**32 - 1), st.integers(1, 4)
+    ),
 )
 def test_sweep_csv_is_the_12_digit_format_of_each_value(mode, lam, end, steps, energies, initial):
     with tempfile.TemporaryDirectory() as directory:
@@ -979,14 +974,6 @@ def test_kraus_compare_checks_its_input_once_and_its_produced_states_in_one_stac
     assert seen == shapes
 
 
-def _random_rank_state(seed, rank):
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
-    rho = g @ g.conj().T
-    rho = rho / np.trace(rho).real
-    return (rho + rho.conj().T) / 2.0
-
-
 def _kraus_compare_recipe(rho0, mode, lam, t, n):
     """kraus-compare's stdout as public evolve plus two public trotter_evolve calls make it."""
     analytic = lindblad.evolve(rho0, lindblad.DecoherenceSpec(mode=mode, lam=lam), t)
@@ -1017,7 +1004,7 @@ def _kraus_compare_recipe(rho0, mode, lam, t, n):
 @example(seed=2, rank=4, mode="A", n=8, weight=0.25, lam=0.0)  # both errors 0: no order
 def test_kraus_compare_is_the_public_recipe_bit_for_bit(tmp_path_factory, seed, rank, mode, n, weight, lam):
     source = tmp_path_factory.getbasetemp() / "kraus-compare-initial.json"
-    source.write_text(json.dumps(matrix_to_json(_random_rank_state(seed, rank))))
+    source.write_text(json.dumps(matrix_to_json(hermitian_ginibre_state(np.random.default_rng(seed), rank))))
     t = weight * n / lam if lam else 1.0
     argv = ["kraus-compare", "--mode", mode, "--lambda", repr(lam), "--time", repr(t),
             "--steps", str(n), "--initial", str(source)]

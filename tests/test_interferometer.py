@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ginibre import hermitian_ginibre_state
 from spinpath.interferometer import (
     VARIANTS,
     _LAYOUTS,
@@ -55,13 +57,6 @@ FIELD_SETUPS = [
     ("A", "single_field_both_paths"),
     ("B", "both_paths_independent"),
 ]
-
-
-def random_rank_state(rng, rank):
-    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
-    rho = g @ g.conj().T
-    rho = rho / np.trace(rho).real
-    return (rho + rho.conj().T) / 2.0
 
 
 QUADRATURE_AXES = {"z": np.diag([1.0, -1.0]), "x": np.array([[0.0, 1.0], [1.0, 0.0]])}
@@ -269,7 +264,7 @@ def test_analytic_average_sigma_zero_is_identity():
     rng = np.random.default_rng(61)
     for mode, variant in sorted(_LAYOUTS):
         setup = FieldSetup(mode=mode, sigma=0.0, variant=variant)
-        for rho0 in [experiment_initial()] + [random_rank_state(rng, rank) for rank in (1, 2, 3, 4)]:
+        for rho0 in [experiment_initial()] + [hermitian_ginibre_state(rng, rank) for rank in (1, 2, 3, 4)]:
             assert np.array_equal(ensemble_average_analytic(rho0, setup), rho0)
 
 
@@ -330,7 +325,7 @@ def test_no_layout_realizes_its_channel_off_the_bell_diagonal_family(layout):
     # coherences at other rates than the channel does (errors 3.7e-2 to 9.0e-2 here).
     mode, variant = layout
     setup = FieldSetup(mode=mode, sigma=1.2, variant=variant)
-    rho0 = random_rank_state(np.random.default_rng(7), 4)
+    rho0 = hermitian_ginibre_state(np.random.default_rng(7), 4)
     closed = evolve(rho0, DecoherenceSpec(mode=mode, lam=lambda_from_sigma(setup, 1.0)), 1.0)
     assert np.abs(ensemble_average_analytic(rho0, setup) - closed).max() > 1e-2
 
@@ -396,6 +391,12 @@ def test_lambda_from_sigma_examples():
     assert abs(lambda_from_sigma(FieldSetup(mode="B", sigma=np.sqrt(2.0)), 1.0) - 1.0) < 1e-15
 
 
+@pytest.mark.parametrize("sigma, dwell", [(np.array(2.0), 1.0), (np.float64(2.0), np.array(1.0)), (2, 1)])
+def test_lambda_from_sigma_returns_a_float(sigma, dwell):
+    lam = lambda_from_sigma(FieldSetup(mode="A", sigma=sigma), dwell)
+    assert type(lam) is float and lam == 1.0
+
+
 def test_lambda_from_sigma_rejects_bad_inputs():
     for dwell in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="dwell_time"):
@@ -410,7 +411,7 @@ def test_lambda_from_sigma_rejects_bad_inputs():
 def test_monte_carlo_sigma_zero_is_exact(mode, variant):
     setup = FieldSetup(mode=mode, sigma=0.0, variant=variant)
     rng = np.random.default_rng(61)
-    for rho0 in [experiment_initial()] + [random_rank_state(rng, rank) for rank in (1, 2, 3, 4)]:
+    for rho0 in [experiment_initial()] + [hermitian_ginibre_state(rng, rank) for rank in (1, 2, 3, 4)]:
         estimate = ensemble_average_monte_carlo(rho0, setup, 100, 0)
         assert np.array_equal(estimate.mean, rho0)
         assert estimate.stderr_re.max() == 0.0
@@ -475,6 +476,14 @@ def test_field_setup_validation():
             FieldSetup(mode="B", sigma=1.0, variant=variant)
 
 
+def test_ensemble_estimate_of_an_array_sigma_serializes():
+    # FieldSetup stores check_real's float, so the payload's sigma is a JSON number.
+    setup = FieldSetup(mode="A", sigma=np.array(0.5))
+    assert type(setup.sigma) is float
+    payload = ensemble_average_monte_carlo(experiment_initial(), setup, 100, 1).to_json()
+    assert json.loads(json.dumps(payload))["sigma"] == 0.5
+
+
 def test_ensemble_estimate_json_shape():
     setup = FieldSetup(mode="A", sigma=0.5, variant="single_field_one_path")
     estimate = ensemble_average_monte_carlo(experiment_initial(), setup, 500, 9)
@@ -510,7 +519,7 @@ ANGLES = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 def test_shot_states_match_matrix_products(seed, rank, layout, shot):
     # The kernel's per-shot representation rho0 + U g, with g the columns of
     # the layout's table, against u rho0 u^dagger.
-    rho0 = random_rank_state(np.random.default_rng(seed), rank)
+    rho0 = hermitian_ginibre_state(np.random.default_rng(seed), rank)
     drawn = np.array(shot).T[: len(_LAYOUTS[layout][0])]
     u = reference_shot_unitaries(*kernel_angles(layout, drawn))
     expected = u @ rho0 @ u.conj().transpose(0, 2, 1)
@@ -585,7 +594,7 @@ def test_phasor_plan_on_synthetic_phases(phases, base):
 def test_table_gaussian_average_matches_analytic(seed, rank, layout, sigma):
     # The table's exact column means against a reference that never reads
     # the table: one Gauss-Hermite average per rotation, composed in draw order.
-    rho0 = random_rank_state(np.random.default_rng(seed), rank)
+    rho0 = hermitian_ginibre_state(np.random.default_rng(seed), rank)
     setup = FieldSetup(mode=layout[0], sigma=sigma, variant=layout[1])
     reference = quadrature_average(rho0, _LAYOUTS[layout][0], sigma)
     assert np.abs(ensemble_average_analytic(rho0, setup) - reference).max() <= 1e-14
@@ -596,7 +605,7 @@ def test_table_gaussian_average_matches_analytic(seed, rank, layout, sigma):
 def test_monte_carlo_matches_matrix_product_reference(mode, variant, samples):
     setup = FieldSetup(mode=mode, sigma=1.3, variant=variant)
     rng = np.random.default_rng(67)
-    rank4 = random_rank_state(rng, 4)
+    rank4 = hermitian_ginibre_state(rng, 4)
     # Hermitian only within the validation tolerance: each element must use
     # its own entry, never its conjugate partner's.
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -642,7 +651,7 @@ def test_mode_a_stderr_keeps_a_vanishing_spread(variant):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_mode_a_monte_carlo_matches_reference_over_random_specs(variant, sigma, samples, rank, seed):
-    rho0 = random_rank_state(np.random.default_rng(seed), rank)
+    rho0 = hermitian_ginibre_state(np.random.default_rng(seed), rank)
     setup = FieldSetup(mode="A", sigma=sigma, variant=variant)
     estimate = ensemble_average_monte_carlo(rho0, setup, samples, seed)
     mean, stderr_re, stderr_im = reference_monte_carlo(rho0, setup, samples, seed)
@@ -659,7 +668,7 @@ def test_mode_a_monte_carlo_matches_reference_over_random_specs(variant, sigma, 
     seed=st.integers(0, 2**32 - 1),
 )
 def test_mode_b_monte_carlo_matches_reference_over_random_specs(sigma, samples, rank, seed):
-    rho0 = random_rank_state(np.random.default_rng(seed), rank)
+    rho0 = hermitian_ginibre_state(np.random.default_rng(seed), rank)
     setup = FieldSetup(mode="B", sigma=sigma)
     estimate = ensemble_average_monte_carlo(rho0, setup, samples, seed)
     mean, stderr_re, stderr_im = reference_monte_carlo(rho0, setup, samples, seed)
@@ -757,7 +766,7 @@ def test_rotation_angles_stay_finite_at_the_ends_of_the_uniforms():
 def test_mode_b_stderr_keeps_its_digits_at_two_samples():
     # A spread 1/1580 of the deviation itself: a one-pass sum-of-squares
     # variance gives stderr_re[1, 2] = 2.138659953913798e-05 here, 2e-10 off.
-    rho0 = random_rank_state(np.random.default_rng(1184), 1)
+    rho0 = hermitian_ginibre_state(np.random.default_rng(1184), 1)
     setup = FieldSetup(mode="B", sigma=0.5)
     estimate = ensemble_average_monte_carlo(rho0, setup, 2, 1184)
     mean, stderr_re, stderr_im = reference_monte_carlo(rho0, setup, 2, 1184)
@@ -795,7 +804,7 @@ def test_mode_b_stderr_is_zero_exactly_where_no_shot_moves_an_element():
 @example(layout=("B", "both_paths_independent"), sigma=0.0, samples=8193, rank=2, seed=1)
 @example(layout=("A", "single_field_one_path"), sigma=1.1, samples=4097, rank=4, seed=2)
 def test_mean_only_monte_carlo_is_the_full_estimates_mean(layout, sigma, samples, rank, seed):
-    rho0 = random_rank_state(np.random.default_rng(seed), rank)
+    rho0 = hermitian_ginibre_state(np.random.default_rng(seed), rank)
     setup = FieldSetup(mode=layout[0], sigma=sigma, variant=layout[1])
     mean = ensemble_mean_monte_carlo(rho0, setup, samples, seed)
     assert mean.tobytes() == ensemble_average_monte_carlo(rho0, setup, samples, seed).mean.tobytes()
@@ -803,7 +812,7 @@ def test_mean_only_monte_carlo_is_the_full_estimates_mean(layout, sigma, samples
 
 def signed_zero_state():
     """A rank-2 state whose last row and column are zeros of both signs."""
-    rho0 = random_rank_state(np.random.default_rng(71), 2)
+    rho0 = hermitian_ginibre_state(np.random.default_rng(71), 2)
     rho0[3, :] = rho0[:, 3] = 0.0
     rho0 = rho0 / np.trace(rho0).real
     rho0[0, 3], rho0[3, 0], rho0[3, 3] = complex(-0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ginibre import ginibre_state, hermitian_ginibre_state
 from spinpath import kraus, lindblad, superop
 from spinpath.kraus import (
     MAX_WEIGHT,
@@ -19,19 +20,6 @@ from spinpath.kraus import (
 from spinpath.lindblad import DecoherenceSpec, evolve, projectors_for_mode
 from spinpath.pauli import ID4
 from spinpath.states import bell_state, experiment_initial, from_pure, maximally_mixed, validate_density_matrix
-
-
-def random_state(rng):
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
-
-
-def random_rank_state(rng, rank):
-    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
-    rho = g @ g.conj().T
-    rho = rho / np.trace(rho).real
-    return (rho + rho.conj().T) / 2.0
 
 
 def one_step(rho, mode, weight):
@@ -77,7 +65,7 @@ def test_mode_b_second_operator_flips_spin():
 
 def test_apply_identity_channel_is_identity():
     rng = np.random.default_rng(21)
-    rho = random_state(rng)
+    rho = ginibre_state(rng)
     assert np.abs(one_step(rho, "A", 0.0) - rho).max() < 1e-14
 
 
@@ -112,7 +100,7 @@ def test_channel_unitality():
 def test_trace_and_hermiticity_preserved_random_inputs(seed, rank, mode, weight):
     # One Kraus step is CPTP: any rank 1-4 state maps to a valid state at the
     # acceptance gate's tolerances (trace and Hermiticity 1e-10, eigenvalues >= -1e-8).
-    out = one_step(random_rank_state(np.random.default_rng(seed), rank), mode, weight)
+    out = one_step(hermitian_ginibre_state(np.random.default_rng(seed), rank), mode, weight)
     assert abs(np.trace(out).real - 1.0) <= 1e-10
     assert np.abs(out - out.conj().T).max() <= 1e-10
     assert np.linalg.eigvalsh(out).min() >= -1e-8
@@ -120,7 +108,7 @@ def test_trace_and_hermiticity_preserved_random_inputs(seed, rank, mode, weight)
 
 def test_single_step_error_is_second_order():
     rng = np.random.default_rng(27)
-    rho = random_state(rng)
+    rho = ginibre_state(rng)
     lam = 1.0
     coefficients = []
     for dt in (1e-2, 5e-3, 2.5e-3):
@@ -134,7 +122,7 @@ def test_single_step_error_is_second_order():
 
 def test_mode_a_channel_commutes_with_analytic_map():
     rng = np.random.default_rng(33)
-    rho = random_state(rng)
+    rho = ginibre_state(rng)
     spec = DecoherenceSpec(mode="A", lam=1.0)
     channel_first = evolve(one_step(rho, "A", 0.5), spec, 0.7)
     evolve_first = one_step(evolve(rho, spec, 0.7), "A", 0.5)
@@ -195,7 +183,7 @@ def test_trotter_first_order_exact_oracle(seed, rank, mode, lam, t, data):
     # is a fixed point, so n steps of weight w = lam t / n leave
     # D + (1 - w)^n (rho - D); the closed form at H = 0 is D + e^{-lam t} (rho - D).
     n = data.draw(st.integers(max(1, int(np.ceil(3.0 * lam * t / 4.0))), 2048), label="n")
-    rho = random_rank_state(np.random.default_rng(seed), rank)
+    rho = hermitian_ginibre_state(np.random.default_rng(seed), rank)
     dephased = sum(p @ rho @ p for p in projectors_for_mode(mode))
     trotter_oracle = dephased + (1.0 - lam * t / n) ** n * (rho - dephased)
     assert np.abs(trotter_evolve(rho, mode, lam, t, n) - trotter_oracle).max() <= 2e-12
@@ -321,7 +309,7 @@ def test_batched_extraction_is_the_one_jump_loop_bit_for_bit(seed, mode, weight,
     lam=st.floats(0.01, 10.0),
 )
 def test_trotter_evolve_is_the_private_core_between_two_checks(seed, rank, mode, n, weight, lam):
-    rho = random_rank_state(np.random.default_rng(seed), rank)
+    rho = hermitian_ginibre_state(np.random.default_rng(seed), rank)
     t = weight * n / lam
     try:
         expected = validate_density_matrix(kraus._trotter_evolve(validate_density_matrix(rho), mode, lam, t, n))
@@ -363,7 +351,7 @@ def test_kraus_set_for_mode_returns_a_fresh_stack():
 def test_trotter_matches_sequential_channel_applications():
     rng = np.random.default_rng(41)
     for i in range(24):
-        rho = random_rank_state(rng, 1 + i % 4)
+        rho = hermitian_ginibre_state(rng, 1 + i % 4)
         mode = "AB"[i % 2]
         lam, t = float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, 0.4))
         n = int(rng.integers(1, 65))
@@ -380,7 +368,7 @@ def test_trotter_final_state_valid_at_4096_steps():
     # 1e-12 validation tolerance even at thousands of steps.
     rng = np.random.default_rng(1)
     for i in range(300):
-        rho = random_rank_state(rng, 1 + i % 4)
+        rho = hermitian_ginibre_state(rng, 1 + i % 4)
         mode = "AB"[i % 2]
         lam = float(rng.uniform(0.2, 3.0))
         t = float(rng.uniform(0.05, 0.4))
@@ -455,7 +443,7 @@ def test_step_weights_compose_as_one_minus_product(mode, w1, w2):
 @example(seed=6, rank=4, mode="A", weight=MAX_WEIGHT, n=2048)
 def test_trotter_matches_the_matrix_power_of_the_step_map(seed, rank, mode, weight, n):
     # The n-th matrix power is the reference; its own rounding grows as n * eps.
-    rho = random_rank_state(np.random.default_rng(seed), rank)
+    rho = hermitian_ginibre_state(np.random.default_rng(seed), rank)
     lam, t = weight, float(n)
     power = np.linalg.matrix_power(step_map(mode, lam * t / n), n)
     expected = superop.apply(power, rho)
@@ -472,7 +460,7 @@ def test_trotter_matches_the_matrix_power_of_the_step_map(seed, rank, mode, weig
 )
 def test_one_step_of_weight_one_minus_exp_is_the_closed_form(seed, rank, mode, lam, t):
     # With H = 0 the channel at time t is exactly one Kraus step of weight 1 - e^{-lam t}.
-    rho = random_rank_state(np.random.default_rng(seed), rank)
+    rho = hermitian_ginibre_state(np.random.default_rng(seed), rank)
     operators = kraus_set_for_mode(mode, -np.expm1(-lam * t))
     stepped = sum(m @ rho @ m.conj().T for m in operators)
     assert np.abs(stepped - evolve(rho, DecoherenceSpec(mode=mode, lam=lam), t)).max() <= 1e-14
@@ -490,7 +478,7 @@ def test_one_step_of_weight_one_minus_exp_is_the_closed_form(seed, rank, mode, l
 def test_trotter_matches_its_oracle_in_extended_precision(seed, rank, mode, lam, t, data):
     # D + (1 - w)^n (rho - D), with D = sum_k P_k rho P_k, evaluated in long double.
     n = data.draw(st.integers(max(1, int(np.ceil(3.0 * lam * t / 4.0))), 2048), label="n")
-    rho = random_rank_state(np.random.default_rng(seed), rank)
+    rho = hermitian_ginibre_state(np.random.default_rng(seed), rank)
     wide = rho.astype(np.clongdouble)
     dephased = sum(p.astype(np.clongdouble) @ wide @ p for p in projectors_for_mode(mode))
     survival = (1 - np.longdouble(lam * t / n)) ** n
@@ -537,7 +525,7 @@ def test_step_map_is_the_identity_mixed_with_the_twirl(mode, weight):
     lam_t=st.floats(min_value=0.0, max_value=3.0),
 )
 def test_twirl_at_weight_one_minus_exp_is_the_closed_form(seed, rank, mode, lam_t):
-    rho = random_rank_state(np.random.default_rng(seed), rank)
+    rho = hermitian_ginibre_state(np.random.default_rng(seed), rank)
     w = -np.expm1(-lam_t)
     mixed = (1.0 - w) * rho + w * superop.apply(kraus._TWIRL[mode], rho)
     assert np.abs(mixed - evolve(rho, DecoherenceSpec(mode=mode, lam=lam_t), 1.0)).max() <= 1e-14

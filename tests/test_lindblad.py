@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ginibre import ginibre_state, hermitian_ginibre_state
 from spinpath.lindblad import (
     DecoherenceSpec,
     SystemHamiltonian,
@@ -27,19 +28,6 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 # Each mode's spin axis, written out here so that the projectors are checked
 # against the paper's definition rather than against the package's table.
 SPIN_AXES = {"A": np.diag([1.0, -1.0]), "B": np.array([[0.0, 1.0], [1.0, 0.0]])}
-
-
-def random_state(rng):
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
-
-
-def random_rank_state(rng, rank):
-    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
-    rho = g @ g.conj().T
-    rho = rho / np.trace(rho).real
-    return (rho + rho.conj().T) / 2.0
 
 
 def taylor_expm(a):
@@ -148,7 +136,7 @@ def test_dissipator_mode_a_removes_diagonal():
 
 def test_dissipator_zero_coupling_and_invariants():
     rng = np.random.default_rng(2)
-    rho = random_state(rng)
+    rho = ginibre_state(rng)
     assert np.abs(damping(rho, "B", 0.0)).max() < 1e-15
     d = damping(rho, "B", 1.3)
     assert abs(np.trace(d)) < 1e-12
@@ -163,7 +151,7 @@ def test_evolve_mode_a_half_coherence_at_ln2():
 
 def test_evolve_mode_a_time_zero_is_identity():
     rng = np.random.default_rng(4)
-    rho = random_state(rng)
+    rho = ginibre_state(rng)
     spec = DecoherenceSpec(mode="A", lam=2.0, hamiltonian=SystemHamiltonian((1.0, 0.5, 0.0, -0.5)))
     assert np.abs(evolve(rho, spec, 0.0) - rho).max() < 1e-15
 
@@ -176,7 +164,7 @@ def test_evolve_mode_a_long_time_limit():
 
 def test_evolve_mode_a_diagonal_unchanged():
     rng = np.random.default_rng(6)
-    rho = random_state(rng)
+    rho = ginibre_state(rng)
     spec = DecoherenceSpec(mode="A", lam=1.0, hamiltonian=SystemHamiltonian((1.0, 0.3, 0.0, -0.7)))
     state = evolve(rho, spec, 1.7)
     assert np.abs(np.diag(state) - np.diag(rho)).max() < 1e-14
@@ -201,7 +189,7 @@ def test_evolve_mode_b_singlet_matrix():
 
 def test_evolve_mode_b_time_zero_is_identity():
     rng = np.random.default_rng(8)
-    rho = random_state(rng)
+    rho = ginibre_state(rng)
     spec = DecoherenceSpec(mode="B", lam=1.5, hamiltonian=SystemHamiltonian((1.0, 0.5, 0.0, -0.5)))
     assert np.abs(evolve(rho, spec, 0.0) - rho).max() < 1e-15
 
@@ -262,7 +250,7 @@ def test_evolve_mode_b_near_critical_damping_is_exactly_hermitian():
     for _ in range(200):
         eps = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-14.0, -2.0)
         lam = rng.uniform(0.1, 3.0)
-        rho = random_rank_state(rng, int(rng.integers(1, 5)))
+        rho = hermitian_ginibre_state(rng, int(rng.integers(1, 5)))
         cases.append((rho, lam, 0.5 * lam * (1.0 + eps), np.linspace(0.0, 3.0, 7)))
     for rho, lam, e1, t in cases:
         spec = DecoherenceSpec(mode="B", lam=lam, hamiltonian=SystemHamiltonian((e1, 0.0, 0.0, 0.0)))
@@ -309,7 +297,7 @@ def closed_form_specs(draw):
 @example(seed=0, rank=1, spec=DecoherenceSpec("B", 3.0, SystemHamiltonian((1.50000000015, 0.0, 0.0, 0.0))), t=0.225)
 @example(seed=0, rank=1, spec=DecoherenceSpec("B", 3.0, SystemHamiltonian((1.4999999999985, 0.0, 0.0, 0.0))), t=0.5)
 def test_closed_form_matches_the_exact_exponential(seed, rank, spec, t):
-    rho = random_rank_state(np.random.default_rng(seed), rank)
+    rho = hermitian_ginibre_state(np.random.default_rng(seed), rank)
     out = evolve(rho, spec, t)
     assert out.shape == np.shape(t) + (4, 4)
     expected = exact_evolution(rho, spec, np.atleast_1d(t))
@@ -393,7 +381,7 @@ def test_evolve_rejects_a_mode_b_pair_phase_at_twice_the_gap():
 def test_evolve_time_stack_equals_per_time_calls(mode, lam, energies):
     # Mode-B regimes by lam against 2|dE| of both coherence pairs, down to
     # tiny times.
-    rho0 = random_state(np.random.default_rng(53))
+    rho0 = ginibre_state(np.random.default_rng(53))
     spec = DecoherenceSpec(mode=mode, lam=lam, hamiltonian=SystemHamiltonian(energies))
     times = np.concatenate([[0.0, 1e-8, 1e-6], np.linspace(0.0, 6.0, 61)])
     stacked = evolve(rho0, spec, times)
@@ -412,7 +400,7 @@ def test_evolve_time_stack_equals_per_time_calls(mode, lam, energies):
 )
 def test_evolve_is_the_validated_private_closed_form(seed, rank, spec, t):
     # The CLI hands _evolve's output to measure_report, which validates it as evolve would.
-    rho = random_rank_state(np.random.default_rng(seed), rank)
+    rho = hermitian_ginibre_state(np.random.default_rng(seed), rank)
     out = evolve(rho, spec, t)
     private = validate_density_matrix(_evolve(rho, spec, t))
     assert out.shape == private.shape == np.shape(t) + (4, 4)
@@ -449,6 +437,19 @@ def test_decoherence_spec_rejects_bad_inputs():
         SystemHamiltonian((np.inf, 0.0, 0.0, 0.0))
 
 
+def test_decoherence_spec_stores_the_float_its_check_returns():
+    # A 0-d array coupling is stored as check_real's float, so the frozen spec hashes.
+    spec = DecoherenceSpec("A", np.array(1.0))
+    assert type(spec.lam) is float and spec.lam == 1.0
+    assert hash(spec) == hash(DecoherenceSpec("A", 1.0)) and spec == DecoherenceSpec("A", 1)
+
+
+def test_specs_share_the_one_degenerate_hamiltonian():
+    assert DecoherenceSpec("A", 1.0).hamiltonian is SystemHamiltonian.degenerate()
+    assert DecoherenceSpec("B", 2.0).hamiltonian is SystemHamiltonian.degenerate()
+    assert SystemHamiltonian.degenerate() == SystemHamiltonian((0.0, 0.0, 0.0, 0.0))
+
+
 @pytest.mark.parametrize("mode", ["A", "B"])
 @pytest.mark.parametrize("lam_t", [0.5, 1.0, 2.0])
 def test_integrator_matches_closed_forms_degenerate(mode, lam_t):
@@ -462,7 +463,7 @@ def test_integrator_matches_closed_forms_degenerate(mode, lam_t):
 
 def test_integrator_zero_coupling_is_identity():
     rng = np.random.default_rng(10)
-    rho = random_state(rng)
+    rho = ginibre_state(rng)
     spec = DecoherenceSpec(mode="A", lam=0.0)
     out = integrate_master(rho, projectors_for_mode("A"), spec, 1.0, dt=1e-3)
     assert np.abs(out - rho).max() < 1e-10
@@ -520,7 +521,7 @@ def test_integrator_accepts_its_mode_projectors_in_any_order(mode):
 
 def rotated_projectors(mode, angle):
     """The mode's projectors conjugated by exp(i angle G), with G a fixed random state scaled to norm 1."""
-    eigenvalues, vectors = np.linalg.eigh(random_state(np.random.default_rng(17)))
+    eigenvalues, vectors = np.linalg.eigh(ginibre_state(np.random.default_rng(17)))
     u = (vectors * np.exp(1j * angle * eigenvalues / eigenvalues.max())) @ vectors.conj().T
     return np.array([u @ p @ u.conj().T for p in projectors_for_mode(mode)])
 
@@ -596,7 +597,7 @@ def test_integrator_lands_exactly_on_t():
 def test_trajectory_validity(mode):
     spec = DecoherenceSpec(mode=mode, lam=1.0, hamiltonian=SystemHamiltonian((1.0, 0.5, 0.0, -0.5)))
     rng = np.random.default_rng(12)
-    rho = random_state(rng)
+    rho = ginibre_state(rng)
     for t in np.linspace(0.0, 10.0, 41):
         state = evolve(rho, spec, float(t))
         assert abs(np.trace(state).real - 1.0) < 1e-10
@@ -608,7 +609,7 @@ def test_trajectory_validity(mode):
 def test_semigroup_property(mode):
     spec = DecoherenceSpec(mode=mode, lam=0.8, hamiltonian=SystemHamiltonian((1.0, 0.5, 0.0, -0.5)))
     rng = np.random.default_rng(14)
-    rho = random_state(rng)
+    rho = ginibre_state(rng)
     t1, t2 = 0.6, 1.1
     direct = evolve(rho, spec, t1 + t2)
     stepped = evolve(evolve(rho, spec, t1), spec, t2)
@@ -628,7 +629,7 @@ def test_semigroup_property(mode):
 # A subnormal gap: the pair's rates are subnormal, and so is any divisor formed from them.
 @example(seed=0, rank=1, mode="B", lam=0.0, energies=(0.0, 0.0, 0.0, 2.225073858507203e-309), t1=0.0, t2=0.0)
 def test_semigroup_law_over_random_specs(seed, rank, mode, lam, energies, t1, t2):
-    rho = random_rank_state(np.random.default_rng(seed), rank)
+    rho = hermitian_ginibre_state(np.random.default_rng(seed), rank)
     spec = DecoherenceSpec(mode=mode, lam=lam, hamiltonian=SystemHamiltonian(energies))
     direct = evolve(rho, spec, t1 + t2)
     stepped = evolve(evolve(rho, spec, t1), spec, t2)
@@ -640,7 +641,7 @@ def test_semigroup_law_over_random_specs(seed, rank, mode, lam, energies, t1, t2
 def test_mode_b_tiny_gap_matches_the_rescaled_problem(lam, gap_exponent):
     # The closed form depends on lam t and the energies times t only, so a
     # tiny lam and gap at huge times equal lam, gap times 2^k at times / 2^k.
-    rho = random_rank_state(np.random.default_rng(5), 4)
+    rho = hermitian_ginibre_state(np.random.default_rng(5), 4)
     gap, k = np.ldexp(1.5, gap_exponent), min(-gap_exponent - 4, 1020)
     times = np.ldexp(np.array([0.0, 1e-3, 0.4, 1.3, 2.0]), k)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -678,7 +679,7 @@ def test_singlet_mixedness_monotone(mode):
 
 def test_closed_forms_validated_output():
     rng = np.random.default_rng(16)
-    rho = random_state(rng)
+    rho = ginibre_state(rng)
     for mode in ("A", "B"):
         spec = DecoherenceSpec(mode=mode, lam=2.0, hamiltonian=SystemHamiltonian((2.0, 1.0, 0.0, -1.0)))
         validate_density_matrix(evolve(rho, spec, 0.35))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ginibre import ginibre_state
 from spinpath import cli, lindblad
 from spinpath.measures import (
     _CONCURRENCE_MAX,
@@ -12,12 +13,12 @@ from spinpath.measures import (
     _PATH_TRANSPOSE,
     MeasureReport,
     _factor,
+    _roots,
     _separable,
     concurrence,
     concurrence_bell_diagonal,
     measure_report,
     mixedness,
-    wootters_roots,
 )
 from spinpath.pauli import SIGMA_Y
 from spinpath.states import (
@@ -77,7 +78,7 @@ def test_concurrence_of_random_pure_states_to_machine_precision():
 
 def test_product_state_has_zero_roots():
     rho = from_pure(np.array([1.0, 0.0, 0.0, 0.0]))
-    assert np.abs(wootters_roots(rho)).max() < 1e-9
+    assert np.abs(_roots(validate_density_matrix(rho))).max() < 1e-9
     assert concurrence(rho) == 0.0
 
 
@@ -178,13 +179,6 @@ def test_measure_report_range_checks_cover_every_state():
             MeasureReport(mixedness=1.0, concurrence=1.0, wootters_roots=roots)
 
 
-def ginibre_state(rng, rank):
-    """A random density matrix of the given rank from a Ginibre draw."""
-    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
 def random_states(rng, count):
     """Random density matrices of ranks 1..4 from Ginibre draws."""
     return np.array([ginibre_state(rng, 1 + i % 4) for i in range(count)])
@@ -244,11 +238,11 @@ PROPERTY_STATES = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(rho=PROPERTY_STATES)
 def test_wootters_roots_match_the_eigh_factor_route(rho):
-    assert np.abs(wootters_roots(rho) - eigh_factor_roots(rho)).max() <= 1e-14
+    assert np.abs(_roots(validate_density_matrix(rho)) - eigh_factor_roots(rho)).max() <= 1e-14
 
 
 def yy_product_roots(rho):
-    """The singular values of W^T @ kron(sy, sy) @ W, two products, for the factor W wootters_roots takes."""
+    """The singular values of W^T @ kron(sy, sy) @ W, two products, for the factor W _roots takes."""
     w = _factor(validate_density_matrix(rho))
     return np.linalg.svd(w.swapaxes(-2, -1) @ np.kron(SIGMA_Y, SIGMA_Y) @ w, compute_uv=False)
 
@@ -261,7 +255,7 @@ def yy_product_roots(rho):
 )
 def test_wootters_roots_take_tau_bit_for_bit_as_the_sy_sy_product(rho):
     # The anti-diagonal sy (x) sy enters as a signed row reversal of W.
-    roots = wootters_roots(rho)
+    roots = _roots(validate_density_matrix(rho))
     assert roots.shape == rho.shape[:-2] + (4,)
     assert roots.tobytes() == yy_product_roots(rho).tobytes()
 
@@ -276,10 +270,10 @@ def test_wootters_roots_run_eigh_only_below_the_det_floor(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    wootters_roots(stack[[1, 3]])
-    wootters_roots(stack[1])
+    _roots(validate_density_matrix(stack[[1, 3]]))
+    _roots(validate_density_matrix(stack[1]))
     assert seen == []
-    wootters_roots(stack)
+    _roots(validate_density_matrix(stack))
     assert seen == [2]
 
 
@@ -298,7 +292,7 @@ def test_measure_report_stack_equals_per_state_reports():
         assert abs(report.mixedness[i] - single.mixedness) <= 1e-15
         assert abs(report.concurrence[i] - single.concurrence) <= 1e-15
         assert np.abs(report.wootters_roots[i] - single.wootters_roots).max() <= 1e-15
-    assert np.abs(wootters_roots(rho) - report.wootters_roots).max() == 0.0
+    assert np.abs(_roots(validate_density_matrix(rho)) - report.wootters_roots).max() == 0.0
 
 
 def pure_plus_noise_across_the_boundary(seed, exponent):
@@ -347,7 +341,7 @@ def test_a_certified_state_has_concurrence_zero_on_both_routes(rho):
     gathered = rho.reshape(rho.shape[:-2] + (16,))[..., _PATH_TRANSPOSE].reshape(rho.shape)
     assert np.array_equal(gathered, explicit_partial_transpose(rho))
     certified = _separable(rho)
-    mu = wootters_roots(rho)
+    mu = _roots(validate_density_matrix(rho))
     excess = np.maximum(0.0, mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3])
     assert (excess[certified] == 0.0).all()
     report = measure_report(rho)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinpath.lindblad import DecoherenceSpec, evolve
@@ -87,6 +87,45 @@ def test_bell_diagonal_eigenvalues_are_the_weights():
         nu = rng.dirichlet(np.ones(4))
         eigenvalues = np.linalg.eigvalsh(bell_diagonal(nu))
         assert np.abs(np.sort(eigenvalues) - np.sort(nu)).max() < 1e-12
+
+
+def hand_written_bell_diagonal(nu):
+    """The Bell mixture written out entry by entry: the reference for the table form."""
+    nu1, nu2, nu3, nu4 = nu
+    s1, s2, d1, d2 = nu1 + nu2, nu3 + nu4, nu1 - nu2, nu3 - nu4
+    return 0.5 * np.array(
+        [[s1, 0.0, 0.0, d1], [0.0, s2, d2, 0.0], [0.0, d2, s2, 0.0], [d1, 0.0, 0.0, s1]], dtype=complex
+    )
+
+
+def dirichlet_weights(seed, alpha, zeros, slack):
+    """Dirichlet weights with the flagged ones set to 0, then the least lowered by ``slack`` and
+    the largest raised by it, down to the -1e-12 that ``BellWeights`` accepts."""
+    nu = np.where(zeros, 0.0, np.random.default_rng(seed).dirichlet([alpha] * 4))
+    nu = nu / nu.sum() if nu.sum() > 0.0 else np.array([1.0, 0.0, 0.0, 0.0])
+    nu[np.argmin(nu)] -= slack
+    nu[np.argmax(nu)] += slack
+    return tuple(nu.tolist())
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    nu=st.builds(
+        dirichlet_weights,
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.05, 0.5, 1.0, 5.0]),
+        st.lists(st.booleans(), min_size=4, max_size=4),
+        st.floats(0.0, 1e-12),
+    )
+    | st.sampled_from([(1, 0, 0, 0), (0, 0, 0, 1), (0.25,) * 4, (0.5, 0.5, 0, 0), (1 - 3e-13, 1e-13, 1e-13, 1e-13)])
+)
+# Subnormal weights that halving each weight before the product, not each entry after it, gets wrong.
+@example(nu=(0.9999999998442254, 1.5577457616577126e-10, -5e-324, 0.0))
+@example(nu=(1.0, 0.0, 1.5e-323, 5e-324))
+def test_bell_diagonal_is_the_hand_written_matrix_bit_for_bit(nu):
+    # Weights drawn here are never -0.0: a -0.0 weight can turn an entry's -0.0 into +0.0.
+    rho, reference = bell_diagonal(nu), hand_written_bell_diagonal(BellWeights(nu).nu)
+    assert rho.dtype == reference.dtype and rho.tobytes() == reference.tobytes()
 
 
 def test_bell_weights_reject_negative_and_unnormalized():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ginibre import ginibre_state, hermitian_ginibre_state
 from spinpath.interferometer import (
     FieldSetup,
     ensemble_average_monte_carlo,
@@ -25,20 +26,6 @@ from spinpath.tomography import (
 SINGLET = from_pure(np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0))
 
 
-def random_state(rng):
-    """Random full-rank density matrix from a Ginibre draw."""
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
-def random_rank_state(rng, rank):
-    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
-    rho = g @ g.conj().T
-    rho = rho / np.trace(rho).real
-    return (rho + rho.conj().T) / 2.0
-
-
 def test_settings_enumeration():
     assert ALL_SETTINGS == tuple((s, p) for s in "XYZ" for p in "XYZ")
 
@@ -58,7 +45,7 @@ def test_probabilities_singlet_anticorrelated(observable):
 def test_probabilities_normalized_on_random_states():
     rng = np.random.default_rng(61)
     for _ in range(20):
-        probs = exact_records(random_state(rng))
+        probs = exact_records(ginibre_state(rng))
         assert probs.min() >= 0.0
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
 
@@ -73,7 +60,7 @@ def test_simulate_counts_deterministic():
     # table in one multinomial call, row by row in ALL_SETTINGS order.
     rng = np.random.default_rng(29)
     for rank in (1, 2, 3, 4):
-        rho = random_rank_state(rng, rank)
+        rho = hermitian_ginibre_state(rng, rank)
         for seed in (0, 7, 2**32 + 5):
             for shots in (1, 100, 10**6, 2**63 - 1):
                 expected = np.random.default_rng(seed).multinomial(shots, exact_records(rho))
@@ -212,7 +199,7 @@ def test_reconstruct_finite_shots_pinned():
 def test_reconstruct_round_trip_many_random_states():
     rng = np.random.default_rng(67)
     for _ in range(500):
-        rho = random_state(rng)
+        rho = ginibre_state(rng)
         result = reconstruct_linear(exact_records(rho))
         assert np.linalg.norm(result.estimate - rho) <= 1e-9
 
@@ -220,7 +207,7 @@ def test_reconstruct_round_trip_many_random_states():
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
 def test_exact_round_trip_over_random_rank_states(seed, rank):
-    rho = random_rank_state(np.random.default_rng(seed), rank)
+    rho = hermitian_ginibre_state(np.random.default_rng(seed), rank)
     result = reconstruct_linear(exact_records(rho))
     assert np.linalg.norm(result.estimate - rho) <= 1e-9
 
@@ -235,7 +222,7 @@ def test_reconstruct_requires_all_settings():
 
 def test_estimator_error_median_decreases_with_shots():
     rng = np.random.default_rng(71)
-    targets = [random_state(rng) for _ in range(20)]
+    targets = [ginibre_state(rng) for _ in range(20)]
     medians = []
     for power, shots in enumerate((10**2, 10**3, 10**4, 10**5)):
         errors = []
@@ -248,7 +235,7 @@ def test_estimator_error_median_decreases_with_shots():
 
 def test_project_psd_fixes_valid_state():
     rng = np.random.default_rng(73)
-    rho = random_state(rng)
+    rho = ginibre_state(rng)
     assert np.abs(project_psd(rho) - rho).max() < 1e-12
 
 
@@ -279,7 +266,7 @@ def test_project_psd_never_moves_away_from_targets():
     # cannot increase the distance to any state it approximates.
     rng = np.random.default_rng(83)
     for _ in range(100):
-        target = random_state(rng)
+        target = ginibre_state(rng)
         noise = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         noise = noise + noise.conj().T
         noise -= np.trace(noise).real * np.eye(4) / 4.0
@@ -365,7 +352,7 @@ def pauli_sum_inversion(counts):
 def test_reconstruct_linear_equals_pauli_sum_inversion():
     rng = np.random.default_rng(89)
     for i in range(200):
-        rho = random_state(rng)
+        rho = ginibre_state(rng)
         counts = exact_records(rho) if i % 4 == 0 else simulate_counts(rho, 10 ** (i % 4), i)
         raw = pauli_sum_inversion(counts)
         expected = project_psd(raw)
