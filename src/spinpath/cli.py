@@ -291,8 +291,8 @@ def cmd_calibrate(args) -> str:
     initial_magnitude = float(np.abs(rho0[1, 2]))
     points = []
     for i, setup in enumerate(setups):
-        mean = interferometer.ensemble_mean_monte_carlo(rho0, setup, args.samples, args.seed + i)
-        magnitude = float(np.abs(mean[1, 2]))
+        coherence = interferometer._element_mean_monte_carlo(rho0, setup, args.samples, args.seed + i, (1, 2))
+        magnitude = float(np.abs(coherence))
         if magnitude <= 0.0:
             raise np.linalg.LinAlgError(
                 f"coherence lost entirely at sigma = {setup.sigma}; cannot take log"

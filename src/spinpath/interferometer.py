@@ -24,8 +24,13 @@ columns' mean.  ``ensemble_average_analytic`` takes their exact Gaussian
 means, so it is exact for arbitrary input states;
 ``ensemble_average_monte_carlo`` takes their sample mean, with standard
 errors, and ``ensemble_mean_monte_carlo`` gives that mean alone, bit for
-bit, from the same per-pass phasor sums at less cost.  No route builds
-shot states, and at sigma = 0 none draws.  Each element takes its
+bit, from the same per-pass phasor sums at less cost.  Calibration reads
+one element, so its route (``_element_mean_monte_carlo``) builds and sums
+only the phasors of the pairs whose columns reach it, and gives that
+element of the mean bit for bit.  A pair's phasor exp(i q.theta/2) is one
+product of two cached factors, over the first and the second half of the
+rotations (``_phasor_plan``).  No route builds shot states, and at
+sigma = 0 none draws.  Each element takes its
 coefficients from its own entries of the input state, and the table's
 support splits them into independent blocks; one kernel serves every
 layout.  Monte Carlo results depend only on (seed, samples): sampling is
@@ -38,6 +43,7 @@ ufuncs only (``_rotation_angles``).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cache
 
@@ -185,6 +191,7 @@ def _shot_table(mode: str, variant: str) -> _ShotTable:
             c[q] = c.get(q, 0.0) + superop.sandwich(a, b)
     c = {q: term for q, term in c.items() if np.any(term)}
     pairs = [q for q in c if q > tuple(-x for x in q)]
+    base = [1 if any(abs(q[r]) == 1 for q in pairs) else 2 for r in range(len(rotations))]
     columns = np.array([(c[q] + c[neg], 1j * (c[q] - c[neg]))
                         for q, neg in ((q, tuple(-x for x in q)) for q in pairs)])
     support = np.any(columns != 0.0, axis=(1, 3)).T  # (element, pair)
@@ -201,39 +208,69 @@ def _shot_table(mode: str, variant: str) -> _ShotTable:
     table = columns[order].transpose(2, 0, 1, 3).reshape(-1, 16)
     table.flags.writeable = False
     phases = [pairs[i] for i in order]
-    return _ShotTable(np.array(phases), table, tuple(blocks), *_phasor_plan(phases))
+    return _ShotTable(np.array(phases), table, tuple(blocks), *_phasor_plan(phases, base))
 
 
-def _phasor_plan(phases: list) -> tuple:
+def _phasor_plan(phases: list, base: list) -> tuple:
     """How ``_shot_phasors`` builds exp(i q.theta/2): the tan slopes b/4, the
     steps (ufunc, row, a, b), each writing ufunc(row a[, row b]) to the row
-    or, with ufunc None, copying row a, and the row count.  Row r is rotation
-    r's base exp(i b theta_r/2), b = 1 if some pair has |q_r| = 1, else 2;
-    x = 2b squares it, and a negative factor conjugates its positive partner
-    (given a row even if unused).  The pairs, products of their factors in
-    rotation order, start at row max(rows ahead, pairs)."""
-    found = {(r, int(x)) for q in phases for r, x in enumerate(q) if x}
-    base = [1 if {(r, 1), (r, -1)} & found else 2 for r in range(len(phases[0]))]
-    row = {(r, b): r for r, b in enumerate(base)}
-    steps = []
-    for r, x in sorted(found):
-        if (r, abs(x)) not in row:
-            steps.append((np.multiply, len(row), r, r))
-            row[r, abs(x)] = len(row)
-        if x < 0:  # tan is odd to the bit (16.8 M values checked), cos = 1 - t sin even
-            steps.append((np.conjugate, len(row), row[r, -x], None))
-            row[r, x] = len(row)
-    # No step writes a row it reads: NumPy's in-place product of one element skips the fused multiply-add.
-    front = max(len(row) + any(np.count_nonzero(q) > 2 for q in phases), len(phases))
-    for p, q in enumerate(phases, front):
-        first, *rest = (row[r, x] for r, x in enumerate(q) if x)
-        if not rest:
-            steps.append((None, p, first, None))  # a copy
-        for i, f in enumerate(rest):
-            out = p if (len(rest) - i) % 2 else front - 1  # alternating, ending in p
-            steps.append((np.multiply, out, first, f))
-            first = out
+    or, with ufunc None, copying row a, and the row count.
+
+    Row r is rotation r's base factor exp(i b_r theta_r/2); every phase
+    entry is 0, +-b_r or +-2 b_r.  Any other factor, over the rotations
+    [lo, hi), is built once and kept by its exponent vector x: if its first
+    entry is negative it is the conjugate of -x, if it has one entry 2 b_r
+    the square of the base, else the product of its factors over the first
+    and the second half of [lo, hi), in rotation order.  A pair's phasor is
+    its factor over all rotations, and a factor that is a pair is built
+    straight into the pair's row; only a pair that is a base alone is a
+    copy.  The pairs start at row max(rows ahead, pairs)."""
+    zero = (0,) * len(base)
+    pair_rows = {tuple(q): ~p for p, q in enumerate(phases)}  # front + p, once front is known
+    row = {zero[:r] + (b,) + zero[r + 1:]: r for r, b in enumerate(base)}
+    ahead, steps = itertools.count(len(base)), []
+
+    def factor(x: tuple, lo: int, hi: int) -> int:
+        """The row of factor x, nonzero only in the rotations [lo, hi), built if new."""
+        if x in row:
+            return row[x]
+        live = [r for r in range(lo, hi) if x[r]]
+        mid = (lo + hi + 1) // 2
+        if x[live[0]] < 0:  # tan is odd to the bit (16.8 M values checked), cos = 1 - t sin even
+            step = (np.conjugate, factor(tuple(-e for e in x), lo, hi), None)
+        elif len(live) == 1:  # x_r = 2 b_r
+            step = (np.multiply, live[0], live[0])
+        elif live[-1] < mid:
+            return factor(x, lo, mid)
+        elif live[0] >= mid:
+            return factor(x, mid, hi)
+        else:
+            step = (np.multiply, factor(x[:mid] + zero[mid:], lo, mid), factor(zero[:mid] + x[mid:], mid, hi))
+        # A new row, so no step writes a row it reads: NumPy's in-place product of one element skips the FMA.
+        row[x] = pair_rows[x] if x in pair_rows else next(ahead)
+        steps.append((step[0], row[x], *step[1:]))
+        return row[x]
+
+    for q in pair_rows:
+        if factor(q, 0, len(base)) != pair_rows[q]:
+            steps.append((None, pair_rows[q], row[q], None))  # a copy
+    front = max(next(ahead), len(phases))
+    steps = [(ufunc, *(front + ~r if r is not None and r < 0 else r for r in rows)) for ufunc, *rows in steps]
     return np.array(base) / 4.0, tuple(steps), front + len(phases)
+
+
+@cache
+def _element_pairs(mode: str, variant: str, element: tuple) -> tuple:
+    """The pairs of a layout's table whose columns reach ``element`` (row,
+    column) of the state, read from the table's support, and a plan of
+    their phasors alone with the layout's base factors, so each phasor is
+    the full plan's bit for bit."""
+    table = _shot_table(mode, variant)
+    reach = table.table.reshape(16, len(table.phases), 2, 16)[4 * element[0] + element[1]]
+    indices = np.flatnonzero(reach.any(axis=(1, 2)))
+    phases = table.phases[indices]
+    base = (4 * table.slopes).astype(int).tolist()
+    return indices, _ShotTable(phases, None, (), *_phasor_plan(phases.tolist(), base))
 
 
 def _shot_coefficients(table: _ShotTable, rho0: np.ndarray) -> np.ndarray:
@@ -351,18 +388,25 @@ def _phasor_sums(table: _ShotTable, blocks, phasors: np.ndarray):
 def _column_mean(counts: list, totals: list, n: int) -> tuple:
     """The passes' counts, their column sums, shape (passes, columns), and the
     overall column mean, from each pass's count and phasor sums: a cos - 1
-    column sums to its phasors' real parts minus the count."""
-    counts, totals = np.array(counts, dtype=float), np.array(totals)
-    sums = np.stack((totals.real - counts[:, None], totals.imag), axis=2).reshape(len(counts), -1)
+    column sums to its phasors' real parts minus the count.  The sums are
+    the totals' own float view, Re and Im of pair p in columns 2p, 2p + 1."""
+    counts, sums = np.array(counts, dtype=float), np.array(totals).view(float)
+    sums[:, 0::2] -= counts[:, None]
     return counts, sums, sums.sum(axis=0) / n
 
 
-def _shot_mean(rho0: np.ndarray, blocks, n: int, table: _ShotTable) -> np.ndarray:
+def _shot_mean(rho0: np.ndarray, blocks, n: int, table: _ShotTable, pairs: tuple | None = None) -> np.ndarray:
     """Mean state over the shots.  A pass costs only its phasors and their
-    sums: nothing is centred, mapped by U or squared."""
-    phasors = np.empty((table.phasors, _PASS_SIZE), dtype=complex)
-    counts, totals = zip(*((z.shape[1], total) for z, total in _phasor_sums(table, blocks, phasors)))
-    return _mean_state(rho0, _shot_coefficients(table, rho0), _column_mean(counts, totals, n)[2])
+    sums: nothing is centred, mapped by U or squared.  Given ``pairs``
+    (indices, plan) from ``_element_pairs``, only those pairs' phasors are
+    built and the other columns' means are 0: the state is exact, bit for
+    bit, only in the elements that no other pair reaches."""
+    indices, plan = pairs or (slice(None), table)
+    phasors = np.empty((plan.phasors, _PASS_SIZE), dtype=complex)
+    counts, totals = zip(*((z.shape[1], total) for z, total in _phasor_sums(plan, blocks, phasors)))
+    mean = np.zeros((len(table.phases), 2))
+    mean[indices] = _column_mean(counts, totals, n)[2].reshape(-1, 2)
+    return _mean_state(rho0, _shot_coefficients(table, rho0), mean.ravel())
 
 
 def _shot_moments(rho0: np.ndarray, blocks, n: int, table: _ShotTable) -> tuple:
@@ -424,6 +468,15 @@ def ensemble_mean_monte_carlo(rho0: np.ndarray, setup: FieldSetup, samples: int,
     arguments, bit for bit, without its standard errors: the same checks,
     blocks, child seeds and passes, but per pass only the phasor sums."""
     return _shot_mean(*_sampling(rho0, setup, samples, seed))
+
+
+def _element_mean_monte_carlo(rho0: np.ndarray, setup: FieldSetup, samples: int, seed: int,
+                              element: tuple) -> complex:
+    """``ensemble_mean_monte_carlo(...)[element]`` from the phasors of only
+    the pairs whose columns reach that element (``_element_pairs``), with
+    the same checks, blocks, child seeds and passes."""
+    pairs = _element_pairs(setup.mode, setup.variant, element)
+    return _shot_mean(*_sampling(rho0, setup, samples, seed), pairs)[element]
 
 
 def ensemble_average_monte_carlo(

@@ -101,9 +101,19 @@ def _roots(rho: np.ndarray) -> np.ndarray:
     return np.linalg.svd(tau, compute_uv=False)
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _det_above_floor(m: np.ndarray) -> np.ndarray:
+    """det(m) > 1e-12 for a matrix or each of a stack.  LAPACK's LU can meet a
+    subnormal pivot (an entry near 1e-318) and divide by it, and the det comes
+    back nan or inf with a floating-point warning: such a det is read as not
+    above the floor, explicitly and without the warning."""
+    det = np.linalg.det(m).real
+    return (det > _DET_FLOOR) & (det < np.inf)  # nan fails both, +inf the second
+
+
 def _factor(rho: np.ndarray) -> np.ndarray:
     """A factor W with rho = W W^dagger of each validated state in rho."""
-    clear = np.linalg.det(rho).real > _DET_FLOOR
+    clear = _det_above_floor(rho)
     w = np.linalg.cholesky(np.where(clear[..., None, None], rho, ID4))
     if not clear.all():
         eigenvalues, vectors = np.linalg.eigh(rho[~clear])
@@ -116,9 +126,10 @@ def _separable(rho: np.ndarray) -> np.ndarray:
     at most one negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)), and none
     iff the state is separable (Horodecki, PLA 223, 1 (1996)).  As rho + 1e-9 >= 0, a second
     one lies in [-1e-9, 0) and comes with lambda < 0 < eps < 1e-9 in (rho + 1e-9)^Gamma, where
-    lambda^2 <= eps (equal on pure states: p1, p2, +-sqrt(p1 p2)); such a pair has |det| < 1e-14."""
+    lambda^2 <= eps (equal on pure states: p1, p2, +-sqrt(p1 p2)); such a pair has |det| < 1e-14.
+    A det that LU does not return finite certifies nothing (``_det_above_floor``)."""
     gamma = rho.reshape(rho.shape[:-2] + (16,))[..., _PATH_TRANSPOSE].reshape(rho.shape)
-    return np.linalg.det(gamma).real > _DET_FLOOR
+    return _det_above_floor(gamma)
 
 
 def _mixedness_concurrence(rho: np.ndarray):

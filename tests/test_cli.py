@@ -272,6 +272,7 @@ def _forbid_sampling(monkeypatch):
 
     monkeypatch.setattr(interferometer, "ensemble_average_monte_carlo", sample)
     monkeypatch.setattr(interferometer, "ensemble_mean_monte_carlo", sample)
+    monkeypatch.setattr(interferometer, "_element_mean_monte_carlo", sample)
 
 
 def test_ensemble_and_calibrate_reject_more_than_ten_million_samples(capsys, monkeypatch):
@@ -728,6 +729,23 @@ def test_sweep_mode_b_huge_coupling_with_split_energies_raises_no_floating_point
         code, out = run(capsys, argv)
     assert code == 0
     assert out == "lambda_t,mixedness,concurrence\n0,1,1\n5e+199,0.25,0\n1e+200,0.25,0\n"
+
+
+def test_sweep_through_a_subnormal_partial_transpose_warns_nothing(capsys):
+    # At grid point 5 (t about 731) rho_23 is about 1e-318: LAPACK's LU of
+    # rho^Gamma divides by that subnormal pivot and its det is nan.  The
+    # certificate reads it as "not certified", with no RuntimeWarning from
+    # NumPy's own module, which the spinpath warning filter would not catch.
+    argv = ["sweep", "--mode", "A", "--lambda", "1", "--time", "100000", "--steps", "685",
+            "--energies", "1.36", "-1.72", "1.82", "-1.22", "--initial", "bell3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run(capsys, argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 686
+    assert lines[5:8] == ["584.795321637,0.5,5.55111512313e-17", "730.994152047,0.5,5.55111512313e-17",
+                          "877.192982456,0.5,0"]
 
 
 def test_evolve_mode_b_subnormal_gap_exits_0(capsys):

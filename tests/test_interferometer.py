@@ -15,6 +15,8 @@ from spinpath.interferometer import (
     _PASS_SIZE,
     _STDERR_FLOOR,
     _ShotTable,
+    _element_mean_monte_carlo,
+    _element_pairs,
     _phasor_plan,
     _rotation_angles,
     _shot_coefficients,
@@ -569,19 +571,72 @@ def test_shot_phasors_match_extended_precision(layout, shot):
     ],
 )
 def test_phasor_plan_on_synthetic_phases(phases, base):
-    # One tan row per rotation at slope b/4; no step writes a row it reads;
-    # at least as many rows ahead of the pairs as pairs, so the centred
-    # columns fit there; the pairs come out as exp(i q.theta/2).
-    slopes, steps, rows = _phasor_plan(phases)
+    # One tan row per rotation at slope b/4; the plan's own checks (below);
+    # the pairs come out as exp(i q.theta/2).
+    slopes, steps, rows = _phasor_plan(phases, base)
     assert slopes.tolist() == [b / 4.0 for b in base]
-    assert all(row not in reads and len(slopes) <= row < rows for _, row, *reads in steps)
-    assert rows - len(phases) >= len(phases)
+    check_plan_rows(len(base), len(phases), steps, rows)
     angles = np.random.default_rng(7).normal(0.0, 2.0, (len(base), 64))
     table = _ShotTable(np.array(phases), None, (), slopes, steps, rows)
     z = _shot_phasors(table, angles, np.empty((rows, angles.shape[1]), dtype=complex))
     assert np.abs(z - np.exp(0.5j * (np.array(phases) @ angles))).max() <= 4e-15
-    mode_b = _shot_table("B", "both_paths_independent")
-    assert (len(mode_b.slopes), len(mode_b.steps), mode_b.phasors) == (4, 41, 32)
+
+
+def check_plan_rows(rotations, pairs, steps, rows):
+    """No step writes a row it reads or one written before, each reads a
+    base row or one written before, and at least as many rows lie ahead of
+    the pairs as there are pairs, so the centred columns fit there."""
+    written = set(range(rotations))
+    for _, row, *reads in steps:
+        assert row not in written and rotations <= row < rows
+        assert {r for r in reads if r is not None} <= written
+        written.add(row)
+    assert set(range(rows - pairs, rows)) <= written
+    assert rows - pairs >= pairs
+
+
+def test_phasor_plan_of_each_layout():
+    # Mode B: 16 phasors from 4 tan rows in 26 steps, none a copy, in 32
+    # rows.  The base is b = 1 wherever some pair has |q_r| = 1.
+    tables = {layout: _shot_table(*layout) for layout in _LAYOUTS}
+    for table in tables.values():
+        check_plan_rows(len(table.slopes), len(table.phases), table.steps, table.phasors)
+        expected = [0.25 if np.any(np.abs(column) == 1) else 0.5 for column in table.phases.T]
+        assert table.slopes.tolist() == expected
+    mode_b = tables["B", "both_paths_independent"]
+    assert (len(mode_b.slopes), len(mode_b.steps), mode_b.phasors) == (4, 26, 32)
+    assert all(ufunc is not None for ufunc, *_ in mode_b.steps)
+    assert [table.phasors for table in tables.values()] == [8, 4, 2, 32]
+    assert [len(table.steps) for table in tables.values()] == [5, 2, 1, 26]
+
+
+@st.composite
+def synthetic_phases(draw):
+    """Up to 16 distinct pairs q over 1-5 rotations, each q ahead of -q,
+    with entries 0, +-b_r, +-2 b_r, and the bases b_r."""
+    base = draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=5))
+    entry = [st.sampled_from([0, b, -b, 2 * b, -2 * b]) for b in base]
+    q = st.tuples(*entry).filter(any).map(lambda q: max(q, tuple(-x for x in q)))
+    return draw(st.lists(q, min_size=1, max_size=16, unique=True)), base
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=synthetic_phases(), scale=st.sampled_from([2.0, 20.0]), seed=st.integers(0, 2**32 - 1))
+def test_phasor_plan_matches_extended_precision_on_synthetic_phases(case, scale, seed):
+    # Up to 5 rotations, as more field layouts may need: each pair one
+    # product of cached sub-products, within 4e-15 of exp(i q.theta/2) in
+    # long double for angles up to +-20, and exactly 1 at zero angles.
+    phases, base = case
+    slopes, steps, rows = _phasor_plan(phases, base)
+    check_plan_rows(len(base), len(phases), steps, rows)
+    angles = np.random.default_rng(seed).uniform(-scale, scale, (len(base), 65))
+    angles[:, -1] = 0.0
+    table = _ShotTable(np.array(phases), None, (), slopes, steps, rows)
+    z = _shot_phasors(table, angles, np.empty((rows, angles.shape[1]), dtype=complex))
+    phase = np.array(phases).astype(np.longdouble) @ angles.astype(np.longdouble) / 2
+    assert np.abs(z.real - np.cos(phase)).max() <= 4e-15
+    assert np.abs(z.imag - np.sin(phase)).max() <= 4e-15
+    assert np.all(z[:, -1] == 1.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -810,6 +865,57 @@ def test_mean_only_monte_carlo_is_the_full_estimates_mean(layout, sigma, samples
     assert mean.tobytes() == ensemble_average_monte_carlo(rho0, setup, samples, seed).mean.tobytes()
 
 
+# Elements whose pairs alone would take other base factors than their
+# layout's: (0, 2) reaches only (2, 0) in mode A both paths and only
+# (2, 0, +-2, 0) and (2, 0, 0, 0) in mode B; (0, 0) no pair in mode A.
+ELEMENTS = [(1, 2), (0, 2), (1, 3), (0, 0)]
+
+
+@pytest.mark.parametrize("element", ELEMENTS)
+def test_element_pairs_are_the_pairs_that_reach_the_element(element):
+    # Read from the table's support: for (1, 2), 1 of 4 pairs in mode A
+    # both paths and 4 of 16 in mode B.  Every other pair's columns leave
+    # the element alone on any input, and the cut plan keeps the layout's
+    # base factors.
+    rho0 = hermitian_ginibre_state(np.random.default_rng(3), 4)
+    kept = {}
+    for layout in _LAYOUTS:
+        table = _shot_table(*layout)
+        indices, plan = _element_pairs(*layout, element)
+        u = _shot_coefficients(table, rho0).reshape(32, -1, 2)
+        at = 4 * element[0] + element[1]
+        reached = np.flatnonzero(u[[at, 16 + at]].any(axis=(0, 2)))
+        assert indices.tolist() == reached.tolist()
+        assert plan.phases.tolist() == table.phases[indices].tolist()
+        assert plan.slopes.tolist() == table.slopes.tolist()
+        check_plan_rows(len(plan.slopes), len(plan.phases), plan.steps, plan.phasors)
+        kept[layout] = (len(indices), len(table.phases))
+    if element == (1, 2):
+        assert list(kept.values()) == [(1, 4), (1, 2), (1, 1), (4, 16)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    layout=st.sampled_from(sorted(_LAYOUTS)),
+    sigma=st.just(0.0) | st.floats(min_value=0.0, max_value=3.0),
+    samples=st.sampled_from([2, 4095, 4096, 4097, 8192, 8193]) | st.integers(2, 20000),
+    rank=st.none() | st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    element=st.sampled_from(ELEMENTS),
+)
+@example(layout=("B", "both_paths_independent"), sigma=1.2, samples=20000, rank=None, seed=4, element=(1, 2))
+@example(layout=("A", "both_paths_independent"), sigma=1.1, samples=4097, rank=3, seed=5, element=(0, 2))
+def test_element_route_is_the_mean_states_entry(layout, sigma, samples, rank, seed, element):
+    # calibrate's route to <rho_12> (and to other elements), on its own
+    # input (rank None) or a drawn one: the mean-only estimate's entry, bit
+    # for bit, in every layout.
+    rng = np.random.default_rng(seed)
+    rho0 = experiment_initial() if rank is None else hermitian_ginibre_state(rng, rank)
+    setup = FieldSetup(mode=layout[0], sigma=sigma, variant=layout[1])
+    entry = _element_mean_monte_carlo(rho0, setup, samples, seed, element)
+    assert entry.tobytes() == ensemble_mean_monte_carlo(rho0, setup, samples, seed)[element].tobytes()
+
+
 def signed_zero_state():
     """A rank-2 state whose last row and column are zeros of both signs."""
     rho0 = hermitian_ginibre_state(np.random.default_rng(71), 2)
@@ -848,8 +954,8 @@ def test_monte_carlo_at_sigma_zero_draws_nothing(monkeypatch, layout, samples):
 @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
 @pytest.mark.parametrize("samples", [2, _PASS_SIZE + 1, 3 * _BLOCK_SIZE + 5])
 def test_monte_carlo_at_sigma_zero_evaluates_one_shot(monkeypatch, layout, samples):
-    # At zero width both estimators run the ordinary passes on a single shot
-    # at zero angles, whatever the sample count.
+    # At zero width every estimator, calibrate's route included, runs the
+    # ordinary passes on a single shot at zero angles, whatever the sample count.
     shots = []
 
     def recording(table, angles, phasors):
@@ -863,7 +969,8 @@ def test_monte_carlo_at_sigma_zero_evaluates_one_shot(monkeypatch, layout, sampl
     monkeypatch.setattr(np.random, "default_rng", draw)
     monkeypatch.setattr(np.random, "SeedSequence", draw)
     setup = FieldSetup(mode=layout[0], sigma=0.0, variant=layout[1])
-    for estimator in (ensemble_average_monte_carlo, ensemble_mean_monte_carlo):
+    coherence = lambda *args: _element_mean_monte_carlo(*args, (1, 2))  # noqa: E731
+    for estimator in (ensemble_average_monte_carlo, ensemble_mean_monte_carlo, coherence):
         shots.clear()
         estimator(experiment_initial(), setup, samples, 5)
         assert shots == [1]
