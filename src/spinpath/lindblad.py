@@ -36,7 +36,7 @@ import numpy as np
 
 from . import superop
 from .pauli import ID2, MODE_AXES, PATH_I, PATH_II, check_mode, spin_path_stack
-from .states import check_real, validate_density_matrix
+from .states import EIGENVALUE_FLOOR, check_real, validate_density_matrix
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,10 @@ def integrate_master(
     land exactly on ``t``; each step is the RK4 step map of the 16x16
     Liouvillian, so n full steps are its n-th matrix power.  A step size
     whose step map has spectral radius above 1 (outside the RK4
-    stability region) is rejected up front.  Hermiticity and trace drift
+    stability region) is rejected up front, and so is one whose
+    propagator's Choi matrix, which bounds every output state's least
+    eigenvalue, has one below ``EIGENVALUE_FLOOR`` (a shifted Cholesky
+    certifies it, as in ``validate_density_matrix``).  Hermiticity and trace drift
     are monitored (budget 1e-9 per unit time) and the result is
     re-Hermitized and trace-renormalized before validation.
 
@@ -256,8 +259,9 @@ def integrate_master(
 
     Raises:
         ValueError: when the projectors are not a (k, 4, 4) stack, naming
-            its shape, or when their dephasing map is not ``spec.mode``'s,
-            naming both modes.
+            its shape, when their dephasing map is not ``spec.mode``'s,
+            naming both modes, or when a step of size dt is unstable or
+            not completely positive, naming dt and lam.
     """
     projectors = np.asarray(projectors, dtype=complex)
     if projectors.ndim != 3 or projectors.shape[1:] != (4, 4):
@@ -285,5 +289,15 @@ def integrate_master(
     propagator = np.linalg.matrix_power(step_map, int(n_full))
     if remainder > 1e-12 * dt:
         propagator = superop.rk4_step(generator, remainder) @ propagator
+    choi = superop.choi(propagator)
+    try:
+        np.linalg.cholesky(choi - EIGENVALUE_FLOOR / 2.0 * superop.ID16)
+    except np.linalg.LinAlgError:
+        least = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)[0])
+        if least < EIGENVALUE_FLOOR:
+            raise ValueError(
+                f"RK4 step dt={dt!r} is not completely positive for lam={spec.lam!r}: the propagator "
+                f"to t={t!r} has Choi eigenvalue {least:.3e} < {EIGENVALUE_FLOOR:.1e}; use a smaller dt"
+            ) from None
     rho = superop.apply(propagator, rho)
     return validate_density_matrix(superop.settle(rho, 1e-9 * max(t, 1.0), "integration"))

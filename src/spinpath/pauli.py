@@ -10,6 +10,12 @@ the spin qubit, the second is the path qubit, so the product basis is
 
 Each decoherence mode is a spin axis in ``MODE_AXES``, sz for mode A and
 sx for mode B; each route derives its operators from it.
+
+``PAULI_STRINGS`` holds the 16 products sa (x) sb over a, b in I, X, Y,
+Z, string 4a + b, spin letter first.  A state is rho = 1/4 sum_k r_k P_k
+with the real Pauli coordinates r_k = Tr(rho P_k): ``to_pauli`` and
+``from_pauli`` map between the two, one product each (Wood, Biamonte &
+Cory, Quantum Inf. Comput. 15, 759 (2015)).
 """
 
 import numpy as np
@@ -44,3 +50,23 @@ def spin_path_stack(pairs) -> np.ndarray:
     stack = np.array([spin_path(spin, path) for spin, path in pairs])
     stack.flags.writeable = False
     return stack
+
+
+# sa (x) sb over a, b in I, X, Y, Z: string 4a + b, spin letter first.
+_LETTERS = (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z)
+PAULI_STRINGS = spin_path_stack((a, b) for a in _LETTERS for b in _LETTERS)
+# Row k is vec(P_k); each P_k is Hermitian, so Tr(rho P_k) = vec(rho) . conj(vec(P_k)).
+_STRING_ROWS = PAULI_STRINGS.reshape(16, 16)
+_TRACE_COLUMNS = _STRING_ROWS.conj().T
+
+
+def to_pauli(rho) -> np.ndarray:
+    """Real Pauli coordinates (..., 16), r_k = Re Tr(rho P_k), of a (..., 4, 4) stack."""
+    rho = np.asarray(rho, dtype=complex)
+    return (rho.reshape(*rho.shape[:-2], 16) @ _TRACE_COLUMNS).real
+
+
+def from_pauli(r) -> np.ndarray:
+    """(..., 4, 4) matrices 1/4 sum_k r_k P_k of real coordinates (..., 16), the inverse of ``to_pauli``."""
+    r = np.asarray(r, dtype=float)
+    return (r @ _STRING_ROWS / 4.0).reshape(*r.shape[:-1], 4, 4)

@@ -60,6 +60,16 @@ def rk4_step(generator: np.ndarray, step: float) -> np.ndarray:
     return ID16 + x @ (ID16 + x @ (ID16 + x @ (ID16 + x / 4.0) / 3.0) / 2.0)
 
 
+def choi(superop: np.ndarray) -> np.ndarray:
+    """Read-only Choi matrix J = sum_cd E_cd (x) Phi(E_cd), J[(c, a), (d, b)] = superop[(a, b), (c, d)].
+
+    Phi is completely positive iff J >= 0 (Choi, Lin. Alg. Appl. 10, 285 (1975)).
+    """
+    matrix = np.asarray(superop).reshape(4, 4, 4, 4).transpose(2, 0, 3, 1).reshape(16, 16)
+    matrix.flags.writeable = False
+    return matrix
+
+
 def apply(superop: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Image of a 4x4 matrix under a 16x16 superoperator."""
     return (superop @ np.asarray(rho, dtype=complex).reshape(16)).reshape(4, 4)

@@ -11,15 +11,13 @@ is outcome k in the order (+,+), (+,-), (-,+), (-,-).  Exact data hold
 the Born probabilities (floats, rows summing to 1); finite-shot data
 hold integer counts, every row summing to the shot count.
 
-All 36 probabilities are one product with the 36x16 Born matrix (row
-4i + k: the conjugated, vectorized projector of outcome k of setting i),
-and reconstruction is its pseudo-inverse.  Outcomes of one setting are
-orthogonal, so this least-squares estimate takes correlators from their
-own setting and averages single-qubit expectations over the three
-settings that share the observable:
-
-    raw = 1/4 * (1 + sum_i <s_i> s_i(x)1 + sum_j <p_j> 1(x)p_j
-                   + sum_ij <s_i p_j> s_i(x)p_j).
+In the Pauli coordinates r of :mod:`spinpath.pauli`, outcome (a, b) of
+setting (s, p) has probability 1/4 (r_II + a r_sI + b r_Ip + ab r_sp),
+row 4i + k of one real 36x16 sign table.  Its columns are orthogonal,
+with squared norms 9/4 (II), 3/4 (one letter) and 1/4 (two letters), so
+its least-squares inverse is its transpose over those norms: r_sp comes
+from its own setting, r_sI and r_Ip are averaged over the three
+settings that share the letter, and raw = from_pauli(r).
 
 Finite statistics can push raw outside the physical set, so the
 returned estimate is its eigenvalue-clipped projection
@@ -33,10 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, spin_path
+from .pauli import from_pauli, to_pauli
 from .states import check_count, validate_density_matrix
-
-_OBSERVABLES = {"X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
 # (spin, path) Pauli letters of the nine settings: the row order of every (9, 4) array.
 ALL_SETTINGS = tuple((s, p) for s in "XYZ" for p in "XYZ")
@@ -47,14 +43,16 @@ _OUTCOME_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 # Largest shot count a multinomial draw takes: NumPy counts in int64.
 _MAX_SHOTS = int(np.iinfo(np.int64).max)
 
-_BORN = np.array([
-    spin_path((ID2 + a * _OBSERVABLES[s]) / 2.0, (ID2 + b * _OBSERVABLES[p]) / 2.0).conj().reshape(16)
-    for s, p in ALL_SETTINGS
-    for a, b in _OUTCOME_SIGNS
+# Row 4i + k, outcome k = (a, b) of setting i = (s, p): 1/4 of the Pauli coordinates
+# of its projector (I + a s)/2 (x) (I + b p)/2, the outer product of e_I + a e_s and e_I + b e_p.
+_UNIT = np.eye(4)
+_SIGNS = np.array([
+    np.outer(_UNIT[0] + a * _UNIT["IXYZ".index(s)], _UNIT[0] + b * _UNIT["IXYZ".index(p)]).reshape(16) / 4.0
+    for s, p in ALL_SETTINGS for a, b in _OUTCOME_SIGNS
 ])
-_INVERSE = np.linalg.pinv(_BORN)
-_BORN.flags.writeable = False
-_INVERSE.flags.writeable = False
+_ESTIMATOR = _SIGNS.T / (_SIGNS**2).sum(axis=0)[:, None]
+_SIGNS.flags.writeable = False
+_ESTIMATOR.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +65,7 @@ class Reconstruction:
 
 def _born_probabilities(rho: np.ndarray) -> np.ndarray:
     """(9, 4) outcome probabilities of a validated state, settings in ALL_SETTINGS order."""
-    probs = (_BORN @ rho.reshape(16)).real.reshape(9, 4)
+    probs = (_SIGNS @ to_pauli(rho)).reshape(9, 4)
     if probs.min() < -1e-9:
         raise np.linalg.LinAlgError(f"negative outcome probability: {probs.min():.3e}")
     probs = np.maximum(probs, 0.0)
@@ -132,7 +130,7 @@ def _frequencies(counts) -> np.ndarray:
 
 def reconstruct_linear(counts) -> Reconstruction:
     """Linear inversion of a (9, 4) count or probability array."""
-    raw = (_INVERSE @ _frequencies(counts).reshape(36)).reshape(4, 4)
+    raw = from_pauli(_ESTIMATOR @ _frequencies(counts).reshape(36))
     estimate = project_psd(raw)
     residual = float(np.linalg.norm(raw - estimate))
     return Reconstruction(estimate=estimate, frobenius_residual=residual)

@@ -17,11 +17,14 @@ from spinpath.lindblad import (
 )
 from spinpath.measures import mixedness
 from spinpath.states import (
+    EIGENVALUE_FLOOR,
     StateValidationError,
     experiment_initial,
+    from_pure,
     maximally_mixed,
     validate_density_matrix,
 )
+from spinpath import superop
 from spinpath.superop import apply, kraus_map, liouvillian
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -489,6 +492,51 @@ def test_integrator_rejects_unstable_step(mode):
     spec = DecoherenceSpec(mode=mode, lam=3000.0)
     with pytest.raises(ValueError, match=r"dt=0\.001 .*lam=3000\.0"):
         integrate_master(experiment_initial(), projectors_for_mode(mode), spec, 1.0, dt=1e-3)
+
+
+def test_integrator_rejects_a_stable_step_that_is_not_positive(monkeypatch):
+    # The step map's spectral radius is 1 + 9e-16, so the stability check
+    # passes; the two-step propagator's Choi matrix has eigenvalue -0.54, and
+    # applied to this pure state it would give a state of eigenvalue -0.12.
+    # The check runs before any state is produced.
+    def no_state(*args):
+        raise AssertionError("a state was produced")
+
+    monkeypatch.setattr(superop, "apply", no_state)
+    spec = DecoherenceSpec("B", 13.5, SystemHamiltonian((0.5, 2.7, 0.5, -2.5)))
+    message = r"dt=0\.2 is not completely positive for lam=13\.5: .* Choi eigenvalue -5\.398e-01 < "
+    with pytest.raises(ValueError, match=message):
+        integrate_master(from_pure(np.full(4, 0.5)), projectors_for_mode("B"), spec, 0.4, dt=0.2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from("AB"),
+    lam=st.floats(0.1, 20.0),
+    dt=st.sampled_from((0.05, 0.1, 0.2)),
+    steps=st.integers(1, 8),
+)
+def test_integrator_rejects_exactly_the_steps_whose_choi_matrix_is_below_the_floor(seed, mode, lam, dt, steps):
+    # Decided as the eigvalsh oracle decides, and a stable step that passes
+    # never produces a state that fails validation.
+    rng = np.random.default_rng(seed)
+    spec = DecoherenceSpec(mode, lam, SystemHamiltonian(tuple(rng.uniform(-15.0, 15.0, 4))))
+    rho0 = ginibre_state(rng, rank=1)
+    generator = liouvillian(spec.hamiltonian.diagonal(), kraus_map(projectors_for_mode(mode)), lam)
+    step_map = superop.rk4_step(generator, dt)
+    if np.abs(np.linalg.eigvals(step_map)).max() > 1.0 + 1e-12:
+        return  # the stability check's case
+    t = steps * dt
+    n_full, remainder = divmod(t, dt)  # the propagator integrate_master applies
+    propagator = np.linalg.matrix_power(step_map, int(n_full))
+    if remainder > 1e-12 * dt:
+        propagator = superop.rk4_step(generator, remainder) @ propagator
+    if np.linalg.eigvalsh(superop.choi(propagator))[0] < EIGENVALUE_FLOOR:
+        with pytest.raises(ValueError, match=rf"dt={dt!r} is not completely positive for lam={re.escape(repr(lam))}"):
+            integrate_master(rho0, projectors_for_mode(mode), spec, t, dt=dt)
+    else:
+        integrate_master(rho0, projectors_for_mode(mode), spec, t, dt=dt)
 
 
 @pytest.mark.parametrize("mode,other", [("A", "B"), ("B", "A")])

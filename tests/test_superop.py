@@ -1,9 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinpath import superop
-from spinpath.lindblad import projectors_for_mode
+from spinpath import lindblad, superop
+from spinpath.interferometer import (
+    _LAYOUTS,
+    FieldSetup,
+    _mean_state,
+    _shot_coefficients,
+    _shot_table,
+    ensemble_average_analytic,
+)
+from spinpath.kraus import MAX_WEIGHT, kraus_set_for_mode
+from spinpath.lindblad import DecoherenceSpec, SystemHamiltonian, evolve, projectors_for_mode
 from spinpath.pauli import spin_path
+from spinpath.states import experiment_initial
+
+# The 16 matrix units E_cd, unit 4c + d, the inputs that fix a linear map.
+MATRIX_UNITS = np.eye(16, dtype=complex).reshape(16, 4, 4)
 
 
 def random_matrix(rng):
@@ -80,3 +95,62 @@ def test_settle_keeps_a_settled_state_and_rejects_drift_beyond_budget():
     assert abs(np.trace(settled).real - trace) <= 1e-15 * trace
     with pytest.raises(np.linalg.LinAlgError, match=r"route drift exceeded budget 1\.0e-12"):
         superop.settle(drifted, 1e-12, "route", trace)
+
+
+def test_choi_of_a_kraus_map_is_the_sum_of_its_operators_outer_products():
+    # J = sum_cd E_cd (x) M E_cd M^dagger = sum_k v_k v_k^dagger with v_k[(c, a)] = M_k[a, c].
+    rng = np.random.default_rng(60)
+    ops = [random_matrix(rng) for _ in range(3)]
+    vectors = [m.T.reshape(16) for m in ops]
+    expected = sum(np.outer(v, v.conj()) for v in vectors)
+    choi = superop.choi(superop.kraus_map(ops))
+    assert np.abs(choi - expected).max() < 1e-13
+    assert not choi.flags.writeable
+    # The identity map's Choi matrix is the rank-one projector onto sum_c e_c (x) e_c, times 4.
+    identity = np.eye(4).reshape(16)
+    assert np.array_equal(superop.choi(superop.ID16), np.outer(identity, identity))
+
+
+def map_of(images):
+    """16x16 superoperator whose column 4c + d is vec of the image of E_cd."""
+    return np.array(images).reshape(16, 16).T
+
+
+def assert_cptp(superoperator, tol=1e-14):
+    """lambda_min(J) >= -tol, and Tr Phi(E_cd) = delta_cd within tol."""
+    assert np.linalg.eigvalsh(superop.choi(superoperator))[0] >= -tol
+    traces = superoperator.reshape(4, 4, 16).trace(axis1=0, axis2=1)
+    assert np.abs(traces - np.eye(4).reshape(16)).max() <= tol
+
+
+ENERGIES = st.tuples(*[st.floats(-15.0, 15.0)] * 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mode=st.sampled_from("AB"), energies=ENERGIES, lam=st.floats(0.01, 3.0), t=st.floats(0.0, 5.0))
+def test_closed_form_map_is_cptp(mode, energies, lam, t):
+    spec = DecoherenceSpec(mode, lam, SystemHamiltonian(energies))
+    closed_form = map_of([lindblad._closed_form(unit, spec, np.asarray(t)) for unit in MATRIX_UNITS])
+    assert_cptp(closed_form)
+    rho = experiment_initial()
+    assert np.abs(superop.apply(closed_form, rho) - evolve(rho, spec, t)).max() <= 1e-14
+
+
+@settings(max_examples=100, deadline=None)
+@given(mode=st.sampled_from("AB"), weight=st.floats(0.0, MAX_WEIGHT))
+def test_kraus_step_is_cptp_up_to_the_largest_weight(mode, weight):
+    assert_cptp(superop.kraus_map(kraus_set_for_mode(mode, weight)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(layout=st.sampled_from(sorted(_LAYOUTS)), sigma=st.floats(0.0, 3.0))
+def test_analytic_average_of_every_layout_is_cptp(layout, sigma):
+    # ensemble_average_analytic's rho0 + U E[g], on the matrix units.
+    table = _shot_table(*layout)
+    mean = np.zeros((len(table.phases), 2))
+    mean[:, 0] = np.expm1(np.square(table.phases).sum(axis=1) * (-sigma * sigma / 8.0))
+    average = map_of([_mean_state(unit, _shot_coefficients(table, unit), mean.ravel()) for unit in MATRIX_UNITS])
+    assert_cptp(average)
+    setup = FieldSetup(layout[0], sigma, layout[1])
+    expected = ensemble_average_analytic(experiment_initial(), setup)
+    assert np.abs(superop.apply(average, experiment_initial()) - expected).max() <= 1e-15

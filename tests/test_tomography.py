@@ -12,9 +12,11 @@ from spinpath.interferometer import (
 )
 from spinpath.kraus import kraus_set_for_mode, lindblad_generators_from_kraus, trotter_evolve
 from spinpath.lindblad import DecoherenceSpec, SystemHamiltonian, evolve, integrate_master, projectors_for_mode
-from spinpath.pauli import ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z, spin_path
+from spinpath.pauli import ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z, from_pauli, spin_path, to_pauli
 from spinpath.states import StateValidationError, bell_diagonal, from_pure, maximally_mixed
 from spinpath.tomography import (
+    _ESTIMATOR,
+    _SIGNS,
     ALL_SETTINGS,
     counts_to_json,
     exact_records,
@@ -359,3 +361,31 @@ def test_reconstruct_linear_equals_pauli_sum_inversion():
         result = reconstruct_linear(counts)
         assert np.abs(result.estimate - expected).max() <= 1e-14
         assert abs(result.frobenius_residual - np.linalg.norm(raw - expected)) <= 1e-14
+
+
+def born_matrix():
+    """The 36x16 Born matrix: row 4i + k is the conjugated, vectorized projector of outcome k of setting i."""
+    paulis = {"X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
+    signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    return np.array([
+        spin_path((ID2 + a * paulis[s]) / 2.0, (ID2 + b * paulis[p]) / 2.0).conj().reshape(16)
+        for s, p in ALL_SETTINGS
+        for a, b in signs
+    ])
+
+
+def test_sign_table_and_its_transpose_match_the_born_matrix_and_its_pseudo_inverse():
+    # The real sign table acts on Pauli coordinates as the Born matrix acts on
+    # vec(rho), and its scaled transpose is the Born matrix's pseudo-inverse.
+    born = born_matrix()
+    inverse = np.linalg.pinv(born)
+    assert np.abs(from_pauli(_ESTIMATOR.T) - inverse.T.reshape(36, 4, 4)).max() <= 1e-15
+    rng = np.random.default_rng(97)
+    for i in range(400):
+        rho = ginibre_state(rng, 1 + i % 4)
+        assert np.abs(_SIGNS @ to_pauli(rho) - (born @ rho.reshape(16)).real).max() <= 1e-15
+        counts = simulate_counts(rho, 10 ** (1 + i % 5), i) if i % 2 else exact_records(rho)
+        freqs = (counts / counts.sum(axis=1, keepdims=True)).reshape(36)
+        raw = (inverse @ freqs).reshape(4, 4)
+        result = reconstruct_linear(counts)
+        assert np.abs(result.estimate - project_psd(raw)).max() <= 4e-15
