@@ -12,7 +12,6 @@ from .interferometer import (
     FieldSetup,
     ensemble_average_analytic,
     ensemble_average_monte_carlo,
-    ensemble_mean_monte_carlo,
     lambda_from_sigma,
 )
 from .kraus import (

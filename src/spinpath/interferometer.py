@@ -23,14 +23,13 @@ columns for the four layouts.  An average is the input plus U times the
 columns' mean.  ``ensemble_average_analytic`` takes their exact Gaussian
 means, so it is exact for arbitrary input states;
 ``ensemble_average_monte_carlo`` takes their sample mean, with standard
-errors, and ``ensemble_mean_monte_carlo`` gives that mean alone, bit for
-bit, from the same per-pass phasor sums at less cost.  Calibration reads
-one element, so its route (``_element_mean_monte_carlo``) builds and sums
-only the phasors of the pairs whose columns reach it, and gives that
-element of the mean bit for bit.  A pair's phasor exp(i q.theta/2) is one
-product of two cached factors, over the first and the second half of the
-rotations (``_phasor_plan``).  No route builds shot states, and at
-sigma = 0 none draws.  Each element takes its
+errors.  Calibration reads one element, so its route
+(``_element_mean_monte_carlo``) builds and sums only the phasors of the
+pairs whose columns reach it, and gives that element of
+``ensemble_average_monte_carlo``'s mean bit for bit.  A pair's phasor
+exp(i q.theta/2) is one product of two cached factors, over the first and
+the second half of the rotations (``_phasor_plan``).  No route builds shot
+states, and at sigma = 0 none draws.  Each element takes its
 coefficients from its own entries of the input state, and the table's
 support splits them into independent blocks; one kernel serves every
 layout.  Monte Carlo results depend only on (seed, samples): sampling is
@@ -157,19 +156,28 @@ def _harmonics(axis: str, path: str):
 
 
 @dataclass(frozen=True, eq=False)
+class _PhasorPlan:
+    """How ``_shot_phasors`` builds the phasors of some pairs: one tan row
+    per rotation at ``slopes``, then ``steps``; the pairs' phasors fill the
+    rows ``pairs``, the last of the buffer."""
+
+    slopes: np.ndarray
+    steps: tuple
+    pairs: slice
+
+
+@dataclass(frozen=True, eq=False)
 class _ShotTable:
     """The columns of one layout: ``phases`` holds one q per pair,
     grouped by block (columns 2p, 2p + 1 are pair p's cos - 1 and sin);
     ``table @ vec rho0`` is U, element-major; ``blocks`` lists the rows of
-    U and the columns of each connected block of the table's support.  The
-    rest is ``_phasor_plan``'s."""
+    U and the columns of each connected block of the table's support;
+    ``plan`` builds every pair's phasor."""
 
     phases: np.ndarray
     table: np.ndarray
     blocks: tuple
-    slopes: np.ndarray
-    steps: tuple
-    phasors: int
+    plan: _PhasorPlan
 
 
 @cache
@@ -208,13 +216,13 @@ def _shot_table(mode: str, variant: str) -> _ShotTable:
     table = columns[order].transpose(2, 0, 1, 3).reshape(-1, 16)
     table.flags.writeable = False
     phases = [pairs[i] for i in order]
-    return _ShotTable(np.array(phases), table, tuple(blocks), *_phasor_plan(phases, base))
+    return _ShotTable(np.array(phases), table, tuple(blocks), _phasor_plan(phases, base))
 
 
-def _phasor_plan(phases: list, base: list) -> tuple:
+def _phasor_plan(phases: list, base: list) -> _PhasorPlan:
     """How ``_shot_phasors`` builds exp(i q.theta/2): the tan slopes b/4, the
     steps (ufunc, row, a, b), each writing ufunc(row a[, row b]) to the row
-    or, with ufunc None, copying row a, and the row count.
+    or, with ufunc None, copying row a, and the pairs' rows.
 
     Row r is rotation r's base factor exp(i b_r theta_r/2); every phase
     entry is 0, +-b_r or +-2 b_r.  Any other factor, over the rotations
@@ -256,21 +264,20 @@ def _phasor_plan(phases: list, base: list) -> tuple:
             steps.append((None, pair_rows[q], row[q], None))  # a copy
     front = max(next(ahead), len(phases))
     steps = [(ufunc, *(front + ~r if r is not None and r < 0 else r for r in rows)) for ufunc, *rows in steps]
-    return np.array(base) / 4.0, tuple(steps), front + len(phases)
+    return _PhasorPlan(np.array(base) / 4.0, tuple(steps), slice(front, front + len(phases)))
 
 
 @cache
 def _element_pairs(mode: str, variant: str, element: tuple) -> tuple:
-    """The pairs of a layout's table whose columns reach ``element`` (row,
-    column) of the state, read from the table's support, and a plan of
-    their phasors alone with the layout's base factors, so each phasor is
-    the full plan's bit for bit."""
+    """The indices of the pairs of a layout's table whose columns reach
+    ``element`` (row, column) of the state, read from the table's support,
+    and a plan of their phasors alone with the layout's base factors, so
+    each phasor is the full plan's bit for bit."""
     table = _shot_table(mode, variant)
     reach = table.table.reshape(16, len(table.phases), 2, 16)[4 * element[0] + element[1]]
     indices = np.flatnonzero(reach.any(axis=(1, 2)))
-    phases = table.phases[indices]
-    base = (4 * table.slopes).astype(int).tolist()
-    return indices, _ShotTable(phases, None, (), *_phasor_plan(phases.tolist(), base))
+    base = (4 * table.plan.slopes).astype(int).tolist()
+    return indices, _phasor_plan(table.phases[indices].tolist(), base)
 
 
 def _shot_coefficients(table: _ShotTable, rho0: np.ndarray) -> np.ndarray:
@@ -348,13 +355,13 @@ def _angle_blocks(setup: FieldSetup, n: int, seed: int):
         yield _rotation_angles(rng, setup, min(_BLOCK_SIZE, n - start))
 
 
-def _shot_phasors(table: _ShotTable, angles: np.ndarray, phasors: np.ndarray) -> np.ndarray:
+def _shot_phasors(plan: _PhasorPlan, angles: np.ndarray, phasors: np.ndarray) -> np.ndarray:
     """The pairs' phasors exp(i q.theta/2), shape (pairs, N), of N shots with
     angles of shape (rotations, N), built in ``phasors`` from one tan of an
     exact argument per rotation, squares, conjugates and products, so no phase
     is rounded as a sum of angles.  At zero angles every phasor is exactly 1."""
-    bases = phasors[:len(table.slopes)]
-    t = table.slopes[:, None] * angles
+    bases = phasors[:len(plan.slopes)]
+    t = plan.slopes[:, None] * angles
     np.tan(t, out=t)
     d = t * t
     d += 1.0
@@ -362,17 +369,17 @@ def _shot_phasors(table: _ShotTable, angles: np.ndarray, phasors: np.ndarray) ->
     np.multiply(t, d, out=bases.imag)  # sin = 2t/(1 + t^2)
     np.multiply(bases.imag, t, out=bases.real)
     np.subtract(1.0, bases.real, out=bases.real)  # cos = 1 - t sin
-    for ufunc, row, a, b in table.steps:
+    for ufunc, row, a, b in plan.steps:
         if ufunc is None:  # a copy, three times faster than np.positive
             phasors[row] = phasors[a]
         elif b is None:
             ufunc(phasors[a], out=phasors[row])
         else:
             ufunc(phasors[a], phasors[b], out=phasors[row])
-    return phasors[table.phasors - len(table.phases):table.phasors]
+    return phasors[plan.pairs]
 
 
-def _phasor_sums(table: _ShotTable, blocks, phasors: np.ndarray):
+def _phasor_sums(plan: _PhasorPlan, blocks, phasors: np.ndarray):
     """Yield the phasors z, shape (pairs, count), of each pass of up to
     ``_PASS_SIZE`` shots of each block of angles, and their sums over the
     pass's shots.  z is a view of ``phasors`` (rows, _PASS_SIZE), valid until
@@ -380,7 +387,7 @@ def _phasor_sums(table: _ShotTable, blocks, phasors: np.ndarray):
     for angles in blocks:
         for start in range(0, angles.shape[1], _PASS_SIZE):
             count = min(_PASS_SIZE, angles.shape[1] - start)
-            z = _shot_phasors(table, angles[:, start:start + count], phasors[:, :count])
+            z = _shot_phasors(plan, angles[:, start:start + count], phasors[:, :count])
             yield z, z.sum(axis=1)
         del angles  # freed before the next block is drawn
 
@@ -395,20 +402,6 @@ def _column_mean(counts: list, totals: list, n: int) -> tuple:
     return counts, sums, sums.sum(axis=0) / n
 
 
-def _shot_mean(rho0: np.ndarray, blocks, n: int, table: _ShotTable, pairs: tuple | None = None) -> np.ndarray:
-    """Mean state over the shots.  A pass costs only its phasors and their
-    sums: nothing is centred, mapped by U or squared.  Given ``pairs``
-    (indices, plan) from ``_element_pairs``, only those pairs' phasors are
-    built and the other columns' means are 0: the state is exact, bit for
-    bit, only in the elements that no other pair reaches."""
-    indices, plan = pairs or (slice(None), table)
-    phasors = np.empty((plan.phasors, _PASS_SIZE), dtype=complex)
-    counts, totals = zip(*((z.shape[1], total) for z, total in _phasor_sums(plan, blocks, phasors)))
-    mean = np.zeros((len(table.phases), 2))
-    mean[indices] = _column_mean(counts, totals, n)[2].reshape(-1, 2)
-    return _mean_state(rho0, _shot_coefficients(table, rho0), mean.ravel())
-
-
 def _shot_moments(rho0: np.ndarray, blocks, n: int, table: _ShotTable) -> tuple:
     """Mean state and per-element variances of Re and Im over the shots.
 
@@ -417,8 +410,8 @@ def _shot_moments(rho0: np.ndarray, blocks, n: int, table: _ShotTable) -> tuple:
     for each row of U that is not all zero, the squared norm of that row
     times the centred columns (one product per block); an all-zero row has
     variance exactly 0.  Passes merge by Chan's update: each adds
-    count * (U (pass mean - overall mean))^2.  The mean state is the one
-    ``_shot_mean`` gives, bit for bit.
+    count * (U (pass mean - overall mean))^2.  The mean state is rho0 + U
+    times the column mean of ``_column_mean``.
     """
     u = _shot_coefficients(table, rho0)
     nonzero = np.any(u != 0.0, axis=1)
@@ -427,14 +420,14 @@ def _shot_moments(rho0: np.ndarray, blocks, n: int, table: _ShotTable) -> tuple:
     live = np.concatenate([rows for rows, _, _ in pieces] or [np.zeros(0, dtype=int)])
     # One buffer serves each pass: the centred columns take the rows ahead of
     # the pairs (no fewer than the pairs), the mapped rows the pair rows.
-    front = table.phasors - len(table.phases)
-    phasors = np.empty((max(table.phasors, front + (len(live) + 1) // 2), _PASS_SIZE), dtype=complex)
+    front = table.plan.pairs.start
+    phasors = np.empty((max(table.plan.pairs.stop, front + (len(live) + 1) // 2), _PASS_SIZE), dtype=complex)
     free = phasors.view(float).reshape(-1, _PASS_SIZE)
     columns = free[:2 * len(table.phases)]
     mapped = free[2 * front:2 * front + len(live)]
     scatter = np.zeros(len(live))
     counts, totals = [], []
-    for z, total in _phasor_sums(table, blocks, phasors):
+    for z, total in _phasor_sums(table.plan, blocks, phasors):
         count = z.shape[1]
         g, y = columns[:, :count], mapped[:, :count]
         np.subtract(z.real, (total.real / count)[:, None], out=g[0::2])
@@ -463,20 +456,21 @@ def _sampling(rho0: np.ndarray, setup: FieldSetup, samples: int, seed: int) -> t
     return rho0, _angle_blocks(setup, n, int(seed)), n, _shot_table(setup.mode, setup.variant)
 
 
-def ensemble_mean_monte_carlo(rho0: np.ndarray, setup: FieldSetup, samples: int, seed: int) -> np.ndarray:
-    """The mean state of ``ensemble_average_monte_carlo`` with the same
-    arguments, bit for bit, without its standard errors: the same checks,
-    blocks, child seeds and passes, but per pass only the phasor sums."""
-    return _shot_mean(*_sampling(rho0, setup, samples, seed))
-
-
 def _element_mean_monte_carlo(rho0: np.ndarray, setup: FieldSetup, samples: int, seed: int,
                               element: tuple) -> complex:
-    """``ensemble_mean_monte_carlo(...)[element]`` from the phasors of only
-    the pairs whose columns reach that element (``_element_pairs``), with
-    the same checks, blocks, child seeds and passes."""
-    pairs = _element_pairs(setup.mode, setup.variant, element)
-    return _shot_mean(*_sampling(rho0, setup, samples, seed), pairs)[element]
+    """``ensemble_average_monte_carlo(...).mean[element]``, bit for bit, with
+    the same checks, blocks, child seeds and passes, from the phasors of
+    only the pairs whose columns reach that element (``_element_pairs``).
+    A pass costs only those phasors and their sums: nothing is centred,
+    mapped by U or squared.  The other columns' means are left 0, so the
+    state it indexes is exact only in the elements no other pair reaches."""
+    rho0, blocks, n, table = _sampling(rho0, setup, samples, seed)
+    indices, plan = _element_pairs(setup.mode, setup.variant, element)
+    phasors = np.empty((plan.pairs.stop, _PASS_SIZE), dtype=complex)
+    counts, totals = zip(*((z.shape[1], total) for z, total in _phasor_sums(plan, blocks, phasors)))
+    mean = np.zeros((len(table.phases), 2))
+    mean[indices] = _column_mean(counts, totals, n)[2].reshape(-1, 2)
+    return _mean_state(rho0, _shot_coefficients(table, rho0), mean.ravel())[element]
 
 
 def ensemble_average_monte_carlo(

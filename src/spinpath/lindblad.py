@@ -261,7 +261,8 @@ def integrate_master(
         ValueError: when the projectors are not a (k, 4, 4) stack, naming
             its shape, when their dephasing map is not ``spec.mode``'s,
             naming both modes, or when a step of size dt is unstable or
-            not completely positive, naming dt and lam.
+            not completely positive, naming dt and lam, or when t / dt is
+            2**53 or more, naming t and dt.
     """
     projectors = np.asarray(projectors, dtype=complex)
     if projectors.ndim != 3 or projectors.shape[1:] != (4, 4):
@@ -272,8 +273,9 @@ def integrate_master(
         named = f"mode {found}'s" if found else "neither mode A's nor mode B's"
         raise ValueError(f"projectors are {named} projectors, but spec.mode is {spec.mode!r}")
     rho = np.array(validate_density_matrix(rho0))
-    check_real(t, "time")
-    check_real(dt, "step size dt", positive=True)
+    steps = check_real(t, "time") / check_real(dt, "step size dt", positive=True)
+    if steps >= 2.0 ** 53:  # past 2^53 steps divmod cannot land on t
+        raise ValueError(f"time t={t!r} takes {steps:.3g} steps of dt={dt!r}, at least 2**53; use a larger dt")
     if t == 0.0:
         return rho
     generator = superop.liouvillian(spec.hamiltonian.diagonal(), dephasing, spec.lam)

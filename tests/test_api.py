@@ -23,7 +23,6 @@ PUBLIC_NAMES = {
     "concurrence_bell_diagonal",
     "ensemble_average_analytic",
     "ensemble_average_monte_carlo",
-    "ensemble_mean_monte_carlo",
     "evolve",
     "experiment_initial",
     "from_pure",

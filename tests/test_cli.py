@@ -271,7 +271,6 @@ def _forbid_sampling(monkeypatch):
         raise AssertionError("sampling started")
 
     monkeypatch.setattr(interferometer, "ensemble_average_monte_carlo", sample)
-    monkeypatch.setattr(interferometer, "ensemble_mean_monte_carlo", sample)
     monkeypatch.setattr(interferometer, "_element_mean_monte_carlo", sample)
 
 
@@ -543,6 +542,23 @@ def test_calibrate_recovers_mode_coefficients(capsys):
     )
     assert payload["expected_coefficient"] == 0.5
     assert abs(payload["coefficient"] - 0.5) <= 0.01
+
+
+@pytest.mark.parametrize("mode, variant", list(interferometer._LAYOUTS))
+def test_calibrate_prints_the_decay_of_the_public_estimators_mean(capsys, mode, variant):
+    # Each printed lambda_t is -log(|<rho_12>| / |rho0_12|), with <rho_12>
+    # the mean entry of ensemble_average_monte_carlo at seed + i, bit for
+    # bit, in every layout and at sigma 0 too; 8193 shots span two blocks.
+    sigmas, samples, seed = (0.0, 0.3, 1.2, 2.5), 8193, 11
+    argv = ["calibrate", "--mode", mode, "--sigmas", *map(str, sigmas), "--samples", str(samples),
+            "--seed", str(seed), "--variant", variant.replace("_", "-")]
+    points = run_json(capsys, argv)["points"]
+    rho0 = experiment_initial()
+    for i, (sigma, point) in enumerate(zip(sigmas, points, strict=True)):
+        setup = interferometer.FieldSetup(mode, sigma, variant)
+        mean = interferometer.ensemble_average_monte_carlo(rho0, setup, samples, seed + i).mean
+        lambda_t = float(-np.log(np.abs(mean[1, 2]) / np.abs(rho0[1, 2]))) + 0.0
+        assert point == {"sigma": sigma, "lambda_t": lambda_t}
 
 
 def test_outputs_are_bitwise_reproducible(tmp_path, capsys):

@@ -14,13 +14,11 @@ from spinpath.interferometer import (
     _BLOCK_SIZE,
     _PASS_SIZE,
     _STDERR_FLOOR,
-    _ShotTable,
     _element_mean_monte_carlo,
     _element_pairs,
     _phasor_plan,
     _rotation_angles,
     _shot_coefficients,
-    _shot_mean,
     _shot_moments,
     _shot_phasors,
     _shot_table,
@@ -28,7 +26,6 @@ from spinpath.interferometer import (
     consistency_ratio,
     ensemble_average_analytic,
     ensemble_average_monte_carlo,
-    ensemble_mean_monte_carlo,
     lambda_from_sigma,
 )
 from spinpath.lindblad import DecoherenceSpec, evolve
@@ -169,7 +166,7 @@ def table_shot_states(layout, rho0, drawn):
     each shot.  ``drawn`` holds one length-N row of angles per rotation."""
     table = _shot_table(*layout)
     drawn = np.asarray(drawn, dtype=float).reshape(table.phases.shape[1], -1)
-    z = _shot_phasors(table, drawn, np.empty((table.phasors, drawn.shape[1]), dtype=complex))
+    z = _shot_phasors(table.plan, drawn, np.empty((table.plan.pairs.stop, drawn.shape[1]), dtype=complex))
     columns = np.stack((z.real - 1.0, z.imag), axis=1).reshape(2 * len(z), -1)
     re, im = (_shot_coefficients(table, np.asarray(rho0, dtype=complex)) @ columns).reshape(2, 4, 4, -1)
     return rho0 + (re + 1j * im).transpose(2, 0, 1)
@@ -555,7 +552,7 @@ def test_shot_phasors_match_extended_precision(layout, shot):
     table = _shot_table(*layout)
     drawn = np.array(shot).T[: table.phases.shape[1]]
     drawn = np.concatenate((drawn, np.zeros((len(drawn), 1))), axis=1)
-    z = _shot_phasors(table, drawn, np.empty((table.phasors, drawn.shape[1]), dtype=complex))
+    z = _shot_phasors(table.plan, drawn, np.empty((table.plan.pairs.stop, drawn.shape[1]), dtype=complex))
     phase = table.phases.astype(np.longdouble) @ drawn.astype(np.longdouble) / 2
     assert np.abs(z.real - np.cos(phase)).max() <= 4e-15
     assert np.abs(z.imag - np.sin(phase)).max() <= 4e-15
@@ -573,21 +570,23 @@ def test_shot_phasors_match_extended_precision(layout, shot):
 def test_phasor_plan_on_synthetic_phases(phases, base):
     # One tan row per rotation at slope b/4; the plan's own checks (below);
     # the pairs come out as exp(i q.theta/2).
-    slopes, steps, rows = _phasor_plan(phases, base)
-    assert slopes.tolist() == [b / 4.0 for b in base]
-    check_plan_rows(len(base), len(phases), steps, rows)
+    plan = _phasor_plan(phases, base)
+    assert plan.slopes.tolist() == [b / 4.0 for b in base]
+    check_plan_rows(plan, len(phases))
     angles = np.random.default_rng(7).normal(0.0, 2.0, (len(base), 64))
-    table = _ShotTable(np.array(phases), None, (), slopes, steps, rows)
-    z = _shot_phasors(table, angles, np.empty((rows, angles.shape[1]), dtype=complex))
+    z = _shot_phasors(plan, angles, np.empty((plan.pairs.stop, angles.shape[1]), dtype=complex))
     assert np.abs(z - np.exp(0.5j * (np.array(phases) @ angles))).max() <= 4e-15
 
 
-def check_plan_rows(rotations, pairs, steps, rows):
-    """No step writes a row it reads or one written before, each reads a
-    base row or one written before, and at least as many rows lie ahead of
-    the pairs as there are pairs, so the centred columns fit there."""
+def check_plan_rows(plan, pairs):
+    """The plan's last ``pairs`` rows hold the pairs, no step writes a row
+    it reads or one written before, each reads a base row or one written
+    before, and at least as many rows lie ahead of the pairs as there are
+    pairs, so the centred columns fit there."""
+    rotations, rows = len(plan.slopes), plan.pairs.stop
+    assert plan.pairs == slice(rows - pairs, rows)
     written = set(range(rotations))
-    for _, row, *reads in steps:
+    for _, row, *reads in plan.steps:
         assert row not in written and rotations <= row < rows
         assert {r for r in reads if r is not None} <= written
         written.add(row)
@@ -600,14 +599,14 @@ def test_phasor_plan_of_each_layout():
     # rows.  The base is b = 1 wherever some pair has |q_r| = 1.
     tables = {layout: _shot_table(*layout) for layout in _LAYOUTS}
     for table in tables.values():
-        check_plan_rows(len(table.slopes), len(table.phases), table.steps, table.phasors)
+        check_plan_rows(table.plan, len(table.phases))
         expected = [0.25 if np.any(np.abs(column) == 1) else 0.5 for column in table.phases.T]
-        assert table.slopes.tolist() == expected
-    mode_b = tables["B", "both_paths_independent"]
-    assert (len(mode_b.slopes), len(mode_b.steps), mode_b.phasors) == (4, 26, 32)
+        assert table.plan.slopes.tolist() == expected
+    mode_b = tables["B", "both_paths_independent"].plan
+    assert (len(mode_b.slopes), len(mode_b.steps), mode_b.pairs.stop) == (4, 26, 32)
     assert all(ufunc is not None for ufunc, *_ in mode_b.steps)
-    assert [table.phasors for table in tables.values()] == [8, 4, 2, 32]
-    assert [len(table.steps) for table in tables.values()] == [5, 2, 1, 26]
+    assert [table.plan.pairs.stop for table in tables.values()] == [8, 4, 2, 32]
+    assert [len(table.plan.steps) for table in tables.values()] == [5, 2, 1, 26]
 
 
 @st.composite
@@ -627,12 +626,11 @@ def test_phasor_plan_matches_extended_precision_on_synthetic_phases(case, scale,
     # product of cached sub-products, within 4e-15 of exp(i q.theta/2) in
     # long double for angles up to +-20, and exactly 1 at zero angles.
     phases, base = case
-    slopes, steps, rows = _phasor_plan(phases, base)
-    check_plan_rows(len(base), len(phases), steps, rows)
+    plan = _phasor_plan(phases, base)
+    check_plan_rows(plan, len(phases))
     angles = np.random.default_rng(seed).uniform(-scale, scale, (len(base), 65))
     angles[:, -1] = 0.0
-    table = _ShotTable(np.array(phases), None, (), slopes, steps, rows)
-    z = _shot_phasors(table, angles, np.empty((rows, angles.shape[1]), dtype=complex))
+    z = _shot_phasors(plan, angles, np.empty((plan.pairs.stop, angles.shape[1]), dtype=complex))
     phase = np.array(phases).astype(np.longdouble) @ angles.astype(np.longdouble) / 2
     assert np.abs(z.real - np.cos(phase)).max() <= 4e-15
     assert np.abs(z.imag - np.sin(phase)).max() <= 4e-15
@@ -848,23 +846,6 @@ def test_mode_b_stderr_is_zero_exactly_where_no_shot_moves_an_element():
     assert estimate.stderr_re[path_i].min() > 0.0
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    layout=st.sampled_from(sorted(_LAYOUTS)),
-    sigma=st.just(0.0) | st.floats(min_value=0.0, max_value=3.0),
-    samples=st.sampled_from([2, 4095, 4096, 4097, 8192, 8193]) | st.integers(2, 20000),
-    rank=st.integers(1, 4),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(layout=("B", "both_paths_independent"), sigma=0.0, samples=8193, rank=2, seed=1)
-@example(layout=("A", "single_field_one_path"), sigma=1.1, samples=4097, rank=4, seed=2)
-def test_mean_only_monte_carlo_is_the_full_estimates_mean(layout, sigma, samples, rank, seed):
-    rho0 = hermitian_ginibre_state(np.random.default_rng(seed), rank)
-    setup = FieldSetup(mode=layout[0], sigma=sigma, variant=layout[1])
-    mean = ensemble_mean_monte_carlo(rho0, setup, samples, seed)
-    assert mean.tobytes() == ensemble_average_monte_carlo(rho0, setup, samples, seed).mean.tobytes()
-
-
 # Elements whose pairs alone would take other base factors than their
 # layout's: (0, 2) reaches only (2, 0) in mode A both paths and only
 # (2, 0, +-2, 0) and (2, 0, 0, 0) in mode B; (0, 0) no pair in mode A.
@@ -886,9 +867,8 @@ def test_element_pairs_are_the_pairs_that_reach_the_element(element):
         at = 4 * element[0] + element[1]
         reached = np.flatnonzero(u[[at, 16 + at]].any(axis=(0, 2)))
         assert indices.tolist() == reached.tolist()
-        assert plan.phases.tolist() == table.phases[indices].tolist()
-        assert plan.slopes.tolist() == table.slopes.tolist()
-        check_plan_rows(len(plan.slopes), len(plan.phases), plan.steps, plan.phasors)
+        assert plan.slopes.tolist() == table.plan.slopes.tolist()
+        check_plan_rows(plan, len(indices))
         kept[layout] = (len(indices), len(table.phases))
     if element == (1, 2):
         assert list(kept.values()) == [(1, 4), (1, 2), (1, 1), (4, 16)]
@@ -907,13 +887,13 @@ def test_element_pairs_are_the_pairs_that_reach_the_element(element):
 @example(layout=("A", "both_paths_independent"), sigma=1.1, samples=4097, rank=3, seed=5, element=(0, 2))
 def test_element_route_is_the_mean_states_entry(layout, sigma, samples, rank, seed, element):
     # calibrate's route to <rho_12> (and to other elements), on its own
-    # input (rank None) or a drawn one: the mean-only estimate's entry, bit
+    # input (rank None) or a drawn one: the full estimate's mean entry, bit
     # for bit, in every layout.
     rng = np.random.default_rng(seed)
     rho0 = experiment_initial() if rank is None else hermitian_ginibre_state(rng, rank)
     setup = FieldSetup(mode=layout[0], sigma=sigma, variant=layout[1])
     entry = _element_mean_monte_carlo(rho0, setup, samples, seed, element)
-    assert entry.tobytes() == ensemble_mean_monte_carlo(rho0, setup, samples, seed)[element].tobytes()
+    assert entry.tobytes() == ensemble_average_monte_carlo(rho0, setup, samples, seed).mean[element].tobytes()
 
 
 def signed_zero_state():
@@ -928,8 +908,9 @@ def signed_zero_state():
 @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
 @pytest.mark.parametrize("samples", [2, _PASS_SIZE - 1, _PASS_SIZE + 1, _BLOCK_SIZE, 3 * _BLOCK_SIZE + 5])
 def test_monte_carlo_at_sigma_zero_draws_nothing(monkeypatch, layout, samples):
-    # The mean is the pass kernel's on explicit zero-angle blocks, byte for
-    # byte (signed zeros included), and every standard error is 0.0.
+    # The mean, and calibrate's route to each of its elements, is the pass
+    # kernel's on explicit zero-angle blocks, byte for byte (signed zeros
+    # included), and every standard error is 0.0.
     table = _shot_table(*layout)
     blocks = [np.zeros((table.phases.shape[1], min(_BLOCK_SIZE, samples - start)))
               for start in range(0, samples, _BLOCK_SIZE)]
@@ -944,8 +925,9 @@ def test_monte_carlo_at_sigma_zero_draws_nothing(monkeypatch, layout, samples):
     setup = FieldSetup(mode=layout[0], sigma=0.0, variant=layout[1])
     for rho0, (mean, var_re, var_im) in zip(states, kernel):
         assert not var_re.any() and not var_im.any()
-        assert _shot_mean(rho0, iter(blocks), samples, table).tobytes() == mean.tobytes()
-        assert ensemble_mean_monte_carlo(rho0, setup, samples, 5).tobytes() == mean.tobytes()
+        for element in np.ndindex(4, 4):
+            entry = _element_mean_monte_carlo(rho0, setup, samples, 5, element)
+            assert entry.tobytes() == mean[element].tobytes()
         estimate = ensemble_average_monte_carlo(rho0, setup, samples, 5)
         assert estimate.mean.tobytes() == mean.tobytes()
         assert estimate.stderr_re.tobytes() == estimate.stderr_im.tobytes() == np.zeros((4, 4)).tobytes()
@@ -958,9 +940,9 @@ def test_monte_carlo_at_sigma_zero_evaluates_one_shot(monkeypatch, layout, sampl
     # ordinary passes on a single shot at zero angles, whatever the sample count.
     shots = []
 
-    def recording(table, angles, phasors):
+    def recording(plan, angles, phasors):
         shots.append(angles.shape[1])
-        return _shot_phasors(table, angles, phasors)
+        return _shot_phasors(plan, angles, phasors)
 
     def draw(*args, **kwargs):
         raise AssertionError("a draw at sigma = 0")
@@ -970,7 +952,7 @@ def test_monte_carlo_at_sigma_zero_evaluates_one_shot(monkeypatch, layout, sampl
     monkeypatch.setattr(np.random, "SeedSequence", draw)
     setup = FieldSetup(mode=layout[0], sigma=0.0, variant=layout[1])
     coherence = lambda *args: _element_mean_monte_carlo(*args, (1, 2))  # noqa: E731
-    for estimator in (ensemble_average_monte_carlo, ensemble_mean_monte_carlo, coherence):
+    for estimator in (ensemble_average_monte_carlo, coherence):
         shots.clear()
         estimator(experiment_initial(), setup, samples, 5)
         assert shots == [1]

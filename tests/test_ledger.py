@@ -8,6 +8,9 @@ and run as ``[first] + jobs`` through ``bench/jobs.run_job``; each job's
 the bytes of its arrays) must equal the recorded one.  A mismatch names
 the first job that moved and its argv.  A change that moves outputs on
 purpose regenerates the file with ``--write`` and lists the moved jobs.
+``--write`` also records, under "readme", the sha256 of each README
+command's stdout and of the CSV its sweep writes; ``tests/test_readme.py``,
+which runs those commands, checks them.
 
 NumPy picks its SIMD loops for exp, log1p, tan, sin and cos at run time,
 so another NumPy or CPU may print other last bits.  The file records the
@@ -18,6 +21,7 @@ with the reason, on a host where they differ.
 import argparse
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -44,6 +48,16 @@ def host() -> dict:
         "numpy": np.__version__,
         "simd": {name: {sig: target["current"] for sig, target in sigs.items()} for name, sigs in loops.items()},
     }
+
+
+def host_mismatch(ledger: dict) -> str | None:
+    """Why outputs are not compared on this host, or None when it is the ledger's."""
+    here = host()
+    if here == ledger["host"]:
+        return None
+    return (f"the ledger was written with NumPy {ledger['host']['numpy']} and SIMD loops "
+            f"{ledger['host']['simd']}; this host has NumPy {here['numpy']} and {here['simd']}, "
+            f"whose last bits may differ, so outputs are not compared")
 
 
 def job_list(workload: str, workdir: Path) -> list:
@@ -84,11 +98,9 @@ def runs(tmp_path_factory):
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_outputs_match_the_ledger(runs, workload):
     ledger = json.loads(LEDGER.read_text())
-    here = host()
-    if here != ledger["host"]:
-        pytest.skip(f"the ledger was written with NumPy {ledger['host']['numpy']} and SIMD loops "
-                    f"{ledger['host']['simd']}; this host has NumPy {here['numpy']} and {here['simd']}, "
-                    f"whose last bits may differ, so outputs are not compared")
+    reason = host_mismatch(ledger)
+    if reason:
+        pytest.skip(reason)
     listed, digests = runs[workload]
     moved = first_moved(listed, digests, ledger["jobs"][workload])
     assert moved is None, f"{workload}: {moved}"
@@ -114,8 +126,11 @@ def test_a_one_ulp_shift_names_its_job(runs):
 
 
 def write() -> None:
-    """Run every workload and write its job digests, its fingerprint and this host to the ledger."""
-    ledger = {"seed": SEED, "host": host(), "workloads": {}, "jobs": {}}
+    """Run every workload and write its job digests, its fingerprint and this
+    host to the ledger, then the digests of the README commands' outputs."""
+    import test_readme
+
+    ledger = {"seed": SEED, "host": host(), "workloads": {}, "jobs": {}, "readme": {}}
     with tempfile.TemporaryDirectory() as workdir:
         for workload in workloads.WORKLOADS:
             listed = job_list(workload, Path(workdir))
@@ -123,6 +138,16 @@ def write() -> None:
             ledger["workloads"][workload] = workload_digest(digests)
             ledger["jobs"][workload] = digests
             print(workload, workload_digest(digests)[:16], f"{len(digests)} jobs")
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)  # the sweep writes curves.csv where it runs
+        try:
+            for command in test_readme.COMMANDS:
+                ledger["readme"].update(test_readme.digests(test_readme.outputs(command)))
+        finally:
+            os.chdir(here)
+    for name, digest in ledger["readme"].items():
+        print(digest[:16], name)
     LEDGER.write_text(json.dumps(ledger, indent=1) + "\n")
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -477,6 +478,24 @@ def test_integrator_rejects_bad_dt():
     for dt in (0.0, -1e-3, np.nan, np.inf):
         with pytest.raises(ValueError, match="step size dt"):
             integrate_master(experiment_initial(), projectors_for_mode("A"), spec, 1.0, dt=dt)
+
+
+@pytest.mark.parametrize("t, dt", [(1.0, 5e-324), (1e10, 1e-12), (2.0**53, 1.0)])
+def test_integrator_rejects_2_to_the_53_steps_naming_t_and_dt(t, dt):
+    # Past 2^53 steps divmod cannot land on t.  Unchecked, t / dt = inf
+    # would overflow int(), and 1e22 steps would underflow the propagator to
+    # 0, warn in a divide and fail as a finiteness violation.  One step
+    # fewer runs: at lam = 0 the state comes back as it went in.
+    singlet = from_pure(np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0))
+    spec = DecoherenceSpec(mode="B", lam=0.7)
+    message = rf"^time t={re.escape(repr(t))} takes .* steps of dt={re.escape(repr(dt))}, at least 2\*\*53; "
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=message):
+            integrate_master(singlet, projectors_for_mode("B"), spec, t, dt=dt)
+    assert not caught
+    idle = integrate_master(singlet, projectors_for_mode("B"), DecoherenceSpec("B", 0.0), 2.0**53 - 1, dt=1.0)
+    assert np.abs(idle - singlet).max() <= 1e-15
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -0.5])

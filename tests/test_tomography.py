@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from ginibre import ginibre_state, hermitian_ginibre_state
 from spinpath.interferometer import (
     FieldSetup,
+    _element_mean_monte_carlo,
     ensemble_average_monte_carlo,
-    ensemble_mean_monte_carlo,
     lambda_from_sigma,
 )
 from spinpath.kraus import kraus_set_for_mode, lindblad_generators_from_kraus, trotter_evolve
@@ -112,9 +112,9 @@ ARGUMENT_BOUNDS = {
                 "samples must be an integer of at least 2", 1, COUNT_VALUES),
     "monte-carlo-seed": (lambda v: ensemble_average_monte_carlo(SINGLET, SETUP, 10, v),
                          "seed must be a nonnegative integer", -1, COUNT_VALUES),
-    "mean-samples": (lambda v: ensemble_mean_monte_carlo(SINGLET, SETUP, v, 0),
+    "mean-samples": (lambda v: _element_mean_monte_carlo(SINGLET, SETUP, v, 0, (1, 2)),
                      "samples must be an integer of at least 2", 1, COUNT_VALUES),
-    "mean-seed": (lambda v: ensemble_mean_monte_carlo(SINGLET, SETUP, 10, v),
+    "mean-seed": (lambda v: _element_mean_monte_carlo(SINGLET, SETUP, 10, v, (1, 2)),
                   "seed must be a nonnegative integer", -1, COUNT_VALUES),
     "spec-lam": (lambda v: DecoherenceSpec("A", v),
                  "coupling strength must be finite and nonnegative", -1.0, REAL_VALUES),
